@@ -5,7 +5,8 @@ exploration schedule.  Each outer round it publishes a versioned parameter
 snapshot (optionally quantised on the wire); the addressed entity loads it,
 runs K inner environment steps with epsilon-greedy actions at the published
 epsilon, and uploads the K transitions as one fixed-width binary batch.  The
-coordinator appends them to replay and performs one mini-batch update.
+coordinator writes them into the replay ring in one batch and performs one
+mini-batch update.
 Entities never backprop; their network changes only by snapshot overwrite.
 
 Both message directions are real byte payloads, so the message ledger and
@@ -366,8 +367,7 @@ class Session:
             lag = self.version - batch.snapshot_version
             hist = self.message_ledger.staleness_histogram
             hist[lag] = hist.get(lag, 0) + 1
-            for t in batch.transitions:
-                self.buffer.push(t)
+            self.buffer.extend(batch.transitions)
             bs = min(cfg.batch_size, len(self.buffer))
             self.energy.record_train_step(self.online, bs)
             self.online, loss = dqn_train_step(

@@ -5,6 +5,12 @@ with ReLU on hidden layers and a linear output head, one output per action.
 Training is plain SGD on the squared TD error of the taken action only.
 Networks are treated as immutable: every update returns fresh arrays.
 
+The learner is array-native.  Replay is a preallocated ring of column
+arrays, and a DQN step runs the target network once and the online network
+once, taking both the loss and the gradients from that one cached forward
+pass.  ``batch_loss`` and ``backprop_minibatch`` go through the same
+private helper, so the gradient check covers the code the learner runs.
+
 The module also owns the wire format: a flat little-endian encoding of the
 layer dimensions followed by row-major matrices, with an optional symmetric
 integer quantisation of the weights.  Byte lengths of these payloads feed
@@ -14,9 +20,8 @@ the message and energy accounting elsewhere.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +32,7 @@ __all__ = [
     "DenseNet",
     "QuantMeta",
     "GradientBatch",
+    "ReplayBatch",
     "ReplayBuffer",
     "glorot_init",
     "forward",
@@ -39,9 +45,6 @@ __all__ = [
     "net_from_bytes",
     "symmetric_quantize_layer",
 ]
-
-DEFAULT_TARGET_SYNC = 100
-
 
 @dataclass
 class QuantMeta:
@@ -161,13 +164,44 @@ def _stack_batch(net: DenseNet, batch) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return x, t, m
 
 
+def _loss_and_grads(
+    net: DenseNet,
+    inputs: list[np.ndarray],
+    pre_acts: list[np.ndarray],
+    t: np.ndarray,
+    m: np.ndarray,
+    with_grads: bool = True,
+) -> tuple[float, GradientBatch | None]:
+    """Masked squared-error loss and its gradients from one cached forward.
+
+    ``inputs`` and ``pre_acts`` come from ``_forward_cached(net, x)``; ``t``
+    and ``m`` are the (n, out) target and action-mask matrices.  The
+    gradients are skipped when ``with_grads`` is False.
+    """
+    y = pre_acts[-1]
+    diff = y - t
+    loss = float((diff**2 * m).sum(axis=1).mean())
+    if not with_grads:
+        return loss, None
+    n = y.shape[0]
+    delta = 2.0 * m * diff / n
+    weight_grads = [np.empty(0)] * net.n_layers
+    bias_grads = [np.empty(0)] * net.n_layers
+    for i in range(net.n_layers - 1, -1, -1):
+        weight_grads[i] = inputs[i].T @ delta
+        bias_grads[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (pre_acts[i - 1] > 0)
+    if net.mask is not None:
+        weight_grads = [g * mk for g, mk in zip(weight_grads, net.mask)]
+    return loss, GradientBatch(weight_grads, bias_grads)
+
+
 def batch_loss(net: DenseNet, batch) -> float:
     """Mean over samples of the squared error restricted by each action mask."""
     x, t, m = _stack_batch(net, batch)
-    _, pre_acts = _forward_cached(net, x)
-    y = pre_acts[-1]
-    per_sample = ((y - t) ** 2 * m).sum(axis=1)
-    return float(per_sample.mean())
+    inputs, pre_acts = _forward_cached(net, x)
+    return _loss_and_grads(net, inputs, pre_acts, t, m, with_grads=False)[0]
 
 
 def backprop_minibatch(net: DenseNet, batch) -> GradientBatch:
@@ -179,19 +213,7 @@ def backprop_minibatch(net: DenseNet, batch) -> GradientBatch:
     """
     x, t, m = _stack_batch(net, batch)
     inputs, pre_acts = _forward_cached(net, x)
-    y = pre_acts[-1]
-    n = x.shape[0]
-    delta = 2.0 * m * (y - t) / n
-    weight_grads = [np.empty(0)] * net.n_layers
-    bias_grads = [np.empty(0)] * net.n_layers
-    for i in range(net.n_layers - 1, -1, -1):
-        weight_grads[i] = inputs[i].T @ delta
-        bias_grads[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ net.weights[i].T) * (pre_acts[i - 1] > 0)
-    if net.mask is not None:
-        weight_grads = [g * mk for g, mk in zip(weight_grads, net.mask)]
-    return GradientBatch(weight_grads, bias_grads)
+    return _loss_and_grads(net, inputs, pre_acts, t, m)[1]
 
 
 def sgd_step(net: DenseNet, grads: GradientBatch, lr: float) -> DenseNet:
@@ -228,31 +250,106 @@ def sync_target(net: DenseNet) -> DenseNet:
     )
 
 
+class ReplayBatch(NamedTuple):
+    """Replay rows as columns; row i of every column is one transition.
+
+    ``live`` is 0.0 for a terminal transition and 1.0 otherwise.
+    """
+
+    state: np.ndarray
+    action: np.ndarray
+    reward: np.ndarray
+    next_state: np.ndarray
+    live: np.ndarray
+
+
 class ReplayBuffer:
-    """Bounded FIFO of transitions with uniform random sampling."""
+    """Bounded FIFO of transitions with uniform random sampling.
+
+    Transitions live in a ring of preallocated column arrays, one row per
+    slot, allocated at the first write once the state width is known.
+    ``head`` is the slot of the oldest item; item i, counting from the
+    oldest, sits in slot ``(head + i) % capacity``.  A full buffer
+    overwrites its oldest slot.  Floats are stored as float64, which holds
+    any float32 or float64 input exactly, so a sample converts to the
+    network dtype with the same single rounding as the input itself would.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigError(f"replay capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._items: deque[Transition] = deque(maxlen=self.capacity)
+        self._ring: ReplayBatch | None = None
+        self._head = 0
+        self._size = 0
 
     def push(self, t: Transition) -> None:
-        self._items.append(t)
+        self.extend((t,))
+
+    def extend(self, transitions: Sequence[Transition]) -> None:
+        """Append transitions oldest first with one slice write per column.
+
+        The write splits in two where it wraps past the last slot.  When
+        more than ``capacity`` rows arrive, only the newest are kept.
+        """
+        k, cap = len(transitions), self.capacity
+        if k == 0:
+            return
+        states, actions, rewards, next_states, terminals = zip(
+            *[(t.state, t.action, t.reward, t.next_state, t.terminal) for t in transitions]
+        )
+        widths = set(map(len, states + next_states))
+        if len(widths) != 1 or 0 in widths:
+            raise InvalidInputError("transition states must be nonempty vectors of one width")
+        width = widths.pop()
+        if self._ring is None:
+            self._ring = ReplayBatch(
+                np.zeros((cap, width)), np.zeros(cap, np.int64), np.zeros(cap),
+                np.zeros((cap, width)), np.zeros(cap),
+            )
+        elif width != self._ring.state.shape[1]:
+            raise InvalidInputError(
+                f"state width {width} does not match replay width {self._ring.state.shape[1]}"
+            )
+        both = np.concatenate(states + next_states).reshape(2, k, width)
+        rows = ReplayBatch(
+            both[0],
+            np.array(actions, dtype=np.int64),
+            np.array(rewards, dtype=np.float64),
+            both[1],
+            1.0 - np.array(terminals, dtype=np.float64),
+        )
+        if k > cap:
+            rows = ReplayBatch(*(c[k - cap :] for c in rows))
+            k = cap
+        start = (self._head + self._size) % cap
+        first = min(k, cap - start)
+        for col, src in zip(self._ring, rows):
+            col[start : start + first] = src[:first]
+            if first < k:
+                col[: k - first] = src[first:]
+        overflow = max(0, self._size + k - cap)
+        self._head = (self._head + overflow) % cap
+        self._size += k - overflow
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        """Uniform sample with replacement; errors if underfilled."""
+    def sample(self, batch_size: int, rng: np.random.Generator) -> ReplayBatch:
+        """Uniform sample with replacement; errors if underfilled.
+
+        One ``rng.integers(0, len(self), size=batch_size)`` draw picks the
+        rows; draw value i selects the i-th oldest transition.
+        """
         if batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if len(self) < batch_size:
             raise NotReadyError(
                 f"replay holds {len(self)} transitions, need {batch_size}"
             )
-        idx = rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+        idx = rng.integers(0, self._size, size=batch_size)
+        slots = (idx + self._head) % self.capacity
+        return ReplayBatch(*(col[slots] for col in self._ring))
 
 
 def dqn_train_step(
@@ -273,27 +370,23 @@ def dqn_train_step(
     lam = check_discount(discount)
     sample = buffer.sample(batch_size, rng)
     dt = online.dtype
-    x = np.asarray([t.state for t in sample], dtype=dt)
-    x2 = np.asarray([t.next_state for t in sample], dtype=dt)
-    rewards = np.asarray([t.reward for t in sample], dtype=dt)
-    actions = np.asarray([t.action for t in sample], dtype=np.int64)
-    live = np.asarray([0.0 if t.terminal else 1.0 for t in sample], dtype=dt)
+    x = sample.state.astype(dt)
+    rewards = sample.reward.astype(dt)
+    live = sample.live.astype(dt)
 
-    _, tgt_acts = _forward_cached(target, x2)
+    _, tgt_acts = _forward_cached(target, sample.next_state.astype(dt))
     boot = tgt_acts[-1].max(axis=1)
     td_target = rewards + dt.type(lam) * boot * live
 
-    _, on_acts = _forward_cached(online, x)
-    preds = on_acts[-1]
+    inputs, pre_acts = _forward_cached(online, x)
+    preds = pre_acts[-1]
     t_mat = preds.copy()
-    rows = np.arange(len(sample))
-    t_mat[rows, actions] = td_target
+    rows = np.arange(batch_size)
+    t_mat[rows, sample.action] = td_target
     m_mat = np.zeros_like(preds)
-    m_mat[rows, actions] = 1
+    m_mat[rows, sample.action] = 1
 
-    batch = list(zip(x, t_mat, m_mat))
-    loss = batch_loss(online, batch)
-    grads = backprop_minibatch(online, batch)
+    loss, grads = _loss_and_grads(online, inputs, pre_acts, t_mat, m_mat)
     return sgd_step(online, grads, lr), loss
 
 

@@ -9,23 +9,26 @@ implementations avoid the code paths they are used to check.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from greenrl.cloud_loop import build_state, derive_seeds, epsilon_linear
+from greenrl.errors import ConfigError, InvalidInputError, NotReadyError
 from greenrl.neural import (
     DenseNet,
+    GradientBatch,
     ReplayBuffer,
     batch_loss,
     dqn_train_step,
     forward,
     glorot_init,
+    sgd_step,
     sync_target,
 )
 from greenrl.rach_env import RachEnv
-from greenrl.rl_core import Transition, epsilon_greedy
+from greenrl.rl_core import Transition, check_discount, epsilon_greedy
 
 # ---------------------------------------------------------------------------
 # Finite MDPs
@@ -287,3 +290,136 @@ def run_centralized_dqn(env_cfg, dqn_cfg, seed: int, steps: int):
             target = sync_target(net)
         weight_log.append([w.copy() for w in net.weights] + [b.copy() for b in net.biases])
     return weight_log
+
+
+# ---------------------------------------------------------------------------
+# Reference learner
+# ---------------------------------------------------------------------------
+#
+# The transition-object replay and the four-forward train step that the
+# array-native learner in greenrl.neural replaced, kept verbatim apart from
+# their names.  Each step restacks the sample into arrays, runs the target
+# and online networks, then runs the online network again in the loss and
+# again in the backprop.  The learner must reproduce it bit for bit.  Only
+# ``sgd_step`` is shared with greenrl.neural; the change it checks left that
+# function as it was.
+
+
+class ReferenceReplayBuffer:
+    """Bounded FIFO of transitions with uniform random sampling."""
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ConfigError(f"replay capacity must be >= 1, got {capacity}")
+        self.capacity = int(capacity)
+        self._items: deque[Transition] = deque(maxlen=self.capacity)
+
+    def push(self, t: Transition) -> None:
+        self._items.append(t)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
+        """Uniform sample with replacement; errors if underfilled."""
+        if batch_size < 1:
+            raise InvalidInputError("batch_size must be >= 1")
+        if len(self) < batch_size:
+            raise NotReadyError(
+                f"replay holds {len(self)} transitions, need {batch_size}"
+            )
+        idx = rng.integers(0, len(self._items), size=batch_size)
+        return [self._items[i] for i in idx]
+
+
+def _reference_forward_cached(net: DenseNet, x: np.ndarray):
+    """Batched forward pass keeping per-layer inputs and pre-activations."""
+    if net.activation != "relu":
+        raise ConfigError(f"unsupported activation {net.activation!r}")
+    inputs, pre_acts = [], []
+    h = x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(h)
+        z = h @ w + b
+        pre_acts.append(z)
+        h = np.maximum(z, 0) if i < net.n_layers - 1 else z
+    return inputs, pre_acts
+
+
+def _reference_stack_batch(net: DenseNet, batch):
+    """Stack (input, target_vector, action_mask) triples into arrays."""
+    if len(batch) == 0:
+        raise InvalidInputError("batch must be nonempty")
+    xs, ts, ms = zip(*batch)
+    x = np.asarray(xs, dtype=net.dtype)
+    t = np.asarray(ts, dtype=net.dtype)
+    m = np.asarray(ms, dtype=net.dtype)
+    out = net.layer_dims[-1]
+    if x.shape != (len(batch), net.layer_dims[0]) or t.shape != (len(batch), out) or m.shape != t.shape:
+        raise InvalidInputError("batch entries do not match network dims")
+    return x, t, m
+
+
+def reference_batch_loss(net: DenseNet, batch) -> float:
+    """Mean over samples of the squared error restricted by each action mask."""
+    x, t, m = _reference_stack_batch(net, batch)
+    _, pre_acts = _reference_forward_cached(net, x)
+    y = pre_acts[-1]
+    per_sample = ((y - t) ** 2 * m).sum(axis=1)
+    return float(per_sample.mean())
+
+
+def reference_backprop_minibatch(net: DenseNet, batch) -> GradientBatch:
+    """Exact gradients of ``reference_batch_loss`` w.r.t. every weight and bias."""
+    x, t, m = _reference_stack_batch(net, batch)
+    inputs, pre_acts = _reference_forward_cached(net, x)
+    y = pre_acts[-1]
+    n = x.shape[0]
+    delta = 2.0 * m * (y - t) / n
+    weight_grads = [np.empty(0)] * net.n_layers
+    bias_grads = [np.empty(0)] * net.n_layers
+    for i in range(net.n_layers - 1, -1, -1):
+        weight_grads[i] = inputs[i].T @ delta
+        bias_grads[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (pre_acts[i - 1] > 0)
+    if net.mask is not None:
+        weight_grads = [g * mk for g, mk in zip(weight_grads, net.mask)]
+    return GradientBatch(weight_grads, bias_grads)
+
+
+def reference_dqn_train_step(
+    online: DenseNet,
+    target: DenseNet,
+    buffer: ReferenceReplayBuffer,
+    batch_size: int,
+    discount: float,
+    lr: float,
+    rng: np.random.Generator,
+) -> tuple[DenseNet, float]:
+    """One mini-batch TD update of the online network, four forwards."""
+    lam = check_discount(discount)
+    sample = buffer.sample(batch_size, rng)
+    dt = online.dtype
+    x = np.asarray([t.state for t in sample], dtype=dt)
+    x2 = np.asarray([t.next_state for t in sample], dtype=dt)
+    rewards = np.asarray([t.reward for t in sample], dtype=dt)
+    actions = np.asarray([t.action for t in sample], dtype=np.int64)
+    live = np.asarray([0.0 if t.terminal else 1.0 for t in sample], dtype=dt)
+
+    _, tgt_acts = _reference_forward_cached(target, x2)
+    boot = tgt_acts[-1].max(axis=1)
+    td_target = rewards + dt.type(lam) * boot * live
+
+    _, on_acts = _reference_forward_cached(online, x)
+    preds = on_acts[-1]
+    t_mat = preds.copy()
+    rows = np.arange(len(sample))
+    t_mat[rows, actions] = td_target
+    m_mat = np.zeros_like(preds)
+    m_mat[rows, actions] = 1
+
+    batch = list(zip(x, t_mat, m_mat))
+    loss = reference_batch_loss(online, batch)
+    grads = reference_backprop_minibatch(online, batch)
+    return sgd_step(online, grads, lr), loss

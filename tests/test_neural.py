@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenrl.compression import prune_by_magnitude, threshold_for_sparsity
 from greenrl.errors import ConfigError, InvalidInputError, NotReadyError
 from greenrl.neural import (
     DenseNet,
@@ -20,7 +21,12 @@ from greenrl.neural import (
     sync_target,
 )
 from greenrl.rl_core import Transition
-from oracles import finite_diff_grads, random_net_and_batch
+from oracles import (
+    ReferenceReplayBuffer,
+    finite_diff_grads,
+    random_net_and_batch,
+    reference_dqn_train_step,
+)
 
 
 def tiny_net():
@@ -213,7 +219,7 @@ def test_replay_fifo_eviction():
         buf.push(_t(r))
     assert len(buf) == 2
     rng = np.random.default_rng(0)
-    rewards = {t.reward for t in buf.sample(2, rng) + buf.sample(2, rng)}
+    rewards = set(buf.sample(2, rng).reward) | set(buf.sample(2, rng).reward)
     assert rewards <= {2.0, 3.0}
 
 
@@ -226,6 +232,11 @@ def test_replay_underfill_and_validation():
         buf.sample(0, np.random.default_rng(0))
     with pytest.raises(ConfigError):
         ReplayBuffer(0)
+    with pytest.raises(InvalidInputError):
+        buf.push(Transition(np.zeros(2), 0, 0.0, np.zeros(2)))  # width 1 fixed by first push
+    with pytest.raises(InvalidInputError):
+        buf.push(Transition(np.zeros(1), 0, 0.0, np.zeros(2)))
+    assert len(buf) == 1
 
 
 def test_replay_samples_with_replacement():
@@ -234,9 +245,38 @@ def test_replay_samples_with_replacement():
     buf.push(_t(2))
     rng = np.random.default_rng(0)
     seen_duplicate = any(
-        len({id(t) for t in buf.sample(2, rng)}) == 1 for _ in range(50)
+        len(set(buf.sample(2, rng).reward)) == 1 for _ in range(50)
     )
     assert seen_duplicate
+
+
+class _FixedDraw:
+    """Stand-in generator whose single integer draw is fixed in advance."""
+
+    def __init__(self, idx):
+        self.idx = np.asarray(idx)
+
+    def integers(self, low, high, size):
+        assert (low, high, size) == (0, 3, len(self.idx))
+        return self.idx
+
+
+@pytest.mark.parametrize("chunks", [[1] * 7, [7], [2, 2, 3], [3, 4], [1, 5, 1]])
+def test_replay_wraparound_maps_draw_to_oldest(chunks):
+    """Capacity 3, rewards 1..7 pushed in chunks: draw i is the i-th oldest of 5, 6, 7."""
+    buf = ReplayBuffer(3)
+    rewards = iter(range(1, 8))
+    for k in chunks:
+        batch = [_t(next(rewards)) for _ in range(k)]
+        if k == 1:
+            buf.push(batch[0])
+        else:
+            buf.extend(batch)
+    assert len(buf) == 3
+    assert list(buf.sample(3, _FixedDraw([0, 1, 2])).reward) == [5.0, 6.0, 7.0]
+    got = buf.sample(3, _FixedDraw([2, 0, 2]))
+    assert list(got.reward) == [7.0, 5.0, 7.0]
+    assert got.state.shape == (3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +319,66 @@ def test_train_step_only_taken_action_moves_head():
     assert np.all(head_delta[:, 0] == 0)
     assert np.all(head_delta[:, 2] == 0)
     assert np.any(head_delta[:, 1] != 0)
+
+
+@pytest.mark.parametrize(
+    "dtype, pruned, capacity",
+    [
+        (np.float32, False, 61),
+        (np.float64, False, 61),
+        (np.float32, True, 61),
+        (np.float64, True, 61),
+        (np.float32, False, 4000),
+    ],
+)
+def test_train_step_matches_reference(dtype, pruned, capacity):
+    """Ring replay and the one-forward step against the reference learner.
+
+    Both learners see the same transitions and the same sample stream for
+    1,500 steps; weights, biases and loss must agree bit for bit at every
+    step.  Capacity 61 wraps the ring over a hundred times, mid-batch too.
+    """
+    data_rng = np.random.default_rng(2024)
+    online = glorot_init((12, 32, 32, 4), seed=5, dtype=dtype)
+    if pruned:
+        online, _ = prune_by_magnitude(online, threshold_for_sparsity(online, 0.5))
+    ref_online = online
+    target = ref_target = sync_target(online)
+    buf, ref_buf = ReplayBuffer(capacity), ReferenceReplayBuffer(capacity)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for step in range(1500):
+        state_dtype = np.float32 if step % 3 else np.float64
+        fresh = [
+            Transition(
+                data_rng.random(12).astype(state_dtype),
+                int(data_rng.integers(4)),
+                float(data_rng.random()),
+                data_rng.random(12).astype(state_dtype),
+                bool(data_rng.random() < 0.05),
+            )
+            for _ in range(int(data_rng.integers(1, 9)))
+        ]
+        if step % 2:
+            buf.extend(fresh)
+        else:
+            for t in fresh:
+                buf.push(t)
+        for t in fresh:
+            ref_buf.push(t)
+        bs = min(32, len(buf))
+        online, loss = dqn_train_step(online, target, buf, bs, 0.9, 0.01, rng)
+        ref_online, ref_loss = reference_dqn_train_step(
+            ref_online, ref_target, ref_buf, bs, 0.9, 0.01, ref_rng
+        )
+        assert loss == ref_loss, f"loss differs at step {step}"
+        for a, b in zip(online.weights + online.biases, ref_online.weights + ref_online.biases):
+            assert np.array_equal(a, b), f"parameters differ at step {step}"
+        if (step + 1) % 50 == 0:
+            target, ref_target = sync_target(online), sync_target(ref_online)
+    assert np.isfinite(loss) and loss > 0
+    assert online.dtype == dtype
+    if pruned:
+        assert all(np.all(w[mk == 0] == 0) for w, mk in zip(online.weights, online.mask))
 
 
 # ---------------------------------------------------------------------------
