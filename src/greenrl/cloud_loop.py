@@ -7,7 +7,15 @@ runs K inner environment steps with epsilon-greedy actions at the published
 epsilon, and uploads the K transitions as one fixed-width binary batch.  The
 coordinator writes them into the replay ring in one batch and performs one
 mini-batch update.
-Entities never backprop; their network changes only by snapshot overwrite.
+Entities never backprop; their network changes only by snapshot overwrite,
+so a round's K inferences are logged as one ledger entry.
+
+The round is array-native end to end.  The entity writes its states into one
+(K+1, dim) array, where row i+1 is both slot i's next state and slot i+1's
+state, and uploads them as ``ReplayBatch`` columns.  Each wire record is one
+packed little-endian numpy structured dtype, so a batch encodes with one
+``tobytes`` and decodes with one ``frombuffer`` into float64/int64 columns
+that go straight into the replay ring.
 
 Both message directions are real byte payloads, so the message ledger and
 the energy ledger account exactly what would cross the wire.  A lockstep
@@ -21,7 +29,7 @@ import queue
 import struct
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from .energy import EnergyLedger
 from .errors import ConfigError, InvalidInputError
 from .neural import (
     DenseNet,
+    ReplayBatch,
     ReplayBuffer,
     dqn_train_step,
     forward,
@@ -39,7 +48,7 @@ from .neural import (
     sync_target,
 )
 from .rach_env import RachConfig, RachEnv
-from .rl_core import Transition, check_discount, epsilon_greedy
+from .rl_core import check_discount, epsilon_greedy
 
 __all__ = [
     "DqnConfig",
@@ -168,9 +177,11 @@ class ParamSnapshot:
 
 @dataclass(frozen=True)
 class SampleBatch:
+    """A decoded upload: one float64/int64 replay column per record field."""
+
     entity_id: int
     snapshot_version: int
-    transitions: tuple[Transition, ...]
+    columns: ReplayBatch
     byte_size: int
 
 
@@ -217,6 +228,23 @@ def build_state(obs: np.ndarray, norm: float, dtype) -> np.ndarray:
 _SNAP_MAGIC = b"GSNP"
 _BATCH_MAGIC = b"GSMB"
 _WIRE_VERSION = 1
+# magic, format version, fp16 flag, entity id, snapshot version, count, dim
+_BATCH_HEADER = struct.Struct("<4sHBIIII")
+
+
+@lru_cache(maxsize=64)
+def _record_dtype(dim: int, fp16: bool) -> np.dtype:
+    """Packed little-endian layout of one sample-batch record."""
+    f = "<f2" if fp16 else "<f4"
+    return np.dtype(
+        [
+            ("state", f, (dim,)),
+            ("action", "<u2"),
+            ("reward", f),
+            ("next_state", f, (dim,)),
+            ("terminal", "u1"),
+        ]
+    )
 
 
 def encode_snapshot(version: int, epsilon: float, net: DenseNet, quant_bits: int | None) -> bytes:
@@ -236,64 +264,73 @@ def decode_snapshot(buf: bytes) -> tuple[int, float, DenseNet]:
 def encode_sample_batch(
     entity_id: int,
     snapshot_version: int,
-    transitions: Sequence[Transition],
+    batch: ReplayBatch,
     fp16: bool = False,
 ) -> bytes:
     """Fixed-width little-endian transition records.
 
-    Per record: state floats, action u16, reward float, next-state floats,
-    terminal u8, with float32 precision (float16 when fp16 is set).
+    A 23-byte header (magic, format u16, fp16 flag u8, entity id u32,
+    snapshot version u32, count u32, dim u32) is followed by one packed
+    record per row: state floats, action u16, reward float, next-state
+    floats, terminal u8 (set where ``live`` is 0), with float32 precision
+    (float16 when fp16 is set).  Each column is cast from its own dtype
+    straight to the wire float, as the record-by-record encoding did.
     """
-    if len(transitions) == 0:
-        raise InvalidInputError("cannot encode an empty batch")
-    dim = len(transitions[0].state)
-    ftype = np.float16 if fp16 else np.float32
-    parts = [
-        _BATCH_MAGIC,
-        struct.pack(
-            "<HBIII", _WIRE_VERSION, 1 if fp16 else 0, entity_id, snapshot_version, len(transitions)
-        ),
-        struct.pack("<I", dim),
-    ]
-    for t in transitions:
-        state = np.asarray(t.state, dtype=ftype)
-        nxt = np.asarray(t.next_state, dtype=ftype)
-        if state.shape != (dim,) or nxt.shape != (dim,):
-            raise InvalidInputError("ragged state dimensions in batch")
-        parts.append(state.tobytes())
-        parts.append(struct.pack("<H", int(t.action)))
-        parts.append(np.asarray([t.reward], dtype=ftype).tobytes())
-        parts.append(nxt.tobytes())
-        parts.append(struct.pack("<B", 1 if t.terminal else 0))
-    return b"".join(parts)
+    state, next_state = np.asarray(batch.state), np.asarray(batch.next_state)
+    if state.ndim != 2 or state.shape != next_state.shape:
+        raise InvalidInputError("state and next_state must be (count, dim) arrays of one shape")
+    count, dim = state.shape
+    if count == 0 or dim == 0:
+        raise InvalidInputError("cannot encode an empty batch or zero-width states")
+    action, reward, live = (np.asarray(c) for c in (batch.action, batch.reward, batch.live))
+    if any(c.shape != (count,) for c in (action, reward, live)):
+        raise InvalidInputError("every batch column must hold one entry per record")
+    if action.dtype.kind not in "iu" or action.min() < 0 or action.max() > 0xFFFF:
+        raise InvalidInputError("actions must be integers in [0, 65535]")
+    try:
+        header = _BATCH_HEADER.pack(
+            _BATCH_MAGIC, _WIRE_VERSION, 1 if fp16 else 0, entity_id, snapshot_version, count, dim
+        )
+    except struct.error as exc:
+        raise InvalidInputError(f"sample batch header out of range: {exc}") from exc
+    records = np.empty(count, _record_dtype(dim, bool(fp16)))
+    records["state"] = state
+    records["action"] = action
+    records["reward"] = reward
+    records["next_state"] = next_state
+    records["terminal"] = live == 0
+    return header + records.tobytes()
 
 
 def decode_sample_batch(buf: bytes) -> SampleBatch:
-    if buf[:4] != _BATCH_MAGIC:
+    """Parse an ``encode_sample_batch`` payload into float64/int64 columns."""
+    if len(buf) < _BATCH_HEADER.size:
+        raise InvalidInputError("sample batch payload is shorter than its header")
+    magic, fmt, fp16, entity_id, version, count, dim = _BATCH_HEADER.unpack_from(buf)
+    if magic != _BATCH_MAGIC:
         raise InvalidInputError("bad magic in sample batch payload")
-    fmt, fp16, entity_id, version, count = struct.unpack_from("<HBIII", buf, 4)
     if fmt != _WIRE_VERSION:
         raise InvalidInputError(f"unsupported batch format {fmt}")
-    (dim,) = struct.unpack_from("<I", buf, 19)
-    off = 23
-    ftype = np.dtype(np.float16 if fp16 else np.float32)
-    fsize = ftype.itemsize
-    transitions = []
-    for _ in range(count):
-        state = np.frombuffer(buf, dtype=ftype, count=dim, offset=off).astype(np.float32)
-        off += dim * fsize
-        (action,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        reward = float(np.frombuffer(buf, dtype=ftype, count=1, offset=off)[0])
-        off += fsize
-        nxt = np.frombuffer(buf, dtype=ftype, count=dim, offset=off).astype(np.float32)
-        off += dim * fsize
-        (terminal,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        transitions.append(Transition(state, int(action), reward, nxt, bool(terminal)))
-    if off != len(buf):
-        raise InvalidInputError("trailing bytes in sample batch payload")
-    return SampleBatch(entity_id, version, tuple(transitions), len(buf))
+    if fp16 not in (0, 1):
+        raise InvalidInputError(f"unknown precision flag {fp16} in sample batch payload")
+    if count == 0 or dim == 0:
+        raise InvalidInputError("sample batch payload holds no records")
+    fsize = 2 if fp16 else 4
+    itemsize = 2 * dim * fsize + fsize + 3
+    body = len(buf) - _BATCH_HEADER.size
+    if body != count * itemsize:
+        raise InvalidInputError(
+            f"sample batch payload has {body} record bytes, header says {count} x {itemsize}"
+        )
+    records = np.frombuffer(buf, _record_dtype(dim, bool(fp16)), count, _BATCH_HEADER.size)
+    columns = ReplayBatch(
+        records["state"].astype(np.float64),
+        records["action"].astype(np.int64),
+        records["reward"].astype(np.float64),
+        records["next_state"].astype(np.float64),
+        (records["terminal"] == 0).astype(np.float64),
+    )
+    return SampleBatch(entity_id, version, columns, len(buf))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +404,7 @@ class Session:
             lag = self.version - batch.snapshot_version
             hist = self.message_ledger.staleness_histogram
             hist[lag] = hist.get(lag, 0) + 1
-            self.buffer.extend(batch.transitions)
+            self.buffer.write(batch.columns)
             bs = min(cfg.batch_size, len(self.buffer))
             self.energy.record_train_step(self.online, bs)
             self.online, loss = dqn_train_step(
@@ -400,21 +437,23 @@ class Session:
         _version, epsilon, net = decode_snapshot(snap.payload)
         entity.net = net
         entity.snapshot_version = snap.version
-        transitions = []
-        rewards = []
-        for _ in range(self.request.inner_steps):
-            state = build_state(entity.obs, self.norm, cfg.np_dtype)
-            q = forward(entity.net, state)
-            with self._lock:
-                self.energy.record_inference(entity.net)
+        k = self.request.inner_steps
+        first = build_state(entity.obs, self.norm, cfg.np_dtype)
+        states = np.empty((k + 1, first.size), first.dtype)
+        states[0] = first
+        actions = np.empty(k, np.int64)
+        rewards = np.empty(k)
+        for i in range(k):
+            q = forward(entity.net, states[i])
             action = epsilon_greedy(q, epsilon, entity.action_rng)
-            obs2, reward, _outcome = entity.env.step(menu[action])
-            next_state = build_state(obs2, self.norm, cfg.np_dtype)
-            transitions.append(Transition(state, action, reward, next_state, False))
-            rewards.append(reward)
-            entity.obs = obs2
+            entity.obs, rewards[i], _outcome = entity.env.step(menu[action])
+            states[i + 1] = build_state(entity.obs, self.norm, cfg.np_dtype)
+            actions[i] = action
+        with self._lock:
+            self.energy.record_inference(entity.net, count=k)
+        rows = ReplayBatch(states[:-1], actions, rewards, states[1:], np.ones(k))
         payload = encode_sample_batch(
-            entity_id, snap.version, transitions, self.request.compression.batch_fp16
+            entity_id, snap.version, rows, self.request.compression.batch_fp16
         )
         batch = decode_sample_batch(payload)
         with self._lock:

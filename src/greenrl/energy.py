@@ -4,6 +4,10 @@ All costs reduce to three integer counters: multiply-accumulates, memory
 accesses, and wire bytes.  MAC counts honour sparsity by counting nonzero
 weights only, so pruning shows up directly.  Every recorded event is kept
 in an append-only log so the totals can be recomputed and reconciled.
+
+An entity's network changes only when a snapshot overwrites it, so a cloud
+session logs each round's K inference passes as one ``inference`` event
+with ``count=K`` rather than K events of one pass each.
 """
 
 from __future__ import annotations

@@ -138,7 +138,7 @@ def _check_state(net: DenseNet, state) -> np.ndarray:
         raise InvalidInputError(
             f"state shape {x.shape} does not match input dim {net.layer_dims[0]}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInputError("state must be finite")
     return x
 
@@ -273,6 +273,9 @@ class ReplayBuffer:
     overwrites its oldest slot.  Floats are stored as float64, which holds
     any float32 or float64 input exactly, so a sample converts to the
     network dtype with the same single rounding as the input itself would.
+
+    ``write`` is the one path into the ring and takes whole columns;
+    ``push`` and ``extend`` turn ``Transition`` records into columns for it.
     """
 
     def __init__(self, capacity: int):
@@ -287,12 +290,8 @@ class ReplayBuffer:
         self.extend((t,))
 
     def extend(self, transitions: Sequence[Transition]) -> None:
-        """Append transitions oldest first with one slice write per column.
-
-        The write splits in two where it wraps past the last slot.  When
-        more than ``capacity`` rows arrive, only the newest are kept.
-        """
-        k, cap = len(transitions), self.capacity
+        """Append ``Transition`` records oldest first through ``write``."""
+        k = len(transitions)
         if k == 0:
             return
         states, actions, rewards, next_states, terminals = zip(
@@ -301,7 +300,34 @@ class ReplayBuffer:
         widths = set(map(len, states + next_states))
         if len(widths) != 1 or 0 in widths:
             raise InvalidInputError("transition states must be nonempty vectors of one width")
-        width = widths.pop()
+        both = np.concatenate(states + next_states).reshape(2, k, widths.pop())
+        self.write(
+            ReplayBatch(
+                both[0],
+                np.array(actions, dtype=np.int64),
+                np.array(rewards, dtype=np.float64),
+                both[1],
+                1.0 - np.array(terminals, dtype=np.float64),
+            )
+        )
+
+    def write(self, rows: ReplayBatch) -> None:
+        """Append column rows oldest first with one slice write per column.
+
+        ``state`` and ``next_state`` are (k, width) and the other columns
+        hold k entries.  The write splits in two where it wraps past the
+        last slot.  When more than ``capacity`` rows arrive, only the
+        newest are kept.
+        """
+        cap = self.capacity
+        rows = ReplayBatch(*(np.asarray(c) for c in rows))
+        if rows.state.ndim != 2 or rows.state.shape != rows.next_state.shape or rows.state.shape[1] == 0:
+            raise InvalidInputError("state and next_state must be (rows, width) arrays of one nonzero width")
+        k, width = rows.state.shape
+        if any(c.shape != (k,) for c in (rows.action, rows.reward, rows.live)):
+            raise InvalidInputError("every replay column must hold one entry per row")
+        if k == 0:
+            return
         if self._ring is None:
             self._ring = ReplayBatch(
                 np.zeros((cap, width)), np.zeros(cap, np.int64), np.zeros(cap),
@@ -311,14 +337,6 @@ class ReplayBuffer:
             raise InvalidInputError(
                 f"state width {width} does not match replay width {self._ring.state.shape[1]}"
             )
-        both = np.concatenate(states + next_states).reshape(2, k, width)
-        rows = ReplayBatch(
-            both[0],
-            np.array(actions, dtype=np.int64),
-            np.array(rewards, dtype=np.float64),
-            both[1],
-            1.0 - np.array(terminals, dtype=np.float64),
-        )
         if k > cap:
             rows = ReplayBatch(*(c[k - cap :] for c in rows))
             k = cap

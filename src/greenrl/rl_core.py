@@ -77,7 +77,7 @@ def epsilon_greedy(q_values: np.ndarray, epsilon: float, rng: np.random.Generato
     q = np.asarray(q_values, dtype=float)
     if q.ndim != 1 or q.size == 0:
         raise InvalidInputError("q_values must be a nonempty 1-D array")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise InvalidInputError("q_values must be finite")
     eps = float(epsilon)
     if not 0.0 <= eps <= 1.0:

@@ -9,8 +9,10 @@ implementations avoid the code paths they are used to check.
 from __future__ import annotations
 
 import itertools
+import struct
 from collections import Counter, deque
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -423,3 +425,88 @@ def reference_dqn_train_step(
     loss = reference_batch_loss(online, batch)
     grads = reference_backprop_minibatch(online, batch)
     return sgd_step(online, grads, lr), loss
+
+
+# ---------------------------------------------------------------------------
+# Reference sample-batch codec
+# ---------------------------------------------------------------------------
+#
+# The record-by-record upload codec that the packed-dtype codec in
+# greenrl.cloud_loop replaced, kept verbatim apart from its names and the
+# type it decodes into.  It walks the batch one ``Transition`` at a time with
+# ``struct`` and per-record ``numpy`` casts.  Payloads of the new encoder must
+# match it byte for byte, and its decoded records must match the new columns.
+
+_REFERENCE_BATCH_MAGIC = b"GSMB"
+_REFERENCE_WIRE_VERSION = 1
+
+
+@dataclass(frozen=True)
+class ReferenceSampleBatch:
+    entity_id: int
+    snapshot_version: int
+    transitions: tuple[Transition, ...]
+    byte_size: int
+
+
+def reference_encode_sample_batch(
+    entity_id: int,
+    snapshot_version: int,
+    transitions: Sequence[Transition],
+    fp16: bool = False,
+) -> bytes:
+    """Fixed-width little-endian transition records.
+
+    Per record: state floats, action u16, reward float, next-state floats,
+    terminal u8, with float32 precision (float16 when fp16 is set).
+    """
+    if len(transitions) == 0:
+        raise InvalidInputError("cannot encode an empty batch")
+    dim = len(transitions[0].state)
+    ftype = np.float16 if fp16 else np.float32
+    parts = [
+        _REFERENCE_BATCH_MAGIC,
+        struct.pack(
+            "<HBIII", _REFERENCE_WIRE_VERSION, 1 if fp16 else 0, entity_id, snapshot_version, len(transitions)
+        ),
+        struct.pack("<I", dim),
+    ]
+    for t in transitions:
+        state = np.asarray(t.state, dtype=ftype)
+        nxt = np.asarray(t.next_state, dtype=ftype)
+        if state.shape != (dim,) or nxt.shape != (dim,):
+            raise InvalidInputError("ragged state dimensions in batch")
+        parts.append(state.tobytes())
+        parts.append(struct.pack("<H", int(t.action)))
+        parts.append(np.asarray([t.reward], dtype=ftype).tobytes())
+        parts.append(nxt.tobytes())
+        parts.append(struct.pack("<B", 1 if t.terminal else 0))
+    return b"".join(parts)
+
+
+def reference_decode_sample_batch(buf: bytes) -> ReferenceSampleBatch:
+    if buf[:4] != _REFERENCE_BATCH_MAGIC:
+        raise InvalidInputError("bad magic in sample batch payload")
+    fmt, fp16, entity_id, version, count = struct.unpack_from("<HBIII", buf, 4)
+    if fmt != _REFERENCE_WIRE_VERSION:
+        raise InvalidInputError(f"unsupported batch format {fmt}")
+    (dim,) = struct.unpack_from("<I", buf, 19)
+    off = 23
+    ftype = np.dtype(np.float16 if fp16 else np.float32)
+    fsize = ftype.itemsize
+    transitions = []
+    for _ in range(count):
+        state = np.frombuffer(buf, dtype=ftype, count=dim, offset=off).astype(np.float32)
+        off += dim * fsize
+        (action,) = struct.unpack_from("<H", buf, off)
+        off += 2
+        reward = float(np.frombuffer(buf, dtype=ftype, count=1, offset=off)[0])
+        off += fsize
+        nxt = np.frombuffer(buf, dtype=ftype, count=dim, offset=off).astype(np.float32)
+        off += dim * fsize
+        (terminal,) = struct.unpack_from("<B", buf, off)
+        off += 1
+        transitions.append(Transition(state, int(action), reward, nxt, bool(terminal)))
+    if off != len(buf):
+        raise InvalidInputError("trailing bytes in sample batch payload")
+    return ReferenceSampleBatch(entity_id, version, tuple(transitions), len(buf))

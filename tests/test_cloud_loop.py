@@ -19,11 +19,16 @@ from greenrl.cloud_loop import (
     instantiate,
     run_session,
 )
+from greenrl.energy import macs_forward
 from greenrl.errors import ConfigError, InvalidInputError
-from greenrl.neural import glorot_init
+from greenrl.neural import ReplayBatch, glorot_init
 from greenrl.rach_env import BernoulliTraffic, RachAction, RachConfig
 from greenrl.rl_core import Transition
-from oracles import run_centralized_dqn
+from oracles import (
+    reference_decode_sample_batch,
+    reference_encode_sample_batch,
+    run_centralized_dqn,
+)
 
 MENU = (
     RachAction(1, 8, 8),
@@ -137,60 +142,55 @@ def test_snapshot_bad_payload():
         decode_snapshot(buf[:4] + b"\xff\xff" + buf[6:])
 
 
-def _transitions(dim, count, seed=0):
+def _columns(dim, count, seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        Transition(
-            rng.normal(size=dim).astype(np.float32),
-            int(rng.integers(4)),
-            float(np.float32(rng.normal())),  # wire precision, so equality is exact
-            rng.normal(size=dim).astype(np.float32),
-            bool(rng.integers(2)),
-        )
-        for _ in range(count)
-    ]
+    return ReplayBatch(
+        rng.normal(size=(count, dim)).astype(np.float32),
+        rng.integers(4, size=count),
+        rng.normal(size=count).astype(np.float32).astype(np.float64),  # wire precision, so equality is exact
+        rng.normal(size=(count, dim)).astype(np.float32),
+        rng.integers(2, size=count).astype(np.float64),
+    )
 
 
 def test_batch_roundtrip_f32_exact():
-    ts = _transitions(6, 5)
-    batch = decode_sample_batch(encode_sample_batch(9, 4, ts))
+    cols = _columns(6, 5)
+    batch = decode_sample_batch(encode_sample_batch(9, 4, cols))
     assert batch.entity_id == 9
     assert batch.snapshot_version == 4
-    assert len(batch.transitions) == 5
-    for orig, back in zip(ts, batch.transitions):
-        np.testing.assert_array_equal(back.state, orig.state)
-        np.testing.assert_array_equal(back.next_state, orig.next_state)
-        assert back.action == orig.action
-        assert back.reward == orig.reward
-        assert back.terminal == orig.terminal
+    back = batch.columns
+    assert len(back.action) == 5
+    for orig, dec in zip(cols, back):
+        np.testing.assert_array_equal(dec, orig)
+    assert back.action.dtype == np.int64
+    assert all(c.dtype == np.float64 for c in (back.state, back.reward, back.next_state, back.live))
 
 
 def test_batch_byte_budget():
     # header 23 bytes, then per record: 2*dim floats + 1 reward float + u16 + u8
-    ts = _transitions(6, 5)
-    f32 = encode_sample_batch(0, 0, ts)
+    cols = _columns(6, 5)
+    f32 = encode_sample_batch(0, 0, cols)
     assert len(f32) == 23 + 5 * (2 * 6 * 4 + 4 + 3)
-    fp16 = encode_sample_batch(0, 0, ts, fp16=True)
+    fp16 = encode_sample_batch(0, 0, cols, fp16=True)
     assert len(fp16) == 23 + 5 * (2 * 6 * 2 + 2 + 3)
     assert decode_sample_batch(fp16).byte_size == len(fp16)
 
 
 def test_batch_fp16_quantisation_error_is_bounded():
-    ts = _transitions(4, 8, seed=3)
-    back = decode_sample_batch(encode_sample_batch(0, 0, ts, fp16=True))
-    for orig, dec in zip(ts, back.transitions):
-        np.testing.assert_allclose(dec.state, orig.state, rtol=1e-3, atol=1e-4)
-        assert dec.state.dtype == np.float32  # promoted back on decode
+    cols = _columns(4, 8, seed=3)
+    back = decode_sample_batch(encode_sample_batch(0, 0, cols, fp16=True)).columns
+    np.testing.assert_allclose(back.state, cols.state, rtol=1e-3, atol=1e-4)
+    np.testing.assert_allclose(back.next_state, cols.next_state, rtol=1e-3, atol=1e-4)
+    assert back.state.dtype == np.float64  # widened exactly on decode, ready for the replay ring
 
 
 def test_batch_payload_validation():
     with pytest.raises(InvalidInputError):
-        encode_sample_batch(0, 0, [])
-    ts = _transitions(3, 2)
-    ragged = [ts[0], Transition(np.zeros(4, np.float32), 0, 0.0, np.zeros(4, np.float32))]
+        encode_sample_batch(0, 0, _columns(3, 0))
+    ragged = _columns(3, 2)._replace(next_state=np.zeros((2, 4), np.float32))
     with pytest.raises(InvalidInputError):
         encode_sample_batch(0, 0, ragged)
-    buf = encode_sample_batch(0, 0, ts)
+    buf = encode_sample_batch(0, 0, _columns(3, 2))
     with pytest.raises(InvalidInputError):
         decode_sample_batch(buf + b"\x00")
     with pytest.raises(InvalidInputError):
@@ -200,10 +200,131 @@ def test_batch_payload_validation():
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=8))
 @settings(max_examples=30)
 def test_batch_roundtrip_any_shape(dim, count):
-    ts = _transitions(dim, count, seed=dim * 31 + count)
-    back = decode_sample_batch(encode_sample_batch(2, 7, ts))
-    assert len(back.transitions) == count
-    assert back.transitions[0].state.shape == (dim,)
+    cols = _columns(dim, count, seed=dim * 31 + count)
+    back = decode_sample_batch(encode_sample_batch(2, 7, cols)).columns
+    assert len(back.action) == count
+    assert back.state.shape == back.next_state.shape == (count, dim)
+    assert back.reward.shape == back.live.shape == (count,)
+
+
+def _with_count(buf, count):
+    """The payload with its header's record count replaced."""
+    return buf[:15] + int(count).to_bytes(4, "little") + buf[19:]
+
+
+_GOOD = encode_sample_batch(1, 2, _columns(3, 4))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(_GOOD[:-1], id="truncated-record"),
+        pytest.param(_GOOD[:20], id="truncated-header"),
+        pytest.param(b"", id="no-bytes"),
+        pytest.param(_with_count(_GOOD, 5), id="count-past-payload"),
+        pytest.param(_with_count(_GOOD, 2**32 - 1), id="count-huge"),
+        pytest.param(_GOOD + b"\x00", id="trailing-byte"),
+        pytest.param(b"GSNP" + _GOOD[4:], id="bad-magic"),
+        pytest.param(_GOOD[:4] + b"\x02\x00" + _GOOD[6:], id="bad-version"),
+        pytest.param(_GOOD[:6] + b"\x02" + _GOOD[7:], id="bad-precision-flag"),
+        pytest.param(_with_count(_GOOD[:23], 0), id="empty-batch"),
+    ],
+)
+def test_batch_decode_rejects_malformed_payload(payload):
+    with pytest.raises(InvalidInputError):
+        decode_sample_batch(payload)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"state": np.zeros((0, 3)), "next_state": np.zeros((0, 3))}, id="empty-batch"),
+        pytest.param({"next_state": np.zeros((4, 2), np.float32)}, id="next-state-width"),
+        pytest.param({"state": np.zeros((4, 0)), "next_state": np.zeros((4, 0))}, id="zero-width"),
+        pytest.param({"state": np.zeros(4, np.float32)}, id="state-not-2d"),
+        pytest.param({"action": np.zeros(3, np.int64)}, id="action-rows"),
+        pytest.param({"reward": np.zeros(5)}, id="reward-rows"),
+        pytest.param({"live": np.ones(3)}, id="live-rows"),
+        pytest.param({"next_state": np.zeros((5, 3), np.float32)}, id="next-state-rows"),
+        pytest.param({"action": np.array([0, 1, 65536, 2])}, id="action-above-u16"),
+        pytest.param({"action": np.array([0, -1, 2, 3])}, id="action-negative"),
+        pytest.param({"action": np.array([0.0, 1.0, 2.0, 3.0])}, id="action-not-integer"),
+    ],
+)
+def test_batch_encode_rejects_malformed_columns(change):
+    with pytest.raises(InvalidInputError):
+        encode_sample_batch(0, 0, _columns(3, 4)._replace(**change))
+
+
+def test_batch_encode_rejects_header_out_of_range():
+    with pytest.raises(InvalidInputError):
+        encode_sample_batch(-1, 0, _columns(3, 4))
+    with pytest.raises(InvalidInputError):
+        encode_sample_batch(0, 2**32, _columns(3, 4))
+
+
+def test_batch_encode_accepts_action_bounds():
+    cols = _columns(2, 2)._replace(action=np.array([0, 65535], np.uint16))
+    back = decode_sample_batch(encode_sample_batch(0, 0, cols)).columns
+    assert back.action.tolist() == [0, 65535]
+
+
+@given(
+    data=st.data(),
+    dim=st.integers(min_value=1, max_value=12),
+    count=st.integers(min_value=1, max_value=64),
+    fp16=st.booleans(),
+    state_dtype=st.sampled_from([np.float32, np.float64]),
+)
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_batch_codec_matches_reference(data, dim, count, fp16, state_dtype):
+    """Packed-dtype codec against the record-by-record reference codec.
+
+    Wide-range floats cross float16's overflow and subnormal ranges, and
+    rewards are float64 so both encoders must round them the same way.
+    About one value in eight sits just above a float16 rounding tie, where
+    rounding through float32 first would land on the other side.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    actions = data.draw(st.lists(st.integers(0, 65535), min_size=count, max_size=count), label="actions")
+    terminals = data.draw(st.lists(st.booleans(), min_size=count, max_size=count), label="terminals")
+
+    def wide(*shape):
+        values = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 6, size=shape)
+        near_tie = (1.0 + 2.0**-11 + 2.0**-40) * 2.0 ** rng.integers(-14, 15, size=shape)
+        return np.where(rng.random(shape) < 0.125, near_tie * np.sign(values), values)
+
+    states = wide(count + 1, dim).astype(state_dtype)
+    rewards = wide(count)
+    transitions = [
+        Transition(states[i], actions[i], float(rewards[i]), states[i + 1], terminals[i])
+        for i in range(count)
+    ]
+    cols = ReplayBatch(
+        states[:-1],
+        np.array(actions, dtype=np.int64),
+        rewards,
+        states[1:],
+        1.0 - np.array(terminals, dtype=np.float64),
+    )
+    payload = encode_sample_batch(3, 17, cols, fp16)
+    ref_payload = reference_encode_sample_batch(3, 17, transitions, fp16)
+    assert payload == ref_payload
+
+    batch = decode_sample_batch(payload)
+    ref = reference_decode_sample_batch(ref_payload)
+    assert (batch.entity_id, batch.snapshot_version, batch.byte_size) == (
+        ref.entity_id,
+        ref.snapshot_version,
+        ref.byte_size,
+    )
+    got = batch.columns
+    np.testing.assert_array_equal(got.state, np.stack([t.state for t in ref.transitions]))
+    np.testing.assert_array_equal(got.next_state, np.stack([t.next_state for t in ref.transitions]))
+    assert got.action.tolist() == [t.action for t in ref.transitions]
+    np.testing.assert_array_equal(got.reward, [t.reward for t in ref.transitions])
+    assert (got.live == 0).tolist() == [t.terminal for t in ref.transitions]
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +403,21 @@ def test_outer_round_accounting():
     session = Session(make_request(inner_steps=5))
     batch, delta = session.outer_round(0)
     assert session.version == 1
-    assert len(batch.transitions) == 5
+    cols = batch.columns
+    assert len(cols.action) == 5
+    assert cols.state.shape == cols.next_state.shape == (5, 6)
+    # each slot's next state is the following slot's state; no slot ends an episode
+    np.testing.assert_array_equal(cols.next_state[:-1], cols.state[1:])
+    np.testing.assert_array_equal(cols.live, np.ones(5))
     assert batch.snapshot_version == 1
-    assert delta["reward_mean"] == pytest.approx(
-        np.mean([t.reward for t in batch.transitions])
-    )
+    assert delta["reward_mean"] == pytest.approx(np.mean(cols.reward))
     assert session.message_ledger.bytes_down == delta["bytes_down"]
     assert session.message_ledger.bytes_up == delta["bytes_up"] == batch.byte_size
+    macs = macs_forward(session.entities[0].net)
+    inference = [e for e in session.energy.events if e[0] == "inference"]
+    assert inference == [("inference", macs, 5)]
+    assert session.energy.macs_inference == 5 * macs
     kinds = [e[0] for e in session.energy.events]
-    assert kinds.count("inference") == 5
     assert kinds.count("message") == 2
 
 

@@ -8,6 +8,7 @@ from greenrl.errors import ConfigError, InvalidInputError, NotReadyError
 from greenrl.neural import (
     DenseNet,
     GradientBatch,
+    ReplayBatch,
     ReplayBuffer,
     backprop_minibatch,
     batch_loss,
@@ -277,6 +278,48 @@ def test_replay_wraparound_maps_draw_to_oldest(chunks):
     got = buf.sample(3, _FixedDraw([2, 0, 2]))
     assert list(got.reward) == [7.0, 5.0, 7.0]
     assert got.state.shape == (3, 1)
+
+
+def test_replay_write_matches_extend():
+    """Columns written straight into the ring sample like the same Transitions."""
+    rng = np.random.default_rng(5)
+    via_write, via_extend = ReplayBuffer(10), ReplayBuffer(10)
+    for k in (4, 7, 3, 12):
+        rows = ReplayBatch(
+            rng.random((k, 3)).astype(np.float32),
+            rng.integers(4, size=k),
+            rng.random(k),
+            rng.random((k, 3)),
+            (rng.random(k) < 0.5).astype(np.float64),
+        )
+        via_write.write(rows)
+        via_extend.extend(
+            [Transition(rows.state[i], int(rows.action[i]), float(rows.reward[i]),
+                        rows.next_state[i], rows.live[i] == 0) for i in range(k)]
+        )
+    a = via_write.sample(10, np.random.default_rng(1))
+    b = via_extend.sample(10, np.random.default_rng(1))
+    for col_a, col_b in zip(a, b):
+        np.testing.assert_array_equal(col_a, col_b)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"next_state": np.zeros((2, 3))}, id="next-state-width"),
+        pytest.param({"state": np.zeros((2, 0)), "next_state": np.zeros((2, 0))}, id="zero-width"),
+        pytest.param({"state": np.zeros(2), "next_state": np.zeros(2)}, id="not-2d"),
+        pytest.param({"action": np.zeros(3, np.int64)}, id="action-rows"),
+        pytest.param({"reward": np.zeros(1)}, id="reward-rows"),
+        pytest.param({"live": np.ones((2, 1))}, id="live-shape"),
+    ],
+)
+def test_replay_write_validation(change):
+    rows = ReplayBatch(np.zeros((2, 2)), np.zeros(2, np.int64), np.zeros(2), np.zeros((2, 2)), np.ones(2))
+    buf = ReplayBuffer(4)
+    with pytest.raises(InvalidInputError):
+        buf.write(rows._replace(**change))
+    assert len(buf) == 0
 
 
 # ---------------------------------------------------------------------------
