@@ -18,16 +18,23 @@ packed little-endian numpy structured dtype, so a batch encodes with one
 that go straight into the replay ring.
 
 Both message directions are real byte payloads, so the message ledger and
-the energy ledger account exactly what would cross the wire.  A lockstep
-mode serves entities round-robin; a concurrent mode runs entities in
-threads with the coordinator serialising training on arrival order.
+the energy ledger account exactly what would cross the wire.
+
+One deterministic round driver, ``Session.run_round``, serves every entity
+once per round.  A snapshot's version is the coordinator's train-step count
+at publish time, and an upload's staleness is the number of train steps
+taken between its snapshot and the update that uses it.  In lockstep mode
+the coordinator trains on each upload as it arrives, so staleness is always
+0.  In concurrent mode every entity acts on a snapshot of the same train
+step and the coordinator then trains on the uploads in entity order, so the
+i-th upload is exactly i train steps stale (the stale-synchronous-parallel
+schedule of Ho et al., NeurIPS 2013, with its bound set by the entity
+count).
 """
 
 from __future__ import annotations
 
-import queue
 import struct
-import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -68,10 +75,8 @@ __all__ = [
     "decode_sample_batch",
     "encode_snapshot",
     "decode_snapshot",
-    "CONSUMER_TIERS",
+    "tail_mean",
 ]
-
-CONSUMER_TIERS = ("infrastructure-provider", "tenant", "user")
 
 
 @dataclass(frozen=True)
@@ -142,8 +147,6 @@ class ServiceRequest:
 
     entity_ids: tuple[int, ...]
     env_config: RachConfig
-    consumer: str = "tenant"
-    algorithm: str = "dqn"
     inner_steps: int = 8
     dqn: DqnConfig = field(default_factory=DqnConfig)
     compression: CompressionPlan = field(default_factory=CompressionPlan)
@@ -156,10 +159,6 @@ class ServiceRequest:
             raise ConfigError("need at least one entity")
         if len(set(self.entity_ids)) != len(self.entity_ids):
             raise ConfigError("entity ids must be unique")
-        if self.consumer not in CONSUMER_TIERS:
-            raise ConfigError(f"consumer must be one of {CONSUMER_TIERS}")
-        if self.algorithm != "dqn":
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.inner_steps < 1:
             raise ConfigError("inner_steps must be >= 1")
 
@@ -344,7 +343,6 @@ class _Entity:
     action_rng: np.random.Generator
     obs: np.ndarray
     net: DenseNet | None = None
-    snapshot_version: int = -1
 
 
 class Session:
@@ -361,7 +359,6 @@ class Session:
         self.target = sync_target(self.online)
         self.buffer = ReplayBuffer(cfg.replay_capacity)
         self.sample_rng = np.random.default_rng(seeds["sample"])
-        self.version = 0
         self.train_steps = 0
         self.norm = float(env_cfg.max_opportunities)
         self.entities: dict[int, _Entity] = {}
@@ -373,7 +370,6 @@ class Session:
         self.message_ledger = MessageLedger()
         self.energy = EnergyLedger()
         self.sparsity_reports: list = []
-        self._lock = threading.Lock()
 
     # -- coordinator side ---------------------------------------------------
 
@@ -382,46 +378,78 @@ class Session:
         return epsilon_linear(self.train_steps, cfg.eps_start, cfg.eps_end, cfg.eps_decay_steps)
 
     def _publish(self) -> ParamSnapshot:
-        self.version += 1
+        """Encode the online network, versioned by the current train step."""
+        epsilon = self.current_epsilon()
         payload = encode_snapshot(
-            self.version,
-            self.current_epsilon(),
-            self.online,
-            self.request.compression.snapshot_bits,
+            self.train_steps, epsilon, self.online, self.request.compression.snapshot_bits
         )
         self.message_ledger.bytes_down += len(payload)
         self.energy.record_message(len(payload), "down")
-        return ParamSnapshot(self.version, self.current_epsilon(), payload)
+        return ParamSnapshot(self.train_steps, epsilon, payload)
 
     def train_on_batch(self, batch: SampleBatch) -> float:
         """Append the batch to replay and run one mini-batch update.
 
-        Stale batches (older snapshot version) are accepted; the lag is
-        recorded in the staleness histogram.
+        Stale batches are accepted; the number of train steps taken since
+        their snapshot is recorded in the staleness histogram.
         """
         cfg = self.request.dqn
-        with self._lock:
-            lag = self.version - batch.snapshot_version
-            hist = self.message_ledger.staleness_histogram
-            hist[lag] = hist.get(lag, 0) + 1
-            self.buffer.write(batch.columns)
-            bs = min(cfg.batch_size, len(self.buffer))
-            self.energy.record_train_step(self.online, bs)
-            self.online, loss = dqn_train_step(
-                self.online, self.target, self.buffer, bs, cfg.discount, cfg.lr, self.sample_rng
-            )
-            self.train_steps += 1
-            if self.train_steps % cfg.target_sync_every == 0:
-                self.target = sync_target(self.online)
-            return loss
+        lag = self.train_steps - batch.snapshot_version
+        hist = self.message_ledger.staleness_histogram
+        hist[lag] = hist.get(lag, 0) + 1
+        self.buffer.write(batch.columns)
+        bs = min(cfg.batch_size, len(self.buffer))
+        self.energy.record_train_step(self.online, bs)
+        self.online, loss = dqn_train_step(
+            self.online, self.target, self.buffer, bs, cfg.discount, cfg.lr, self.sample_rng
+        )
+        self.train_steps += 1
+        if self.train_steps % cfg.target_sync_every == 0:
+            self.target = sync_target(self.online)
+        return loss
 
     def apply_pruning(self) -> None:
         plan = self.request.compression
-        with self._lock:
-            thr = threshold_for_sparsity(self.online, plan.prune_quantile)
-            self.online, report = prune_by_magnitude(self.online, thr)
-            self.target = sync_target(self.online)
-            self.sparsity_reports.append(report)
+        thr = threshold_for_sparsity(self.online, plan.prune_quantile)
+        self.online, report = prune_by_magnitude(self.online, thr)
+        self.target = sync_target(self.online)
+        self.sparsity_reports.append(report)
+
+    def run_round(self, round_idx: int, mode: str = "lockstep") -> list[dict]:
+        """Serve every entity once, in entity order; return the round's rows.
+
+        ``lockstep`` trains on each upload before the next entity acts.
+        ``concurrent`` lets every entity act on the same train step's
+        snapshot, then trains on the uploads in entity order, so the i-th
+        upload is i train steps stale.  Mid-session pruning runs after the
+        round numbered ``prune_at_round``.
+        """
+        if mode == "lockstep":
+            uploads = (self.outer_round(eid) for eid in self.entities)
+        elif mode == "concurrent":
+            uploads = [self.outer_round(eid) for eid in self.entities]
+        else:
+            raise ConfigError(f"unknown session mode {mode!r}")
+        rows = []
+        for batch, delta in uploads:
+            staleness = self.train_steps - batch.snapshot_version
+            loss = self.train_on_batch(batch)
+            rows.append(
+                {
+                    "round": round_idx,
+                    "entity": batch.entity_id,
+                    "reward_mean": delta["reward_mean"],
+                    "loss": loss,
+                    "epsilon": delta["epsilon"],
+                    "staleness": staleness,
+                    "bytes_down_total": self.message_ledger.bytes_down,
+                    "bytes_up_total": self.message_ledger.bytes_up,
+                }
+            )
+        plan = self.request.compression
+        if plan.prune_quantile is not None and round_idx == plan.prune_at_round:
+            self.apply_pruning()
+        return rows
 
     # -- entity side ----------------------------------------------------------
 
@@ -432,11 +460,9 @@ class Session:
         entity = self.entities[entity_id]
         cfg = self.request.dqn
         menu = self.request.env_config.action_menu
-        with self._lock:
-            snap = self._publish()
+        snap = self._publish()
         _version, epsilon, net = decode_snapshot(snap.payload)
         entity.net = net
-        entity.snapshot_version = snap.version
         k = self.request.inner_steps
         first = build_state(entity.obs, self.norm, cfg.np_dtype)
         states = np.empty((k + 1, first.size), first.dtype)
@@ -449,17 +475,15 @@ class Session:
             entity.obs, rewards[i], _outcome = entity.env.step(menu[action])
             states[i + 1] = build_state(entity.obs, self.norm, cfg.np_dtype)
             actions[i] = action
-        with self._lock:
-            self.energy.record_inference(entity.net, count=k)
+        self.energy.record_inference(entity.net, count=k)
         rows = ReplayBatch(states[:-1], actions, rewards, states[1:], np.ones(k))
         payload = encode_sample_batch(
             entity_id, snap.version, rows, self.request.compression.batch_fp16
         )
         batch = decode_sample_batch(payload)
-        with self._lock:
-            self.message_ledger.bytes_up += len(payload)
-            self.energy.record_message(len(payload), "up")
-            self.message_ledger.rounds += 1
+        self.message_ledger.bytes_up += len(payload)
+        self.energy.record_message(len(payload), "up")
+        self.message_ledger.rounds += 1
         delta = {
             "bytes_down": snap.byte_size,
             "bytes_up": len(payload),
@@ -487,66 +511,24 @@ class SessionMetrics:
         return np.asarray([r["reward_mean"] for r in self.rows], dtype=float)
 
     def terminal_reward(self, tail_fraction: float = 0.2) -> float:
-        curve = self.reward_curve()
-        tail = max(1, int(len(curve) * tail_fraction))
-        return float(curve[-tail:].mean())
+        return tail_mean(self.reward_curve(), tail_fraction)
+
+
+def tail_mean(curve: np.ndarray, tail_fraction: float) -> float:
+    """Mean of the last ``tail_fraction`` of a reward curve, at least one entry."""
+    tail = max(1, int(len(curve) * tail_fraction))
+    return float(curve[-tail:].mean())
 
 
 def run_session(session: Session, rounds: int, mode: str = "lockstep") -> SessionMetrics:
-    """Drive the protocol for ``rounds`` outer rounds per entity.
+    """Drive ``rounds`` rounds of ``Session.run_round``, numbered from 0.
 
-    Lockstep serves entities round-robin, training after each upload.
-    Concurrent runs one thread per entity and trains in arrival order; it
-    keeps every accounting guarantee but not cross-run determinism.
+    Both modes are deterministic for a given request; see ``run_round``.
+    An unknown mode raises ConfigError before the first entity acts.
     """
     if rounds < 1:
         raise InvalidInputError("rounds must be >= 1")
-    if mode not in ("lockstep", "concurrent"):
-        raise ConfigError(f"unknown session mode {mode!r}")
-    plan = session.request.compression
-    eids = list(session.entities)
-    rows: list[dict] = []
-
-    def make_row(round_idx, batch, delta, loss):
-        return {
-            "round": round_idx,
-            "entity": batch.entity_id,
-            "reward_mean": delta["reward_mean"],
-            "loss": loss,
-            "epsilon": delta["epsilon"],
-            "staleness": session.version - batch.snapshot_version,
-            "bytes_down_total": session.message_ledger.bytes_down,
-            "bytes_up_total": session.message_ledger.bytes_up,
-        }
-
-    if mode == "lockstep":
-        for r in range(rounds):
-            for eid in eids:
-                batch, delta = session.outer_round(eid)
-                loss = session.train_on_batch(batch)
-                rows.append(make_row(r, batch, delta, loss))
-            if plan.prune_quantile is not None and r == plan.prune_at_round:
-                session.apply_pruning()
-    else:
-        inbox: queue.Queue = queue.Queue()
-
-        def worker(eid: int):
-            for _ in range(rounds):
-                inbox.put(session.outer_round(eid))
-
-        threads = [threading.Thread(target=worker, args=(eid,)) for eid in eids]
-        for t in threads:
-            t.start()
-        total = rounds * len(eids)
-        for i in range(total):
-            batch, delta = inbox.get()
-            loss = session.train_on_batch(batch)
-            rows.append(make_row(i // len(eids), batch, delta, loss))
-            if plan.prune_quantile is not None and (i + 1) == (plan.prune_at_round + 1) * len(eids):
-                session.apply_pruning()
-        for t in threads:
-            t.join()
-
+    rows = [row for r in range(rounds) for row in session.run_round(r, mode)]
     return SessionMetrics(
         rows=rows,
         message_ledger=session.message_ledger,

@@ -147,7 +147,6 @@ class SpatialSection:
     bs_cells: tuple = (tuple(range(0, 15)), tuple(range(1, 16)))
     beta: float = 0.5
     transfer_every: int = 50
-    transfer_enabled: bool = True
 
     def __post_init__(self):
         if len(self.bs_cells) != 2:

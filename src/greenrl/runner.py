@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import json
 import os
 import re
@@ -35,6 +36,7 @@ from .cloud_loop import (
     ServiceRequest,
     instantiate,
     run_session,
+    tail_mean,
 )
 from .compression import prune_by_magnitude, threshold_for_sparsity
 from .config import ExperimentConfig, config_from_dict, config_hash, set_by_path
@@ -82,10 +84,11 @@ EVAL_SEED_OFFSET = 100000  # greedy-evaluation envs get their own seed stream
 
 
 def _atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` exactly as given, via a temporary file and a rename."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -99,19 +102,11 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, rows, columns) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([row[c] for c in columns])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows([row[c] for c in columns] for row in rows)
+    _atomic_write_text(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +137,23 @@ def rounds_to_threshold(curve: np.ndarray, threshold: float, window: int) -> int
     return int(hits[0]) + window if hits.size else len(curve)
 
 
-def _terminal_reward(curve: np.ndarray, tail_fraction: float) -> float:
-    tail = max(1, int(len(curve) * tail_fraction))
-    return float(curve[-tail:].mean())
+def _paired_p(a, b, test, **kwargs) -> float | None:
+    """p-value of a paired scipy test of ``a`` against ``b``.
+
+    Pairs that all tie give 1.0, and a single pair gives None: it carries
+    no significance.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.allclose(a - b, 0):
+        return 1.0
+    if len(a) < 2:
+        return None
+    return float(test(a, b, **kwargs).pvalue)
+
+
+def _effect_size_d(diff: np.ndarray) -> float:
+    sd = diff.std(ddof=1)
+    return float(diff.mean() / sd) if sd > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +212,7 @@ def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
         "agent": cfg.agent,
         "rounds": int(len(curve)),
         "total_slots": cfg.total_slots,
-        "terminal_reward": _terminal_reward(curve, cfg.tail_fraction),
+        "terminal_reward": tail_mean(curve, cfg.tail_fraction),
         "eval_reward": eval_reward,
         "rounds_to_threshold": (
             rounds_to_threshold(curve, cfg.reward_threshold, cfg.threshold_window)
@@ -227,9 +236,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every seed of the configured scenario and write all artifacts.
 
     A mid-run failure leaves partial outputs in place and records the error
-    in ``error.json`` before propagating.
+    in ``error.json`` before propagating; a successful run removes an
+    ``error.json`` left by an earlier failed run in the same directory.
     """
     run_dir = cfg.run_dir()
+    error_path = os.path.join(run_dir, "error.json")
     chash = config_hash(cfg)
     write_json(os.path.join(run_dir, "config.json"), {"hash": chash, "config": cfg.to_dict()})
     try:
@@ -243,10 +254,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             raise ConfigError(f"unknown scenario {cfg.scenario!r}")
     except Exception as exc:
         write_json(
-            os.path.join(run_dir, "error.json"),
-            {"error": str(exc), "type": type(exc).__name__, "config_hash": chash},
+            error_path, {"error": str(exc), "type": type(exc).__name__, "config_hash": chash}
         )
         raise
+    if os.path.exists(error_path):
+        os.remove(error_path)
     aggregate.update(
         {"name": cfg.name, "scenario": cfg.scenario, "config_hash": chash, "run_dir": run_dir}
     )
@@ -367,6 +379,9 @@ def _seed_int(seq: np.random.SeedSequence) -> int:
 
 def run_transfer_arm(cfg: ExperimentConfig, seed: int, enabled: bool) -> dict:
     """Two coordinators on one shared field, optional parameter transfer."""
+    threshold = cfg.reward_threshold
+    if threshold is None:
+        raise ConfigError("transfer scenario needs reward_threshold")
     sp = cfg.spatial
     children = np.random.SeedSequence([int(seed), 7077]).spawn(5)
     noise = FieldNoise(sp.noise_sigma, seed=children[0])
@@ -392,15 +407,11 @@ def run_transfer_arm(cfg: ExperimentConfig, seed: int, enabled: bool) -> dict:
         )
         sessions.append(instantiate(request))
     rounds = cfg.rounds()
-    curve = []
+    rows = []
     correlations = []
     for r in range(rounds):
-        round_rewards = []
         for session in sessions:
-            batch, delta = session.outer_round(0)
-            session.train_on_batch(batch)
-            round_rewards.append(delta["reward_mean"])
-        curve.append(float(np.mean(round_rewards)))
+            rows += session.run_round(r)
         if enabled and (r + 1) % sp.transfer_every == 0 and (r + 1) < rounds:
             cm = estimate_correlation(source.region_history(sp.bs_cells))
             correlations.append(float(cm.values[0, 1]))
@@ -408,16 +419,13 @@ def run_transfer_arm(cfg: ExperimentConfig, seed: int, enabled: bool) -> dict:
             for session, net in zip(sessions, mixed):
                 session.online = net
                 session.target = sync_target(net)
-    curve = np.asarray(curve)
-    threshold = cfg.reward_threshold
-    if threshold is None:
-        raise ConfigError("transfer scenario needs reward_threshold")
+    curve = per_round_curve(rows)
     return {
         "seed": seed,
         "enabled": enabled,
         "curve": curve,
         "rounds_to_threshold": rounds_to_threshold(curve, threshold, cfg.threshold_window),
-        "terminal_reward": _terminal_reward(curve, cfg.tail_fraction),
+        "terminal_reward": tail_mean(curve, cfg.tail_fraction),
         "correlations": correlations,
         "bytes_down": sum(s.message_ledger.bytes_down for s in sessions),
         "bytes_up": sum(s.message_ledger.bytes_up for s in sessions),
@@ -425,28 +433,20 @@ def run_transfer_arm(cfg: ExperimentConfig, seed: int, enabled: bool) -> dict:
 
 
 def _paired_stats(transfer_vals, baseline_vals) -> dict:
-    """Paired comparison helpers shared by transfer summaries."""
+    """Paired comparison of one transfer-arm quantity against the baseline arm."""
     t = np.asarray(transfer_vals, dtype=float)
     b = np.asarray(baseline_vals, dtype=float)
     diff = t - b
-    out = {
+    return {
         "transfer_median": float(np.median(t)),
         "baseline_median": float(np.median(b)),
         "transfer_mean": float(t.mean()),
         "baseline_mean": float(b.mean()),
         "mean_diff": float(diff.mean()),
-        "effect_size_d": float(diff.mean() / diff.std(ddof=1)) if diff.std(ddof=1) > 0 else 0.0,
+        "effect_size_d": _effect_size_d(diff),
+        "p_wilcoxon_two_sided": _paired_p(t, b, stats.wilcoxon),
+        "p_transfer_worse": _paired_p(t, b, stats.ttest_rel, alternative="greater"),
     }
-    if np.allclose(diff, 0):
-        out["p_wilcoxon_two_sided"] = 1.0
-        out["p_transfer_worse"] = 1.0
-    elif len(diff) < 2:
-        out["p_wilcoxon_two_sided"] = None  # a single pair carries no significance
-        out["p_transfer_worse"] = None
-    else:
-        out["p_wilcoxon_two_sided"] = float(stats.wilcoxon(t, b).pvalue)
-        out["p_transfer_worse"] = float(stats.ttest_rel(t, b, alternative="greater").pvalue)
-    return out
 
 
 def _run_transfer(cfg: ExperimentConfig, run_dir: str) -> dict:
@@ -476,13 +476,6 @@ def _run_transfer(cfg: ExperimentConfig, run_dir: str) -> dict:
     )
     term_transfer = [a["terminal_reward"] for a in arms[True]]
     term_baseline = [a["terminal_reward"] for a in arms[False]]
-    term_diff = np.asarray(term_transfer) - np.asarray(term_baseline)
-    if np.allclose(term_diff, 0):
-        p_drop = 1.0
-    elif len(term_diff) < 2:
-        p_drop = None  # a single pair carries no significance
-    else:
-        p_drop = float(stats.ttest_rel(term_transfer, term_baseline, alternative="less").pvalue)
     all_corr = [c for a in arms[True] for c in a["correlations"]]
     summary = {
         "seeds": list(cfg.seeds),
@@ -490,11 +483,11 @@ def _run_transfer(cfg: ExperimentConfig, run_dir: str) -> dict:
         "terminal_reward": {
             "transfer_mean": float(np.mean(term_transfer)),
             "baseline_mean": float(np.mean(term_baseline)),
-            "p_transfer_drop": p_drop,
-            "effect_size_d": (
-                float(term_diff.mean() / term_diff.std(ddof=1))
-                if term_diff.std(ddof=1) > 0
-                else 0.0
+            "p_transfer_drop": _paired_p(
+                term_transfer, term_baseline, stats.ttest_rel, alternative="less"
+            ),
+            "effect_size_d": _effect_size_d(
+                np.asarray(term_transfer) - np.asarray(term_baseline)
             ),
         },
         "estimated_correlation_mean": float(np.mean(all_corr)) if all_corr else None,
@@ -585,15 +578,9 @@ def compare_agents(cfgs: list[ExperimentConfig]) -> dict:
         for b in names[i + 1 :]:
             ta = np.asarray(report["agents"][a]["eval_rewards"])
             tb = np.asarray(report["agents"][b]["eval_rewards"])
-            if np.allclose(ta, tb):
-                p_greater = 1.0
-            elif len(ta) < 2:
-                p_greater = None  # a single pair carries no significance
-            else:
-                p_greater = float(stats.ttest_rel(ta, tb, alternative="greater").pvalue)
             report["pairwise"][f"{a}>{b}"] = {
                 "mean_diff": float((ta - tb).mean()),
-                "p_one_sided": p_greater,
+                "p_one_sided": _paired_p(ta, tb, stats.ttest_rel, alternative="greater"),
             }
     report["ranking"] = sorted(
         names, key=lambda n: report["agents"][n]["mean"], reverse=True

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenrl.cloud_loop import (
-    CONSUMER_TIERS,
     CompressionPlan,
     DqnConfig,
     ServiceRequest,
@@ -22,7 +21,7 @@ from greenrl.cloud_loop import (
 from greenrl.energy import macs_forward
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.neural import ReplayBatch, glorot_init
-from greenrl.rach_env import BernoulliTraffic, RachAction, RachConfig
+from greenrl.rach_env import BernoulliTraffic, ExternalTraffic, RachAction, RachConfig
 from greenrl.rl_core import Transition
 from oracles import (
     reference_decode_sample_batch,
@@ -373,18 +372,12 @@ def test_compression_plan_validation(kwargs):
     [
         {"entity_ids": ()},
         {"entity_ids": (1, 1)},
-        {"consumer": "hobbyist"},
-        {"algorithm": "ppo"},
         {"inner_steps": 0},
     ],
 )
 def test_service_request_validation(kwargs):
     with pytest.raises(ConfigError):
         make_request(**kwargs)
-
-
-def test_consumer_tiers_pinned():
-    assert CONSUMER_TIERS == ("infrastructure-provider", "tenant", "user")
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +389,20 @@ def test_session_network_dimensions():
     session = instantiate(make_request())
     assert session.online.layer_dims == (6, 8, 4)
     assert session.current_epsilon() == 1.0
-    assert session.version == 0
+    assert session.train_steps == 0
 
 
 def test_outer_round_accounting():
     session = Session(make_request(inner_steps=5))
     batch, delta = session.outer_round(0)
-    assert session.version == 1
     cols = batch.columns
     assert len(cols.action) == 5
     assert cols.state.shape == cols.next_state.shape == (5, 6)
     # each slot's next state is the following slot's state; no slot ends an episode
     np.testing.assert_array_equal(cols.next_state[:-1], cols.state[1:])
     np.testing.assert_array_equal(cols.live, np.ones(5))
-    assert batch.snapshot_version == 1
+    # a snapshot is versioned by the train steps taken before it was published
+    assert batch.snapshot_version == 0
     assert delta["reward_mean"] == pytest.approx(np.mean(cols.reward))
     assert session.message_ledger.bytes_down == delta["bytes_down"]
     assert session.message_ledger.bytes_up == delta["bytes_up"] == batch.byte_size
@@ -514,17 +507,43 @@ def test_compressed_wire_is_smaller():
 
 
 def test_concurrent_mode_preserves_accounting():
-    session = Session(make_request(entity_ids=(0, 1, 2)))
-    metrics = run_session(session, rounds=4, mode="concurrent")
+    """Concurrent rounds keep every ledger identity, are deterministic, and
+    are stale by exactly the entity's position in its round."""
+
+    def run():
+        session = Session(make_request(entity_ids=(0, 1, 2)))
+        return session, run_session(session, rounds=4, mode="concurrent")
+
+    session, metrics = run()
     assert len(metrics.rows) == 12
     assert session.train_steps == 12
-    assert sum(session.message_ledger.staleness_histogram.values()) == 12
+    hist = session.message_ledger.staleness_histogram
+    assert sum(hist.values()) == 12
+    # every entity acts on one train step's snapshot; the i-th upload of a
+    # round is trained on i steps later
+    assert hist == {0: 4, 1: 4, 2: 4}
+    assert [r["staleness"] for r in metrics.rows] == [0, 1, 2] * 4
+    assert [r["entity"] for r in metrics.rows] == [0, 1, 2] * 4
+    assert [r["round"] for r in metrics.rows] == [i // 3 for i in range(12)]
     recomputed = session.energy.recompute_from_events()
     assert recomputed["bytes_wire"] == session.energy.bytes_wire
     assert (
         session.message_ledger.bytes_down + session.message_ledger.bytes_up
         == session.energy.bytes_wire
     )
+    _, again = run()
+    assert again.rows == metrics.rows
+    for a, b in zip(again.final_net.weights, metrics.final_net.weights):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(again.final_net.biases, metrics.final_net.biases):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_concurrent_failing_entity_raises():
+    env = env_config(traffic=ExternalTraffic(lambda slot: -1))
+    session = Session(make_request(entity_ids=(0, 1, 2), env_config=env))
+    with pytest.raises(InvalidInputError):
+        run_session(session, rounds=3, mode="concurrent")
 
 
 def test_run_session_validation():
@@ -533,6 +552,9 @@ def test_run_session_validation():
         run_session(session, rounds=0)
     with pytest.raises(ConfigError):
         run_session(session, rounds=1, mode="batch")
+    with pytest.raises(ConfigError):
+        session.run_round(0, "batch")
+    assert session.message_ledger.rounds == 0  # nothing ran
 
 
 def test_metrics_terminal_reward_tail():

@@ -37,6 +37,12 @@ def test_unknown_keys_are_named_with_full_path():
         config_from_dict({"rach": {"menu": menu}})
 
 
+def test_removed_transfer_enabled_key_is_rejected():
+    # the transfer scenario always runs both arms, so the old switch is gone
+    with pytest.raises(ConfigError, match=r"config\.spatial\.transfer_enabled: unknown key"):
+        config_from_dict({"scenario": "transfer", "spatial": {"transfer_enabled": False}})
+
+
 def test_validation_errors_carry_section_path():
     with pytest.raises(ConfigError, match=r"config\.cloud"):
         config_from_dict({"cloud": {"lr": -1.0}})

@@ -41,6 +41,24 @@ CONFIGS = {
             "eps_decay_steps": 300,
         },
     },
+    # concurrent rounds: each upload is trained on as many steps late as its
+    # entity's position in the round
+    "rach-dqn-concurrent": {
+        "scenario": "rach",
+        "agent": "dqn",
+        "seeds": [0],
+        "total_slots": 240,
+        "eval_slots": 200,
+        "cloud": {
+            "inner_steps": 4,
+            "n_entities": 3,
+            "mode": "concurrent",
+            "batch_size": 16,
+            "replay_capacity": 100,
+            "target_sync_every": 20,
+            "eps_decay_steps": 60,
+        },
+    },
     "rach-la-q": {
         "scenario": "rach",
         "agent": "la-q",
@@ -94,6 +112,11 @@ GOLDEN = {
         "seed0001_rounds.csv": "eda7bb2c8a4365ce58c954bd1c11e57bab56170e40eadbd11bbae6e643517a1b",
         "seed0001_summary.json": "331f0059a9e0d50742834a9275ace35edf41b26f9e08a2e2f9dbf6721d2709e5",
         "summary.json": "e7f3da1f2e6272d29e0fe5577063236a1e1295e2bd7e43a701c30859de032ac3",
+    },
+    "rach-dqn-concurrent": {
+        "seed0000_rounds.csv": "edcdf3c0021f695a220de6e18efd1d25fd10763725eb623040c22d5ebafcc869",
+        "seed0000_summary.json": "9bdc7e5ca7211405404c224e97b21812fce5fa84c0f01f5c350cc7f03c0ba5ab",
+        "summary.json": "403aa7eef4d7cc8a78cf9dedf2199e26223e9f06e561ed6c044355630b69e369",
     },
     "rach-la-q": {
         "seed0000_rounds.csv": "62c7646c0804b74b1d98a42b50aab3fbd046f08ee8ec6ac426672a29d9d7017c",

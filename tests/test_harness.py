@@ -3,12 +3,15 @@ import os
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from greenrl import runner
 from greenrl.cli import main as cli_main
 from greenrl.config import config_from_dict
 from greenrl.errors import ConfigError
 from greenrl.runner import (
     ROUND_COLUMNS,
+    _paired_p,
     compare_agents,
     per_round_curve,
     rounds_to_threshold,
@@ -90,6 +93,7 @@ def test_write_csv_selects_columns(tmp_path):
     write_csv(str(path), rows, ("y", "x"))
     lines = path.read_text().strip().splitlines()
     assert lines == ["y,x", "2,1", "5,4"]
+    assert path.read_bytes() == b"y,x\r\n2,1\r\n5,4\r\n"  # csv's own line ends
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +154,40 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert saved["hash"] == result["config_hash"]
 
 
-def test_run_experiment_records_failures(tmp_path):
-    # the transfer scenario insists on a convergence threshold
+def test_run_experiment_records_failures(tmp_path, monkeypatch):
+    # the transfer scenario insists on a convergence threshold, and checks
+    # for it before it builds or trains any session
     cfg = tiny_config(tmp_path, scenario="transfer", agent="dqn")
-    with pytest.raises(ConfigError):
-        run_experiment(cfg)
-    with open(os.path.join(cfg.run_dir(), "error.json")) as fh:
+    with monkeypatch.context() as m:
+        m.setattr(runner, "instantiate", lambda request: pytest.fail("trained before failing"))
+        with pytest.raises(ConfigError):
+            run_experiment(cfg)
+    error_path = os.path.join(cfg.run_dir(), "error.json")
+    with open(error_path) as fh:
         record = json.load(fh)
     assert record["type"] == "ConfigError"
     assert "threshold" in record["error"]
     assert not os.path.exists(os.path.join(cfg.run_dir(), "summary.json"))
+    # the fixed config succeeds in the same run_dir and clears the stale error
+    fixed = tiny_config(tmp_path, scenario="transfer", agent="dqn", reward_threshold=1.0)
+    assert fixed.run_dir() == cfg.run_dir()
+    run_experiment(fixed)
+    assert not os.path.exists(error_path)
+    assert os.path.isfile(os.path.join(cfg.run_dir(), "summary.json"))
+
+
+def test_paired_p_branches():
+    a = np.array([1.0, 2.0, 3.5, 4.0])
+    b = np.array([0.5, 2.5, 1.0, 3.0])
+    # pairs that tie to within allclose give 1.0, even for a single pair
+    assert _paired_p(a, a + 1e-12, stats.ttest_rel) == 1.0
+    assert _paired_p([2.0], [2.0], stats.wilcoxon) == 1.0
+    # one pair that differs carries no significance
+    assert _paired_p([2.0], [1.0], stats.ttest_rel, alternative="greater") is None
+    # otherwise the scipy test's p-value, with its keyword arguments passed on
+    got = _paired_p(list(a), list(b), stats.ttest_rel, alternative="less")
+    assert got == float(stats.ttest_rel(a, b, alternative="less").pvalue)
+    assert _paired_p(a, b, stats.wilcoxon) == float(stats.wilcoxon(a, b).pvalue)
 
 
 # ---------------------------------------------------------------------------
