@@ -372,6 +372,8 @@ def test_compression_plan_validation(kwargs):
     [
         {"entity_ids": ()},
         {"entity_ids": (1, 1)},
+        {"entity_ids": (0, 1, 0)},
+        {"inner_steps": -1},
         {"inner_steps": 0},
     ],
 )
