@@ -240,11 +240,14 @@ def evaluate_greedy_net(
     seeds = derive_seeds(seed, 1)["entities"][0]
     env = RachEnv(replace(env_cfg, seed=seeds["env"]))
     rng = np.random.default_rng(seeds["action"])
+    menu = env_cfg.action_menu
     obs = env.reset()
+    # One state row, refilled in place every slot.
+    state = np.empty(obs.size, net.dtype)
     total = 0.0
     for _ in range(slots):
-        state = build_state(obs, norm, net.dtype)
+        build_state(obs, norm, net.dtype, out=state)
         action = epsilon_greedy(forward(net, state), 0.0, rng)
-        obs, reward, _ = env.step(env_cfg.action_menu[action])
+        obs, reward, _ = env.step(menu[action])
         total += reward
     return total / slots

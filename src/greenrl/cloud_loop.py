@@ -17,6 +17,14 @@ packed little-endian numpy structured dtype, so a batch encodes with one
 ``tobytes`` and decodes with one ``frombuffer`` into float64/int64 columns
 that go straight into the replay ring.
 
+Each slot of a round is a lean path with the same RNG calls, in the same
+order, as the per-object path it replaced.  The entity runs ``forward`` on
+row i of the state array: one finiteness check of the row, then one
+trusted (1, dim) forward pass.  ``epsilon_greedy`` picks the action from
+those values, and ``RachEnv.step`` plays it through the environment's
+precomputed action table.  ``build_state`` writes the new observation,
+divided by the menu norm, straight into row i+1.
+
 Both message directions are real byte payloads, so the message ledger and
 the energy ledger account exactly what would cross the wire.
 
@@ -215,9 +223,15 @@ def derive_seeds(seed: int, n_entities: int) -> dict:
     }
 
 
-def build_state(obs: np.ndarray, norm: float, dtype) -> np.ndarray:
-    """Network input: observation counts scaled by the largest menu size."""
-    return (np.asarray(obs, dtype=np.float64) / norm).astype(dtype)
+def build_state(obs: np.ndarray, norm: float, dtype, out: np.ndarray | None = None) -> np.ndarray:
+    """Network input: observation counts scaled by the largest menu size.
+
+    The counts are divided in float64 and rounded once to ``dtype``.  With
+    ``out``, a row of that dtype, the state is written there in place.
+    """
+    if out is None:
+        out = np.empty(np.shape(obs), dtype)
+    return np.divide(np.asarray(obs, dtype=np.float64), norm, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +241,8 @@ def build_state(obs: np.ndarray, norm: float, dtype) -> np.ndarray:
 _SNAP_MAGIC = b"GSNP"
 _BATCH_MAGIC = b"GSMB"
 _WIRE_VERSION = 1
+# magic, format version, snapshot version, epsilon
+_SNAP_HEADER = struct.Struct("<4sHId")
 # magic, format version, fp16 flag, entity id, snapshot version, count, dim
 _BATCH_HEADER = struct.Struct("<4sHBIIII")
 
@@ -247,17 +263,20 @@ def _record_dtype(dim: int, fp16: bool) -> np.dtype:
 
 
 def encode_snapshot(version: int, epsilon: float, net: DenseNet, quant_bits: int | None) -> bytes:
-    header = _SNAP_MAGIC + struct.pack("<HId", _WIRE_VERSION, version, epsilon)
+    header = _SNAP_HEADER.pack(_SNAP_MAGIC, _WIRE_VERSION, version, epsilon)
     return header + net_to_bytes(net, quant_bits)
 
 
 def decode_snapshot(buf: bytes) -> tuple[int, float, DenseNet]:
-    if buf[:4] != _SNAP_MAGIC:
+    """Parse an ``encode_snapshot`` payload; any malformed one raises InvalidInputError."""
+    if len(buf) < _SNAP_HEADER.size:
+        raise InvalidInputError("snapshot payload is shorter than its header")
+    magic, fmt, version, epsilon = _SNAP_HEADER.unpack_from(buf)
+    if magic != _SNAP_MAGIC:
         raise InvalidInputError("bad magic in snapshot payload")
-    fmt, version, epsilon = struct.unpack_from("<HId", buf, 4)
     if fmt != _WIRE_VERSION:
         raise InvalidInputError(f"unsupported snapshot format {fmt}")
-    return version, epsilon, net_from_bytes(buf[18:])
+    return version, epsilon, net_from_bytes(buf[_SNAP_HEADER.size :])
 
 
 def encode_sample_batch(
@@ -464,16 +483,16 @@ class Session:
         _version, epsilon, net = decode_snapshot(snap.payload)
         entity.net = net
         k = self.request.inner_steps
-        first = build_state(entity.obs, self.norm, cfg.np_dtype)
-        states = np.empty((k + 1, first.size), first.dtype)
-        states[0] = first
+        env, rng = entity.env, entity.action_rng
+        # Row i is slot i's state and row i+1 its next state.
+        states = np.empty((k + 1, entity.obs.size), cfg.np_dtype)
+        build_state(entity.obs, self.norm, cfg.np_dtype, out=states[0])
         actions = np.empty(k, np.int64)
         rewards = np.empty(k)
         for i in range(k):
-            q = forward(entity.net, states[i])
-            action = epsilon_greedy(q, epsilon, entity.action_rng)
-            entity.obs, rewards[i], _outcome = entity.env.step(menu[action])
-            states[i + 1] = build_state(entity.obs, self.norm, cfg.np_dtype)
+            action = epsilon_greedy(forward(net, states[i]), epsilon, rng)
+            entity.obs, rewards[i], _outcome = env.step(menu[action])
+            build_state(entity.obs, self.norm, cfg.np_dtype, out=states[i + 1])
             actions[i] = action
         self.energy.record_inference(entity.net, count=k)
         rows = ReplayBatch(states[:-1], actions, rewards, states[1:], np.ones(k))

@@ -8,8 +8,14 @@ Networks are treated as immutable: every update returns fresh arrays.
 The learner is array-native.  Replay is a preallocated ring of column
 arrays, and a DQN step runs the target network once and the online network
 once, taking both the loss and the gradients from that one cached forward
-pass.  ``batch_loss`` and ``backprop_minibatch`` go through the same
-private helper, so the gradient check covers the code the learner runs.
+pass.  The loss and the output delta come from the taken-action column
+alone, since every other column carries no error.  ``batch_loss``,
+``backprop_minibatch`` and the learner share one backprop helper, so the
+gradient check covers the code the learner runs.
+
+``forward`` serves per-slot inference: it checks the state once, then runs
+a trusted batch-of-one pass that keeps the (1, d) gemm of the batched
+forward, so its values match a batch row bit for bit.
 
 The module also owns the wire format: a flat little-endian encoding of the
 layer dimensions followed by row-major matrices, with an optional symmetric
@@ -144,10 +150,22 @@ def _check_state(net: DenseNet, state) -> np.ndarray:
 
 
 def forward(net: DenseNet, state) -> np.ndarray:
-    """Per-action value estimates for a single state vector."""
-    x = _check_state(net, state)
-    _, pre_acts = _forward_cached(net, x[None, :])
-    return pre_acts[-1][0]
+    """Per-action value estimates for a single state vector.
+
+    After one check of the state this is a trusted batch-of-one pass: each
+    layer is the same (1, d) gemm and bias add as ``_forward_cached``, with
+    ReLU applied in place, so the values match its last pre-activation row
+    bit for bit without keeping per-layer lists.
+    """
+    if net.activation != "relu":
+        raise ConfigError(f"unsupported activation {net.activation!r}")
+    last = net.n_layers - 1
+    h = _check_state(net, state)[None, :]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w + b
+        if i < last:
+            np.maximum(h, 0, out=h)
+    return h[0]
 
 
 def _stack_batch(net: DenseNet, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,8 +201,13 @@ def _loss_and_grads(
     loss = float((diff**2 * m).sum(axis=1).mean())
     if not with_grads:
         return loss, None
-    n = y.shape[0]
-    delta = 2.0 * m * diff / n
+    return loss, _backprop(net, inputs, pre_acts, 2.0 * m * diff / y.shape[0])
+
+
+def _backprop(
+    net: DenseNet, inputs: list[np.ndarray], pre_acts: list[np.ndarray], delta: np.ndarray
+) -> GradientBatch:
+    """Weight and bias gradients for the (n, out) output delta of a cached forward."""
     weight_grads = [np.empty(0)] * net.n_layers
     bias_grads = [np.empty(0)] * net.n_layers
     for i in range(net.n_layers - 1, -1, -1):
@@ -194,7 +217,7 @@ def _loss_and_grads(
             delta = (delta @ net.weights[i].T) * (pre_acts[i - 1] > 0)
     if net.mask is not None:
         weight_grads = [g * mk for g, mk in zip(weight_grads, net.mask)]
-    return loss, GradientBatch(weight_grads, bias_grads)
+    return GradientBatch(weight_grads, bias_grads)
 
 
 def batch_loss(net: DenseNet, batch) -> float:
@@ -396,16 +419,16 @@ def dqn_train_step(
     boot = tgt_acts[-1].max(axis=1)
     td_target = rewards + dt.type(lam) * boot * live
 
+    # Only the taken action's column carries error: its squared error is the
+    # per-sample loss, and every other entry of the output delta is zero, as
+    # the masked loss over the full (n, out) matrix would give.
     inputs, pre_acts = _forward_cached(online, x)
-    preds = pre_acts[-1]
-    t_mat = preds.copy()
     rows = np.arange(batch_size)
-    t_mat[rows, sample.action] = td_target
-    m_mat = np.zeros_like(preds)
-    m_mat[rows, sample.action] = 1
-
-    loss, grads = _loss_and_grads(online, inputs, pre_acts, t_mat, m_mat)
-    return sgd_step(online, grads, lr), loss
+    diff = pre_acts[-1][rows, sample.action] - td_target
+    loss = float((diff**2).mean())
+    delta = np.zeros_like(pre_acts[-1])
+    delta[rows, sample.action] = 2.0 * diff / batch_size
+    return sgd_step(online, _backprop(online, inputs, pre_acts, delta), lr), loss
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +437,8 @@ def dqn_train_step(
 
 _MAGIC = b"GDNW"
 _FORMAT_VERSION = 1
+# magic, format version, float tag, quant bits, activation tag, n_dims
+_NET_HEADER = struct.Struct("<4sHBBBB")
 _FLOAT_TAGS = {0: np.float32, 1: np.float64}
 _ACT_TAGS = {"relu": 0}
 
@@ -472,22 +497,41 @@ def net_from_bytes(buf: bytes) -> DenseNet:
     """Rebuild a DenseNet from ``net_to_bytes`` output.
 
     Quantised payloads decode to dequantised float weights (codes * scale)
-    carrying a QuantMeta tag.
+    carrying a QuantMeta tag.  The header fields are checked, and the
+    payload length is checked against the length they imply before any
+    body read, so every malformed payload raises ``InvalidInputError``.
     """
-    if buf[:4] != _MAGIC:
+    if len(buf) < _NET_HEADER.size:
+        raise InvalidInputError("network payload is shorter than its header")
+    magic, fmt, float_tag, quant_bits, act_tag, n_dims = _NET_HEADER.unpack_from(buf)
+    if magic != _MAGIC:
         raise InvalidInputError("bad magic in network payload")
-    fmt, float_tag, quant_bits, act_tag, n_dims = struct.unpack_from("<HBBBB", buf, 4)
     if fmt != _FORMAT_VERSION:
         raise InvalidInputError(f"unsupported payload format version {fmt}")
     if float_tag not in _FLOAT_TAGS:
         raise InvalidInputError(f"unknown float tag {float_tag}")
-    dtype = np.dtype(_FLOAT_TAGS[float_tag])
-    off = 10
-    dims = struct.unpack_from(f"<{n_dims}I", buf, off)
-    off += 4 * n_dims
+    if quant_bits != 0 and not 2 <= quant_bits <= 16:
+        raise InvalidInputError(f"quantisation bits must be 0 or lie in [2, 16], got {quant_bits}")
     activation = {v: k for k, v in _ACT_TAGS.items()}.get(act_tag)
     if activation is None:
         raise InvalidInputError(f"unknown activation tag {act_tag}")
+    if n_dims < 2:
+        raise InvalidInputError(f"network payload needs >= 2 layer dims, got {n_dims}")
+    off = _NET_HEADER.size + 4 * n_dims
+    if len(buf) < off:
+        raise InvalidInputError("network payload is shorter than its layer dims")
+    dims = struct.unpack_from(f"<{n_dims}I", buf, _NET_HEADER.size)
+    if min(dims) < 1:
+        raise InvalidInputError(f"network layer dims must be >= 1, got {dims}")
+    dtype = np.dtype(_FLOAT_TAGS[float_tag])
+    code_dtype = np.dtype(np.int8) if quant_bits <= 8 else np.dtype(np.int16)
+    layer_head, w_size = (0, dtype.itemsize) if quant_bits == 0 else (4, code_dtype.itemsize)
+    expected = off + sum(
+        layer_head + (fan_in * w_size + dtype.itemsize) * fan_out
+        for fan_in, fan_out in zip(dims[:-1], dims[1:])
+    )
+    if len(buf) != expected:
+        raise InvalidInputError(f"network payload holds {len(buf)} bytes, its header implies {expected}")
     weights, biases, scales = [], [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         n = fan_in * fan_out
@@ -496,8 +540,9 @@ def net_from_bytes(buf: bytes) -> DenseNet:
             off += n * dtype.itemsize
         else:
             (scale,) = struct.unpack_from("<f", buf, off)
+            if not 0 < scale < np.inf:
+                raise InvalidInputError(f"quantisation scale must be finite and positive, got {scale}")
             off += 4
-            code_dtype = np.dtype(np.int8) if quant_bits <= 8 else np.dtype(np.int16)
             codes = np.frombuffer(buf, dtype=code_dtype, count=n, offset=off)
             off += n * code_dtype.itemsize
             w = (codes.astype(dtype) * dtype.type(scale)).reshape(fan_in, fan_out)
@@ -506,8 +551,6 @@ def net_from_bytes(buf: bytes) -> DenseNet:
         b = np.frombuffer(buf, dtype=dtype, count=fan_out, offset=off)
         off += fan_out * dtype.itemsize
         biases.append(b.copy())
-    if off != len(buf):
-        raise InvalidInputError("trailing bytes in network payload")
     quant = None
     if quant_bits:
         quant = QuantMeta(quant_bits, scales, [0] * len(scales))

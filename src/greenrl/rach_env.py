@@ -10,14 +10,19 @@ devices served in the slot.
 
 With n devices attempting over m opportunities the expected number served
 is n * (1 - 1/m)**(n-1).
+
+The simulator is built for a cheap per-slot step.  The observation window
+is a rolling numpy array shifted in place, and each menu action's
+opportunity count, attempt probability and contention probabilities are
+computed once per environment, so a step is a dict lookup, the arrival,
+attempt and contention draws, and two counts of the occupancy vector.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,13 +117,19 @@ class SlotOutcome:
     occupancy: np.ndarray
 
 
-def simulate_contention(n_attempting: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Occupancy counts after each device picks one of m opportunities uniformly."""
+def simulate_contention(
+    n_attempting: int, m: int, rng: np.random.Generator, pvals: np.ndarray | None = None
+) -> np.ndarray:
+    """Occupancy counts after each device picks one of m opportunities uniformly.
+
+    ``pvals`` may pass in the uniform probabilities ``np.full(m, 1 / m)``,
+    precomputed once, so a caller stepping many slots does not rebuild them.
+    """
     if m < 1:
         raise InvalidInputError("need at least one opportunity")
     if n_attempting < 0:
         raise InvalidInputError("attempt count cannot be negative")
-    return rng.multinomial(n_attempting, np.full(m, 1.0 / m))
+    return rng.multinomial(n_attempting, np.full(m, 1.0 / m) if pvals is None else pvals)
 
 
 def expected_successes(n: int, m: int) -> float:
@@ -149,25 +160,39 @@ class RachEnv:
     The observation is the last ``history_window`` slots' per-slot triples
     (idle, collided, successful), most recent first, flattened to a vector
     of length 3 * history_window.  Slots before the first step read as zeros.
+
+    The window is a rolling (history_window, 3) float array: each step
+    shifts it down one row in place and writes the new triple into row 0,
+    and ``observation`` returns a flattened copy, so an observation held by
+    the caller never changes under a later step.  ``__init__`` precomputes
+    every menu action's opportunity count, attempt probability and uniform
+    contention probabilities once, so a step looks its action up in a dict;
+    an action missing from the table is off the menu.
     """
 
     def __init__(self, cfg: RachConfig, record_trace: bool = False):
         self.cfg = cfg
         self.record_trace = record_trace
+        self._actions = {
+            a: (
+                a.opportunities,
+                min(1.0, a.repetition / cfg.backoff_slots),
+                np.full(a.opportunities, 1.0 / a.opportunities),
+            )
+            for a in cfg.action_menu
+        }
         self.reset()
 
     def reset(self) -> np.ndarray:
         self.rng = np.random.default_rng(self.cfg.seed)
         self.backlog = 0
         self.slot = 0
-        self._window: deque[tuple[int, int, int]] = deque(
-            [(0, 0, 0)] * self.cfg.history_window, maxlen=self.cfg.history_window
-        )
+        self._window = np.zeros((self.cfg.history_window, 3))
         self.trace: list[tuple] = []
         return self.observation()
 
     def observation(self) -> np.ndarray:
-        return np.asarray([v for triple in self._window for v in triple], dtype=float)
+        return self._window.flatten()
 
     def _draw_arrivals(self) -> int:
         traffic = self.cfg.traffic
@@ -181,19 +206,29 @@ class RachEnv:
         return min(count, self.cfg.num_devices - self.backlog)
 
     def step(self, action: RachAction) -> tuple[np.ndarray, float, SlotOutcome]:
-        if action not in self.cfg.action_menu:
-            raise InvalidInputError(f"action {action} is not on the menu")
-        arrivals = self._draw_arrivals()
-        self.backlog += arrivals
-        m = action.opportunities
-        p_attempt = min(1.0, action.repetition / self.cfg.backoff_slots)
+        """Play one slot of ``action``, which must be on the menu.
+
+        The arrival, attempt and contention draws are made in that order;
+        contention goes through ``simulate_contention`` with the action's
+        precomputed probabilities.
+        """
+        try:
+            m, p_attempt, pvals = self._actions[action]
+        except (KeyError, TypeError):
+            raise InvalidInputError(f"action {action} is not on the menu") from None
+        self.backlog += self._draw_arrivals()
         attempts = int(self.rng.binomial(self.backlog, p_attempt))
-        occupancy = simulate_contention(attempts, m, self.rng)
-        successful = int((occupancy == 1).sum())
-        collided = int((occupancy >= 2).sum())
-        idle = m - successful - collided
+        occupancy = simulate_contention(attempts, m, self.rng, pvals)
+        # Counted on a list: for menu-sized m this is several times cheaper
+        # than numpy's compare-and-count.
+        counts = occupancy.tolist()
+        idle = counts.count(0)
+        successful = counts.count(1)
+        collided = m - idle - successful
         self.backlog -= successful
-        self._window.appendleft((idle, collided, successful))
+        window = self._window
+        window[1:] = window[:-1]
+        window[0] = (idle, collided, successful)
         self.slot += 1
         if self.record_trace:
             self.trace.append(
@@ -210,7 +245,7 @@ class RachEnv:
                 )
             )
         outcome = SlotOutcome(served=successful, backlog=self.backlog, occupancy=occupancy)
-        return self.observation(), float(successful), outcome
+        return window.flatten(), float(successful), outcome
 
 
 def write_trace_csv(trace: Sequence[tuple], path) -> None:

@@ -29,7 +29,7 @@ from greenrl.neural import (
     sgd_step,
     sync_target,
 )
-from greenrl.rach_env import RachEnv
+from greenrl.rach_env import BernoulliTraffic, RachEnv, SlotOutcome, simulate_contention
 from greenrl.rl_core import Transition, check_discount, epsilon_greedy
 
 # ---------------------------------------------------------------------------
@@ -510,3 +510,64 @@ def reference_decode_sample_batch(buf: bytes) -> ReferenceSampleBatch:
     if off != len(buf):
         raise InvalidInputError("trailing bytes in sample batch payload")
     return ReferenceSampleBatch(entity_id, version, tuple(transitions), len(buf))
+
+
+# ---------------------------------------------------------------------------
+# Reference environment step
+# ---------------------------------------------------------------------------
+#
+# The environment step that the rolling-window, precomputed-action step in
+# greenrl.rach_env replaced, kept verbatim apart from its name and the
+# dropped per-slot trace.  The window is a deque of triples rebuilt into an
+# observation every slot, an action is checked with ``in`` against the menu
+# tuple, and contention goes through ``simulate_contention``.  Both
+# environments draw from one generator in the same order, so for one config
+# they must agree slot for slot.
+
+
+class ReferenceRachEnv:
+    """Slotted random-access simulator; deterministic given its config seed."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.reset()
+
+    def reset(self) -> np.ndarray:
+        self.rng = np.random.default_rng(self.cfg.seed)
+        self.backlog = 0
+        self.slot = 0
+        self._window: deque[tuple[int, int, int]] = deque(
+            [(0, 0, 0)] * self.cfg.history_window, maxlen=self.cfg.history_window
+        )
+        return self.observation()
+
+    def observation(self) -> np.ndarray:
+        return np.asarray([v for triple in self._window for v in triple], dtype=float)
+
+    def _draw_arrivals(self) -> int:
+        traffic = self.cfg.traffic
+        if isinstance(traffic, BernoulliTraffic):
+            idle_devices = max(0, self.cfg.num_devices - self.backlog)
+            return int(self.rng.binomial(idle_devices, traffic.p))
+        count = int(traffic.counts(self.slot))
+        if count < 0:
+            raise InvalidInputError("external traffic produced a negative count")
+        return min(count, self.cfg.num_devices - self.backlog)
+
+    def step(self, action):
+        if action not in self.cfg.action_menu:
+            raise InvalidInputError(f"action {action} is not on the menu")
+        arrivals = self._draw_arrivals()
+        self.backlog += arrivals
+        m = action.opportunities
+        p_attempt = min(1.0, action.repetition / self.cfg.backoff_slots)
+        attempts = int(self.rng.binomial(self.backlog, p_attempt))
+        occupancy = simulate_contention(attempts, m, self.rng)
+        successful = int((occupancy == 1).sum())
+        collided = int((occupancy >= 2).sum())
+        idle = m - successful - collided
+        self.backlog -= successful
+        self._window.appendleft((idle, collided, successful))
+        self.slot += 1
+        outcome = SlotOutcome(served=successful, backlog=self.backlog, occupancy=occupancy)
+        return self.observation(), float(successful), outcome

@@ -14,7 +14,7 @@ from greenrl.agents import (
     make_agent,
     run_local_agent,
 )
-from greenrl.errors import ConfigError
+from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.neural import glorot_init
 from greenrl.rach_env import BernoulliTraffic, RachAction, RachConfig, le_urc_policy
 
@@ -170,3 +170,32 @@ def test_evaluate_greedy_net_deterministic_and_seed_sensitive():
     other = evaluate_greedy_net(net, cfg, 150, 48.0, seed=3)
     assert one == two
     assert one != other
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_evaluate_greedy_net_rejects_non_finite_weights():
+    net = glorot_init((6, 8, 4), seed=0, dtype=np.float32)
+    net.weights[1][3, 2] = np.inf
+    with pytest.raises(InvalidInputError):
+        evaluate_greedy_net(net, env_config(), 20, 48.0, seed=2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_evaluate_greedy_net_matches_reference_rollout(dtype):
+    """The in-place state row and trusted forward pick the same actions as
+    build_state, the reference forward and the reference environment."""
+    from dataclasses import replace
+
+    from greenrl.cloud_loop import build_state, derive_seeds
+    from oracles import ReferenceRachEnv, _reference_forward_cached
+
+    cfg = env_config()
+    net = glorot_init((6, 8, 4), seed=4, dtype=dtype)
+    net.biases = [np.linspace(-0.5, 0.5, b.size).astype(dtype) for b in net.biases]
+    env = ReferenceRachEnv(replace(cfg, seed=derive_seeds(9, 1)["entities"][0]["env"]))
+    obs, total = env.reset(), 0.0
+    for _ in range(300):
+        q = _reference_forward_cached(net, build_state(obs, 48.0, dtype)[None, :])[1][-1][0]
+        obs, reward, _ = env.step(MENU[int(np.argmax(q))])
+        total += reward
+    assert evaluate_greedy_net(net, cfg, 300, 48.0, seed=9) == total / 300

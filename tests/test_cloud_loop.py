@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,20 @@ def test_build_state_scales_and_casts():
     assert out.dtype == np.float32
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_build_state_into_row_rounds_once(dtype):
+    """Writing into a preallocated row gives the float64 divide rounded once
+    to ``dtype``, bit for bit, and fills only that row."""
+    obs = np.random.default_rng(3).integers(0, 50, size=(4, 12)).astype(float)
+    rows = np.zeros((5, 12), dtype)
+    for i, o in enumerate(obs):
+        got = build_state(o, 48.0, dtype, out=rows[i])
+        assert np.shares_memory(got, rows[i])
+        assert rows[i].tobytes() == (o / 48.0).astype(dtype).tobytes()
+        assert build_state(o, 48.0, dtype).tobytes() == rows[i].tobytes()
+    assert not rows[4].any()
+
+
 # ---------------------------------------------------------------------------
 # wire encodings
 # ---------------------------------------------------------------------------
@@ -139,6 +155,73 @@ def test_snapshot_bad_payload():
         decode_snapshot(b"NOPE" + buf[4:])
     with pytest.raises(InvalidInputError):
         decode_snapshot(buf[:4] + b"\xff\xff" + buf[6:])
+
+
+_SNAP_NET = glorot_init((4, 3, 2), seed=5, dtype=np.float32)
+_SNAP_DENSE = encode_snapshot(3, 0.25, _SNAP_NET, None)
+_SNAP_Q8 = encode_snapshot(3, 0.25, _SNAP_NET, 8)
+# Offsets past the 18-byte snapshot header: quant bits at 25, n_dims at 27,
+# dims from 28, and a quantised payload's first layer scale at 40.
+
+
+def _snap_byte(buf, offset, value):
+    return buf[:offset] + bytes([value]) + buf[offset + 1 :]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(_SNAP_DENSE[:10], id="ten-bytes"),
+        pytest.param(_SNAP_DENSE[:-1], id="one-byte-short"),
+        pytest.param(_snap_byte(_SNAP_Q8, 25, 1), id="quant-bits-1"),
+        pytest.param(_snap_byte(_SNAP_Q8, 25, 20), id="quant-bits-20"),
+        pytest.param(b"", id="no-bytes"),
+        pytest.param(_SNAP_DENSE[:24], id="truncated-net-header"),
+        pytest.param(_SNAP_DENSE[:34], id="truncated-dims"),
+        pytest.param(_snap_byte(_SNAP_DENSE, 27, 0), id="no-dims"),
+        pytest.param(_snap_byte(_SNAP_DENSE, 27, 1), id="one-dim"),
+        pytest.param(_SNAP_DENSE[:28] + bytes(4) + _SNAP_DENSE[32:], id="zero-dim"),
+        pytest.param(_SNAP_Q8[:40] + bytes(4) + _SNAP_Q8[44:], id="zero-scale"),
+        pytest.param(_SNAP_DENSE + b"\x00", id="trailing-byte"),
+    ],
+)
+def test_snapshot_decode_rejects_malformed_payload(payload):
+    with pytest.raises(InvalidInputError):
+        decode_snapshot(payload)
+
+
+_VALID_SNAPSHOTS = [
+    encode_snapshot(1, 0.5, glorot_init(dims, seed=1, dtype=dtype), bits)
+    for dims in [(3, 2), (4, 3, 2)]
+    for dtype in (np.float32, np.float64)
+    for bits in (None, 2, 8, 9, 16)
+]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_snapshot_decode_raises_only_invalid_input(data):
+    """Arbitrary bytes, and truncations or byte flips of valid payloads,
+    either decode or raise InvalidInputError, never anything else."""
+    kind = data.draw(st.sampled_from(["arbitrary", "truncated", "flipped"]))
+    if kind == "arbitrary":
+        prefix = data.draw(st.sampled_from([b"", _SNAP_DENSE[:4], _SNAP_DENSE[:22], _SNAP_DENSE[:28]]))
+        buf = prefix + data.draw(st.binary(max_size=120))
+    else:
+        base = data.draw(st.sampled_from(_VALID_SNAPSHOTS))
+        if kind == "truncated":
+            buf = base[: data.draw(st.integers(min_value=0, max_value=len(base) - 1))]
+        else:
+            flipped = bytearray(base)
+            for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+                at = data.draw(st.integers(min_value=0, max_value=len(base) - 1))
+                flipped[at] ^= data.draw(st.integers(min_value=1, max_value=255))
+            buf = bytes(flipped)
+    try:
+        decode_snapshot(buf)
+    except InvalidInputError:
+        pass
 
 
 def _columns(dim, count, seed=0):
@@ -546,6 +629,16 @@ def test_concurrent_failing_entity_raises():
     session = Session(make_request(entity_ids=(0, 1, 2), env_config=env))
     with pytest.raises(InvalidInputError):
         run_session(session, rounds=3, mode="concurrent")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_outer_round_rejects_non_finite_snapshot():
+    session = Session(make_request())
+    weights = [w.copy() for w in session.online.weights]
+    weights[0][0, 0] = np.inf
+    session.online = replace(session.online, weights=weights)
+    with pytest.raises(InvalidInputError):
+        session.outer_round(0)
 
 
 def test_run_session_validation():

@@ -514,3 +514,89 @@ def test_quantize_layer_error_bound(vals, bits):
 def test_quantize_layer_bits_range(bits):
     with pytest.raises(ConfigError):
         symmetric_quantize_layer(np.ones((2, 2)), bits)
+
+
+# ---------------------------------------------------------------------------
+# trusted batch-of-one forward
+# ---------------------------------------------------------------------------
+
+
+def _variant_net(dtype, n_hidden, variant):
+    net = glorot_init((6, *[5 + i for i in range(n_hidden)], 3), seed=n_hidden, dtype=dtype)
+    net.biases = [np.linspace(-0.3, 0.3, b.size).astype(dtype) for b in net.biases]
+    if variant == "masked":
+        net, _ = prune_by_magnitude(net, threshold_for_sparsity(net, 0.5))
+    elif variant == "quantised":
+        net = net_from_bytes(net_to_bytes(net, quant_bits=6))
+    return net
+
+
+@pytest.mark.parametrize("variant", ["dense", "masked", "quantised"])
+@pytest.mark.parametrize("n_hidden", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_trusted_forward_matches_cached_forward(dtype, n_hidden, variant):
+    """``forward`` gives the cached batch forward's last pre-activation row
+    bit for bit."""
+    from greenrl.neural import _forward_cached
+
+    net = _variant_net(dtype, n_hidden, variant)
+    for x in np.random.default_rng(7).normal(size=(25, 6)).astype(dtype):
+        expected = _forward_cached(net, x[None, :])[1][-1][0]
+        got = forward(net, x)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_trusted_forward_keeps_dtype_promotion():
+    """A hand-built net with float64 biases on float32 weights promotes
+    exactly as the cached batch forward does."""
+    from greenrl.neural import _forward_cached
+
+    net = _variant_net(np.float32, 2, "dense")
+    net.biases = [b.astype(np.float64) + 0.1 for b in net.biases]
+    x = np.linspace(-1, 1, 6).astype(np.float32)
+    expected = _forward_cached(net, x[None, :])[1][-1][0]
+    got = forward(net, x)
+    assert got.dtype == expected.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_trusted_forward_leaves_net_and_input_unchanged():
+    net = _variant_net(np.float32, 2, "dense")
+    before = [a.copy() for a in net.weights + net.biases]
+    x = np.full(6, -1.0, np.float32)
+    forward(net, x)
+    assert np.array_equal(x, np.full(6, -1.0, np.float32))
+    assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, before))
+
+
+# ---------------------------------------------------------------------------
+# wire decode hardening
+# ---------------------------------------------------------------------------
+
+_WIRE_Q8 = net_to_bytes(glorot_init((4, 3, 2), seed=5, dtype=np.float32), quant_bits=8)
+
+
+def _wire_byte(buf, offset, value):
+    return buf[:offset] + bytes([value]) + buf[offset + 1 :]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(b"", id="no-bytes"),
+        pytest.param(_WIRE_Q8[:9], id="truncated-header"),
+        pytest.param(_WIRE_Q8[:14], id="truncated-dims"),
+        pytest.param(_WIRE_Q8[:-1], id="one-byte-short"),
+        pytest.param(_wire_byte(_WIRE_Q8, 7, 1), id="quant-bits-1"),
+        pytest.param(_wire_byte(_WIRE_Q8, 7, 17), id="quant-bits-17"),
+        pytest.param(_wire_byte(_WIRE_Q8, 9, 1), id="one-dim"),
+        pytest.param(_WIRE_Q8[:10] + bytes(4) + _WIRE_Q8[14:], id="zero-dim"),
+        pytest.param(_WIRE_Q8[:10] + b"\xff" * 4 + _WIRE_Q8[14:], id="huge-dim"),
+        pytest.param(_WIRE_Q8[:22] + b"\x00\x00\x80\xbf" + _WIRE_Q8[26:], id="negative-scale"),
+        pytest.param(_WIRE_Q8[:22] + b"\x00\x00\x80\x7f" + _WIRE_Q8[26:], id="infinite-scale"),
+    ],
+)
+def test_wire_decode_rejects_malformed_payload(payload):
+    with pytest.raises(InvalidInputError):
+        net_from_bytes(payload)

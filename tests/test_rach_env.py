@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from greenrl.rach_env import (
     simulate_contention,
     write_trace_csv,
 )
-from oracles import enumerate_expected_successes
+from oracles import ReferenceRachEnv, enumerate_expected_successes
 
 MENU = (
     RachAction(1, 8, 8),
@@ -82,6 +83,17 @@ def test_simulate_contention_conserves_devices(n, m):
     assert occ.sum() == n
     assert occ.shape == (m,)
     assert np.all(occ >= 0)
+
+
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=12))
+@settings(max_examples=30)
+def test_simulate_contention_precomputed_pvals_draw_alike(n, m):
+    """Passing the uniform probabilities in gives the draw that building
+    them inside does, from the same generator state."""
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    pvals = np.full(m, 1.0 / m)
+    for _ in range(5):
+        assert np.array_equal(simulate_contention(n, m, a), simulate_contention(n, m, b, pvals))
 
 
 def test_simulate_contention_validation():
@@ -193,6 +205,72 @@ def test_off_menu_action_rejected():
     env = make_env()
     with pytest.raises(InvalidInputError):
         env.step(RachAction(3, 3, 3))
+
+
+def test_unhashable_action_rejected():
+    env = make_env()
+    with pytest.raises(InvalidInputError):
+        env.step([1, 8, 8])
+
+
+_actions = st.builds(
+    RachAction,
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=10),
+)
+_traffic = st.one_of(
+    st.builds(BernoulliTraffic, st.floats(min_value=0.0, max_value=1.0)),
+    st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=7).map(
+        lambda counts: ExternalTraffic(lambda slot: counts[slot % len(counts)])
+    ),
+)
+
+
+@given(
+    menu=st.lists(_actions, min_size=1, max_size=5),
+    window=st.integers(min_value=1, max_value=6),
+    devices=st.integers(min_value=1, max_value=200),
+    backoff=st.integers(min_value=1, max_value=12),
+    traffic=_traffic,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    action_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_step_matches_reference_env(menu, window, devices, backoff, traffic, seed, action_seed):
+    """Over 500 slots the rolling-window step agrees with the deque step on
+    every observation, reward, backlog and occupancy vector.  Every other
+    slot plays an equal copy of the menu entry rather than the entry itself."""
+    cfg = RachConfig(devices, tuple(menu), window, traffic, backoff, seed)
+    env, ref = RachEnv(cfg), ReferenceRachEnv(cfg)
+    np.testing.assert_array_equal(env.reset(), ref.reset())
+    picks = np.random.default_rng(action_seed).integers(len(menu), size=500)
+    for slot, i in enumerate(picks):
+        action = menu[i] if slot % 2 else replace(menu[i])
+        obs, reward, out = env.step(action)
+        ref_obs, ref_reward, ref_out = ref.step(menu[i])
+        assert obs.dtype == ref_obs.dtype
+        np.testing.assert_array_equal(obs, ref_obs)
+        assert reward == ref_reward
+        assert (out.served, out.backlog, env.backlog) == (ref_out.served, ref_out.backlog, ref.backlog)
+        np.testing.assert_array_equal(out.occupancy, ref_out.occupancy)
+    np.testing.assert_array_equal(env.observation(), ref.observation())
+
+
+def test_held_observation_survives_later_steps():
+    """Observations are copies: a later step must not write into one the
+    caller still holds."""
+    env = make_env(history_window=3, traffic=BernoulliTraffic(0.5))
+    held = [env.reset(), env.observation()]
+    for _ in range(6):
+        held.append(env.step(MENU[1])[0])
+        held.append(env.observation())
+    frozen = [h.copy() for h in held]
+    for _ in range(6):
+        env.step(MENU[3])
+    for h, f in zip(held, frozen):
+        np.testing.assert_array_equal(h, f)
+    assert not any(np.shares_memory(h, env._window) for h in held)
 
 
 def test_deterministic_given_seed():

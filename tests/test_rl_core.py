@@ -98,6 +98,29 @@ def test_epsilon_greedy_always_in_range(qs, eps, seed):
     assert 0 <= a < len(qs)
 
 
+@given(
+    st.lists(
+        st.sampled_from([-1.5, -0.0, 0.0, 2.25]) | st.floats(min_value=-1e4, max_value=1e4),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from([np.float16, np.float32, np.float64]),
+    st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_epsilon_greedy_matches_float64_reference(qs, dtype, eps, seed):
+    """Same choice and same draws as argmax over a float64 copy, ties included."""
+    q = np.asarray(qs).astype(dtype)
+    ref_rng = np.random.default_rng(seed)
+    if eps > 0.0 and ref_rng.random() < eps:
+        expected = int(ref_rng.integers(q.size))
+    else:
+        expected = int(np.argmax(np.asarray(q, dtype=float)))
+    rng = np.random.default_rng(seed)
+    assert epsilon_greedy(q, eps, rng) == expected
+    assert rng.random() == ref_rng.random()
+
+
 def test_epsilon_greedy_input_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(InvalidInputError):
@@ -106,6 +129,8 @@ def test_epsilon_greedy_input_validation():
         epsilon_greedy(np.array([[1.0]]), 0.0, rng)
     with pytest.raises(InvalidInputError):
         epsilon_greedy(np.array([1.0, float("nan")]), 0.0, rng)
+    with pytest.raises(InvalidInputError):
+        epsilon_greedy(np.array([-np.inf, 1.0], dtype=np.float32), 0.0, rng)
     with pytest.raises(InvalidInputError):
         epsilon_greedy(np.array([1.0]), 1.5, rng)
 
