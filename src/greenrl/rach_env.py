@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,8 +110,7 @@ class RachConfig:
         return max(a.opportunities for a in self.action_menu)
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
+class SlotOutcome(NamedTuple):
     served: int
     backlog: int
     occupancy: np.ndarray
@@ -244,7 +243,7 @@ class RachEnv:
                     self.backlog,
                 )
             )
-        outcome = SlotOutcome(served=successful, backlog=self.backlog, occupancy=occupancy)
+        outcome = SlotOutcome(successful, self.backlog, occupancy)
         return window.flatten(), float(successful), outcome
 
 

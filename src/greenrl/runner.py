@@ -28,7 +28,6 @@ import tempfile
 from dataclasses import asdict, replace
 
 import numpy as np
-from scipy import stats
 
 from .agents import evaluate_greedy_agent, evaluate_greedy_net, run_local_agent
 from .cloud_loop import (
@@ -44,6 +43,7 @@ from .energy import EnergyLedger
 from .energy import compare as energy_compare
 from .errors import ConfigError
 from .neural import sync_target
+from .paired import _effect_size_d, _paired_p, _paired_stats, ci95, ttest_p
 from .rach_env import ExternalTraffic
 from .spatial import (
     FieldNoise,
@@ -135,25 +135,6 @@ def rounds_to_threshold(curve: np.ndarray, threshold: float, window: int) -> int
     sums = np.convolve(curve, np.ones(window), mode="valid")
     hits = np.nonzero(sums >= threshold * window)[0]
     return int(hits[0]) + window if hits.size else len(curve)
-
-
-def _paired_p(a, b, test, **kwargs) -> float | None:
-    """p-value of a paired scipy test of ``a`` against ``b``.
-
-    Pairs that all tie give 1.0, and a single pair gives None: it carries
-    no significance.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if np.allclose(a - b, 0):
-        return 1.0
-    if len(a) < 2:
-        return None
-    return float(test(a, b, **kwargs).pvalue)
-
-
-def _effect_size_d(diff: np.ndarray) -> float:
-    sd = diff.std(ddof=1)
-    return float(diff.mean() / sd) if sd > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +413,6 @@ def run_transfer_arm(cfg: ExperimentConfig, seed: int, enabled: bool) -> dict:
     }
 
 
-def _paired_stats(transfer_vals, baseline_vals) -> dict:
-    """Paired comparison of one transfer-arm quantity against the baseline arm."""
-    t = np.asarray(transfer_vals, dtype=float)
-    b = np.asarray(baseline_vals, dtype=float)
-    diff = t - b
-    return {
-        "transfer_median": float(np.median(t)),
-        "baseline_median": float(np.median(b)),
-        "transfer_mean": float(t.mean()),
-        "baseline_mean": float(b.mean()),
-        "mean_diff": float(diff.mean()),
-        "effect_size_d": _effect_size_d(diff),
-        "p_wilcoxon_two_sided": _paired_p(t, b, stats.wilcoxon),
-        "p_transfer_worse": _paired_p(t, b, stats.ttest_rel, alternative="greater"),
-    }
-
-
 def _run_transfer(cfg: ExperimentConfig, run_dir: str) -> dict:
     curve_rows = []
     arms: dict[bool, list[dict]] = {True: [], False: []}
@@ -483,9 +447,7 @@ def _run_transfer(cfg: ExperimentConfig, run_dir: str) -> dict:
         "terminal_reward": {
             "transfer_mean": float(np.mean(term_transfer)),
             "baseline_mean": float(np.mean(term_baseline)),
-            "p_transfer_drop": _paired_p(
-                term_transfer, term_baseline, stats.ttest_rel, alternative="less"
-            ),
+            "p_transfer_drop": _paired_p(term_transfer, term_baseline, ttest_p, alternative="less"),
             "effect_size_d": _effect_size_d(
                 np.asarray(term_transfer) - np.asarray(term_baseline)
             ),
@@ -554,9 +516,7 @@ def compare_agents(cfgs: list[ExperimentConfig]) -> dict:
             "mean": float(evals.mean()),
         }
         if len(evals) > 1 and evals.std(ddof=1) > 0:
-            sem = stats.sem(evals)
-            lo, hi = stats.t.interval(0.95, len(evals) - 1, loc=evals.mean(), scale=sem)
-            entry["ci95"] = [float(lo), float(hi)]
+            entry["ci95"] = list(ci95(evals))
         else:
             entry["ci95"] = [float(evals.mean()), float(evals.mean())]
         rtts = [s["rounds_to_threshold"] for s in res["per_seed"]]
@@ -580,7 +540,7 @@ def compare_agents(cfgs: list[ExperimentConfig]) -> dict:
             tb = np.asarray(report["agents"][b]["eval_rewards"])
             report["pairwise"][f"{a}>{b}"] = {
                 "mean_diff": float((ta - tb).mean()),
-                "p_one_sided": _paired_p(ta, tb, stats.ttest_rel, alternative="greater"),
+                "p_one_sided": _paired_p(ta, tb, ttest_p, alternative="greater"),
             }
     report["ranking"] = sorted(
         names, key=lambda n: report["agents"][n]["mean"], reverse=True

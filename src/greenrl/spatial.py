@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import ConfigError, InvalidInputError
 from .neural import DenseNet
@@ -283,8 +282,11 @@ def fit_kernel(corr: CorrelationMatrix | np.ndarray, sites: np.ndarray) -> Kerne
 
     Negative correlations clip to 0 before fitting.  If nothing positive
     remains the fit is flagged degenerate and a zero-amplitude kernel at the
-    minimal length scale is returned.
+    minimal length scale is returned.  scipy's ``optimize`` module (about
+    0.7 s to import) loads on the first call, not with greenrl.
     """
+    from scipy.optimize import curve_fit
+
     values = corr.values if isinstance(corr, CorrelationMatrix) else np.asarray(corr, dtype=float)
     sites = np.asarray(sites, dtype=float)
     if sites.ndim == 1:

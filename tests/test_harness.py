@@ -9,9 +9,9 @@ from greenrl import runner
 from greenrl.cli import main as cli_main
 from greenrl.config import config_from_dict
 from greenrl.errors import ConfigError
+from greenrl.paired import _paired_p, ttest_p, wilcoxon_p
 from greenrl.runner import (
     ROUND_COLUMNS,
-    _paired_p,
     compare_agents,
     per_round_curve,
     rounds_to_threshold,
@@ -180,14 +180,16 @@ def test_paired_p_branches():
     a = np.array([1.0, 2.0, 3.5, 4.0])
     b = np.array([0.5, 2.5, 1.0, 3.0])
     # pairs that tie to within allclose give 1.0, even for a single pair
-    assert _paired_p(a, a + 1e-12, stats.ttest_rel) == 1.0
-    assert _paired_p([2.0], [2.0], stats.wilcoxon) == 1.0
+    assert _paired_p(a, a + 1e-12, ttest_p) == 1.0
+    assert _paired_p([2.0], [2.0], wilcoxon_p) == 1.0
     # one pair that differs carries no significance
-    assert _paired_p([2.0], [1.0], stats.ttest_rel, alternative="greater") is None
-    # otherwise the scipy test's p-value, with its keyword arguments passed on
-    got = _paired_p(list(a), list(b), stats.ttest_rel, alternative="less")
+    assert _paired_p([2.0], [1.0], ttest_p, alternative="greater") is None
+    assert _paired_p([2.0], [1.0], wilcoxon_p) is None
+    # otherwise the test's p-value, with its keyword arguments passed on;
+    # scipy.stats gives the reference value
+    got = _paired_p(list(a), list(b), ttest_p, alternative="less")
     assert got == float(stats.ttest_rel(a, b, alternative="less").pvalue)
-    assert _paired_p(a, b, stats.wilcoxon) == float(stats.wilcoxon(a, b).pvalue)
+    assert _paired_p(a, b, wilcoxon_p) == float(stats.wilcoxon(a, b).pvalue)
 
 
 # ---------------------------------------------------------------------------
