@@ -2,8 +2,10 @@
 
 Configs are plain JSON documents.  Loading is strict: unknown keys anywhere
 raise a ConfigError naming the full field path, and every validation error
-is prefixed with the path of the section it came from.  A canonical hash of
-the config travels with every output file so results stay attributable.
+is prefixed with the path of the section it came from; a section check
+whose message starts ``<field>: `` is reported under ``<section>.<field>``.
+A canonical hash of the config travels with every output file so results
+stay attributable.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -122,6 +125,14 @@ class CompressionSection:
     sparsity_levels: tuple = (0.0, 0.25, 0.5, 0.75)
 
 
+def _positive(x) -> bool:
+    return math.isfinite(x) and x > 0
+
+
+def _nonnegative(x) -> bool:
+    return math.isfinite(x) and x >= 0
+
+
 @dataclass(frozen=True)
 class SpatialSection:
     """Shared-field traffic for the transfer scenario.
@@ -149,6 +160,24 @@ class SpatialSection:
     transfer_every: int = 50
 
     def __post_init__(self):
+        # Imported here, not with this module: loading spatial ahead of the
+        # runner's other imports moved field-transfer's peak RSS up by 1 MiB.
+        from .spatial import SQUASH_TAGS
+
+        # (field, value is in range, the rule as reported)
+        checks = (
+            ("n_sites", self.n_sites >= 1, ">= 1"),
+            ("length", _positive(self.length), "finite and > 0"),
+            ("kernel_amplitude", _nonnegative(self.kernel_amplitude), "finite and >= 0"),
+            ("kernel_length_scale", _positive(self.kernel_length_scale), "finite and > 0"),
+            ("noise_sigma", _nonnegative(self.noise_sigma), "finite and >= 0"),
+            ("squash", self.squash in SQUASH_TAGS, f"one of {list(SQUASH_TAGS)}"),
+            ("mu", _positive(self.mu), "finite and > 0"),
+            ("burn_in", self.burn_in >= 0, ">= 0"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
         if len(self.bs_cells) != 2:
             raise ConfigError("bs_cells must name exactly two cells")
         for i, cell in enumerate(self.bs_cells):
@@ -277,6 +306,9 @@ def _build(cls, data, path: str):
     try:
         return cls(**kwargs)
     except ConfigError as exc:
+        name, sep, _ = str(exc).partition(": ")
+        if sep and name in known:
+            raise ConfigError(f"{path}.{exc}") from None
         raise ConfigError(f"{path}: {exc}") from None
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}") from None

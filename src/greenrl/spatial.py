@@ -6,6 +6,12 @@ i.e. a rectangle-rule quadrature of the kernel integral.  Traffic at each
 site is Poisson with log-linked intensity mu * exp(z), which makes nearby
 sites see correlated load.  Agents whose sites show correlated traffic can
 blend parameters; the blend weight is gated by the estimated correlation.
+
+Sites, kernel and dx never change during a run, so ``FieldTrafficSource``
+builds the quadrature matrix once and steps a bare z array through
+``_advance``, the same update ``side_step`` applies to a ``SpatialField``;
+``_rates`` is the one intensity formula behind ``TrafficIntensity`` and the
+source.  Both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ __all__ = [
     "fit_kernel",
     "transfer_weights",
     "MIN_LENGTH_SCALE",
+    "SQUASH_TAGS",
 ]
 
 MIN_LENGTH_SCALE = 1e-6
@@ -41,6 +48,10 @@ _SQUASH_FNS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "identity": lambda z: z,
     "squash": np.tanh,
 }
+SQUASH_TAGS = tuple(sorted(_SQUASH_FNS))
+# The largest rate numpy's Poisson sampler accepts; above it the draw raises
+# a bare ValueError ("lam value too large").
+_MAX_RATE = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 @dataclass(frozen=True)
@@ -80,8 +91,8 @@ class SpatialField:
             raise ConfigError("z must be one value per site")
         if not np.all(np.isfinite(z)) or not np.all(np.isfinite(sites)):
             raise InvalidInputError("sites and z must be finite")
-        if self.dx <= 0:
-            raise ConfigError("dx must be positive")
+        if not self.dx > 0 or not np.isfinite(self.dx):
+            raise ConfigError(f"dx must be finite and positive, got {self.dx}")
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "z", z)
 
@@ -109,8 +120,8 @@ class FieldNoise:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        if not self.sigma >= 0 or not np.isfinite(self.sigma):
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         self._rng = np.random.default_rng(self.seed)
 
     def draw(self, n: int) -> np.ndarray:
@@ -129,6 +140,34 @@ def quadrature_matrix(field: SpatialField, kernel: Kernel) -> np.ndarray:
     return kernel(_pairwise_distances(field.sites))
 
 
+def _squash_fn(f: str | Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    fn = _SQUASH_FNS.get(f) if isinstance(f, str) else f
+    if fn is None:
+        raise ConfigError(f"unknown squash tag {f!r}; use one of {sorted(_SQUASH_FNS)}")
+    return fn
+
+
+def _advance(
+    k_mat: np.ndarray,
+    z: np.ndarray,
+    dx: float,
+    fn: Callable[[np.ndarray], np.ndarray],
+    noise: FieldNoise | None,
+) -> np.ndarray:
+    """z' = (K f(z)) dx + e on bare arrays.
+
+    dx multiplies after the matvec rather than being folded into K, and the
+    noise is added even at sigma 0 (-0.0 + 0.0 is +0.0), so every path that
+    steps a field rounds alike.
+    """
+    z_new = (k_mat @ fn(z)) * dx
+    if noise is not None:
+        z_new = z_new + noise.draw(z_new.shape[0])
+    if not np.all(np.isfinite(z_new)):
+        raise InvalidInputError("field update produced non-finite values")
+    return z_new
+
+
 def side_step(
     field: SpatialField,
     kernel: Kernel,
@@ -136,16 +175,22 @@ def side_step(
     noise: FieldNoise | None = None,
 ) -> SpatialField:
     """One field update z' = (K f(z)) dx + e; returns a new field."""
-    fn = _SQUASH_FNS.get(f) if isinstance(f, str) else f
-    if fn is None:
-        raise ConfigError(f"unknown squash tag {f!r}; use one of {sorted(_SQUASH_FNS)}")
-    k_mat = quadrature_matrix(field, kernel)
-    z_new = (k_mat @ fn(field.z)) * field.dx
-    if noise is not None:
-        z_new = z_new + noise.draw(field.n_sites)
-    if not np.all(np.isfinite(z_new)):
-        raise InvalidInputError("field update produced non-finite values")
+    fn = _squash_fn(f)
+    z_new = _advance(quadrature_matrix(field, kernel), field.z, field.dx, fn, noise)
     return SpatialField(field.sites, z_new, field.dx)
+
+
+def _check_base_rate(base_rate: float) -> None:
+    if not base_rate > 0 or not np.isfinite(base_rate):
+        raise ConfigError(f"base_rate must be finite and positive, got {base_rate}")
+
+
+def _rates(base_rate: float, z: np.ndarray) -> np.ndarray:
+    """Poisson rates mu * exp(z), rejected if any overflowed or is too large to draw."""
+    rates = base_rate * np.exp(z)
+    if not np.all(rates <= _MAX_RATE):
+        raise InvalidInputError("intensity overflowed; field values too large")
+    return rates
 
 
 @dataclass(frozen=True)
@@ -156,16 +201,14 @@ class TrafficIntensity:
     z: np.ndarray
 
     def __post_init__(self):
-        if self.base_rate <= 0 or not np.isfinite(self.base_rate):
-            raise ConfigError(f"base_rate must be positive, got {self.base_rate}")
+        _check_base_rate(self.base_rate)
         z = np.asarray(self.z, dtype=float)
         object.__setattr__(self, "z", z)
-        if not np.all(np.isfinite(self.rates)):
-            raise InvalidInputError("intensity overflowed; field values too large")
+        _rates(self.base_rate, z)
 
     @property
     def rates(self) -> np.ndarray:
-        return self.base_rate * np.exp(self.z)
+        return _rates(self.base_rate, self.z)
 
 
 def sample_traffic(intensity: TrafficIntensity, rng: np.random.Generator) -> np.ndarray:
@@ -178,7 +221,13 @@ class FieldTrafficSource:
 
     Multiple consumers can pull arrivals for different sites in any order;
     each slot's field step and Poisson draw happen exactly once and are
-    cached, so all consumers see one consistent realisation.
+    cached read-only, so all consumers see one consistent realisation.
+
+    The squash function and the quadrature matrix are resolved and built
+    once, at construction, since sites, kernel and dx are fixed; each slot
+    is then one ``_advance`` of the bare z array, one ``_rates`` and one
+    Poisson draw, with the same bytes and generator order as stepping a
+    ``SpatialField`` through ``side_step`` and ``TrafficIntensity``.
     """
 
     def __init__(
@@ -191,45 +240,59 @@ class FieldTrafficSource:
         seed: int = 0,
         burn_in: int = 0,
     ):
-        for _ in range(int(burn_in)):
-            field = side_step(field, kernel, squash, noise)
-        self.field = field
-        self.kernel = kernel
-        self.squash = squash
-        self.noise = noise
+        self._fn = _squash_fn(squash)
         self.base_rate = float(base_rate)
+        _check_base_rate(self.base_rate)
+        self._k_mat = quadrature_matrix(field, kernel)
+        self.sites = field.sites
+        self.dx = field.dx
+        self.noise = noise
+        z = field.z
+        for _ in range(int(burn_in)):
+            z = _advance(self._k_mat, z, self.dx, self._fn, noise)
+        self._z = z
         self._rng = np.random.default_rng(seed)
         self._counts: list[np.ndarray] = []
+
+    @property
+    def n_sites(self) -> int:
+        return self.sites.shape[0]
+
+    @property
+    def field(self) -> SpatialField:
+        """The field after the last step taken, as a validated snapshot."""
+        return SpatialField(self.sites, self._z, self.dx)
 
     def counts_at(self, slot: int) -> np.ndarray:
         if slot < 0:
             raise InvalidInputError("slot must be >= 0")
         while len(self._counts) <= slot:
-            self.field = side_step(self.field, self.kernel, self.squash, self.noise)
-            intensity = TrafficIntensity(self.base_rate, self.field.z)
-            self._counts.append(sample_traffic(intensity, self._rng))
+            self._z = _advance(self._k_mat, self._z, self.dx, self._fn, self.noise)
+            counts = self._rng.poisson(_rates(self.base_rate, self._z))
+            counts.setflags(write=False)
+            self._counts.append(counts)
         return self._counts[slot]
 
     def stream(self, site: int) -> Callable[[int], int]:
         """Per-slot arrival callable for one site, env-traffic compatible."""
-        if not 0 <= site < self.field.n_sites:
+        if not 0 <= site < self.n_sites:
             raise InvalidInputError(f"site {site} out of range")
         return lambda slot: int(self.counts_at(slot)[site])
 
     def stream_region(self, sites) -> Callable[[int], int]:
         """Per-slot arrivals summed over a cell of sites (one station's view)."""
-        idx = [int(s) for s in sites]
-        if not idx:
+        idx = np.array([int(s) for s in sites], dtype=np.intp)
+        if not idx.size:
             raise InvalidInputError("region needs at least one site")
         for s in idx:
-            if not 0 <= s < self.field.n_sites:
+            if not 0 <= s < self.n_sites:
                 raise InvalidInputError(f"site {s} out of range")
         return lambda slot: int(self.counts_at(slot)[idx].sum())
 
     def history(self) -> np.ndarray:
         """All counts sampled so far, shape (slots, n_sites)."""
         if not self._counts:
-            return np.zeros((0, self.field.n_sites), dtype=int)
+            return np.zeros((0, self.n_sites), dtype=int)
         return np.asarray(self._counts)
 
     def region_history(self, cells) -> np.ndarray:

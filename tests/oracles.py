@@ -12,7 +12,7 @@ import itertools
 import struct
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from greenrl.neural import (
 )
 from greenrl.rach_env import BernoulliTraffic, RachEnv, SlotOutcome, simulate_contention
 from greenrl.rl_core import Transition, check_discount, epsilon_greedy
+from greenrl.spatial import FieldNoise, Kernel, SpatialField, quadrature_matrix
 
 # ---------------------------------------------------------------------------
 # Finite MDPs
@@ -247,6 +248,132 @@ def brute_force_side_step(sites, z, dx, amplitude, length_scale, f) -> np.ndarra
             acc += amplitude * np.exp(-d2 / (2.0 * length_scale**2)) * fz[j]
         out[i] = acc * dx
     return out
+
+
+# ---------------------------------------------------------------------------
+# Field traffic source
+# ---------------------------------------------------------------------------
+
+# The field step, intensity and traffic source as they were before the
+# source stepped a bare array through a propagator built once: a new
+# quadrature matrix and a validated SpatialField every step, and a
+# TrafficIntensity per slot.  The spatial parity tests match them bit for bit.
+
+_REFERENCE_SQUASH_FNS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "identity": lambda z: z,
+    "squash": np.tanh,
+}
+
+
+def reference_side_step(
+    field: SpatialField,
+    kernel: Kernel,
+    f: str | Callable[[np.ndarray], np.ndarray] = "squash",
+    noise: FieldNoise | None = None,
+) -> SpatialField:
+    """One field update z' = (K f(z)) dx + e; returns a new field."""
+    fn = _REFERENCE_SQUASH_FNS.get(f) if isinstance(f, str) else f
+    if fn is None:
+        raise ConfigError(f"unknown squash tag {f!r}; use one of {sorted(_REFERENCE_SQUASH_FNS)}")
+    k_mat = quadrature_matrix(field, kernel)
+    z_new = (k_mat @ fn(field.z)) * field.dx
+    if noise is not None:
+        z_new = z_new + noise.draw(field.n_sites)
+    if not np.all(np.isfinite(z_new)):
+        raise InvalidInputError("field update produced non-finite values")
+    return SpatialField(field.sites, z_new, field.dx)
+
+
+@dataclass(frozen=True)
+class ReferenceTrafficIntensity:
+    """Per-site Poisson rates mu * exp(z) for one field snapshot."""
+
+    base_rate: float
+    z: np.ndarray
+
+    def __post_init__(self):
+        if self.base_rate <= 0 or not np.isfinite(self.base_rate):
+            raise ConfigError(f"base_rate must be positive, got {self.base_rate}")
+        z = np.asarray(self.z, dtype=float)
+        object.__setattr__(self, "z", z)
+        if not np.all(np.isfinite(self.rates)):
+            raise InvalidInputError("intensity overflowed; field values too large")
+
+    @property
+    def rates(self) -> np.ndarray:
+        return self.base_rate * np.exp(self.z)
+
+
+def reference_sample_traffic(
+    intensity: ReferenceTrafficIntensity, rng: np.random.Generator
+) -> np.ndarray:
+    """Independent Poisson draw per site at the current rates."""
+    return rng.poisson(intensity.rates)
+
+
+class ReferenceFieldTrafficSource:
+    """Advances a field one step per slot on demand and serves site counts.
+
+    Multiple consumers can pull arrivals for different sites in any order;
+    each slot's field step and Poisson draw happen exactly once and are
+    cached, so all consumers see one consistent realisation.
+    """
+
+    def __init__(
+        self,
+        field: SpatialField,
+        kernel: Kernel,
+        squash: str | Callable[[np.ndarray], np.ndarray],
+        noise: FieldNoise,
+        base_rate: float,
+        seed: int = 0,
+        burn_in: int = 0,
+    ):
+        for _ in range(int(burn_in)):
+            field = reference_side_step(field, kernel, squash, noise)
+        self.field = field
+        self.kernel = kernel
+        self.squash = squash
+        self.noise = noise
+        self.base_rate = float(base_rate)
+        self._rng = np.random.default_rng(seed)
+        self._counts: list[np.ndarray] = []
+
+    def counts_at(self, slot: int) -> np.ndarray:
+        if slot < 0:
+            raise InvalidInputError("slot must be >= 0")
+        while len(self._counts) <= slot:
+            self.field = reference_side_step(self.field, self.kernel, self.squash, self.noise)
+            intensity = ReferenceTrafficIntensity(self.base_rate, self.field.z)
+            self._counts.append(reference_sample_traffic(intensity, self._rng))
+        return self._counts[slot]
+
+    def stream(self, site: int) -> Callable[[int], int]:
+        """Per-slot arrival callable for one site, env-traffic compatible."""
+        if not 0 <= site < self.field.n_sites:
+            raise InvalidInputError(f"site {site} out of range")
+        return lambda slot: int(self.counts_at(slot)[site])
+
+    def stream_region(self, sites) -> Callable[[int], int]:
+        """Per-slot arrivals summed over a cell of sites (one station's view)."""
+        idx = [int(s) for s in sites]
+        if not idx:
+            raise InvalidInputError("region needs at least one site")
+        for s in idx:
+            if not 0 <= s < self.field.n_sites:
+                raise InvalidInputError(f"site {s} out of range")
+        return lambda slot: int(self.counts_at(slot)[idx].sum())
+
+    def history(self) -> np.ndarray:
+        """All counts sampled so far, shape (slots, n_sites)."""
+        if not self._counts:
+            return np.zeros((0, self.field.n_sites), dtype=int)
+        return np.asarray(self._counts)
+
+    def region_history(self, cells) -> np.ndarray:
+        """Summed count series per cell, shape (slots, n_cells)."""
+        hist = self.history()
+        return np.stack([hist[:, [int(s) for s in cell]].sum(axis=1) for cell in cells], axis=1)
 
 
 # ---------------------------------------------------------------------------

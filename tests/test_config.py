@@ -102,6 +102,30 @@ def test_spatial_section_validation(kwargs):
         SpatialSection(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("mu", -1.0),
+        ("mu", 0.0),
+        ("mu", float("inf")),
+        ("noise_sigma", -0.5),
+        ("noise_sigma", float("nan")),
+        ("squash", "nope"),
+        ("kernel_amplitude", -0.1),
+        ("kernel_amplitude", float("inf")),
+        ("kernel_length_scale", 0.0),
+        ("kernel_length_scale", float("nan")),
+        ("n_sites", 0),
+        ("length", 0.0),
+        ("length", float("inf")),
+        ("burn_in", -1),
+    ],
+)
+def test_spatial_field_checks_name_the_dotted_path(key, value):
+    with pytest.raises(ConfigError, match=rf"^config\.spatial\.{key}: must be"):
+        config_from_dict({"scenario": "transfer", "spatial": {key: value}})
+
+
 def test_spatial_cells_normalised_to_int_tuples():
     sec = SpatialSection(n_sites=4, bs_cells=([0, 1], [2, 3]))
     assert sec.bs_cells == ((0, 1), (2, 3))

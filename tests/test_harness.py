@@ -286,6 +286,21 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("mu", -1), ("squash", "nope"), ("noise_sigma", -0.5), ("kernel_length_scale", 0)],
+)
+def test_cli_rejects_bad_spatial_field_before_writing(tmp_path, capsys, key, value):
+    path = write_config_file(
+        tmp_path, scenario="transfer", agent="dqn", reward_threshold=1.0, spatial={key: value}
+    )
+    rc = cli_main(["run", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"spatial.{key}" in err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_cli_compare(tmp_path, capsys):
     a = write_config_file(tmp_path, name="heur")
     b = write_config_file(tmp_path, name="rand", agent="random")

@@ -387,3 +387,188 @@ def test_transfer_is_convex_combination(consts, beta, seed):
     for net in transfer_weights(nets, corr, beta):
         v = net.weights[0][0, 0]
         assert min(consts) - 1e-9 <= v <= max(consts) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the source's built-once propagator against the per-step reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dx", [float("nan"), float("inf")])
+def test_field_rejects_non_finite_dx(dx):
+    with pytest.raises(ConfigError):
+        SpatialField([0.0], np.zeros(1), dx)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_noise_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ConfigError):
+        FieldNoise(sigma)
+
+
+def make_source(cls=FieldTrafficSource, **overrides):
+    args = {
+        "field": SpatialField.line(4, 4.0, z0=0.2),
+        "kernel": Kernel(0.3, 1.0),
+        "squash": "identity",
+        "noise": FieldNoise(0.2, seed=3),
+        "base_rate": 1.0,
+        "seed": 5,
+        "burn_in": 0,
+    }
+    args.update(overrides)
+    return cls(**args)
+
+
+def test_source_rejects_unknown_squash_at_construction():
+    with pytest.raises(ConfigError, match="squash"):
+        make_source(squash="linear")
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_source_rejects_bad_base_rate_at_construction(rate):
+    with pytest.raises(ConfigError, match="base_rate"):
+        make_source(base_rate=rate)
+
+
+def test_cached_counts_are_read_only():
+    src = make_source()
+    first = src.counts_at(0)
+    kept = first.copy()
+    with pytest.raises(ValueError):
+        src.counts_at(0)[:] = 99
+    with pytest.raises(ValueError):
+        first[0] = 99
+    np.testing.assert_array_equal(src.counts_at(0), kept)
+    np.testing.assert_array_equal(src.history()[0], kept)
+
+
+def test_silent_noise_still_clears_negative_zero():
+    """A field decaying into underflow reaches -0.0; adding sigma-0 noise makes it +0.0."""
+    from oracles import ReferenceFieldTrafficSource
+
+    kwargs = {
+        "field": SpatialField(np.array([0.0]), np.array([-5e-324]), 0.5),
+        "kernel": Kernel(1.0, 1.0),
+        "noise": FieldNoise(0.0),
+        "burn_in": 1,
+    }
+    src, ref = make_source(**kwargs), make_source(ReferenceFieldTrafficSource, **kwargs)
+    assert ref.field.z.tobytes() == np.zeros(1).tobytes()
+    assert src.field.z.tobytes() == ref.field.z.tobytes()
+    np.testing.assert_array_equal(src.counts_at(2), ref.counts_at(2))
+    assert src.field.z.tobytes() == ref.field.z.tobytes()
+
+
+def test_quadrature_matrix_built_once_per_source(monkeypatch):
+    import greenrl.spatial as spatial
+
+    calls = []
+    original = spatial.quadrature_matrix
+
+    def counting(field, kernel):
+        calls.append(1)
+        return original(field, kernel)
+
+    monkeypatch.setattr(spatial, "quadrature_matrix", counting)
+    src = make_source(burn_in=7)
+    for slot in (12, 3, 40):
+        src.counts_at(slot)
+    src.stream_region([0, 3])(55)
+    assert len(calls) == 1
+
+
+def _slot_outcomes(src, slots):
+    """Counts per requested slot, up to and including the first that raised."""
+    out = []
+    for slot in slots:
+        try:
+            out.append(src.counts_at(slot).tolist())
+        except ValueError as exc:
+            out.append(exc)
+            break
+    return out
+
+
+def assert_same_outcomes(got, want):
+    """Equal counts and an error at the same slot; the source's is always typed.
+
+    The reference lets numpy's bare ValueError through when a finite rate is
+    too large for the Poisson sampler.
+    """
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, ValueError):
+            assert isinstance(g, InvalidInputError)
+        else:
+            assert g == w
+
+
+@pytest.mark.parametrize(
+    "z0,amplitude,want_slot",
+    [
+        (1.0, 10.0, 1),  # e**100 is finite but too large a Poisson rate
+        (0.04, 1000.0, 1),  # e**40000 overflows
+        (1e308, 10.0, 0),  # the matvec itself overflows
+    ],
+)
+def test_overflow_raises_at_the_reference_slot(z0, amplitude, want_slot):
+    from oracles import ReferenceFieldTrafficSource
+
+    kwargs = {
+        "field": SpatialField(np.array([0.0]), np.array([z0]), 1.0),
+        "kernel": Kernel(amplitude, 1.0),
+        "noise": FieldNoise(0.0),
+    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _slot_outcomes(make_source(**kwargs), range(10))
+        want = _slot_outcomes(make_source(ReferenceFieldTrafficSource, **kwargs), range(10))
+    assert_same_outcomes(got, want)
+    assert len(got) == want_slot + 1 and isinstance(got[-1], InvalidInputError)
+
+
+@given(
+    n_sites=st.integers(min_value=1, max_value=16),
+    length=st.floats(min_value=0.5, max_value=40.0),
+    amplitude=st.floats(min_value=0.0, max_value=0.3),
+    length_scale=st.floats(min_value=0.1, max_value=3.0),
+    squash=st.sampled_from(["identity", "squash", "sin"]),
+    sigma=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0)),
+    burn_in=st.integers(min_value=0, max_value=50),
+    base_rate=st.floats(min_value=0.05, max_value=5.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    slots=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_source_matches_reference_bit_for_bit(
+    n_sites, length, amplitude, length_scale, squash, sigma, burn_in, base_rate, seed, slots
+):
+    from oracles import ReferenceFieldTrafficSource
+
+    fn = np.sin if squash == "sin" else squash
+    z0 = np.random.default_rng(seed).normal(0.0, 0.5, size=n_sites)
+
+    def build(cls):
+        return cls(
+            SpatialField.line(n_sites, length, z0=z0),
+            Kernel(amplitude, length_scale),
+            fn,
+            FieldNoise(sigma, seed=seed),
+            base_rate,
+            seed=seed + 1,
+            burn_in=burn_in,
+        )
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        src, ref = build(FieldTrafficSource), build(ReferenceFieldTrafficSource)
+        assert src.field.z.tobytes() == ref.field.z.tobytes()
+        got, want = _slot_outcomes(src, slots), _slot_outcomes(ref, slots)
+    assert_same_outcomes(got, want)
+    assert src.field.z.tobytes() == ref.field.z.tobytes()
+    assert src.history().tobytes() == ref.history().tobytes()
+    assert src.history().shape == ref.history().shape
+    cells = [list(range(0, n_sites, 2)), [n_sites - 1]]
+    if len(src.history()):
+        np.testing.assert_array_equal(src.region_history(cells), ref.region_history(cells))
+        region, ref_region = src.stream_region(cells[0]), ref.stream_region(cells[0])
+        assert [region(s) for s in slots] == [ref_region(s) for s in slots]
