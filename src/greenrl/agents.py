@@ -5,6 +5,20 @@ discretised single-slot observation, linear Q-learning on the full history
 window, the load-estimating heuristic, and a uniform-random sanity baseline.
 All of them act per slot on the local machine; only the DQN arm goes through
 the cloud session machinery.
+
+Each agent computes its features once per observation and acts and learns
+on them: ``features(obs)`` is the tabular agent's bin triple, the linear
+agent's ``[obs / norm; 1]`` vector in one array, the LE-URC agent's checked
+count list, and the observation itself for the random agent.  The drivers
+(``run_local_agent``, ``greedy_action``, ``evaluate_greedy_agent``) carry
+one slot's features over as the next slot's, so an observation is
+featurised once however often it is read.  ``learn(feat, a, r, next_feat)``
+writes the agent's own table row or weight row in place, through the same
+rules the public ``rl_core`` functions use (``q_backup``, ``bias_features``,
+``linear_q_step``, and ``bin_indices``, ``le_urc_pick`` beside them), so
+there is one formula per rule.  The constants are checked once, by
+``LocalAgentParams``; the per-slot data checks stay (finite features, finite
+reward, action in range).
 """
 
 from __future__ import annotations
@@ -14,19 +28,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cloud_loop import build_state, derive_seeds, epsilon_linear
-from .compression import DiscretizationScheme, discretize
+from .compression import DiscretizationScheme, bin_indices
 from .errors import ConfigError
 from .neural import DenseNet, forward
-from .rach_env import RachConfig, RachEnv, le_urc_policy
-from .rl_core import (
-    LinearQ,
-    QTable,
-    Transition,
-    epsilon_greedy,
-    linear_q_predict,
-    linear_q_update,
-    tabular_q_update,
-)
+from .rach_env import RachConfig, RachEnv, le_urc_counts, le_urc_pick, le_urc_ranking
+from .rl_core import LinearQ, QTable, bias_features, epsilon_greedy, linear_q_step, q_backup
 
 __all__ = [
     "LocalAgentParams",
@@ -43,6 +49,16 @@ __all__ = [
 ]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _in_unit(x, low_open: bool) -> bool:
+    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
+        return False
+    return (0.0 < x <= 1.0) if low_open else (0.0 <= x <= 1.0)
+
+
 @dataclass(frozen=True)
 class LocalAgentParams:
     alpha: float = 0.05
@@ -53,90 +69,133 @@ class LocalAgentParams:
     eps_decay_steps: int = 3000
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ConfigError("levels must be >= 2")
+        # (field, value is in range, the rule as reported)
+        checks = (
+            ("alpha", _in_unit(self.alpha, True), "a number in (0, 1]"),
+            ("discount", _in_unit(self.discount, True), "a number in (0, 1]"),
+            ("levels", _is_int(self.levels) and self.levels >= 2, "an integer >= 2"),
+            ("eps_start", _in_unit(self.eps_start, False), "a number in [0, 1]"),
+            ("eps_end", _in_unit(self.eps_end, False), "a number in [0, 1]"),
+            (
+                "eps_decay_steps",
+                _is_int(self.eps_decay_steps) and self.eps_decay_steps >= 1,
+                "an integer >= 1",
+            ),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
 
 
-class TabularQAgent:
+class _EpsilonGreedyAgent:
+    """Shared schedule of the two learning agents: epsilon anneals with the
+    number of updates taken, and a greedy pick is epsilon 0."""
+
+    def __init__(self, params: LocalAgentParams, rng):
+        self.params = params
+        self.rng = rng
+        self.slot = 0
+        # Python floats, as the public updates' checks return them
+        self.discount, self.alpha = float(params.discount), float(params.alpha)
+
+    def epsilon(self) -> float:
+        p = self.params
+        return epsilon_linear(self.slot, p.eps_start, p.eps_end, p.eps_decay_steps)
+
+    def act(self, feat) -> int:
+        return epsilon_greedy(self.q_values(feat), self.epsilon(), self.rng)
+
+    def greedy(self, feat) -> int:
+        return epsilon_greedy(self.q_values(feat), 0.0, self.rng)
+
+
+class TabularQAgent(_EpsilonGreedyAgent):
     """Q-table over the latest slot triple, each count binned equal-width.
 
     The full window is far too large to enumerate, so the table sees only
-    the most recent (idle, collided, successful) triple.
+    the most recent (idle, collided, successful) triple; that bin triple is
+    the agent's features and its table key.
     """
 
     def __init__(self, n_actions: int, norm: float, params: LocalAgentParams, rng):
-        self.params = params
+        super().__init__(params, rng)
         self.norm = norm
-        self.rng = rng
-        self.table = QTable(n_actions, params.alpha)
+        self.table = QTable(n_actions, self.alpha)
         self.scheme = DiscretizationScheme(0.0, norm + 1.0, params.levels)
-        self.slot = 0
+        # what an unseen state reads as; never written
+        self._unseen = np.zeros(n_actions)
 
-    def _key(self, obs: np.ndarray) -> tuple[int, ...]:
-        return tuple(discretize(self.scheme, v) for v in np.asarray(obs)[:3])
+    def features(self, obs) -> tuple[int, ...]:
+        return bin_indices(self.scheme, np.asarray(obs, dtype=float)[:3].tolist())
 
-    def act(self, obs: np.ndarray) -> int:
-        eps = epsilon_linear(
-            self.slot, self.params.eps_start, self.params.eps_end, self.params.eps_decay_steps
-        )
-        return epsilon_greedy(self.table.row(self._key(obs)), eps, self.rng)
+    def q_values(self, key) -> np.ndarray:
+        return self.table.values.get(key, self._unseen)
 
-    def learn(self, obs, action, reward, next_obs) -> None:
-        t = Transition(
-            np.asarray(self._key(obs)), action, reward, np.asarray(self._key(next_obs)), False
-        )
-        self.table = tabular_q_update(self.table, t, self.params.discount)
+    def learn(self, key, action, reward, next_key) -> None:
+        q_backup(self.table, key, action, reward, next_key, self.discount)
         self.slot += 1
 
 
-class LinearQAgent:
-    """Semi-gradient linear Q-learning on the normalised window vector."""
+class LinearQAgent(_EpsilonGreedyAgent):
+    """Semi-gradient linear Q-learning on the normalised window vector;
+    its features are ``[obs / norm; 1]``."""
 
     def __init__(self, n_actions: int, n_features: int, norm: float, params: LocalAgentParams, rng):
-        self.params = params
+        super().__init__(params, rng)
         self.norm = norm
-        self.rng = rng
         self.model = LinearQ.zeros(n_actions, n_features)
-        self.slot = 0
 
-    def _feat(self, obs: np.ndarray) -> np.ndarray:
-        return np.asarray(obs, dtype=float) / self.norm
+    def features(self, obs) -> np.ndarray:
+        return bias_features(obs, self.model.n_features, self.norm)
 
-    def act(self, obs: np.ndarray) -> int:
-        eps = epsilon_linear(
-            self.slot, self.params.eps_start, self.params.eps_end, self.params.eps_decay_steps
-        )
-        return epsilon_greedy(linear_q_predict(self.model, self._feat(obs)), eps, self.rng)
+    def q_values(self, phi) -> np.ndarray:
+        return self.model.weights.dot(phi)
 
-    def learn(self, obs, action, reward, next_obs) -> None:
-        t = Transition(self._feat(obs), action, reward, self._feat(next_obs), False)
-        self.model = linear_q_update(self.model, t, self.params.discount, self.params.alpha)
+    def learn(self, phi, action, reward, next_phi) -> None:
+        linear_q_step(self.model.weights, phi, action, reward, next_phi, self.discount, self.alpha)
         self.slot += 1
 
 
-class LeUrcAgent:
-    """Stateless wrapper around the load-estimating heuristic."""
+class _FixedPolicyAgent:
+    """An agent that does not learn: greedy is acting, and epsilon is 0."""
 
-    def __init__(self, menu):
-        self.menu = tuple(menu)
-
-    def act(self, obs: np.ndarray) -> int:
-        return self.menu.index(le_urc_policy(obs, self.menu))
+    def greedy(self, feat) -> int:
+        return self.act(feat)
 
     def learn(self, *args) -> None:
         pass
 
+    def epsilon(self) -> float:
+        return 0.0
 
-class RandomAgent:
+
+class LeUrcAgent(_FixedPolicyAgent):
+    """Stateless wrapper around the load-estimating heuristic; its features
+    are the observation's checked count list."""
+
+    def __init__(self, menu):
+        self.menu = tuple(menu)
+        self._ranking = le_urc_ranking(self.menu)
+
+    def features(self, obs) -> list[float]:
+        return le_urc_counts(obs)
+
+    def act(self, counts) -> int:
+        return le_urc_pick(counts, self._ranking)
+
+
+class RandomAgent(_FixedPolicyAgent):
+    """Uniform over the menu; its features are the observation, unread."""
+
     def __init__(self, n_actions: int, rng):
         self.n_actions = n_actions
         self.rng = rng
 
-    def act(self, obs: np.ndarray) -> int:
-        return int(self.rng.integers(self.n_actions))
+    def features(self, obs):
+        return obs
 
-    def learn(self, *args) -> None:
-        pass
+    def act(self, feat) -> int:
+        return int(self.rng.integers(self.n_actions))
 
 
 LOCAL_AGENTS = ("tabular", "la-q", "le-urc", "random")
@@ -170,51 +229,47 @@ def run_local_agent(
 
     Seeds derive exactly as a one-entity cloud session would derive them,
     so runs with the same seed see identical arrival and contention noise
-    regardless of the agent (paired comparisons stay paired).
+    regardless of the agent (paired comparisons stay paired).  Each
+    observation is featurised once: a slot's next features are the
+    following slot's features.
     """
     seeds = derive_seeds(seed, 1)["entities"][0]
     env = RachEnv(replace(env_cfg, seed=seeds["env"]))
     rng = np.random.default_rng(seeds["action"])
     agent = make_agent(kind, env_cfg, params, rng)
-    obs = env.reset()
+    menu = env_cfg.action_menu
+    feat = agent.features(env.reset())
     rows: list[dict] = []
-    bucket_rewards: list[float] = []
-    for slot in range(total_slots):
-        action = agent.act(obs)
-        next_obs, reward, _ = env.step(env_cfg.action_menu[action])
-        agent.learn(obs, action, reward, next_obs)
-        obs = next_obs
-        bucket_rewards.append(reward)
-        if len(bucket_rewards) == bucket or slot == total_slots - 1:
-            eps = epsilon_linear(
-                getattr(agent, "slot", slot),
-                params.eps_start,
-                params.eps_end,
-                params.eps_decay_steps,
-            )
-            rows.append(
-                {
-                    "round": len(rows),
-                    "entity": 0,
-                    "reward_mean": float(np.mean(bucket_rewards)),
-                    "loss": float("nan"),
-                    "epsilon": eps if kind in ("tabular", "la-q") else 0.0,
-                    "staleness": 0,
-                    "bytes_down_total": 0,
-                    "bytes_up_total": 0,
-                }
-            )
-            bucket_rewards = []
+    for start in range(0, total_slots, bucket):
+        n = min(bucket, total_slots - start)
+        total = 0.0
+        for _ in range(n):
+            action = agent.act(feat)
+            next_obs, reward, _ = env.step(menu[action])
+            next_feat = agent.features(next_obs)
+            agent.learn(feat, action, reward, next_feat)
+            feat = next_feat
+            total += reward
+        rows.append(
+            {
+                "round": len(rows),
+                "entity": 0,
+                # rewards are whole counts of served devices, so the running
+                # sum is exact in any order and total / n is np.mean's value
+                "reward_mean": total / n,
+                "loss": float("nan"),
+                "epsilon": agent.epsilon(),
+                "staleness": 0,
+                "bytes_down_total": 0,
+                "bytes_up_total": 0,
+            }
+        )
     return rows, agent
 
 
 def greedy_action(agent, obs: np.ndarray) -> int:
     """Exploitation-only action for a trained local agent."""
-    if isinstance(agent, TabularQAgent):
-        return int(np.argmax(agent.table.row(agent._key(obs))))
-    if isinstance(agent, LinearQAgent):
-        return int(np.argmax(linear_q_predict(agent.model, agent._feat(obs))))
-    return agent.act(obs)
+    return agent.greedy(agent.features(obs))
 
 
 def evaluate_greedy_agent(agent, env_cfg: RachConfig, slots: int, seed: int) -> float:
@@ -225,10 +280,11 @@ def evaluate_greedy_agent(agent, env_cfg: RachConfig, slots: int, seed: int) -> 
     """
     seeds = derive_seeds(seed, 1)["entities"][0]
     env = RachEnv(replace(env_cfg, seed=seeds["env"]))
+    menu = env_cfg.action_menu
     obs = env.reset()
     total = 0.0
     for _ in range(slots):
-        obs, reward, _ = env.step(env_cfg.action_menu[greedy_action(agent, obs)])
+        obs, reward, _ = env.step(menu[greedy_action(agent, obs)])
         total += reward
     return total / slots
 

@@ -39,6 +39,9 @@ __all__ = [
     "simulate_contention",
     "expected_successes",
     "le_urc_policy",
+    "le_urc_counts",
+    "le_urc_ranking",
+    "le_urc_pick",
     "COLLISION_MULTIPLICITY",
     "write_trace_csv",
     "TRACE_COLUMNS",
@@ -254,6 +257,47 @@ def write_trace_csv(trace: Sequence[tuple], path) -> None:
         writer.writerows(trace)
 
 
+def le_urc_counts(obs) -> list[float]:
+    """The observation as Python floats, checked for ``le_urc_pick``.
+
+    It must hold at least one slot triple, and every count must be finite
+    and non-negative.
+    """
+    v = np.asarray(obs, dtype=float).ravel().tolist()
+    if len(v) < 3:
+        raise InvalidInputError("observation must hold at least one slot triple")
+    if not all(map(math.isfinite, v)):
+        raise InvalidInputError("observation counts must be finite")
+    if min(v) < 0:
+        raise InvalidInputError("observation counts cannot be negative")
+    return v
+
+
+def le_urc_ranking(menu: Sequence[RachAction]) -> tuple[tuple[int, int], ...]:
+    """(opportunities, index) of every menu action, in tie-break order."""
+    if len(menu) == 0:
+        raise InvalidInputError("menu must be nonempty")
+    return tuple(sorted((action.opportunities, i) for i, action in enumerate(menu)))
+
+
+def le_urc_pick(counts: Sequence[float], ranking: Sequence[tuple[int, int]]) -> int:
+    """Menu index of the load-estimating pick for checked ``counts``.
+
+    The one scoring rule: ``le_urc_policy`` and the LE-URC agent both come
+    here.  Actions are scored in ``ranking`` order and a later one wins only
+    with a strictly higher score, so ties go to the smallest m, then the
+    lowest index.
+    """
+    _idle, collided, successful = counts[0], counts[1], counts[2]
+    n_hat = max(successful + COLLISION_MULTIPLICITY * collided, 1.0)
+    best_idx = best = None
+    for m, i in ranking:
+        score = n_hat * (1.0 - 1.0 / m) ** (n_hat - 1.0) if m > 1 else (1.0 if n_hat <= 1 else 0.0)
+        if best_idx is None or score > best:
+            best_idx, best = i, score
+    return best_idx
+
+
 def le_urc_policy(obs: np.ndarray, menu: Sequence[RachAction]) -> RachAction:
     """Load-estimating baseline: pseudo-Bayesian backlog estimate, myopic pick.
 
@@ -261,23 +305,7 @@ def le_urc_policy(obs: np.ndarray, menu: Sequence[RachAction]) -> RachAction:
     estimates N = max(successful + 2.39 * collided, 1) and picks the action
     maximising N (1 - 1/m)**(N-1) over each action's opportunity count m,
     ignoring repetition.  Ties go to the smallest m, then the lowest index.
+    Every count of ``obs`` must be finite and non-negative.
     """
-    if len(menu) == 0:
-        raise InvalidInputError("menu must be nonempty")
-    v = np.asarray(obs, dtype=float).ravel()
-    if v.size < 3:
-        raise InvalidInputError("observation must hold at least one slot triple")
-    if np.any(v < 0):
-        raise InvalidInputError("observation counts cannot be negative")
-    _idle, collided, successful = v[0], v[1], v[2]
-    n_hat = max(successful + COLLISION_MULTIPLICITY * collided, 1.0)
-    best_idx = None
-    best_key = None
-    for i, action in enumerate(menu):
-        m = action.opportunities
-        score = n_hat * (1.0 - 1.0 / m) ** (n_hat - 1.0) if m > 1 else (1.0 if n_hat <= 1 else 0.0)
-        key = (-score, m, i)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_idx = i
-    return menu[best_idx]
+    ranking = le_urc_ranking(menu)
+    return menu[le_urc_pick(le_urc_counts(obs), ranking)]

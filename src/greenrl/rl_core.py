@@ -23,8 +23,11 @@ __all__ = [
     "discounted_return",
     "epsilon_greedy",
     "tabular_q_update",
+    "q_backup",
+    "bias_features",
     "linear_q_predict",
     "linear_q_update",
+    "linear_q_step",
     "state_key",
 ]
 
@@ -130,27 +133,46 @@ class QTable:
         return np.zeros(self.n_actions)
 
 
-def tabular_q_update(table: QTable, t: Transition, discount: float) -> QTable:
-    """One Q-learning backup; returns a new table sharing untouched rows.
+def q_backup(table: QTable, key, action, reward, next_key, lam: float) -> None:
+    """One Q-learning backup, written into ``table``'s row for ``key`` in place.
 
-    Q(s,a) <- (1 - alpha) Q(s,a) + alpha * (r + discount * max_a' Q(s',a')),
-    with the bootstrap term dropped on terminal transitions.
+    Q(s,a) <- (1 - alpha) Q(s,a) + alpha * (r + lam * max_a' Q(s',a')),
+    with the bootstrap term dropped when ``next_key`` is None (a terminal
+    transition).  The one tabular backup: ``tabular_q_update`` and the
+    tabular agent both come here.  ``key`` and ``next_key`` are hashable
+    keys as ``state_key`` makes them, and ``lam`` is a checked discount;
+    the reward and action are checked on every call, before the table is
+    touched.
     """
-    lam = check_discount(discount)
-    if not np.isfinite(t.reward):
+    if not math.isfinite(reward):
         raise InvalidInputError("reward must be finite")
-    a = int(t.action)
+    a = int(action)
     if not 0 <= a < table.n_actions:
-        raise InvalidInputError(f"action {t.action} outside [0, {table.n_actions})")
-    row = table.row(t.state)
-    if t.terminal:
-        target = float(t.reward)
+        raise InvalidInputError(f"action {action} outside [0, {table.n_actions})")
+    values = table.values
+    row = values.get(key)
+    if row is None:
+        row = values[key] = np.zeros(table.n_actions)
+    if next_key is None:
+        target = float(reward)
     else:
-        target = float(t.reward) + lam * float(table.row(t.next_state).max())
+        nxt = values.get(next_key)
+        target = float(reward) + lam * (0.0 if nxt is None else float(nxt.max()))
     row[a] = (1.0 - table.alpha) * row[a] + table.alpha * target
-    new_values = dict(table.values)
-    new_values[state_key(t.state)] = row
-    return QTable(table.n_actions, table.alpha, new_values)
+
+
+def tabular_q_update(table: QTable, t: Transition, discount: float) -> QTable:
+    """One Q-learning backup (``q_backup``); returns a new table sharing
+    untouched rows, and leaves ``table`` as it was."""
+    lam = check_discount(discount)
+    key = state_key(t.state)
+    values = dict(table.values)
+    if key in values:
+        values[key] = values[key].copy()
+    new = QTable(table.n_actions, table.alpha, values)
+    next_key = None if t.terminal else state_key(t.next_state)
+    q_backup(new, key, t.action, t.reward, next_key, lam)
+    return new
 
 
 @dataclass
@@ -182,37 +204,64 @@ class LinearQ:
         return self.weights.shape[1] - 1
 
 
-def _bias_augment(lq: LinearQ, state) -> np.ndarray:
+def bias_features(state, n_features: int, scale: float = 1.0) -> np.ndarray:
+    """The feature vector [state / scale; 1], written into one new array.
+
+    The one bias augmentation: ``linear_q_predict``, ``linear_q_update`` and
+    the linear agent all come here.  The state must hold ``n_features``
+    values, all finite; the check reads them out as Python floats, several
+    times cheaper than ``np.isfinite`` for a window-sized vector.
+    """
     x = np.asarray(state, dtype=float).ravel()
-    if x.size != lq.n_features:
-        raise InvalidInputError(
-            f"state has {x.size} features, model expects {lq.n_features}"
-        )
-    if not np.all(np.isfinite(x)):
+    if x.size != n_features:
+        raise InvalidInputError(f"state has {x.size} features, model expects {n_features}")
+    phi = np.empty(n_features + 1)
+    np.divide(x, scale, out=phi[:n_features])
+    phi[n_features] = 1.0
+    if not all(map(math.isfinite, phi.tolist())):
         raise InvalidInputError("state features must be finite")
-    return np.append(x, 1.0)
+    return phi
 
 
 def linear_q_predict(lq: LinearQ, state) -> np.ndarray:
-    """Per-action value estimates w_a . [state; 1]."""
-    return lq.weights @ _bias_augment(lq, state)
+    """Per-action value estimates w_a . [state; 1].
+
+    The products go through ``ndarray.dot``: the same BLAS call as ``@``
+    and the same result, without matmul's ufunc overhead.
+    """
+    return lq.weights.dot(bias_features(state, lq.n_features))
+
+
+def linear_q_step(weights: np.ndarray, phi, action, reward, next_phi, lam: float, alpha: float) -> None:
+    """Semi-gradient Q-learning step on the taken action's row of ``weights``,
+    in place.
+
+    The target is r + lam * max_a' w_a' . next_phi, or r alone when
+    ``next_phi`` is None (a terminal transition).  The one linear update:
+    ``linear_q_update`` and the linear agent both come here.  ``phi`` and
+    ``next_phi`` come from ``bias_features``, and ``lam`` and ``alpha`` are
+    checked; the reward and action are checked on every call.
+    """
+    if not math.isfinite(reward):
+        raise InvalidInputError("reward must be finite")
+    a = int(action)
+    if not 0 <= a < weights.shape[0]:
+        raise InvalidInputError(f"action {action} outside [0, {weights.shape[0]})")
+    if next_phi is None:
+        target = float(reward)
+    else:
+        target = float(reward) + lam * float(weights.dot(next_phi).max())
+    pred = float(weights[a].dot(phi))
+    weights[a] += alpha * (target - pred) * phi
 
 
 def linear_q_update(lq: LinearQ, t: Transition, discount: float, alpha: float) -> LinearQ:
-    """Semi-gradient Q-learning step on the taken action's weight row."""
+    """Semi-gradient Q-learning step (``linear_q_step``) on a copy of the
+    weights; ``lq`` is left as it was."""
     lam = check_discount(discount)
     a_step = _check_step_size(alpha)
-    if not np.isfinite(t.reward):
-        raise InvalidInputError("reward must be finite")
-    a = int(t.action)
-    if not 0 <= a < lq.n_actions:
-        raise InvalidInputError(f"action {t.action} outside [0, {lq.n_actions})")
-    phi = _bias_augment(lq, t.state)
-    if t.terminal:
-        target = float(t.reward)
-    else:
-        target = float(t.reward) + lam * float(linear_q_predict(lq, t.next_state).max())
-    pred = float(lq.weights[a] @ phi)
+    phi = bias_features(t.state, lq.n_features)
+    next_phi = None if t.terminal else bias_features(t.next_state, lq.n_features)
     w = lq.weights.copy()
-    w[a] += a_step * (target - pred) * phi
+    linear_q_step(w, phi, t.action, t.reward, next_phi, lam, a_step)
     return LinearQ(w)

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from greenrl.cloud_loop import build_state, derive_seeds, epsilon_linear
+from greenrl.compression import DiscretizationScheme
 from greenrl.errors import ConfigError, InvalidInputError, NotReadyError
 from greenrl.neural import (
     DenseNet,
@@ -29,8 +30,21 @@ from greenrl.neural import (
     sgd_step,
     sync_target,
 )
-from greenrl.rach_env import BernoulliTraffic, RachEnv, SlotOutcome, simulate_contention
-from greenrl.rl_core import Transition, check_discount, epsilon_greedy
+from greenrl.rach_env import (
+    COLLISION_MULTIPLICITY,
+    BernoulliTraffic,
+    RachEnv,
+    SlotOutcome,
+    simulate_contention,
+)
+from greenrl.rl_core import (
+    LinearQ,
+    QTable,
+    Transition,
+    check_discount,
+    epsilon_greedy,
+    state_key,
+)
 from greenrl.spatial import FieldNoise, Kernel, SpatialField, quadrature_matrix
 
 # ---------------------------------------------------------------------------
@@ -698,3 +712,263 @@ class ReferenceRachEnv:
         self.slot += 1
         outcome = SlotOutcome(served=successful, backlog=self.backlog, occupancy=occupancy)
         return self.observation(), float(successful), outcome
+
+
+# ---------------------------------------------------------------------------
+# Reference local agents
+# ---------------------------------------------------------------------------
+#
+# The local agents and their drivers that the features-once path in
+# greenrl.agents replaced, kept verbatim apart from their names, with the
+# verbatim rules they called: ``discretize``, ``le_urc_policy``,
+# ``tabular_q_update``, ``linear_q_predict`` and ``linear_q_update``.  Each
+# agent keys or augments every observation itself, on every call; the
+# tabular and linear updates return a fresh table or weight matrix.  Both
+# paths draw from one generator in the same order, so for one config the
+# rows, eval rewards, final Q-table and weights must agree bit for bit.
+
+
+def reference_discretize(scheme, value: float) -> int:
+    """Bin index in [0, levels); values outside the range clamp to the edges."""
+    v = float(value)
+    if not np.isfinite(v):
+        raise InvalidInputError("value must be finite")
+    width = (scheme.high - scheme.low) / scheme.levels
+    idx = int((v - scheme.low) // width)
+    return min(max(idx, 0), scheme.levels - 1)
+
+
+def reference_le_urc_policy(obs: np.ndarray, menu):
+    """Load-estimating baseline: pseudo-Bayesian backlog estimate, myopic pick."""
+    if len(menu) == 0:
+        raise InvalidInputError("menu must be nonempty")
+    v = np.asarray(obs, dtype=float).ravel()
+    if v.size < 3:
+        raise InvalidInputError("observation must hold at least one slot triple")
+    if np.any(v < 0):
+        raise InvalidInputError("observation counts cannot be negative")
+    _idle, collided, successful = v[0], v[1], v[2]
+    n_hat = max(successful + COLLISION_MULTIPLICITY * collided, 1.0)
+    best_idx = None
+    best_key = None
+    for i, action in enumerate(menu):
+        m = action.opportunities
+        score = n_hat * (1.0 - 1.0 / m) ** (n_hat - 1.0) if m > 1 else (1.0 if n_hat <= 1 else 0.0)
+        key = (-score, m, i)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_idx = i
+    return menu[best_idx]
+
+
+def _reference_check_step_size(alpha: float) -> float:
+    a = float(alpha)
+    if not 0.0 < a <= 1.0:
+        raise ConfigError(f"step size must lie in (0, 1], got {alpha!r}")
+    return a
+
+
+def reference_tabular_q_update(table: QTable, t: Transition, discount: float) -> QTable:
+    """One Q-learning backup; returns a new table sharing untouched rows."""
+    lam = check_discount(discount)
+    if not np.isfinite(t.reward):
+        raise InvalidInputError("reward must be finite")
+    a = int(t.action)
+    if not 0 <= a < table.n_actions:
+        raise InvalidInputError(f"action {t.action} outside [0, {table.n_actions})")
+    row = table.row(t.state)
+    if t.terminal:
+        target = float(t.reward)
+    else:
+        target = float(t.reward) + lam * float(table.row(t.next_state).max())
+    row[a] = (1.0 - table.alpha) * row[a] + table.alpha * target
+    new_values = dict(table.values)
+    new_values[state_key(t.state)] = row
+    return QTable(table.n_actions, table.alpha, new_values)
+
+
+def _reference_bias_augment(lq: LinearQ, state) -> np.ndarray:
+    x = np.asarray(state, dtype=float).ravel()
+    if x.size != lq.n_features:
+        raise InvalidInputError(
+            f"state has {x.size} features, model expects {lq.n_features}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("state features must be finite")
+    return np.append(x, 1.0)
+
+
+def reference_linear_q_predict(lq: LinearQ, state) -> np.ndarray:
+    """Per-action value estimates w_a . [state; 1]."""
+    return lq.weights @ _reference_bias_augment(lq, state)
+
+
+def reference_linear_q_update(lq: LinearQ, t: Transition, discount: float, alpha: float) -> LinearQ:
+    """Semi-gradient Q-learning step on the taken action's weight row."""
+    lam = check_discount(discount)
+    a_step = _reference_check_step_size(alpha)
+    if not np.isfinite(t.reward):
+        raise InvalidInputError("reward must be finite")
+    a = int(t.action)
+    if not 0 <= a < lq.n_actions:
+        raise InvalidInputError(f"action {t.action} outside [0, {lq.n_actions})")
+    phi = _reference_bias_augment(lq, t.state)
+    if t.terminal:
+        target = float(t.reward)
+    else:
+        target = float(t.reward) + lam * float(reference_linear_q_predict(lq, t.next_state).max())
+    pred = float(lq.weights[a] @ phi)
+    w = lq.weights.copy()
+    w[a] += a_step * (target - pred) * phi
+    return LinearQ(w)
+
+
+class ReferenceTabularQAgent:
+    """Q-table over the latest slot triple, each count binned equal-width."""
+
+    def __init__(self, n_actions: int, norm: float, params, rng):
+        self.params = params
+        self.norm = norm
+        self.rng = rng
+        self.table = QTable(n_actions, params.alpha)
+        self.scheme = DiscretizationScheme(0.0, norm + 1.0, params.levels)
+        self.slot = 0
+
+    def _key(self, obs: np.ndarray) -> tuple[int, ...]:
+        return tuple(reference_discretize(self.scheme, v) for v in np.asarray(obs)[:3])
+
+    def act(self, obs: np.ndarray) -> int:
+        eps = epsilon_linear(
+            self.slot, self.params.eps_start, self.params.eps_end, self.params.eps_decay_steps
+        )
+        return epsilon_greedy(self.table.row(self._key(obs)), eps, self.rng)
+
+    def learn(self, obs, action, reward, next_obs) -> None:
+        t = Transition(
+            np.asarray(self._key(obs)), action, reward, np.asarray(self._key(next_obs)), False
+        )
+        self.table = reference_tabular_q_update(self.table, t, self.params.discount)
+        self.slot += 1
+
+
+class ReferenceLinearQAgent:
+    """Semi-gradient linear Q-learning on the normalised window vector."""
+
+    def __init__(self, n_actions: int, n_features: int, norm: float, params, rng):
+        self.params = params
+        self.norm = norm
+        self.rng = rng
+        self.model = LinearQ.zeros(n_actions, n_features)
+        self.slot = 0
+
+    def _feat(self, obs: np.ndarray) -> np.ndarray:
+        return np.asarray(obs, dtype=float) / self.norm
+
+    def act(self, obs: np.ndarray) -> int:
+        eps = epsilon_linear(
+            self.slot, self.params.eps_start, self.params.eps_end, self.params.eps_decay_steps
+        )
+        return epsilon_greedy(reference_linear_q_predict(self.model, self._feat(obs)), eps, self.rng)
+
+    def learn(self, obs, action, reward, next_obs) -> None:
+        t = Transition(self._feat(obs), action, reward, self._feat(next_obs), False)
+        self.model = reference_linear_q_update(self.model, t, self.params.discount, self.params.alpha)
+        self.slot += 1
+
+
+class ReferenceLeUrcAgent:
+    """Stateless wrapper around the load-estimating heuristic."""
+
+    def __init__(self, menu):
+        self.menu = tuple(menu)
+
+    def act(self, obs: np.ndarray) -> int:
+        return self.menu.index(reference_le_urc_policy(obs, self.menu))
+
+    def learn(self, *args) -> None:
+        pass
+
+
+class ReferenceRandomAgent:
+    def __init__(self, n_actions: int, rng):
+        self.n_actions = n_actions
+        self.rng = rng
+
+    def act(self, obs: np.ndarray) -> int:
+        return int(self.rng.integers(self.n_actions))
+
+    def learn(self, *args) -> None:
+        pass
+
+
+def reference_make_agent(kind: str, env_cfg, params, rng):
+    n_actions = len(env_cfg.action_menu)
+    norm = float(env_cfg.max_opportunities)
+    if kind == "tabular":
+        return ReferenceTabularQAgent(n_actions, norm, params, rng)
+    if kind == "la-q":
+        return ReferenceLinearQAgent(n_actions, 3 * env_cfg.history_window, norm, params, rng)
+    if kind == "le-urc":
+        return ReferenceLeUrcAgent(env_cfg.action_menu)
+    if kind == "random":
+        return ReferenceRandomAgent(n_actions, rng)
+    raise ConfigError(f"unknown local agent {kind!r}")
+
+
+def reference_run_local_agent(env_cfg, kind: str, params, total_slots: int, bucket: int, seed: int):
+    """Run one local agent; rows aggregate every ``bucket`` slots."""
+    seeds = derive_seeds(seed, 1)["entities"][0]
+    env = RachEnv(replace(env_cfg, seed=seeds["env"]))
+    rng = np.random.default_rng(seeds["action"])
+    agent = reference_make_agent(kind, env_cfg, params, rng)
+    obs = env.reset()
+    rows: list[dict] = []
+    bucket_rewards: list[float] = []
+    for slot in range(total_slots):
+        action = agent.act(obs)
+        next_obs, reward, _ = env.step(env_cfg.action_menu[action])
+        agent.learn(obs, action, reward, next_obs)
+        obs = next_obs
+        bucket_rewards.append(reward)
+        if len(bucket_rewards) == bucket or slot == total_slots - 1:
+            eps = epsilon_linear(
+                getattr(agent, "slot", slot),
+                params.eps_start,
+                params.eps_end,
+                params.eps_decay_steps,
+            )
+            rows.append(
+                {
+                    "round": len(rows),
+                    "entity": 0,
+                    "reward_mean": float(np.mean(bucket_rewards)),
+                    "loss": float("nan"),
+                    "epsilon": eps if kind in ("tabular", "la-q") else 0.0,
+                    "staleness": 0,
+                    "bytes_down_total": 0,
+                    "bytes_up_total": 0,
+                }
+            )
+            bucket_rewards = []
+    return rows, agent
+
+
+def reference_greedy_action(agent, obs: np.ndarray) -> int:
+    """Exploitation-only action for a trained local agent."""
+    if isinstance(agent, ReferenceTabularQAgent):
+        return int(np.argmax(agent.table.row(agent._key(obs))))
+    if isinstance(agent, ReferenceLinearQAgent):
+        return int(np.argmax(reference_linear_q_predict(agent.model, agent._feat(obs))))
+    return agent.act(obs)
+
+
+def reference_evaluate_greedy_agent(agent, env_cfg, slots: int, seed: int) -> float:
+    """Mean per-slot reward of a frozen local agent on a fresh env."""
+    seeds = derive_seeds(seed, 1)["entities"][0]
+    env = RachEnv(replace(env_cfg, seed=seeds["env"]))
+    obs = env.reset()
+    total = 0.0
+    for _ in range(slots):
+        obs, reward, _ = env.step(env_cfg.action_menu[reference_greedy_action(agent, obs)])
+        total += reward
+    return total / slots

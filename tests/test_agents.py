@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenrl.agents import (
     LOCAL_AGENTS,
@@ -14,9 +16,11 @@ from greenrl.agents import (
     make_agent,
     run_local_agent,
 )
+from greenrl.config import config_from_dict
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.neural import glorot_init
 from greenrl.rach_env import BernoulliTraffic, RachAction, RachConfig, le_urc_policy
+from oracles import reference_evaluate_greedy_agent, reference_run_local_agent
 
 MENU = (
     RachAction(1, 8, 8),
@@ -42,6 +46,75 @@ def test_params_validation():
         LocalAgentParams(levels=1)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("alpha", 0.0),
+        ("alpha", 1.5),
+        ("alpha", float("nan")),
+        ("alpha", "0.1"),
+        ("discount", 0.0),
+        ("discount", 1.01),
+        ("discount", True),
+        ("levels", 1),
+        ("levels", 2.5),
+        ("eps_start", 2.0),
+        ("eps_start", -0.1),
+        ("eps_end", float("inf")),
+        ("eps_decay_steps", 0),
+        ("eps_decay_steps", 10.5),
+        ("eps_decay_steps", None),
+    ],
+)
+def test_params_checks_name_the_dotted_path(key, value):
+    with pytest.raises(ConfigError, match=rf"^config\.agent_params\.{key}: must be"):
+        config_from_dict({"agent": "la-q", "agent_params": {key: value}})
+
+
+def test_params_accept_the_range_edges():
+    LocalAgentParams(alpha=1.0, discount=1.0, levels=2, eps_start=0.0, eps_end=1.0, eps_decay_steps=1)
+    LocalAgentParams(alpha=1, levels=np.int64(3), eps_start=np.float32(0.5))
+
+
+def test_learning_agents_update_their_own_rows_in_place():
+    params = LocalAgentParams(alpha=0.5)
+    tab = TabularQAgent(4, 48.0, params, np.random.default_rng(0))
+    key = tab.features(np.zeros(6))
+    tab.learn(key, 1, 2.0, key)
+    values, row = tab.table.values, tab.table.values[key]
+    tab.learn(key, 1, 2.0, key)
+    assert tab.table.values is values and tab.table.values[key] is row
+    assert row[1] == pytest.approx(0.5 * 1.0 + 0.5 * (2.0 + 0.9 * 1.0))
+    laq = LinearQAgent(4, 6, 48.0, params, np.random.default_rng(0))
+    weights = laq.model.weights
+    phi = laq.features(np.full(6, 24.0))
+    laq.learn(phi, 2, 1.0, phi)
+    assert laq.model.weights is weights
+    assert np.any(weights[2] != 0.0) and not np.any(weights[[0, 1, 3]])
+
+
+def test_agents_reject_bad_slot_data():
+    params = LocalAgentParams()
+    tab = TabularQAgent(4, 48.0, params, np.random.default_rng(0))
+    laq = LinearQAgent(4, 6, 48.0, params, np.random.default_rng(0))
+    urc = LeUrcAgent(MENU)
+    for agent in (tab, laq, urc):
+        for bad in (np.nan, np.inf):
+            obs = np.zeros(6)
+            obs[1] = bad
+            with pytest.raises(InvalidInputError):
+                agent.features(obs)
+    for agent in (tab, laq):
+        feat = agent.features(np.zeros(6))
+        with pytest.raises(InvalidInputError):
+            agent.learn(feat, 0, float("nan"), feat)
+        with pytest.raises(InvalidInputError):
+            agent.learn(feat, 4, 1.0, feat)
+        assert agent.slot == 0
+    assert tab.table.values == {}
+    assert not np.any(laq.model.weights)
+
+
 def test_make_agent_dispatch():
     cfg = env_config()
     params = LocalAgentParams()
@@ -58,9 +131,9 @@ def test_make_agent_dispatch():
 def test_tabular_key_uses_latest_triple_only():
     agent = TabularQAgent(4, 48.0, LocalAgentParams(levels=7), np.random.default_rng(0))
     obs = np.array([10.0, 2.0, 5.0, 40.0, 40.0, 40.0])
-    key = agent._key(obs)
+    key = agent.features(obs)
     assert len(key) == 3
-    assert key == agent._key(obs[:3])  # history beyond the first slot is ignored
+    assert key == agent.features(obs[:3])  # history beyond the first slot is ignored
     assert all(0 <= k < 7 for k in key)
 
 
@@ -68,8 +141,8 @@ def test_tabular_learn_updates_acted_cell():
     params = LocalAgentParams(alpha=0.5, discount=0.9)
     agent = TabularQAgent(4, 48.0, params, np.random.default_rng(0))
     obs = np.zeros(6)
-    agent.learn(obs, 2, 10.0, obs)
-    key = agent._key(obs)
+    key = agent.features(obs)
+    agent.learn(key, 2, 10.0, key)
     row = agent.table.row(key)
     # the bootstrap row was still all zeros when the target was formed
     assert row[2] == pytest.approx(5.0)  # 0.5 * (10 + 0.9 * 0)
@@ -81,9 +154,11 @@ def test_linear_agent_features_and_update_direction():
     params = LocalAgentParams(alpha=0.1, discount=0.9)
     agent = LinearQAgent(4, 6, 48.0, params, np.random.default_rng(0))
     obs = np.full(6, 24.0)
-    np.testing.assert_allclose(agent._feat(obs), 0.5)
+    phi = agent.features(obs)
+    np.testing.assert_allclose(phi[:-1], 0.5)
+    assert phi[-1] == 1.0  # the bias feature
     before = agent.model.weights[1].copy()
-    agent.learn(obs, 1, 3.0, obs)
+    agent.learn(phi, 1, 3.0, phi)
     after = agent.model.weights[1]
     assert not np.array_equal(after, before)
     # positive TD error on all-positive features pushes weights up
@@ -94,14 +169,15 @@ def test_le_urc_agent_matches_policy_function():
     cfg = env_config()
     agent = LeUrcAgent(cfg.action_menu)
     obs = np.array([5.0, 2.0, 3.0, 0.0, 0.0, 0.0])
-    idx = agent.act(obs)
+    counts = agent.features(obs)
+    idx = agent.act(counts)
     assert cfg.action_menu[idx] == le_urc_policy(obs, cfg.action_menu)
-    agent.learn(obs, idx, 1.0, obs)  # no-op, must not raise
+    agent.learn(counts, idx, 1.0, counts)  # no-op, must not raise
 
 
 def test_random_agent_covers_menu():
     agent = RandomAgent(4, np.random.default_rng(0))
-    picks = {agent.act(np.zeros(6)) for _ in range(200)}
+    picks = {agent.act(agent.features(np.zeros(6))) for _ in range(200)}
     assert picks == {0, 1, 2, 3}
 
 
@@ -149,7 +225,7 @@ def test_greedy_action_freezes_learning_agents():
     obs = np.zeros(6)
     picks = {greedy_action(agent, obs) for _ in range(20)}
     assert len(picks) == 1  # no exploration left
-    row = agent.table.row(agent._key(obs))
+    row = agent.table.row(agent.features(obs))
     assert picks.pop() == int(np.argmax(row))
 
 
@@ -199,3 +275,98 @@ def test_evaluate_greedy_net_matches_reference_rollout(dtype):
         obs, reward, _ = env.step(MENU[int(np.argmax(q))])
         total += reward
     assert evaluate_greedy_net(net, cfg, 300, 48.0, seed=9) == total / 300
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(
+    kind=st.sampled_from(LOCAL_AGENTS),
+    seed=st.integers(0, 2**32 - 1),
+    total_slots=st.integers(1, 300),
+    bucket=st.integers(1, 40),
+    eval_slots=st.integers(1, 120),
+    window=st.integers(1, 4),
+    num_devices=st.integers(1, 60),
+    traffic_p=unit,
+    levels=st.integers(2, 12),
+    alpha=st.floats(min_value=1e-3, max_value=1.0),
+    discount=st.floats(min_value=1e-3, max_value=1.0),
+    eps=st.tuples(unit, unit),
+    eps_decay_steps=st.integers(1, 400),
+)
+@settings(max_examples=120, deadline=None)
+def test_local_agents_match_reference_bit_for_bit(
+    kind,
+    seed,
+    total_slots,
+    bucket,
+    eval_slots,
+    window,
+    num_devices,
+    traffic_p,
+    levels,
+    alpha,
+    discount,
+    eps,
+    eps_decay_steps,
+):
+    """Training rows, greedy eval rewards and the learned table or weights
+    equal the reference agents' exactly, for every kind."""
+    cfg = env_config(
+        history_window=window, num_devices=num_devices, traffic=BernoulliTraffic(traffic_p)
+    )
+    params = LocalAgentParams(
+        alpha=alpha,
+        discount=discount,
+        levels=levels,
+        eps_start=eps[0],
+        eps_end=eps[1],
+        eps_decay_steps=eps_decay_steps,
+    )
+    rows, agent = run_local_agent(cfg, kind, params, total_slots, bucket, seed)
+    ref_rows, ref = reference_run_local_agent(cfg, kind, params, total_slots, bucket, seed)
+    # repr tells every float apart exactly and reads nan as equal to nan
+    assert repr(rows) == repr(ref_rows)
+    got = evaluate_greedy_agent(agent, cfg, eval_slots, seed + 1)
+    want = reference_evaluate_greedy_agent(ref, cfg, eval_slots, seed + 1)
+    assert got.hex() == want.hex()
+    if kind == "tabular":
+        assert {k: v.tobytes() for k, v in agent.table.values.items()} == {
+            k: v.tobytes() for k, v in ref.table.values.items()
+        }
+    if kind == "la-q":
+        assert agent.model.weights.tobytes() == ref.model.weights.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["tabular", "la-q"])
+def test_numpy_scalar_params_match_reference(kind):
+    """float32 constants are widened once, as the reference's checks widen
+    them, so no update runs in float32."""
+    params = LocalAgentParams(alpha=np.float32(0.3), discount=np.float32(0.7), eps_decay_steps=50)
+    rows, agent = run_local_agent(env_config(), kind, params, 200, 7, seed=5)
+    ref_rows, ref = reference_run_local_agent(env_config(), kind, params, 200, 7, seed=5)
+    assert repr(rows) == repr(ref_rows)
+    if kind == "la-q":
+        assert agent.model.weights.tobytes() == ref.model.weights.tobytes()
+    else:
+        assert {k: v.tobytes() for k, v in agent.table.values.items()} == {
+            k: v.tobytes() for k, v in ref.table.values.items()
+        }
+
+
+@pytest.mark.parametrize("cls,kind", [(TabularQAgent, "tabular"), (LinearQAgent, "la-q"), (LeUrcAgent, "le-urc")])
+def test_each_observation_featurised_once(monkeypatch, cls, kind):
+    calls = []
+    original = cls.features
+
+    def counted(self, obs):
+        calls.append(1)
+        return original(self, obs)
+
+    monkeypatch.setattr(cls, "features", counted)
+    _, agent = run_local_agent(env_config(), kind, LocalAgentParams(), 50, 7, seed=1)
+    assert len(calls) == 51  # the reset observation and one per step
+    calls.clear()
+    evaluate_greedy_agent(agent, env_config(), 30, seed=2)
+    assert len(calls) == 30

@@ -7,6 +7,7 @@ from greenrl.compression import (
     DiscretizationScheme,
     aggregate_states,
     apply_partition,
+    bin_indices,
     discretize,
     prune_by_magnitude,
     prune_neurons,
@@ -16,6 +17,7 @@ from greenrl.compression import (
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.neural import DenseNet, forward, glorot_init
 from greenrl.rl_core import QTable
+from oracles import reference_discretize
 
 
 def square_net():
@@ -202,9 +204,22 @@ def test_discretize_bins_and_clamps(value, expected):
 def test_discretize_rejects_nan():
     with pytest.raises(InvalidInputError):
         discretize(DiscretizationScheme(0.0, 1.0, 2), float("nan"))
+    for bad in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(InvalidInputError):
+            bin_indices(DiscretizationScheme(0.0, 1.0, 2), [0.5, bad])
 
 
-@pytest.mark.parametrize("low,high,levels", [(1.0, 1.0, 2), (2.0, 1.0, 2), (0.0, 1.0, 1)])
+@pytest.mark.parametrize(
+    "low,high,levels",
+    [
+        (1.0, 1.0, 2),
+        (2.0, 1.0, 2),
+        (0.0, 1.0, 1),
+        (0.0, float("inf"), 2),
+        (-float("inf"), 0.0, 2),
+        (-1e308, 1e308, 2),  # the width overflows
+    ],
+)
 def test_scheme_validation(low, high, levels):
     with pytest.raises(ConfigError):
         DiscretizationScheme(low, high, levels)
@@ -217,6 +232,36 @@ def test_scheme_validation(low, high, levels):
 def test_discretize_always_in_range(value, levels):
     scheme = DiscretizationScheme(-10.0, 10.0, levels)
     assert 0 <= discretize(scheme, value) < levels
+
+
+@pytest.mark.parametrize("value,expected", [(1.7e308, 1), (-1.7e308, 0), (8.9e307, 1)])
+def test_discretize_clamps_values_whose_quotient_overflows(value, expected):
+    """The bin quotient of these overflows; they used to raise OverflowError
+    or ValueError from ``int``."""
+    assert discretize(DiscretizationScheme(0.0, 1.0, 2), value) == expected
+
+
+@given(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.integers(min_value=2, max_value=50),
+)
+@settings(max_examples=300)
+def test_discretize_matches_reference(value, low, span, levels):
+    scheme = DiscretizationScheme(low, low + span, levels)
+    try:
+        want = reference_discretize(scheme, value)
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError):
+            discretize(scheme, value)
+        return
+    except (OverflowError, ValueError):
+        # the reference's quotient overflows far outside the range; the
+        # value clamps to its edge instead
+        want = 0 if value < low else levels - 1
+    assert discretize(scheme, value) == want
+    assert bin_indices(scheme, [value, value]) == (want, want)
 
 
 # ---------------------------------------------------------------------------

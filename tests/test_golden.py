@@ -68,6 +68,23 @@ CONFIGS = {
         "cloud": {"inner_steps": 2},
         "agent_params": {"eps_decay_steps": 600},
     },
+    "rach-tabular": {
+        "scenario": "rach",
+        "agent": "tabular",
+        "seeds": [0, 1],
+        "total_slots": 1200,
+        "eval_slots": 300,
+        "cloud": {"inner_steps": 2},
+        "agent_params": {"eps_decay_steps": 600, "levels": 5},
+    },
+    "rach-le-urc": {
+        "scenario": "rach",
+        "agent": "le-urc",
+        "seeds": [0, 1],
+        "total_slots": 1200,
+        "eval_slots": 300,
+        "cloud": {"inner_steps": 2},
+    },
     "compression": {
         "scenario": "compression",
         "agent": "dqn",
@@ -124,6 +141,20 @@ GOLDEN = {
         "seed0001_rounds.csv": "6f021ddcfc1fcb9b88e43a753217e09ff6b7fb26519112c182a5f6f6b9a505cd",
         "seed0001_summary.json": "2d5aefcf9282bb8239f7e552ca7d12a809368533604ade73a26a250fd1b48686",
         "summary.json": "5b049c6f480c5efcd3d1d5e31c2ec9fb71b45296cbafb1bdf9d242e24897b8ff",
+    },
+    "rach-le-urc": {
+        "seed0000_rounds.csv": "c2b489b4c4147aba61f2d410d1d6d44ad86fefd70fbcc791deddfa1a30dd3107",
+        "seed0000_summary.json": "d613decf3cdae45a6f60a99bac565e330d11bdb0b55e738bbe2502283fa83a93",
+        "seed0001_rounds.csv": "1293fce79caeaabba7d3ed403e44735120bd43045a7f23d251fdac225faa81db",
+        "seed0001_summary.json": "0fa7f63e5b1cf334955e93290fdecc4b7f05af5bfcb71b980a9782c5e0c7fca0",
+        "summary.json": "8161e68269bf1259370b2a6eb9b9155b66b12c730dc0fa9c3d28db65aede7589",
+    },
+    "rach-tabular": {
+        "seed0000_rounds.csv": "46a054a436429aa3ef466f7ee73d263d58d96e75bcfe12a70bfcf352177b3aae",
+        "seed0000_summary.json": "b5a3aea8719b6ac24bcdb504114ef1ed65bb8ef316fbae55393dab933c9710a8",
+        "seed0001_rounds.csv": "70f37d2889cf629d849e9cde86c99251ad65d58856bdec461aa40eaeb61ed0d2",
+        "seed0001_summary.json": "0c4f0b826e7310e8e2e5376c2e48088dd097da28639bb5bc507c26e0b9d9ecf6",
+        "summary.json": "a8da28366ab36e93ffec15ac5d5cc9695c48ed14c7d2b60b7c1da2625990849c",
     },
     "transfer": {
         "summary.json": "87ef663146e3bc1067bc763a3196907a80799a4c22c50e7b8dc6361ccc498bce",

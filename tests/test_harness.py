@@ -301,6 +301,20 @@ def test_cli_rejects_bad_spatial_field_before_writing(tmp_path, capsys, key, val
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize(
+    "key,value", [("eps_decay_steps", 0), ("alpha", 1.5), ("eps_start", 2.0)]
+)
+def test_cli_rejects_bad_agent_param_before_writing(tmp_path, capsys, key, value):
+    """Each used to fail only at run time: eps_decay_steps 0 as a raw
+    ZeroDivisionError (exit 1), the other two after config.json was written."""
+    path = write_config_file(tmp_path, agent="tabular", agent_params={key: value})
+    rc = cli_main(["run", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config.agent_params.{key}: must be" in err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_cli_compare(tmp_path, capsys):
     a = write_config_file(tmp_path, name="heur")
     b = write_config_file(tmp_path, name="rand", agent="random")

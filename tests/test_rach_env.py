@@ -20,7 +20,7 @@ from greenrl.rach_env import (
     simulate_contention,
     write_trace_csv,
 )
-from oracles import ReferenceRachEnv, enumerate_expected_successes
+from oracles import ReferenceRachEnv, enumerate_expected_successes, reference_le_urc_policy
 
 MENU = (
     RachAction(1, 8, 8),
@@ -358,6 +358,15 @@ def test_le_urc_validation():
         le_urc_policy(np.zeros(2), MENU)
     with pytest.raises(InvalidInputError):
         le_urc_policy(np.array([-1.0, 0.0, 0.0]), MENU)
+    with pytest.raises(InvalidInputError):
+        le_urc_policy(np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0]), MENU)  # any slot of the window
+    # non-finite counts anywhere in the window, which used to pick menu[0]
+    for bad in (np.nan, np.inf, -np.inf):
+        for pos in range(6):
+            obs = np.zeros(6)
+            obs[pos] = bad
+            with pytest.raises(InvalidInputError):
+                le_urc_policy(obs, MENU)
 
 
 @given(
@@ -372,3 +381,21 @@ def test_le_urc_estimate_drives_choice(collided, successful):
     n_hat = max(successful + COLLISION_MULTIPLICITY * collided, 1.0)
     scores = [n_hat * (1 - 1 / a.opportunities) ** (n_hat - 1) for a in MENU]
     assert scores[MENU.index(choice)] == pytest.approx(max(scores))
+
+
+menus = st.lists(
+    st.builds(RachAction, st.integers(1, 6), st.integers(1, 8), st.integers(1, 8)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(
+    st.lists(st.floats(min_value=0, max_value=1e6), min_size=3, max_size=12),
+    menus,
+)
+@settings(max_examples=200)
+def test_le_urc_matches_reference(obs, menu):
+    """Same pick as the reference scoring on every finite observation,
+    ties included (menus repeat opportunity counts)."""
+    assert le_urc_policy(np.array(obs), menu) is reference_le_urc_policy(np.array(obs), menu)

@@ -15,7 +15,13 @@ from greenrl.rl_core import (
     state_key,
     tabular_q_update,
 )
-from oracles import chain_mdp, value_iteration
+from oracles import (
+    chain_mdp,
+    reference_linear_q_predict,
+    reference_linear_q_update,
+    reference_tabular_q_update,
+    value_iteration,
+)
 
 finite_rewards = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=0, max_size=30
@@ -282,3 +288,75 @@ def test_linear_update_fixed_point(seed):
     reward = pred - 0.9 * q_next
     out = linear_q_update(lq, Transition(s, 1, float(reward), s2), 0.9, 0.3)
     np.testing.assert_allclose(out.weights, lq.weights, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# parity with the reference updates
+# ---------------------------------------------------------------------------
+
+small_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
+
+
+@given(
+    st.dictionaries(st.integers(0, 4), st.lists(small_floats, min_size=3, max_size=3), max_size=5),
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 2), small_floats, st.integers(0, 4), st.booleans()),
+        min_size=1,
+        max_size=20,
+    ),
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.floats(min_value=1e-3, max_value=1.0),
+)
+@settings(max_examples=100)
+def test_tabular_update_matches_reference(rows, steps, alpha, discount):
+    """A chain of updates gives the reference's table bit for bit and leaves
+    every earlier table as it was."""
+    table = ref = QTable(3, alpha, {k: np.array(v) for k, v in rows.items()})
+    for s, a, r, s2, terminal in steps:
+        before = {k: v.tobytes() for k, v in table.values.items()}
+        t = Transition(s, a, r, s2, terminal)
+        new, ref = tabular_q_update(table, t, discount), reference_tabular_q_update(ref, t, discount)
+        assert {k: v.tobytes() for k, v in table.values.items()} == before
+        assert {k: v.tobytes() for k, v in new.values.items()} == {
+            k: v.tobytes() for k, v in ref.values.items()
+        }
+        table = new
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.integers(1, 15),
+)
+@settings(max_examples=100)
+def test_linear_update_matches_reference(seed, n_features, n_actions, alpha, discount, steps):
+    rng = np.random.default_rng(seed)
+    lq = ref = LinearQ(rng.normal(size=(n_actions, n_features + 1)))
+    for _ in range(steps):
+        s, s2 = rng.normal(size=n_features), rng.normal(size=n_features)
+        t = Transition(s, int(rng.integers(n_actions)), float(rng.normal()), s2, bool(rng.random() < 0.3))
+        assert linear_q_predict(lq, s).tobytes() == reference_linear_q_predict(ref, s).tobytes()
+        before = lq.weights.tobytes()
+        new, ref = linear_q_update(lq, t, discount, alpha), reference_linear_q_update(ref, t, discount, alpha)
+        assert lq.weights.tobytes() == before
+        assert new.weights.tobytes() == ref.weights.tobytes()
+        lq = new
+
+
+def test_linear_update_validation():
+    lq = LinearQ.zeros(2, 2)
+    good = np.zeros(2)
+    for t in (
+        Transition(good, 0, float("nan"), good),
+        Transition(good, 2, 1.0, good),
+        Transition(np.array([np.inf, 0.0]), 0, 1.0, good),
+        Transition(good, 0, 1.0, np.array([0.0, np.nan])),
+    ):
+        with pytest.raises(InvalidInputError):
+            linear_q_update(lq, t, 0.9, 0.5)
+    with pytest.raises(ConfigError):
+        linear_q_update(lq, Transition(good, 0, 1.0, good), 0.9, 1.5)
+    assert not np.any(lq.weights)

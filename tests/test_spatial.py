@@ -478,16 +478,21 @@ def test_quadrature_matrix_built_once_per_source(monkeypatch):
     assert len(calls) == 1
 
 
-def _slot_outcomes(src, slots):
-    """Counts per requested slot, up to and including the first that raised."""
+def _outcomes(fn, slots):
+    """``fn(slot)`` per requested slot, up to and including the first that raised."""
     out = []
     for slot in slots:
         try:
-            out.append(src.counts_at(slot).tolist())
+            out.append(fn(slot))
         except ValueError as exc:
             out.append(exc)
             break
     return out
+
+
+def _slot_outcomes(src, slots):
+    """Counts per requested slot, up to and including the first that raised."""
+    return _outcomes(lambda slot: src.counts_at(slot).tolist(), slots)
 
 
 def assert_same_outcomes(got, want):
@@ -571,4 +576,6 @@ def test_source_matches_reference_bit_for_bit(
     if len(src.history()):
         np.testing.assert_array_equal(src.region_history(cells), ref.region_history(cells))
         region, ref_region = src.stream_region(cells[0]), ref.stream_region(cells[0])
-        assert [region(s) for s in slots] == [ref_region(s) for s in slots]
+        # a slot whose intensity overflowed raises here too, as it did above
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_outcomes(_outcomes(region, slots), _outcomes(ref_region, slots))
