@@ -8,7 +8,7 @@ aggregation) shrink tabular representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -70,15 +70,7 @@ def prune_by_magnitude(net: DenseNet, threshold: float) -> tuple[DenseNet, Spars
         mac_count_dense=total,
         mac_count_pruned=nonzero,
     )
-    pruned = DenseNet(
-        net.layer_dims,
-        weights,
-        [b.copy() for b in net.biases],
-        net.activation,
-        new_mask,
-        quant=None,
-    )
-    return pruned, report
+    return DenseNet(net.layer_dims, weights, net.biases, net.activation, new_mask), report
 
 
 def threshold_for_sparsity(net: DenseNet, fraction: float) -> float:
@@ -151,29 +143,16 @@ def quantize_weights(net: DenseNet, bits: int) -> DenseNet:
         raise ConfigError(f"quantisation bits must lie in [2, 16], got {bits}")
     bits = int(bits)
     if _on_lattice(net, bits):
-        return DenseNet(
-            net.layer_dims,
-            [w.copy() for w in net.weights],
-            [b.copy() for b in net.biases],
-            net.activation,
-            [m.copy() for m in net.mask] if net.mask is not None else None,
-            QuantMeta(bits, list(net.quant.scales), list(net.quant.zero_points)),
-        )
+        return replace(net, quant=QuantMeta(bits, list(net.quant.scales), list(net.quant.zero_points)))
     weights, scales = [], []
     for w in net.weights:
         codes, scale = symmetric_quantize_layer(w, bits)
         weights.append((codes * scale).astype(net.dtype))
         scales.append(scale)
-    mask = [m.copy() for m in net.mask] if net.mask is not None else None
-    if mask is not None:
-        weights = [w * m for w, m in zip(weights, mask)]
+    if net.mask is not None:
+        weights = [w * m for w, m in zip(weights, net.mask)]
     return DenseNet(
-        net.layer_dims,
-        weights,
-        [b.copy() for b in net.biases],
-        net.activation,
-        mask,
-        QuantMeta(bits, scales, [0] * len(scales)),
+        net.layer_dims, weights, net.biases, net.activation, net.mask, QuantMeta(bits, scales, [0] * len(scales))
     )
 
 

@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
-from .agents import LOCAL_AGENTS, LocalAgentParams
+from .agents import LOCAL_AGENTS, LocalAgentParams, _is_int
 from .cloud_loop import CompressionPlan, DqnConfig, ServiceRequest
 from .errors import ConfigError
 from .rach_env import BernoulliTraffic, RachAction, RachConfig
@@ -125,12 +125,26 @@ class CompressionSection:
     sparsity_levels: tuple = (0.0, 0.25, 0.5, 0.75)
 
 
+def _real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _positive(x) -> bool:
-    return math.isfinite(x) and x > 0
+    return _real(x) and math.isfinite(x) and x > 0
 
 
 def _nonnegative(x) -> bool:
-    return math.isfinite(x) and x >= 0
+    return _real(x) and math.isfinite(x) and x >= 0
+
+
+def _cells(cells, n_sites) -> bool:
+    """Two nonempty lists of integer site indices in [0, n_sites)."""
+    if not isinstance(cells, (list, tuple)) or len(cells) != 2 or not _is_int(n_sites):
+        return False
+    return all(
+        isinstance(cell, (list, tuple)) and cell and all(_is_int(s) and 0 <= s < n_sites for s in cell)
+        for cell in cells
+    )
 
 
 @dataclass(frozen=True)
@@ -166,33 +180,22 @@ class SpatialSection:
 
         # (field, value is in range, the rule as reported)
         checks = (
-            ("n_sites", self.n_sites >= 1, ">= 1"),
+            ("n_sites", _is_int(self.n_sites) and self.n_sites >= 1, "an integer >= 1"),
             ("length", _positive(self.length), "finite and > 0"),
             ("kernel_amplitude", _nonnegative(self.kernel_amplitude), "finite and >= 0"),
             ("kernel_length_scale", _positive(self.kernel_length_scale), "finite and > 0"),
             ("noise_sigma", _nonnegative(self.noise_sigma), "finite and >= 0"),
             ("squash", self.squash in SQUASH_TAGS, f"one of {list(SQUASH_TAGS)}"),
             ("mu", _positive(self.mu), "finite and > 0"),
-            ("burn_in", self.burn_in >= 0, ">= 0"),
+            ("burn_in", _is_int(self.burn_in) and self.burn_in >= 0, "an integer >= 0"),
+            ("bs_cells", _cells(self.bs_cells, self.n_sites), "two nonempty lists of integer sites < n_sites"),
+            ("beta", _real(self.beta) and 0.0 <= self.beta <= 1.0, "a number in [0, 1]"),
+            ("transfer_every", _is_int(self.transfer_every) and self.transfer_every >= 1, "an integer >= 1"),
         )
         for name, ok, rule in checks:
             if not ok:
                 raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
-        if len(self.bs_cells) != 2:
-            raise ConfigError("bs_cells must name exactly two cells")
-        for i, cell in enumerate(self.bs_cells):
-            if len(cell) == 0:
-                raise ConfigError(f"bs_cells[{i}] must name at least one site")
-            for s in cell:
-                if not 0 <= int(s) < self.n_sites:
-                    raise ConfigError(f"bs_cells[{i}] site {s} out of range")
-        object.__setattr__(
-            self, "bs_cells", tuple(tuple(int(s) for s in cell) for cell in self.bs_cells)
-        )
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError("beta must lie in [0, 1]")
-        if self.transfer_every < 1:
-            raise ConfigError("transfer_every must be >= 1")
+        object.__setattr__(self, "bs_cells", tuple(tuple(int(s) for s in cell) for cell in self.bs_cells))
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,24 @@
 """Fully connected value network trained by hand-rolled backprop.
 
-The network is a list of weight matrices (in_dim, out_dim) and bias vectors
-with ReLU on hidden layers and a linear output head, one output per action.
-Training is plain SGD on the squared TD error of the taken action only.
-Networks are treated as immutable: every update returns fresh arrays.
+ReLU hidden layers and a linear output head, one output per action, trained
+by plain SGD on the squared TD error of the taken action.
 
-The learner is array-native.  Replay is a preallocated ring of column
-arrays, and a DQN step runs the target network once and the online network
-once, taking both the loss and the gradients from that one cached forward
-pass.  The loss and the output delta come from the taken-action column
-alone, since every other column carries no error.  ``batch_loss``,
-``backprop_minibatch`` and the learner share one backprop helper, so the
-gradient check covers the code the learner runs.
+Each network owns one contiguous parameter vector ``params`` in its dtype,
+laid out ``[W0, b0, W1, b1, ...]`` row-major, which is also the dense wire
+body.  ``weights[i]`` and ``biases[i]`` are views of it; an optional
+sparsity mask is a vector of the same layout (1 in every bias slot), seen
+per layer through ``mask``.  The constructor, assignment to those three
+fields and ``dataclasses.replace`` pack the given arrays into a fresh
+vector, so views and ``params`` never disagree; mixed dtypes are rejected.
+Networks are immutable in use: every update returns a fresh vector.
 
-``forward`` serves per-slot inference: it checks the state once, then runs
-a trusted batch-of-one pass that keeps the (1, d) gemm of the batched
-forward, so its values match a batch row bit for bit.
-
-The module also owns the wire format: a flat little-endian encoding of the
-layer dimensions followed by row-major matrices, with an optional symmetric
-integer quantisation of the weights.  Byte lengths of these payloads feed
-the message and energy accounting elsewhere.
+A DQN step gathers its replay sample into network-dtype arrays, runs the
+target and the online network once each and takes the loss from the
+taken-action column alone.  Its forward passes, backprop and flat gradient
+use a workspace allocated once per (dims, batch size, dtype) and kept with
+the replay buffer; nothing returned aliases it.  The update is one vector
+operation, ``params - lr * grad``, re-masked.  ``batch_loss`` and
+``backprop_minibatch`` share the learner's forward and backprop helpers.
 """
 
 from __future__ import annotations
@@ -35,20 +33,8 @@ from .errors import ConfigError, InvalidInputError, NotReadyError
 from .rl_core import Transition, check_discount
 
 __all__ = [
-    "DenseNet",
-    "QuantMeta",
-    "GradientBatch",
-    "ReplayBatch",
-    "ReplayBuffer",
-    "glorot_init",
-    "forward",
-    "batch_loss",
-    "backprop_minibatch",
-    "sgd_step",
-    "dqn_train_step",
-    "sync_target",
-    "net_to_bytes",
-    "net_from_bytes",
+    "DenseNet", "QuantMeta", "GradientBatch", "ReplayBatch", "ReplayBuffer", "glorot_init", "forward", "batch_loss",
+    "backprop_minibatch", "sgd_step", "dqn_train_step", "sync_target", "net_to_bytes", "net_from_bytes",
     "symmetric_quantize_layer",
 ]
 
@@ -73,6 +59,17 @@ class QuantMeta:
             raise ConfigError("symmetric quantisation requires zero_point == 0")
 
 
+def _views(dims: tuple[int, ...], flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-layer (fan_in, fan_out) and (fan_out,) views of a ``[W0, b0, W1, b1, ...]`` vector."""
+    weights, biases, off = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        end = off + fan_in * fan_out
+        weights.append(flat[off:end].reshape(fan_in, fan_out))
+        biases.append(flat[end : end + fan_out])
+        off = end + fan_out
+    return tuple(weights), tuple(biases)
+
+
 @dataclass
 class DenseNet:
     """Feed-forward value network with optional sparsity mask and quant tag.
@@ -82,19 +79,65 @@ class DenseNet:
     """
 
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: Sequence[np.ndarray]
+    biases: Sequence[np.ndarray]
     activation: str = "relu"
-    mask: list[np.ndarray] | None = None
+    mask: Sequence[np.ndarray] | None = None
     quant: QuantMeta | None = None
+
+    def __post_init__(self):
+        self._pack(self.weights, self.biases, self.mask)
+
+    def __setattr__(self, name, value):
+        if name in ("weights", "biases", "mask") and "params" in self.__dict__:
+            self._pack(**{"weights": self.weights, "biases": self.biases, "mask": self.mask, name: value})
+        else:
+            super().__setattr__(name, value)
+
+    def _pack(self, weights, biases, mask) -> None:
+        """Copy the given layers into one fresh ``params``; raise before changing anything."""
+        dims = _validate_dims(self.layer_dims)
+        weights, biases = [np.asarray(w) for w in weights], [np.asarray(b) for b in biases]
+        dtypes = sorted({str(a.dtype) for a in weights + biases})
+        if len(dtypes) > 1:
+            raise ConfigError(f"weights and biases must share one dtype, got {dtypes}")
+        shapes = list(zip(dims[:-1], dims[1:]))
+        if [w.shape for w in weights] != shapes or [b.shape for b in biases] != [s[1:] for s in shapes]:
+            raise ConfigError(f"weight and bias shapes do not match layer_dims {dims}")
+        params = np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])
+        param_mask = None
+        if mask is not None:
+            mask = [np.asarray(m, params.dtype) for m in mask]
+            if [m.shape for m in mask] != shapes:
+                raise ConfigError(f"mask shapes do not match layer_dims {dims}")
+            param_mask = np.concatenate([a.ravel() for m, b in zip(mask, biases) for a in (m, np.ones_like(b))])
+        self.__dict__["layer_dims"] = dims
+        self._adopt(params, param_mask)
+
+    def _adopt(self, params: np.ndarray, param_mask: np.ndarray | None) -> None:
+        d = self.__dict__
+        d["params"], d["param_mask"] = params, param_mask
+        d["weights"], d["biases"] = _views(self.layer_dims, params)
+        d["mask"] = None if param_mask is None else _views(self.layer_dims, param_mask)[0]
+
+    @classmethod
+    def _wrap(cls, dims, params, activation="relu", param_mask=None, quant=None) -> DenseNet:
+        """A network on ``params`` (and ``param_mask``) as given, without copying them."""
+        net = object.__new__(cls)
+        net.__dict__.update(layer_dims=dims, activation=activation, quant=quant)
+        net._adopt(params, param_mask)
+        return net
+
+    def __reduce__(self):  # pickle and deepcopy rebuild the views on the copied vector
+        return DenseNet._wrap, (self.layer_dims, self.params, self.activation, self.param_mask, self.quant)
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layer_dims) - 1
 
     @property
     def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
+        return self.params.dtype
 
 
 @dataclass
@@ -124,43 +167,37 @@ def glorot_init(layer_dims: Sequence[int], seed, dtype=np.float64) -> DenseNet:
     return DenseNet(dims, weights, biases)
 
 
-def _forward_cached(net: DenseNet, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Batched forward pass keeping per-layer inputs and pre-activations."""
+def _forward_cached(net: DenseNet, x: np.ndarray, ws: _Workspace | None = None):
+    """Batched forward pass keeping per-layer inputs and pre-activations,
+    in the workspace's buffers when one is given, else in fresh arrays."""
     if net.activation != "relu":
         raise ConfigError(f"unsupported activation {net.activation!r}")
     inputs, pre_acts = [], []
     h = x
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(h)
-        z = h @ w + b
+        z = np.matmul(h, w, out=None if ws is None else ws.z[i])
+        np.add(z, b, out=z)
         pre_acts.append(z)
-        h = np.maximum(z, 0) if i < net.n_layers - 1 else z
+        if i < net.n_layers - 1:
+            h = np.maximum(z, 0, out=None if ws is None else ws.h[i])
     return inputs, pre_acts
-
-
-def _check_state(net: DenseNet, state) -> np.ndarray:
-    x = np.asarray(state, dtype=net.dtype)
-    if x.shape != (net.layer_dims[0],):
-        raise InvalidInputError(
-            f"state shape {x.shape} does not match input dim {net.layer_dims[0]}"
-        )
-    if not np.isfinite(x).all():
-        raise InvalidInputError("state must be finite")
-    return x
 
 
 def forward(net: DenseNet, state) -> np.ndarray:
     """Per-action value estimates for a single state vector.
 
-    After one check of the state this is a trusted batch-of-one pass: each
-    layer is the same (1, d) gemm and bias add as ``_forward_cached``, with
-    ReLU applied in place, so the values match its last pre-activation row
-    bit for bit without keeping per-layer lists.
-    """
+    After one check of the state, a batch-of-one pass of the same (1, d) gemm
+    and bias add as ``_forward_cached``, so its values match a batch row bit
+    for bit."""
     if net.activation != "relu":
         raise ConfigError(f"unsupported activation {net.activation!r}")
-    last = net.n_layers - 1
-    h = _check_state(net, state)[None, :]
+    x = np.asarray(state, dtype=net.dtype)
+    if x.shape != (net.layer_dims[0],):
+        raise InvalidInputError(f"state shape {x.shape} does not match input dim {net.layer_dims[0]}")
+    if not np.isfinite(x).all():
+        raise InvalidInputError("state must be finite")
+    last, h = net.n_layers - 1, x[None, :]
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = h @ w + b
         if i < last:
@@ -168,63 +205,40 @@ def forward(net: DenseNet, state) -> np.ndarray:
     return h[0]
 
 
-def _stack_batch(net: DenseNet, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack (input, target_vector, action_mask) triples into arrays."""
+def _batch_loss_and_grad(net: DenseNet, batch, with_grad: bool) -> tuple[float, np.ndarray | None]:
+    """Masked squared-error loss of (input, target_vector, action_mask) triples
+    and, if asked, its flat gradient."""
     if len(batch) == 0:
         raise InvalidInputError("batch must be nonempty")
-    xs, ts, ms = zip(*batch)
-    x = np.asarray(xs, dtype=net.dtype)
-    t = np.asarray(ts, dtype=net.dtype)
-    m = np.asarray(ms, dtype=net.dtype)
-    out = net.layer_dims[-1]
-    if x.shape != (len(batch), net.layer_dims[0]) or t.shape != (len(batch), out) or m.shape != t.shape:
+    x, t, m = (np.asarray(column, dtype=net.dtype) for column in zip(*batch))
+    n, dims = len(batch), net.layer_dims
+    if x.shape != (n, dims[0]) or t.shape != (n, dims[-1]) or m.shape != t.shape:
         raise InvalidInputError("batch entries do not match network dims")
-    return x, t, m
-
-
-def _loss_and_grads(
-    net: DenseNet,
-    inputs: list[np.ndarray],
-    pre_acts: list[np.ndarray],
-    t: np.ndarray,
-    m: np.ndarray,
-    with_grads: bool = True,
-) -> tuple[float, GradientBatch | None]:
-    """Masked squared-error loss and its gradients from one cached forward.
-
-    ``inputs`` and ``pre_acts`` come from ``_forward_cached(net, x)``; ``t``
-    and ``m`` are the (n, out) target and action-mask matrices.  The
-    gradients are skipped when ``with_grads`` is False.
-    """
-    y = pre_acts[-1]
-    diff = y - t
+    inputs, pre_acts = _forward_cached(net, x)
+    diff = pre_acts[-1] - t
     loss = float((diff**2 * m).sum(axis=1).mean())
-    if not with_grads:
-        return loss, None
-    return loss, _backprop(net, inputs, pre_acts, 2.0 * m * diff / y.shape[0])
+    return loss, _backprop(net, inputs, pre_acts, 2.0 * m * diff / x.shape[0]) if with_grad else None
 
 
-def _backprop(
-    net: DenseNet, inputs: list[np.ndarray], pre_acts: list[np.ndarray], delta: np.ndarray
-) -> GradientBatch:
-    """Weight and bias gradients for the (n, out) output delta of a cached forward."""
-    weight_grads = [np.empty(0)] * net.n_layers
-    bias_grads = [np.empty(0)] * net.n_layers
+def _backprop(net: DenseNet, inputs, pre_acts, delta: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+    """Flat gradient, laid out like ``params``, for the (n, out) output delta; the
+    lower deltas overwrite the cached activations once they are spent."""
+    grad = np.empty_like(net.params) if ws is None else ws.grad
+    weight_grads, bias_grads = _views(net.layer_dims, grad) if ws is None else ws.grad_views
     for i in range(net.n_layers - 1, -1, -1):
-        weight_grads[i] = inputs[i].T @ delta
-        bias_grads[i] = delta.sum(axis=0)
+        np.matmul(inputs[i].T, delta, out=weight_grads[i])
+        np.sum(delta, axis=0, out=bias_grads[i])
         if i > 0:
-            delta = (delta @ net.weights[i].T) * (pre_acts[i - 1] > 0)
-    if net.mask is not None:
-        weight_grads = [g * mk for g, mk in zip(weight_grads, net.mask)]
-    return GradientBatch(weight_grads, bias_grads)
+            back = np.matmul(delta, net.weights[i].T, out=inputs[i])
+            delta = np.multiply(back, np.greater(pre_acts[i - 1], 0, out=pre_acts[i - 1]), out=back)
+    if net.param_mask is not None:
+        np.multiply(grad, net.param_mask, out=grad)
+    return grad
 
 
 def batch_loss(net: DenseNet, batch) -> float:
     """Mean over samples of the squared error restricted by each action mask."""
-    x, t, m = _stack_batch(net, batch)
-    inputs, pre_acts = _forward_cached(net, x)
-    return _loss_and_grads(net, inputs, pre_acts, t, m, with_grads=False)[0]
+    return _batch_loss_and_grad(net, batch, with_grad=False)[0]
 
 
 def backprop_minibatch(net: DenseNet, batch) -> GradientBatch:
@@ -232,45 +246,39 @@ def backprop_minibatch(net: DenseNet, batch) -> GradientBatch:
 
     The per-sample loss carries no 1/2 factor, so a single neuron with
     prediction (w x + b) and target y has gradient 2 (w x + b - y) x.
-    Gradients of masked weights are zeroed.
-    """
-    x, t, m = _stack_batch(net, batch)
-    inputs, pre_acts = _forward_cached(net, x)
-    return _loss_and_grads(net, inputs, pre_acts, t, m)[1]
+    Gradients of masked weights are zeroed.  The per-layer gradients are
+    views of one fresh flat vector."""
+    grad = _batch_loss_and_grad(net, batch, with_grad=True)[1]
+    return GradientBatch(*map(list, _views(net.layer_dims, grad)))
+
+
+def _descend(net: DenseNet, grad: np.ndarray, lr: float) -> DenseNet:
+    """``params - lr * grad``, re-masked, as a network on a fresh vector; spends ``grad``."""
+    if not lr > 0:
+        raise InvalidInputError(f"learning rate must be positive, got {lr!r}")
+    params = net.params - np.multiply(grad, net.dtype.type(lr), out=grad)
+    mask = net.param_mask
+    if mask is not None:
+        np.multiply(params, mask, out=params)
+        mask = mask.copy()
+    return DenseNet._wrap(net.layer_dims, params, net.activation, mask)
 
 
 def sgd_step(net: DenseNet, grads: GradientBatch, lr: float) -> DenseNet:
     """w <- w - lr * g; the sparsity mask is re-applied afterwards."""
-    if not lr > 0:
-        raise InvalidInputError(f"learning rate must be positive, got {lr!r}")
-    if len(grads.weight_grads) != net.n_layers:
-        raise InvalidInputError("gradient layer count does not match network")
-    lr = net.dtype.type(lr)
-    weights, biases = [], []
-    for i in range(net.n_layers):
-        if grads.weight_grads[i].shape != net.weights[i].shape:
-            raise InvalidInputError(f"gradient shape mismatch at layer {i}")
-        w = net.weights[i] - lr * grads.weight_grads[i].astype(net.dtype)
-        if net.mask is not None:
-            w = w * net.mask[i]
-        weights.append(w)
-        biases.append(net.biases[i] - lr * grads.bias_grads[i].astype(net.dtype))
-    mask = [mk.copy() for mk in net.mask] if net.mask is not None else None
-    return DenseNet(net.layer_dims, weights, biases, net.activation, mask, quant=None)
+    given = [np.shape(g) for g in (*grads.weight_grads, *grads.bias_grads)]
+    if given != [a.shape for a in (*net.weights, *net.biases)]:
+        raise InvalidInputError(f"gradient shapes {given} do not match the network")
+    layers = zip(grads.weight_grads, grads.bias_grads)
+    return _descend(net, np.concatenate([np.ravel(g) for layer in layers for g in layer], dtype=net.dtype), lr)
 
 
 def sync_target(net: DenseNet) -> DenseNet:
     """Deep copy used as the frozen bootstrap network."""
-    return DenseNet(
-        net.layer_dims,
-        [w.copy() for w in net.weights],
-        [b.copy() for b in net.biases],
-        net.activation,
-        [mk.copy() for mk in net.mask] if net.mask is not None else None,
-        replace(net.quant, scales=list(net.quant.scales), zero_points=list(net.quant.zero_points))
-        if net.quant is not None
-        else None,
-    )
+    q = net.quant
+    quant = None if q is None else replace(q, scales=list(q.scales), zero_points=list(q.zero_points))
+    mask = None if net.param_mask is None else net.param_mask.copy()
+    return DenseNet._wrap(net.layer_dims, net.params.copy(), net.activation, mask, quant)
 
 
 class ReplayBatch(NamedTuple):
@@ -308,6 +316,7 @@ class ReplayBuffer:
         self._ring: ReplayBatch | None = None
         self._head = 0
         self._size = 0
+        self._workspace: _Workspace | None = None  # dqn_train_step's scratch for this learner
 
     def push(self, t: Transition) -> None:
         self.extend((t,))
@@ -317,22 +326,14 @@ class ReplayBuffer:
         k = len(transitions)
         if k == 0:
             return
-        states, actions, rewards, next_states, terminals = zip(
-            *[(t.state, t.action, t.reward, t.next_state, t.terminal) for t in transitions]
-        )
+        fields = [(t.state, t.action, t.reward, t.next_state, t.terminal) for t in transitions]
+        states, actions, rewards, next_states, terminals = zip(*fields)
         widths = set(map(len, states + next_states))
         if len(widths) != 1 or 0 in widths:
             raise InvalidInputError("transition states must be nonempty vectors of one width")
         both = np.concatenate(states + next_states).reshape(2, k, widths.pop())
-        self.write(
-            ReplayBatch(
-                both[0],
-                np.array(actions, dtype=np.int64),
-                np.array(rewards, dtype=np.float64),
-                both[1],
-                1.0 - np.array(terminals, dtype=np.float64),
-            )
-        )
+        actions, rewards = np.array(actions, np.int64), np.array(rewards, np.float64)
+        self.write(ReplayBatch(both[0], actions, rewards, both[1], 1.0 - np.array(terminals, np.float64)))
 
     def write(self, rows: ReplayBatch) -> None:
         """Append column rows oldest first with one slice write per column.
@@ -353,13 +354,10 @@ class ReplayBuffer:
             return
         if self._ring is None:
             self._ring = ReplayBatch(
-                np.zeros((cap, width)), np.zeros(cap, np.int64), np.zeros(cap),
-                np.zeros((cap, width)), np.zeros(cap),
+                np.zeros((cap, width)), np.zeros(cap, np.int64), np.zeros(cap), np.zeros((cap, width)), np.zeros(cap)
             )
         elif width != self._ring.state.shape[1]:
-            raise InvalidInputError(
-                f"state width {width} does not match replay width {self._ring.state.shape[1]}"
-            )
+            raise InvalidInputError(f"state width {width} does not match replay width {self._ring.state.shape[1]}")
         if k > cap:
             rows = ReplayBatch(*(c[k - cap :] for c in rows))
             k = cap
@@ -376,30 +374,43 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> ReplayBatch:
+    def sample(self, batch_size: int, rng: np.random.Generator, out: ReplayBatch | None = None) -> ReplayBatch:
         """Uniform sample with replacement; errors if underfilled.
 
         One ``rng.integers(0, len(self), size=batch_size)`` draw picks the
-        rows; draw value i selects the i-th oldest transition.
+        rows; draw value i selects the i-th oldest transition.  With ``out``
+        the rows are cast into its columns, and ``out`` is returned.
         """
         if batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if len(self) < batch_size:
-            raise NotReadyError(
-                f"replay holds {len(self)} transitions, need {batch_size}"
-            )
+            raise NotReadyError(f"replay holds {len(self)} transitions, need {batch_size}")
         idx = rng.integers(0, self._size, size=batch_size)
         slots = (idx + self._head) % self.capacity
-        return ReplayBatch(*(col[slots] for col in self._ring))
+        if out is None:
+            return ReplayBatch(*(col[slots] for col in self._ring))
+        for col, dst in zip(self._ring, out):
+            dst[...] = col[slots]
+        return out
+
+
+class _Workspace:
+    """Scratch for learner steps at one (dims, batch size, dtype); never returned."""
+
+    def __init__(self, net: DenseNet, n: int):
+        dims, dtype = net.layer_dims, net.dtype
+        self.key = (dims, n, dtype)
+        state, next_state = np.empty((2, n, dims[0]), dtype)
+        self.sample = ReplayBatch(state, np.empty(n, np.int64), np.empty(n, dtype), next_state, np.empty(n, dtype))
+        self.z = [np.empty((n, d), dtype) for d in dims[1:]]
+        self.h = [np.empty((n, d), dtype) for d in dims[1:-1]]
+        self.rows, self.td, self.delta = np.arange(n), np.empty(n, dtype), np.empty((n, dims[-1]), dtype)
+        self.grad = np.empty_like(net.params)
+        self.grad_views = _views(dims, self.grad)
 
 
 def dqn_train_step(
-    online: DenseNet,
-    target: DenseNet,
-    buffer: ReplayBuffer,
-    batch_size: int,
-    discount: float,
-    lr: float,
+    online: DenseNet, target: DenseNet, buffer: ReplayBuffer, batch_size: int, discount: float, lr: float,
     rng: np.random.Generator,
 ) -> tuple[DenseNet, float]:
     """One mini-batch TD update of the online network.
@@ -409,38 +420,47 @@ def dqn_train_step(
     Returns the updated network and the pre-update batch loss.
     """
     lam = check_discount(discount)
-    sample = buffer.sample(batch_size, rng)
-    dt = online.dtype
-    x = sample.state.astype(dt)
-    rewards = sample.reward.astype(dt)
-    live = sample.live.astype(dt)
+    dims, dt = online.layer_dims, online.dtype
+    if target.layer_dims != dims or target.dtype != dt:
+        raise InvalidInputError("target network must match the online network's dims and dtype")
+    ws = buffer._workspace
+    if ws is None or ws.key != (dims, batch_size, dt):
+        ws = buffer._workspace = _Workspace(online, max(batch_size, 0))
+    sample = buffer.sample(batch_size, rng, out=ws.sample)
 
-    _, tgt_acts = _forward_cached(target, sample.next_state.astype(dt))
-    boot = tgt_acts[-1].max(axis=1)
-    td_target = rewards + dt.type(lam) * boot * live
+    # np.maximum folded over the few action columns picks np.max(axis=1)'s element, far cheaper.
+    _, tgt_acts = _forward_cached(target, sample.next_state, ws)
+    td_target = ws.td
+    np.copyto(td_target, tgt_acts[-1][:, 0])
+    for j in range(1, dims[-1]):
+        np.maximum(td_target, tgt_acts[-1][:, j], out=td_target)
+    np.multiply(td_target, dt.type(lam), out=td_target)
+    np.multiply(td_target, sample.live, out=td_target)
+    np.add(sample.reward, td_target, out=td_target)
 
     # Only the taken action's column carries error: its squared error is the
     # per-sample loss, and every other entry of the output delta is zero, as
     # the masked loss over the full (n, out) matrix would give.
-    inputs, pre_acts = _forward_cached(online, x)
-    rows = np.arange(batch_size)
-    diff = pre_acts[-1][rows, sample.action] - td_target
-    loss = float((diff**2).mean())
-    delta = np.zeros_like(pre_acts[-1])
-    delta[rows, sample.action] = 2.0 * diff / batch_size
-    return sgd_step(online, _backprop(online, inputs, pre_acts, delta), lr), loss
+    inputs, pre_acts = _forward_cached(online, sample.state, ws)
+    diff = pre_acts[-1][ws.rows, sample.action]
+    np.subtract(diff, td_target, out=diff)
+    loss = float(np.square(diff, out=td_target).mean())
+    ws.delta.fill(0)
+    ws.delta[ws.rows, sample.action] = 2.0 * diff / batch_size
+    return _descend(online, _backprop(online, inputs, pre_acts, ws.delta, ws), lr), loss
 
 
-# ---------------------------------------------------------------------------
-# Wire format
-# ---------------------------------------------------------------------------
+# Wire format: a little-endian header with the layer dims, then the layout of
+# ``params``, as is or with each weight block replaced by integer codes.
 
 _MAGIC = b"GDNW"
 _FORMAT_VERSION = 1
 # magic, format version, float tag, quant bits, activation tag, n_dims
 _NET_HEADER = struct.Struct("<4sHBBBB")
-_FLOAT_TAGS = {0: np.float32, 1: np.float64}
-_ACT_TAGS = {"relu": 0}
+_FLOAT_TAG_OF = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_DTYPE_OF_TAG = {tag: dtype for dtype, tag in _FLOAT_TAG_OF.items()}
+_ACT_TAG_OF = {"relu": 0}
+_ACT_OF_TAG = {tag: act for act, tag in _ACT_TAG_OF.items()}
 
 
 def symmetric_quantize_layer(w: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
@@ -465,41 +485,31 @@ def net_to_bytes(net: DenseNet, quant_bits: int | None = None) -> bytes:
     quant bits u8 (0 = dense floats), activation tag u8, n_dims u8,
     dims u32 each, then per layer the weight block (row-major floats, or a
     f32 scale followed by i8/i16 codes when quantised) and f32/f64 biases.
+    A dense body is ``params`` byte for byte.
     """
-    float_tag = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}.get(net.dtype)
+    float_tag = _FLOAT_TAG_OF.get(net.dtype)
     if float_tag is None:
         raise InvalidInputError(f"unsupported network dtype {net.dtype}")
-    parts = [
-        _MAGIC,
-        struct.pack(
-            "<HBBBB",
-            _FORMAT_VERSION,
-            float_tag,
-            0 if quant_bits is None else int(quant_bits),
-            _ACT_TAGS[net.activation],
-            len(net.layer_dims),
-        ),
-        struct.pack(f"<{len(net.layer_dims)}I", *net.layer_dims),
-    ]
+    dims, bits = net.layer_dims, 0 if quant_bits is None else int(quant_bits)
+    head = _NET_HEADER.pack(_MAGIC, _FORMAT_VERSION, float_tag, bits, _ACT_TAG_OF[net.activation], len(dims))
+    head += struct.pack(f"<{len(dims)}I", *dims)
+    if quant_bits is None:
+        return head + net.params.tobytes()
+    code_dtype = np.int8 if quant_bits <= 8 else np.int16
+    parts = [head]
     for w, b in zip(net.weights, net.biases):
-        if quant_bits is None:
-            parts.append(np.ascontiguousarray(w).tobytes())
-        else:
-            codes, scale = symmetric_quantize_layer(w, quant_bits)
-            code_dtype = np.int8 if quant_bits <= 8 else np.int16
-            parts.append(struct.pack("<f", scale))
-            parts.append(codes.astype(code_dtype).tobytes())
-        parts.append(np.ascontiguousarray(b).tobytes())
+        codes, scale = symmetric_quantize_layer(w, quant_bits)
+        parts += [struct.pack("<f", scale), codes.astype(code_dtype).tobytes(), b.tobytes()]
     return b"".join(parts)
 
 
 def net_from_bytes(buf: bytes) -> DenseNet:
     """Rebuild a DenseNet from ``net_to_bytes`` output.
 
-    Quantised payloads decode to dequantised float weights (codes * scale)
-    carrying a QuantMeta tag.  The header fields are checked, and the
-    payload length is checked against the length they imply before any
-    body read, so every malformed payload raises ``InvalidInputError``.
+    A dense body is copied into ``params`` whole; a quantised one writes each
+    layer's codes * scale straight into its slice and carries a QuantMeta tag.
+    The header fields, and the payload length they imply, are checked before
+    any body read, so every malformed payload raises ``InvalidInputError``.
     """
     if len(buf) < _NET_HEADER.size:
         raise InvalidInputError("network payload is shorter than its header")
@@ -508,11 +518,11 @@ def net_from_bytes(buf: bytes) -> DenseNet:
         raise InvalidInputError("bad magic in network payload")
     if fmt != _FORMAT_VERSION:
         raise InvalidInputError(f"unsupported payload format version {fmt}")
-    if float_tag not in _FLOAT_TAGS:
+    dtype, activation = _DTYPE_OF_TAG.get(float_tag), _ACT_OF_TAG.get(act_tag)
+    if dtype is None:
         raise InvalidInputError(f"unknown float tag {float_tag}")
     if quant_bits != 0 and not 2 <= quant_bits <= 16:
         raise InvalidInputError(f"quantisation bits must be 0 or lie in [2, 16], got {quant_bits}")
-    activation = {v: k for k, v in _ACT_TAGS.items()}.get(act_tag)
     if activation is None:
         raise InvalidInputError(f"unknown activation tag {act_tag}")
     if n_dims < 2:
@@ -523,35 +533,25 @@ def net_from_bytes(buf: bytes) -> DenseNet:
     dims = struct.unpack_from(f"<{n_dims}I", buf, _NET_HEADER.size)
     if min(dims) < 1:
         raise InvalidInputError(f"network layer dims must be >= 1, got {dims}")
-    dtype = np.dtype(_FLOAT_TAGS[float_tag])
     code_dtype = np.dtype(np.int8) if quant_bits <= 8 else np.dtype(np.int16)
     layer_head, w_size = (0, dtype.itemsize) if quant_bits == 0 else (4, code_dtype.itemsize)
-    expected = off + sum(
-        layer_head + (fan_in * w_size + dtype.itemsize) * fan_out
-        for fan_in, fan_out in zip(dims[:-1], dims[1:])
-    )
+    layers = list(zip(dims[:-1], dims[1:]))
+    expected = off + sum(layer_head + (fan_in * w_size + dtype.itemsize) * fan_out for fan_in, fan_out in layers)
     if len(buf) != expected:
         raise InvalidInputError(f"network payload holds {len(buf)} bytes, its header implies {expected}")
-    weights, biases, scales = [], [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    if quant_bits == 0:
+        return DenseNet._wrap(dims, np.frombuffer(buf, dtype, offset=off).copy(), activation)
+    params = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in layers), dtype)
+    scales, pos = [], 0
+    for fan_in, fan_out in layers:
         n = fan_in * fan_out
-        if quant_bits == 0:
-            w = np.frombuffer(buf, dtype=dtype, count=n, offset=off).reshape(fan_in, fan_out)
-            off += n * dtype.itemsize
-        else:
-            (scale,) = struct.unpack_from("<f", buf, off)
-            if not 0 < scale < np.inf:
-                raise InvalidInputError(f"quantisation scale must be finite and positive, got {scale}")
-            off += 4
-            codes = np.frombuffer(buf, dtype=code_dtype, count=n, offset=off)
-            off += n * code_dtype.itemsize
-            w = (codes.astype(dtype) * dtype.type(scale)).reshape(fan_in, fan_out)
-            scales.append(float(scale))
-        weights.append(w.copy())
-        b = np.frombuffer(buf, dtype=dtype, count=fan_out, offset=off)
+        (scale,) = struct.unpack_from("<f", buf, off)
+        if not 0 < scale < np.inf:
+            raise InvalidInputError(f"quantisation scale must be finite and positive, got {scale}")
+        np.multiply(np.frombuffer(buf, code_dtype, n, off + 4), dtype.type(scale), out=params[pos : pos + n])
+        off += 4 + n * code_dtype.itemsize
+        params[pos + n : pos + n + fan_out] = np.frombuffer(buf, dtype, fan_out, off)
         off += fan_out * dtype.itemsize
-        biases.append(b.copy())
-    quant = None
-    if quant_bits:
-        quant = QuantMeta(quant_bits, scales, [0] * len(scales))
-    return DenseNet(tuple(dims), weights, biases, activation, mask=None, quant=quant)
+        pos += n + fan_out
+        scales.append(float(scale))
+    return DenseNet._wrap(dims, params, activation, quant=QuantMeta(quant_bits, scales, [0] * len(scales)))

@@ -115,11 +115,24 @@ def write_csv(path: str, rows, columns) -> None:
 
 
 def per_round_curve(rows) -> np.ndarray:
-    """Mean reward per round, averaged over entities."""
+    """Mean reward per round, averaged over entities.
+
+    Rounds with the same number of entities are averaged together by one
+    ``mean(axis=1)`` over their (rounds, entities) matrix, which reduces each
+    row as ``np.mean`` reduces that round's list, so a curve takes one numpy
+    call per distinct round size rather than one per round.
+    """
     by_round: dict[int, list[float]] = {}
     for row in rows:
         by_round.setdefault(row["round"], []).append(row["reward_mean"])
-    return np.asarray([np.mean(by_round[r]) for r in sorted(by_round)])
+    rounds = [by_round[r] for r in sorted(by_round)]
+    by_size: dict[int, list[int]] = {}
+    for i, values in enumerate(rounds):
+        by_size.setdefault(len(values), []).append(i)
+    curve = np.empty(len(rounds))
+    for idx in by_size.values():
+        curve[idx] = np.array([rounds[i] for i in idx], dtype=float).mean(axis=1)
+    return curve
 
 
 def rounds_to_threshold(curve: np.ndarray, threshold: float, window: int) -> int:
@@ -208,6 +221,22 @@ def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
     return rows, summary
 
 
+# Files a run writes besides config.json and its seedNNNN_* files.
+_RUN_ARTIFACTS = (
+    "summary.json", "error.json", "sparsity_reward.csv", "ledger_comparison.json",
+    "transfer_curves.csv", "transfer_summary.json",
+)
+
+
+def _remove_run_artifacts(run_dir: str) -> None:
+    if not os.path.isdir(run_dir):
+        return
+    for name in os.listdir(run_dir):
+        head, sep, _ = name.partition("_")
+        if name in _RUN_ARTIFACTS or (sep and head.startswith("seed") and head[4:].isdigit()):
+            os.remove(os.path.join(run_dir, name))
+
+
 def _write_seed_outputs(run_dir: str, seed: int, rows, summary) -> None:
     write_csv(os.path.join(run_dir, f"seed{seed:04d}_rounds.csv"), rows, ROUND_COLUMNS)
     write_json(os.path.join(run_dir, f"seed{seed:04d}_summary.json"), summary)
@@ -216,13 +245,15 @@ def _write_seed_outputs(run_dir: str, seed: int, rows, summary) -> None:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every seed of the configured scenario and write all artifacts.
 
-    A mid-run failure leaves partial outputs in place and records the error
-    in ``error.json`` before propagating; a successful run removes an
-    ``error.json`` left by an earlier failed run in the same directory.
+    The artifacts of an earlier run in the same directory are removed first,
+    so every file there belongs to this run.  A mid-run failure leaves this
+    run's partial outputs in place and records the error in ``error.json``
+    before propagating.
     """
     run_dir = cfg.run_dir()
     error_path = os.path.join(run_dir, "error.json")
     chash = config_hash(cfg)
+    _remove_run_artifacts(run_dir)
     write_json(os.path.join(run_dir, "config.json"), {"hash": chash, "config": cfg.to_dict()})
     try:
         if cfg.scenario == "rach":
@@ -238,8 +269,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             error_path, {"error": str(exc), "type": type(exc).__name__, "config_hash": chash}
         )
         raise
-    if os.path.exists(error_path):
-        os.remove(error_path)
     aggregate.update(
         {"name": cfg.name, "scenario": cfg.scenario, "config_hash": chash, "run_dir": run_dir}
     )

@@ -16,7 +16,7 @@ source.  Both paths give the same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -399,8 +399,9 @@ def transfer_weights(
 
     is a convex combination (coefficients sum to 1).  beta = 0, or no
     positive correlation, leaves the agent unchanged.  With two agents at
-    correlation 1 and beta 1 both land on the elementwise average.  Each
-    agent's own sparsity mask is re-applied to the blend.
+    correlation 1 and beta 1 both land on the elementwise average.  The
+    blend runs on whole parameter vectors, and each agent's own sparsity
+    mask is re-applied to it.
     """
     values = corr.values if isinstance(corr, CorrelationMatrix) else np.asarray(corr, dtype=float)
     n = len(nets)
@@ -412,48 +413,21 @@ def transfer_weights(
     if any(net.layer_dims != dims for net in nets):
         raise InvalidInputError("all agents must share one architecture")
 
-    def copy_of(net: DenseNet) -> DenseNet:
-        return DenseNet(
-            net.layer_dims,
-            [w.copy() for w in net.weights],
-            [b.copy() for b in net.biases],
-            net.activation,
-            [m.copy() for m in net.mask] if net.mask is not None else None,
-            None,
-        )
-
     out: list[DenseNet] = []
     pos = np.clip(values, 0.0, None)
     np.fill_diagonal(pos, 0.0)
     for i, net in enumerate(nets):
         z_i = float(pos[i].sum())
         if beta == 0.0 or z_i == 0.0:
-            out.append(copy_of(net))
+            out.append(replace(net, quant=None))
             continue
         w_i = z_i / (1.0 + z_i)
-        self_coeff = 1.0 - beta * w_i
-        weights, biases = [], []
-        for layer in range(net.n_layers):
-            w_mix = self_coeff * net.weights[layer]
-            b_mix = self_coeff * net.biases[layer]
-            for j, other in enumerate(nets):
-                if j == i or pos[i, j] == 0.0:
-                    continue
-                share = beta * w_i * (pos[i, j] / z_i)
-                w_mix = w_mix + share * other.weights[layer]
-                b_mix = b_mix + share * other.biases[layer]
-            if net.mask is not None:
-                w_mix = w_mix * net.mask[layer]
-            weights.append(w_mix.astype(net.dtype))
-            biases.append(b_mix.astype(net.dtype))
-        out.append(
-            DenseNet(
-                net.layer_dims,
-                weights,
-                biases,
-                net.activation,
-                [m.copy() for m in net.mask] if net.mask is not None else None,
-                None,
-            )
-        )
+        mix = (1.0 - beta * w_i) * net.params
+        for j, other in enumerate(nets):
+            if j != i and pos[i, j] != 0.0:
+                mix = mix + beta * w_i * (pos[i, j] / z_i) * other.params
+        mask = net.param_mask
+        if mask is not None:
+            mix, mask = mix * mask, mask.copy()
+        out.append(DenseNet._wrap(dims, mix.astype(net.dtype, copy=False), net.activation, mask))
     return out

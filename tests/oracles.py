@@ -22,12 +22,13 @@ from greenrl.errors import ConfigError, InvalidInputError, NotReadyError
 from greenrl.neural import (
     DenseNet,
     GradientBatch,
+    QuantMeta,
     ReplayBuffer,
     batch_loss,
     dqn_train_step,
     forward,
     glorot_init,
-    sgd_step,
+    symmetric_quantize_layer,
     sync_target,
 )
 from greenrl.rach_env import (
@@ -45,7 +46,7 @@ from greenrl.rl_core import (
     epsilon_greedy,
     state_key,
 )
-from greenrl.spatial import FieldNoise, Kernel, SpatialField, quadrature_matrix
+from greenrl.spatial import CorrelationMatrix, FieldNoise, Kernel, SpatialField, quadrature_matrix
 
 # ---------------------------------------------------------------------------
 # Finite MDPs
@@ -222,8 +223,8 @@ def random_net_and_batch(rng: np.random.Generator, max_weights: int = 1000):
             continue
         net = glorot_init(dims, rng.integers(2**32))
         for i in range(net.n_layers):
-            net.weights[i] = rng.normal(0, 1.0, net.weights[i].shape)
-            net.biases[i] = rng.normal(0, 0.5, net.biases[i].shape)
+            net.weights[i][...] = rng.normal(0, 1.0, net.weights[i].shape)
+            net.biases[i][...] = rng.normal(0, 0.5, net.biases[i].shape)
         bsz = int(rng.integers(1, 5))
         x = rng.normal(0, 1.0, (bsz, dims[0]))
         targets = rng.normal(0, 1.0, (bsz, dims[-1]))
@@ -443,9 +444,8 @@ def run_centralized_dqn(env_cfg, dqn_cfg, seed: int, steps: int):
 # array-native learner in greenrl.neural replaced, kept verbatim apart from
 # their names.  Each step restacks the sample into arrays, runs the target
 # and online networks, then runs the online network again in the loss and
-# again in the backprop.  The learner must reproduce it bit for bit.  Only
-# ``sgd_step`` is shared with greenrl.neural; the change it checks left that
-# function as it was.
+# again in the backprop, and updates through ``reference_sgd_step`` below.
+# The learner must reproduce it bit for bit.
 
 
 class ReferenceReplayBuffer:
@@ -565,8 +565,230 @@ def reference_dqn_train_step(
     batch = list(zip(x, t_mat, m_mat))
     loss = reference_batch_loss(online, batch)
     grads = reference_backprop_minibatch(online, batch)
-    return sgd_step(online, grads, lr), loss
+    return reference_sgd_step(online, grads, lr), loss
 
+
+# ---------------------------------------------------------------------------
+# Reference parameter update and network codec
+# ---------------------------------------------------------------------------
+#
+# The per-layer ``sgd_step`` and network codec that the flat parameter
+# vector in greenrl.neural replaced, kept verbatim apart from their names.
+# They walk the network one weight matrix and bias vector at a time.  The
+# learner's updates must match ``reference_sgd_step`` bit for bit, and
+# payloads of the new codec must match these byte for byte.
+
+
+def reference_sgd_step(net: DenseNet, grads: GradientBatch, lr: float) -> DenseNet:
+    """w <- w - lr * g; the sparsity mask is re-applied afterwards."""
+    if not lr > 0:
+        raise InvalidInputError(f"learning rate must be positive, got {lr!r}")
+    if len(grads.weight_grads) != net.n_layers:
+        raise InvalidInputError("gradient layer count does not match network")
+    lr = net.dtype.type(lr)
+    weights, biases = [], []
+    for i in range(net.n_layers):
+        if grads.weight_grads[i].shape != net.weights[i].shape:
+            raise InvalidInputError(f"gradient shape mismatch at layer {i}")
+        w = net.weights[i] - lr * grads.weight_grads[i].astype(net.dtype)
+        if net.mask is not None:
+            w = w * net.mask[i]
+        weights.append(w)
+        biases.append(net.biases[i] - lr * grads.bias_grads[i].astype(net.dtype))
+    mask = [mk.copy() for mk in net.mask] if net.mask is not None else None
+    return DenseNet(net.layer_dims, weights, biases, net.activation, mask, quant=None)
+
+
+_REF_MAGIC = b"GDNW"
+_REF_FORMAT_VERSION = 1
+# magic, format version, float tag, quant bits, activation tag, n_dims
+_REF_NET_HEADER = struct.Struct("<4sHBBBB")
+_REF_FLOAT_TAGS = {0: np.float32, 1: np.float64}
+_REF_ACT_TAGS = {"relu": 0}
+
+
+def reference_net_to_bytes(net: DenseNet, quant_bits: int | None = None) -> bytes:
+    """Serialise to the flat little-endian wire payload.
+
+    Layout: magic, format version u16, float tag u8 (0=f32, 1=f64),
+    quant bits u8 (0 = dense floats), activation tag u8, n_dims u8,
+    dims u32 each, then per layer the weight block (row-major floats, or a
+    f32 scale followed by i8/i16 codes when quantised) and f32/f64 biases.
+    """
+    float_tag = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}.get(net.dtype)
+    if float_tag is None:
+        raise InvalidInputError(f"unsupported network dtype {net.dtype}")
+    parts = [
+        _REF_MAGIC,
+        struct.pack(
+            "<HBBBB",
+            _REF_FORMAT_VERSION,
+            float_tag,
+            0 if quant_bits is None else int(quant_bits),
+            _REF_ACT_TAGS[net.activation],
+            len(net.layer_dims),
+        ),
+        struct.pack(f"<{len(net.layer_dims)}I", *net.layer_dims),
+    ]
+    for w, b in zip(net.weights, net.biases):
+        if quant_bits is None:
+            parts.append(np.ascontiguousarray(w).tobytes())
+        else:
+            codes, scale = symmetric_quantize_layer(w, quant_bits)
+            code_dtype = np.int8 if quant_bits <= 8 else np.int16
+            parts.append(struct.pack("<f", scale))
+            parts.append(codes.astype(code_dtype).tobytes())
+        parts.append(np.ascontiguousarray(b).tobytes())
+    return b"".join(parts)
+
+
+def reference_net_from_bytes(buf: bytes) -> DenseNet:
+    """Rebuild a DenseNet from ``reference_net_to_bytes`` output.
+
+    Quantised payloads decode to dequantised float weights (codes * scale)
+    carrying a QuantMeta tag.  The header fields are checked, and the
+    payload length is checked against the length they imply before any
+    body read, so every malformed payload raises ``InvalidInputError``.
+    """
+    if len(buf) < _REF_NET_HEADER.size:
+        raise InvalidInputError("network payload is shorter than its header")
+    magic, fmt, float_tag, quant_bits, act_tag, n_dims = _REF_NET_HEADER.unpack_from(buf)
+    if magic != _REF_MAGIC:
+        raise InvalidInputError("bad magic in network payload")
+    if fmt != _REF_FORMAT_VERSION:
+        raise InvalidInputError(f"unsupported payload format version {fmt}")
+    if float_tag not in _REF_FLOAT_TAGS:
+        raise InvalidInputError(f"unknown float tag {float_tag}")
+    if quant_bits != 0 and not 2 <= quant_bits <= 16:
+        raise InvalidInputError(f"quantisation bits must be 0 or lie in [2, 16], got {quant_bits}")
+    activation = {v: k for k, v in _REF_ACT_TAGS.items()}.get(act_tag)
+    if activation is None:
+        raise InvalidInputError(f"unknown activation tag {act_tag}")
+    if n_dims < 2:
+        raise InvalidInputError(f"network payload needs >= 2 layer dims, got {n_dims}")
+    off = _REF_NET_HEADER.size + 4 * n_dims
+    if len(buf) < off:
+        raise InvalidInputError("network payload is shorter than its layer dims")
+    dims = struct.unpack_from(f"<{n_dims}I", buf, _REF_NET_HEADER.size)
+    if min(dims) < 1:
+        raise InvalidInputError(f"network layer dims must be >= 1, got {dims}")
+    dtype = np.dtype(_REF_FLOAT_TAGS[float_tag])
+    code_dtype = np.dtype(np.int8) if quant_bits <= 8 else np.dtype(np.int16)
+    layer_head, w_size = (0, dtype.itemsize) if quant_bits == 0 else (4, code_dtype.itemsize)
+    expected = off + sum(
+        layer_head + (fan_in * w_size + dtype.itemsize) * fan_out
+        for fan_in, fan_out in zip(dims[:-1], dims[1:])
+    )
+    if len(buf) != expected:
+        raise InvalidInputError(f"network payload holds {len(buf)} bytes, its header implies {expected}")
+    weights, biases, scales = [], [], []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        n = fan_in * fan_out
+        if quant_bits == 0:
+            w = np.frombuffer(buf, dtype=dtype, count=n, offset=off).reshape(fan_in, fan_out)
+            off += n * dtype.itemsize
+        else:
+            (scale,) = struct.unpack_from("<f", buf, off)
+            if not 0 < scale < np.inf:
+                raise InvalidInputError(f"quantisation scale must be finite and positive, got {scale}")
+            off += 4
+            codes = np.frombuffer(buf, dtype=code_dtype, count=n, offset=off)
+            off += n * code_dtype.itemsize
+            w = (codes.astype(dtype) * dtype.type(scale)).reshape(fan_in, fan_out)
+            scales.append(float(scale))
+        weights.append(w.copy())
+        b = np.frombuffer(buf, dtype=dtype, count=fan_out, offset=off)
+        off += fan_out * dtype.itemsize
+        biases.append(b.copy())
+    quant = None
+    if quant_bits:
+        quant = QuantMeta(quant_bits, scales, [0] * len(scales))
+    return DenseNet(tuple(dims), weights, biases, activation, mask=None, quant=quant)
+
+
+
+def reference_per_round_curve(rows) -> np.ndarray:
+    """Mean reward per round, averaged over entities: one ``np.mean`` per round."""
+    by_round: dict[int, list[float]] = {}
+    for row in rows:
+        by_round.setdefault(row["round"], []).append(row["reward_mean"])
+    return np.asarray([np.mean(by_round[r]) for r in sorted(by_round)])
+
+
+# The per-layer correlation-gated blend that whole-vector blending in
+# greenrl.spatial replaced, kept verbatim apart from its name.
+def reference_transfer_weights(
+    nets: Sequence[DenseNet],
+    corr: CorrelationMatrix | np.ndarray,
+    beta: float,
+) -> list[DenseNet]:
+    """Correlation-gated convex blend of per-agent network parameters.
+
+    For agent i let Z_i be the sum of clipped correlations c+_ij over j != i
+    and w_i = Z_i / (1 + Z_i).  The update
+
+        theta_i' = (1 - beta w_i) theta_i + beta w_i sum_j (c+_ij / Z_i) theta_j
+
+    is a convex combination (coefficients sum to 1).  beta = 0, or no
+    positive correlation, leaves the agent unchanged.  With two agents at
+    correlation 1 and beta 1 both land on the elementwise average.  Each
+    agent's own sparsity mask is re-applied to the blend.
+    """
+    values = corr.values if isinstance(corr, CorrelationMatrix) else np.asarray(corr, dtype=float)
+    n = len(nets)
+    if values.shape != (n, n):
+        raise InvalidInputError(f"correlation matrix {values.shape} does not match {n} agents")
+    if not 0.0 <= beta <= 1.0:
+        raise InvalidInputError(f"beta must lie in [0, 1], got {beta!r}")
+    dims = nets[0].layer_dims
+    if any(net.layer_dims != dims for net in nets):
+        raise InvalidInputError("all agents must share one architecture")
+
+    def copy_of(net: DenseNet) -> DenseNet:
+        return DenseNet(
+            net.layer_dims,
+            [w.copy() for w in net.weights],
+            [b.copy() for b in net.biases],
+            net.activation,
+            [m.copy() for m in net.mask] if net.mask is not None else None,
+            None,
+        )
+
+    out: list[DenseNet] = []
+    pos = np.clip(values, 0.0, None)
+    np.fill_diagonal(pos, 0.0)
+    for i, net in enumerate(nets):
+        z_i = float(pos[i].sum())
+        if beta == 0.0 or z_i == 0.0:
+            out.append(copy_of(net))
+            continue
+        w_i = z_i / (1.0 + z_i)
+        self_coeff = 1.0 - beta * w_i
+        weights, biases = [], []
+        for layer in range(net.n_layers):
+            w_mix = self_coeff * net.weights[layer]
+            b_mix = self_coeff * net.biases[layer]
+            for j, other in enumerate(nets):
+                if j == i or pos[i, j] == 0.0:
+                    continue
+                share = beta * w_i * (pos[i, j] / z_i)
+                w_mix = w_mix + share * other.weights[layer]
+                b_mix = b_mix + share * other.biases[layer]
+            if net.mask is not None:
+                w_mix = w_mix * net.mask[layer]
+            weights.append(w_mix.astype(net.dtype))
+            biases.append(b_mix.astype(net.dtype))
+        out.append(
+            DenseNet(
+                net.layer_dims,
+                weights,
+                biases,
+                net.activation,
+                [m.copy() for m in net.mask] if net.mask is not None else None,
+                None,
+            )
+        )
+    return out
 
 # ---------------------------------------------------------------------------
 # Reference sample-batch codec

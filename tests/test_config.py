@@ -119,6 +119,9 @@ def test_spatial_section_validation(kwargs):
         ("length", 0.0),
         ("length", float("inf")),
         ("burn_in", -1),
+        ("burn_in", 2.5),
+        ("bs_cells", [[0, 1.5], [2, 3]]),
+        ("mu", "abc"),
     ],
 )
 def test_spatial_field_checks_name_the_dotted_path(key, value):

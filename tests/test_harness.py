@@ -21,6 +21,7 @@ from greenrl.runner import (
     write_csv,
     write_json,
 )
+from oracles import reference_per_round_curve
 
 
 def tiny_config(tmp_path, **overrides):
@@ -71,6 +72,19 @@ def test_per_round_curve_averages_entities():
         {"round": 1, "reward_mean": 5.0},
     ]
     np.testing.assert_allclose(per_round_curve(rows), [2.0, 5.0])
+
+
+@pytest.mark.parametrize("max_entities", [1, 3, 9, 33])
+def test_per_round_curve_matches_per_round_mean(max_entities):
+    """Ragged rounds, in shuffled row order: bit for bit the one-np.mean-per-round reference."""
+    rng = np.random.default_rng(max_entities)
+    rows = [
+        {"round": r, "reward_mean": float(v)}
+        for r in range(300)
+        for v in rng.normal(size=int(rng.integers(1, max_entities + 1))) * 10.0 ** rng.integers(-3, 4)
+    ]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    assert per_round_curve(rows).tobytes() == reference_per_round_curve(rows).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +188,18 @@ def test_run_experiment_records_failures(tmp_path, monkeypatch):
     run_experiment(fixed)
     assert not os.path.exists(error_path)
     assert os.path.isfile(os.path.join(cfg.run_dir(), "summary.json"))
+
+
+def test_failed_run_leaves_no_earlier_artifacts(tmp_path):
+    """A failing config cannot sit beside an earlier run's summary and seed files."""
+    first = run_experiment(tiny_config(tmp_path))
+    run_dir = first["run_dir"]
+    assert os.path.isfile(os.path.join(run_dir, "seed0001_rounds.csv"))
+    failing = tiny_config(tmp_path, scenario="transfer", agent="dqn")
+    assert failing.run_dir() == run_dir
+    with pytest.raises(ConfigError):
+        run_experiment(failing)
+    assert sorted(os.listdir(run_dir)) == ["config.json", "error.json"]
 
 
 def test_paired_p_branches():
@@ -288,7 +314,10 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("mu", -1), ("squash", "nope"), ("noise_sigma", -0.5), ("kernel_length_scale", 0)],
+    [
+        ("mu", -1), ("squash", "nope"), ("noise_sigma", -0.5), ("kernel_length_scale", 0),
+        ("burn_in", 2.5), ("bs_cells", [[0, 1.5], [2, 3]]), ("mu", "abc"),
+    ],
 )
 def test_cli_rejects_bad_spatial_field_before_writing(tmp_path, capsys, key, value):
     path = write_config_file(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,9 @@ from oracles import (
     finite_diff_grads,
     random_net_and_batch,
     reference_dqn_train_step,
+    reference_net_from_bytes,
+    reference_net_to_bytes,
+    reference_sgd_step,
 )
 
 
@@ -364,6 +369,15 @@ def test_train_step_only_taken_action_moves_head():
     assert np.any(head_delta[:, 1] != 0)
 
 
+def test_train_step_rejects_a_mismatched_target():
+    online = glorot_init((3, 4, 2), seed=1, dtype=np.float32)
+    buf = ReplayBuffer(8)
+    buf.extend([Transition(np.ones(3), i % 2, 1.0, np.zeros(3)) for i in range(4)])
+    for target in (glorot_init((3, 4, 2), seed=1), glorot_init((3, 5, 2), seed=1, dtype=np.float32)):
+        with pytest.raises(InvalidInputError, match="target"):
+            dqn_train_step(online, target, buf, 2, 0.9, 0.01, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize(
     "dtype, pruned, capacity",
     [
@@ -547,18 +561,18 @@ def test_trusted_forward_matches_cached_forward(dtype, n_hidden, variant):
         assert got.tobytes() == expected.tobytes()
 
 
-def test_trusted_forward_keeps_dtype_promotion():
-    """A hand-built net with float64 biases on float32 weights promotes
-    exactly as the cached batch forward does."""
-    from greenrl.neural import _forward_cached
-
+def test_mixed_dtype_net_is_rejected():
+    """Weights and biases live in one parameter vector of one dtype: float64
+    biases on float32 weights are a ConfigError, whether given to the
+    constructor or assigned, and a rejected assignment changes nothing."""
     net = _variant_net(np.float32, 2, "dense")
-    net.biases = [b.astype(np.float64) + 0.1 for b in net.biases]
-    x = np.linspace(-1, 1, 6).astype(np.float32)
-    expected = _forward_cached(net, x[None, :])[1][-1][0]
-    got = forward(net, x)
-    assert got.dtype == expected.dtype == np.float64
-    assert got.tobytes() == expected.tobytes()
+    before = net.params.copy()
+    with pytest.raises(ConfigError, match="one dtype"):
+        net.biases = [b.astype(np.float64) + 0.1 for b in net.biases]
+    assert net.params.tobytes() == before.tobytes()
+    assert all(b.dtype == np.float32 for b in net.biases)
+    with pytest.raises(ConfigError, match="one dtype"):
+        DenseNet((1, 1), [np.ones((1, 1), np.float32)], [np.zeros(1)])
 
 
 def test_trusted_forward_leaves_net_and_input_unchanged():
@@ -600,3 +614,144 @@ def _wire_byte(buf, offset, value):
 def test_wire_decode_rejects_malformed_payload(payload):
     with pytest.raises(InvalidInputError):
         net_from_bytes(payload)
+
+
+# ---------------------------------------------------------------------------
+# flat parameter vector
+# ---------------------------------------------------------------------------
+
+
+def _assert_views_agree(net):
+    """``params`` is the layers in [W0, b0, W1, b1, ...] order, and every
+    view (and mask view) lives in its flat vector."""
+    layers = [a.ravel() for pair in zip(net.weights, net.biases) for a in pair]
+    assert net.params.tobytes() == np.concatenate(layers).tobytes()
+    assert all(np.shares_memory(a, net.params) for a in (*net.weights, *net.biases))
+    if net.mask is not None:
+        ones = [np.ones_like(b) for b in net.biases]
+        flat = np.concatenate([a.ravel() for pair in zip(net.mask, ones) for a in pair])
+        assert net.param_mask.tobytes() == flat.tobytes()
+        assert all(np.shares_memory(m, net.param_mask) for m in net.mask)
+
+
+def test_views_and_params_agree_through_every_write():
+    weights = [np.arange(6.0).reshape(2, 3), np.arange(3.0).reshape(3, 1)]
+    biases = [np.array([1.0, 2.0, 3.0]), np.array([4.0])]
+    net = DenseNet((2, 3, 1), weights, biases)
+    _assert_views_agree(net)
+    assert net.params.tolist() == [0, 1, 2, 3, 4, 5, 1, 2, 3, 0, 1, 2, 4]
+    weights[0][0, 0] = 99.0  # the constructor copied its arguments
+    assert net.weights[0][0, 0] == 0.0
+
+    net.weights[1][2, 0] = -7.0  # in-place element writes land in params
+    net.biases[0][:] = 0.5
+    assert net.params[11] == -7.0 and net.params[6:9].tolist() == [0.5] * 3
+    _assert_views_agree(net)
+
+    swapped = replace(net, weights=[np.ones((2, 3)), np.ones((3, 1))])
+    _assert_views_agree(swapped)
+    assert not np.shares_memory(swapped.params, net.params)
+    assert swapped.biases[0].tolist() == [0.5] * 3  # carried over from net
+    assert net.weights[0][0, 1] == 1.0  # net itself unchanged
+
+    net.biases = [np.zeros(3), np.array([9.0])]  # assignment repacks
+    net.mask = [np.ones((2, 3)), np.array([[1.0], [0.0], [1.0]])]
+    _assert_views_agree(net)
+    assert net.params[-1] == 9.0
+    assert net.param_mask.tolist() == [1] * 9 + [1, 0, 1] + [1]
+    net.mask[0][1, 2] = 0.0
+    assert net.param_mask[5] == 0.0
+
+
+def test_copies_rebuild_views_on_their_own_vector():
+    import copy
+    import pickle
+
+    net, _ = prune_by_magnitude(glorot_init((3, 4, 2), seed=6), 0.3)
+    for dup in (copy.deepcopy(net), pickle.loads(pickle.dumps(net)), sync_target(net)):
+        _assert_views_agree(dup)
+        assert not np.shares_memory(dup.params, net.params)
+        assert not np.shares_memory(dup.param_mask, net.param_mask)
+        assert dup.params.tobytes() == net.params.tobytes()
+
+
+def test_constructor_checks_shapes_against_dims():
+    with pytest.raises(ConfigError, match="shapes"):
+        DenseNet((2, 3), [np.ones((3, 2))], [np.zeros(3)])
+    with pytest.raises(ConfigError, match="shapes"):
+        DenseNet((2, 3), [np.ones((2, 3))], [np.zeros(2)])
+    with pytest.raises(ConfigError, match="mask"):
+        DenseNet((2, 3), [np.ones((2, 3))], [np.zeros(3)], mask=[np.ones((3, 2))])
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sgd_step_matches_reference(dtype, pruned):
+    """One vector update against the per-layer reference, bit for bit, with
+    float64 gradients on either network dtype."""
+    rng = np.random.default_rng(3)
+    net = glorot_init((5, 7, 3), seed=2, dtype=dtype)
+    if pruned:
+        net, _ = prune_by_magnitude(net, threshold_for_sparsity(net, 0.4))
+    for lr in (0.1, 1e-3, 3.7):
+        grads = GradientBatch(
+            [rng.normal(size=w.shape) for w in net.weights], [rng.normal(size=b.shape) for b in net.biases]
+        )
+        got, want = sgd_step(net, grads, lr), reference_sgd_step(net, grads, lr)
+        assert got.params.dtype == dtype
+        assert got.params.tobytes() == want.params.tobytes()
+        _assert_views_agree(got)
+        net = got
+
+
+def test_returned_nets_and_gradients_do_not_alias_the_workspace():
+    """Every step returns fresh arrays: a net or gradient handed out earlier
+    survives later steps, later backprops and target syncs unchanged."""
+    rng = np.random.default_rng(4)
+    online = glorot_init((4, 6, 3), seed=1, dtype=np.float32)
+    online, _ = prune_by_magnitude(online, threshold_for_sparsity(online, 0.3))
+    target = sync_target(online)
+    buf = ReplayBuffer(32)
+    buf.extend([Transition(rng.random(4), int(rng.integers(3)), float(rng.random()), rng.random(4)) for _ in range(32)])
+    batch = [(rng.random(4), rng.random(3), np.eye(3)[i % 3]) for i in range(5)]
+    sample_rng = np.random.default_rng(5)
+    first, _ = dqn_train_step(online, target, buf, 8, 0.9, 0.05, sample_rng)
+    grads = backprop_minibatch(first, batch)
+    kept = [a.copy() for a in (online.params, target.params, first.params, first.param_mask)]
+    kept_grads = [g.copy() for g in grads.weight_grads + grads.bias_grads]
+    net = first
+    for _ in range(3):
+        net, _ = dqn_train_step(net, target, buf, 8, 0.9, 0.05, sample_rng)
+        backprop_minibatch(net, batch)
+    assert not np.array_equal(net.params, first.params)
+    for before, after in zip(kept, (online.params, target.params, first.params, first.param_mask)):
+        assert before.tobytes() == after.tobytes()
+    for before, after in zip(kept_grads, grads.weight_grads + grads.bias_grads):
+        assert before.tobytes() == after.tobytes()
+    scratch = [a for a in vars(buf._workspace).values() if isinstance(a, np.ndarray)]
+    for a in (first.params, first.param_mask, net.params, net.param_mask):
+        assert not any(np.shares_memory(a, s) for s in scratch)
+    assert not np.shares_memory(first.param_mask, net.param_mask)
+
+
+@given(
+    dims=st.lists(st.integers(min_value=1, max_value=7), min_size=2, max_size=4),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    sparsity=st.sampled_from([None, 0.3, 0.8]),
+    bits=st.one_of(st.none(), st.integers(min_value=2, max_value=16)),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=120, deadline=None)
+def test_codec_matches_reference(dims, dtype, sparsity, bits, seed):
+    """Payloads are byte-identical to the per-layer reference codec, dense
+    and quantised at 2-16 bits, and both decoders agree bit for bit."""
+    net = glorot_init(dims, seed, dtype=dtype)
+    net.biases = [np.random.default_rng(seed).normal(size=b.shape).astype(dtype) for b in net.biases]
+    if sparsity is not None:
+        net, _ = prune_by_magnitude(net, threshold_for_sparsity(net, sparsity))
+    payload = net_to_bytes(net, bits)
+    assert payload == reference_net_to_bytes(net, bits)
+    back, ref = net_from_bytes(payload), reference_net_from_bytes(payload)
+    assert back.params.tobytes() == ref.params.tobytes()
+    assert (back.layer_dims, back.dtype, back.quant, back.mask) == (ref.layer_dims, ref.dtype, ref.quant, None)
+    _assert_views_agree(back)

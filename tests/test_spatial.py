@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenrl.compression import prune_by_magnitude
+from greenrl.compression import prune_by_magnitude, threshold_for_sparsity
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.neural import DenseNet, glorot_init
 from greenrl.spatial import (
@@ -357,6 +357,33 @@ def test_transfer_preserves_dtype():
     nets = scalar_nets(1.0, 2.0, dtype=np.float32)
     out = transfer_weights(nets, np.ones((2, 2)), beta=0.7)
     assert out[0].dtype == np.float32
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_transfer_matches_reference(dtype, pruned):
+    """Whole-vector blending against the per-layer reference, bit for bit,
+    masks included, over random agent counts, correlations and beta."""
+    from oracles import reference_transfer_weights
+
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(2, 4))
+        nets = [glorot_init((5, 6, 3), seed=int(rng.integers(1000)), dtype=dtype) for _ in range(n)]
+        for net in nets:
+            net.biases = [rng.normal(size=b.shape).astype(dtype) for b in net.biases]
+        if pruned:
+            nets = [prune_by_magnitude(net, threshold_for_sparsity(net, 0.5))[0] for net in nets]
+        corr = rng.uniform(-1.0, 1.0, (n, n))
+        corr = (corr + corr.T) / 2
+        np.fill_diagonal(corr, 1.0)
+        beta = float(rng.choice([0.0, 0.3, 1.0]))
+        got, want = transfer_weights(nets, corr, beta), reference_transfer_weights(nets, corr, beta)
+        for g, w in zip(got, want):
+            assert g.params.tobytes() == w.params.tobytes()
+            assert (g.mask is None) == (w.mask is None) == (not pruned)
+            if pruned:
+                assert g.param_mask.tobytes() == w.param_mask.tobytes()
 
 
 def test_transfer_validation():
