@@ -9,16 +9,16 @@ the cloud session machinery.
 Each agent computes its features once per observation and acts and learns
 on them: ``features(obs)`` is the tabular agent's bin triple, the linear
 agent's ``[obs / norm; 1]`` vector in one array, the LE-URC agent's checked
-count list, and the observation itself for the random agent.  The drivers
-(``run_local_agent``, ``greedy_action``, ``evaluate_greedy_agent``) carry
-one slot's features over as the next slot's, so an observation is
-featurised once however often it is read.  ``learn(feat, a, r, next_feat)``
-writes the agent's own table row or weight row in place, through the same
-rules the public ``rl_core`` functions use (``q_backup``, ``bias_features``,
-``linear_q_step``, and ``bin_indices``, ``le_urc_pick`` beside them), so
-there is one formula per rule.  The constants are checked once, by
-``LocalAgentParams``; the per-slot data checks stay (finite features, finite
-reward, action in range).
+count list, and the observation itself for the random agent.
+``run_local_agent`` carries one slot's features over as the next slot's, so
+an observation is featurised once however often it is read, and
+``evaluate_greedy_agent`` featurises each observation once for ``greedy``.
+``learn(feat, a, r, next_feat)`` writes the agent's own table row or weight
+row in place through the one kernel per rule (``q_backup``,
+``bias_features`` and ``linear_q_step`` in ``rl_core``, ``bin_indices`` in
+``compression``, ``le_urc_pick`` in ``rach_env``).  The constants are
+checked once, by ``LocalAgentParams``; the per-slot data checks stay
+(finite features, finite reward, action in range).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "RandomAgent",
     "make_agent",
     "run_local_agent",
-    "greedy_action",
     "evaluate_greedy_agent",
     "evaluate_greedy_net",
     "LOCAL_AGENTS",
@@ -267,11 +266,6 @@ def run_local_agent(
     return rows, agent
 
 
-def greedy_action(agent, obs: np.ndarray) -> int:
-    """Exploitation-only action for a trained local agent."""
-    return agent.greedy(agent.features(obs))
-
-
 def evaluate_greedy_agent(agent, env_cfg: RachConfig, slots: int, seed: int) -> float:
     """Mean per-slot reward of a frozen local agent on a fresh env.
 
@@ -284,7 +278,7 @@ def evaluate_greedy_agent(agent, env_cfg: RachConfig, slots: int, seed: int) -> 
     obs = env.reset()
     total = 0.0
     for _ in range(slots):
-        obs, reward, _ = env.step(menu[greedy_action(agent, obs)])
+        obs, reward, _ = env.step(menu[agent.greedy(agent.features(obs))])
         total += reward
     return total / slots
 

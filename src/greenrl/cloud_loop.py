@@ -409,9 +409,16 @@ class Session:
     def train_on_batch(self, batch: SampleBatch) -> float:
         """Append the batch to replay and run one mini-batch update.
 
-        Stale batches are accepted; the number of train steps taken since
-        their snapshot is recorded in the staleness histogram.
+        A batch holding an action outside the network's outputs is rejected
+        before anything is recorded or written.  Stale batches are accepted;
+        the number of train steps taken since their snapshot is recorded in
+        the staleness histogram.
         """
+        # Checked on a list: for a batch this size several times cheaper than
+        # numpy's min and max.
+        actions, n_out = np.asarray(batch.columns.action).ravel().tolist(), self.online.layer_dims[-1]
+        if actions and not 0 <= min(actions) <= max(actions) < n_out:
+            raise InvalidInputError(f"uploaded actions must lie in [0, {n_out}), the network's outputs")
         cfg = self.request.dqn
         lag = self.train_steps - batch.snapshot_version
         hist = self.message_ledger.staleness_histogram

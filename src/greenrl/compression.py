@@ -8,7 +8,7 @@ aggregation) shrink tabular representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "prune_neurons",
     "quantize_weights",
     "threshold_for_sparsity",
-    "discretize",
     "bin_indices",
     "aggregate_states",
     "apply_partition",
@@ -178,9 +177,10 @@ class DiscretizationScheme:
 
 def bin_indices(scheme: DiscretizationScheme, values: Iterable[float]) -> tuple[int, ...]:
     """Bin index in [0, levels) of each float; values outside the range clamp
-    to the edges.  The one binning formula: ``discretize`` and the tabular
-    agent's state key both come here.  The finiteness check is a comparison
-    on the Python float, several times cheaper than ``np.isfinite``.
+    to the edges.  The one binning formula: the tabular agent keys its
+    table on the bins of each observation's latest slot triple.  The
+    finiteness check is a comparison on the Python float, several times
+    cheaper than ``np.isfinite``.
 
     Values at or beyond an edge take that edge's bin without a division, so
     a finite value far outside the range cannot overflow the quotient; for
@@ -200,11 +200,6 @@ def bin_indices(scheme: DiscretizationScheme, values: Iterable[float]) -> tuple[
         else:
             out.append(min(int((v - low) // width), top))
     return tuple(out)
-
-
-def discretize(scheme: DiscretizationScheme, value: float) -> int:
-    """Bin index in [0, levels); values outside the range clamp to the edges."""
-    return bin_indices(scheme, (float(value),))[0]
 
 
 @dataclass

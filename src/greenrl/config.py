@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .agents import LOCAL_AGENTS, LocalAgentParams, _is_int
 from .cloud_loop import CompressionPlan, DqnConfig, ServiceRequest
@@ -101,6 +101,8 @@ class CloudSection:
             raise ConfigError(f"mode must be lockstep or concurrent, got {self.mode!r}")
         if self.n_entities < 1:
             raise ConfigError("n_entities must be >= 1")
+        if not (_is_int(self.inner_steps) and self.inner_steps >= 1):
+            raise ConfigError(f"inner_steps: must be an integer >= 1, got {self.inner_steps!r}")
 
     def dqn_config(self) -> DqnConfig:
         return DqnConfig(
@@ -123,6 +125,10 @@ class CompressionSection:
     prune_at_round: int = 0
     quant_bits: int = 8
     sparsity_levels: tuple = (0.0, 0.25, 0.5, 0.75)
+
+    def __post_init__(self):
+        if not (_is_int(self.quant_bits) and 2 <= self.quant_bits <= 16):
+            raise ConfigError(f"quant_bits: must be an integer in [2, 16], got {self.quant_bits!r}")
 
 
 def _real(x) -> bool:

@@ -306,7 +306,7 @@ class ReplayBuffer:
     network dtype with the same single rounding as the input itself would.
 
     ``write`` is the one path into the ring and takes whole columns;
-    ``push`` and ``extend`` turn ``Transition`` records into columns for it.
+    ``push`` turns one ``Transition`` record into columns for it.
     """
 
     def __init__(self, capacity: int):
@@ -319,21 +319,16 @@ class ReplayBuffer:
         self._workspace: _Workspace | None = None  # dqn_train_step's scratch for this learner
 
     def push(self, t: Transition) -> None:
-        self.extend((t,))
-
-    def extend(self, transitions: Sequence[Transition]) -> None:
-        """Append ``Transition`` records oldest first through ``write``."""
-        k = len(transitions)
-        if k == 0:
-            return
-        fields = [(t.state, t.action, t.reward, t.next_state, t.terminal) for t in transitions]
-        states, actions, rewards, next_states, terminals = zip(*fields)
-        widths = set(map(len, states + next_states))
-        if len(widths) != 1 or 0 in widths:
-            raise InvalidInputError("transition states must be nonempty vectors of one width")
-        both = np.concatenate(states + next_states).reshape(2, k, widths.pop())
-        actions, rewards = np.array(actions, np.int64), np.array(rewards, np.float64)
-        self.write(ReplayBatch(both[0], actions, rewards, both[1], 1.0 - np.array(terminals, np.float64)))
+        """Append one ``Transition`` record through ``write``."""
+        self.write(
+            ReplayBatch(
+                np.asarray(t.state)[None],
+                np.array([t.action], np.int64),
+                np.array([t.reward], np.float64),
+                np.asarray(t.next_state)[None],
+                np.array([1.0 - t.terminal]),
+            )
+        )
 
     def write(self, rows: ReplayBatch) -> None:
         """Append column rows oldest first with one slice write per column.

@@ -20,7 +20,6 @@ attempt and contention draws, and two counts of the occupancy vector.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -38,13 +37,10 @@ __all__ = [
     "RachEnv",
     "simulate_contention",
     "expected_successes",
-    "le_urc_policy",
     "le_urc_counts",
     "le_urc_ranking",
     "le_urc_pick",
     "COLLISION_MULTIPLICITY",
-    "write_trace_csv",
-    "TRACE_COLUMNS",
 ]
 
 # Mean multiplicity of a collided opportunity under Poisson(1) arrivals,
@@ -143,19 +139,6 @@ def expected_successes(n: int, m: int) -> float:
     return n * (1.0 - 1.0 / m) ** (n - 1)
 
 
-TRACE_COLUMNS = (
-    "slot",
-    "rach_channels",
-    "preambles_per_channel",
-    "repetition",
-    "idle",
-    "collided",
-    "successful",
-    "served",
-    "backlog",
-)
-
-
 class RachEnv:
     """Slotted random-access simulator; deterministic given its config seed.
 
@@ -172,9 +155,8 @@ class RachEnv:
     an action missing from the table is off the menu.
     """
 
-    def __init__(self, cfg: RachConfig, record_trace: bool = False):
+    def __init__(self, cfg: RachConfig):
         self.cfg = cfg
-        self.record_trace = record_trace
         self._actions = {
             a: (
                 a.opportunities,
@@ -190,7 +172,6 @@ class RachEnv:
         self.backlog = 0
         self.slot = 0
         self._window = np.zeros((self.cfg.history_window, 3))
-        self.trace: list[tuple] = []
         return self.observation()
 
     def observation(self) -> np.ndarray:
@@ -232,29 +213,8 @@ class RachEnv:
         window[1:] = window[:-1]
         window[0] = (idle, collided, successful)
         self.slot += 1
-        if self.record_trace:
-            self.trace.append(
-                (
-                    self.slot,
-                    action.rach_channels,
-                    action.preambles_per_channel,
-                    action.repetition,
-                    idle,
-                    collided,
-                    successful,
-                    successful,
-                    self.backlog,
-                )
-            )
         outcome = SlotOutcome(successful, self.backlog, occupancy)
         return window.flatten(), float(successful), outcome
-
-
-def write_trace_csv(trace: Sequence[tuple], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(trace)
 
 
 def le_urc_counts(obs) -> list[float]:
@@ -283,10 +243,13 @@ def le_urc_ranking(menu: Sequence[RachAction]) -> tuple[tuple[int, int], ...]:
 def le_urc_pick(counts: Sequence[float], ranking: Sequence[tuple[int, int]]) -> int:
     """Menu index of the load-estimating pick for checked ``counts``.
 
-    The one scoring rule: ``le_urc_policy`` and the LE-URC agent both come
-    here.  Actions are scored in ``ranking`` order and a later one wins only
-    with a strictly higher score, so ties go to the smallest m, then the
-    lowest index.
+    The backlog estimate from the most recent slot is
+    N = max(successful + 2.39 * collided, 1), and the pick maximises
+    N (1 - 1/m)**(N-1) over each action's opportunity count m, ignoring
+    repetition.  The one scoring rule: the LE-URC agent calls it with
+    ``le_urc_counts`` and ``le_urc_ranking``.  A later action in ``ranking``
+    wins only with a strictly higher score, so ties go to the smallest m,
+    then the lowest index.
     """
     _idle, collided, successful = counts[0], counts[1], counts[2]
     n_hat = max(successful + COLLISION_MULTIPLICITY * collided, 1.0)
@@ -296,16 +259,3 @@ def le_urc_pick(counts: Sequence[float], ranking: Sequence[tuple[int, int]]) -> 
         if best_idx is None or score > best:
             best_idx, best = i, score
     return best_idx
-
-
-def le_urc_policy(obs: np.ndarray, menu: Sequence[RachAction]) -> RachAction:
-    """Load-estimating baseline: pseudo-Bayesian backlog estimate, myopic pick.
-
-    From the most recent slot's (idle, collided, successful) counts it
-    estimates N = max(successful + 2.39 * collided, 1) and picks the action
-    maximising N (1 - 1/m)**(N-1) over each action's opportunity count m,
-    ignoring repetition.  Ties go to the smallest m, then the lowest index.
-    Every count of ``obs`` must be finite and non-negative.
-    """
-    ranking = le_urc_ranking(menu)
-    return menu[le_urc_pick(le_urc_counts(obs), ranking)]

@@ -1,16 +1,18 @@
 """Core reinforcement-learning primitives.
 
-Discounted returns, epsilon-greedy action selection, tabular Q-learning and
-linear (semi-gradient) Q-learning with a trailing bias feature.  Everything
-here is deterministic given its inputs and, where randomness is involved, an
-explicit ``numpy.random.Generator``.
+Epsilon-greedy action selection, the tabular Q-learning backup
+(``q_backup``) and the linear (semi-gradient) Q-learning step
+(``linear_q_step``) on a trailing bias feature (``bias_features``).  The
+local agents in ``greenrl.agents`` call these kernels on their own table or
+weight rows, in place.  Everything here is deterministic given its inputs
+and, where randomness is involved, an explicit ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import numpy as np
 
@@ -20,13 +22,9 @@ __all__ = [
     "Transition",
     "QTable",
     "LinearQ",
-    "discounted_return",
     "epsilon_greedy",
-    "tabular_q_update",
     "q_backup",
     "bias_features",
-    "linear_q_predict",
-    "linear_q_update",
     "linear_q_step",
     "state_key",
 ]
@@ -56,20 +54,6 @@ def _check_step_size(alpha: float) -> float:
     if not 0.0 < a <= 1.0:
         raise ConfigError(f"step size must lie in (0, 1], got {alpha!r}")
     return a
-
-
-def discounted_return(rewards: Iterable[float], discount: float) -> float:
-    """Sum of rewards weighted by discount**t, t starting at 0.
-
-    An empty reward sequence returns 0.0.  Non-finite rewards are rejected.
-    """
-    lam = check_discount(discount)
-    r = np.asarray(list(rewards), dtype=float)
-    if r.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(r)):
-        raise InvalidInputError("rewards must all be finite")
-    return float(r @ np.power(lam, np.arange(r.size)))
 
 
 def epsilon_greedy(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
@@ -138,11 +122,10 @@ def q_backup(table: QTable, key, action, reward, next_key, lam: float) -> None:
 
     Q(s,a) <- (1 - alpha) Q(s,a) + alpha * (r + lam * max_a' Q(s',a')),
     with the bootstrap term dropped when ``next_key`` is None (a terminal
-    transition).  The one tabular backup: ``tabular_q_update`` and the
-    tabular agent both come here.  ``key`` and ``next_key`` are hashable
-    keys as ``state_key`` makes them, and ``lam`` is a checked discount;
-    the reward and action are checked on every call, before the table is
-    touched.
+    transition).  The one tabular backup: the tabular agent comes here
+    with its bin triples as keys.  ``key`` and ``next_key`` are hashable
+    keys, and ``lam`` is a checked discount; the reward and action are
+    checked on every call, before the table is touched.
     """
     if not math.isfinite(reward):
         raise InvalidInputError("reward must be finite")
@@ -159,20 +142,6 @@ def q_backup(table: QTable, key, action, reward, next_key, lam: float) -> None:
         nxt = values.get(next_key)
         target = float(reward) + lam * (0.0 if nxt is None else float(nxt.max()))
     row[a] = (1.0 - table.alpha) * row[a] + table.alpha * target
-
-
-def tabular_q_update(table: QTable, t: Transition, discount: float) -> QTable:
-    """One Q-learning backup (``q_backup``); returns a new table sharing
-    untouched rows, and leaves ``table`` as it was."""
-    lam = check_discount(discount)
-    key = state_key(t.state)
-    values = dict(table.values)
-    if key in values:
-        values[key] = values[key].copy()
-    new = QTable(table.n_actions, table.alpha, values)
-    next_key = None if t.terminal else state_key(t.next_state)
-    q_backup(new, key, t.action, t.reward, next_key, lam)
-    return new
 
 
 @dataclass
@@ -207,10 +176,11 @@ class LinearQ:
 def bias_features(state, n_features: int, scale: float = 1.0) -> np.ndarray:
     """The feature vector [state / scale; 1], written into one new array.
 
-    The one bias augmentation: ``linear_q_predict``, ``linear_q_update`` and
-    the linear agent all come here.  The state must hold ``n_features``
-    values, all finite; the check reads them out as Python floats, several
-    times cheaper than ``np.isfinite`` for a window-sized vector.
+    The one bias augmentation: the linear agent featurises each observation
+    here, scaled by the menu's largest opportunity count.  The state must
+    hold ``n_features`` values, all finite; the check reads them out as
+    Python floats, several times cheaper than ``np.isfinite`` for a
+    window-sized vector.
     """
     x = np.asarray(state, dtype=float).ravel()
     if x.size != n_features:
@@ -223,22 +193,13 @@ def bias_features(state, n_features: int, scale: float = 1.0) -> np.ndarray:
     return phi
 
 
-def linear_q_predict(lq: LinearQ, state) -> np.ndarray:
-    """Per-action value estimates w_a . [state; 1].
-
-    The products go through ``ndarray.dot``: the same BLAS call as ``@``
-    and the same result, without matmul's ufunc overhead.
-    """
-    return lq.weights.dot(bias_features(state, lq.n_features))
-
-
 def linear_q_step(weights: np.ndarray, phi, action, reward, next_phi, lam: float, alpha: float) -> None:
     """Semi-gradient Q-learning step on the taken action's row of ``weights``,
     in place.
 
     The target is r + lam * max_a' w_a' . next_phi, or r alone when
     ``next_phi`` is None (a terminal transition).  The one linear update:
-    ``linear_q_update`` and the linear agent both come here.  ``phi`` and
+    the linear agent comes here with its own weight matrix.  ``phi`` and
     ``next_phi`` come from ``bias_features``, and ``lam`` and ``alpha`` are
     checked; the reward and action are checked on every call.
     """
@@ -253,15 +214,3 @@ def linear_q_step(weights: np.ndarray, phi, action, reward, next_phi, lam: float
         target = float(reward) + lam * float(weights.dot(next_phi).max())
     pred = float(weights[a].dot(phi))
     weights[a] += alpha * (target - pred) * phi
-
-
-def linear_q_update(lq: LinearQ, t: Transition, discount: float, alpha: float) -> LinearQ:
-    """Semi-gradient Q-learning step (``linear_q_step``) on a copy of the
-    weights; ``lq`` is left as it was."""
-    lam = check_discount(discount)
-    a_step = _check_step_size(alpha)
-    phi = bias_features(t.state, lq.n_features)
-    next_phi = None if t.terminal else bias_features(t.next_state, lq.n_features)
-    w = lq.weights.copy()
-    linear_q_step(w, phi, t.action, t.reward, next_phi, lam, a_step)
-    return LinearQ(w)

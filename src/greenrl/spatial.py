@@ -9,9 +9,9 @@ blend parameters; the blend weight is gated by the estimated correlation.
 
 Sites, kernel and dx never change during a run, so ``FieldTrafficSource``
 builds the quadrature matrix once and steps a bare z array through
-``_advance``, the same update ``side_step`` applies to a ``SpatialField``;
-``_rates`` is the one intensity formula behind ``TrafficIntensity`` and the
-source.  Both paths give the same bytes.
+``_advance``, the same update ``side_step`` applies to a ``SpatialField``
+(both give the same bytes), and draws each slot's counts at the rates of
+``_rates``, the one intensity formula.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ __all__ = [
     "SpatialField",
     "Kernel",
     "FieldNoise",
-    "TrafficIntensity",
     "CorrelationMatrix",
     "KernelFit",
     "quadrature_matrix",
     "side_step",
-    "sample_traffic",
     "FieldTrafficSource",
     "estimate_correlation",
     "fit_kernel",
@@ -193,29 +191,6 @@ def _rates(base_rate: float, z: np.ndarray) -> np.ndarray:
     return rates
 
 
-@dataclass(frozen=True)
-class TrafficIntensity:
-    """Per-site Poisson rates mu * exp(z) for one field snapshot."""
-
-    base_rate: float
-    z: np.ndarray
-
-    def __post_init__(self):
-        _check_base_rate(self.base_rate)
-        z = np.asarray(self.z, dtype=float)
-        object.__setattr__(self, "z", z)
-        _rates(self.base_rate, z)
-
-    @property
-    def rates(self) -> np.ndarray:
-        return _rates(self.base_rate, self.z)
-
-
-def sample_traffic(intensity: TrafficIntensity, rng: np.random.Generator) -> np.ndarray:
-    """Independent Poisson draw per site at the current rates."""
-    return rng.poisson(intensity.rates)
-
-
 class FieldTrafficSource:
     """Advances a field one step per slot on demand and serves site counts.
 
@@ -227,7 +202,9 @@ class FieldTrafficSource:
     once, at construction, since sites, kernel and dx are fixed; each slot
     is then one ``_advance`` of the bare z array, one ``_rates`` and one
     Poisson draw, with the same bytes and generator order as stepping a
-    ``SpatialField`` through ``side_step`` and ``TrafficIntensity``.
+    ``SpatialField`` through ``side_step`` and drawing at its rates.  The
+    transfer scenario reads one base station's arrivals through
+    ``stream_region``.
     """
 
     def __init__(
@@ -272,12 +249,6 @@ class FieldTrafficSource:
             counts.setflags(write=False)
             self._counts.append(counts)
         return self._counts[slot]
-
-    def stream(self, site: int) -> Callable[[int], int]:
-        """Per-slot arrival callable for one site, env-traffic compatible."""
-        if not 0 <= site < self.n_sites:
-            raise InvalidInputError(f"site {site} out of range")
-        return lambda slot: int(self.counts_at(slot)[site])
 
     def stream_region(self, sites) -> Callable[[int], int]:
         """Per-slot arrivals summed over a cell of sites (one station's view)."""

@@ -12,7 +12,7 @@ import itertools
 import struct
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +47,28 @@ from greenrl.rl_core import (
     state_key,
 )
 from greenrl.spatial import CorrelationMatrix, FieldNoise, Kernel, SpatialField, quadrature_matrix
+
+# ---------------------------------------------------------------------------
+# Returns
+# ---------------------------------------------------------------------------
+
+# No greenrl path computes a discounted return; test_rl_core.py pins this
+# helper's contract.
+
+
+def discounted_return(rewards: Iterable[float], discount: float) -> float:
+    """Sum of rewards weighted by discount**t, t starting at 0.
+
+    An empty reward sequence returns 0.0.  Non-finite rewards are rejected.
+    """
+    lam = check_discount(discount)
+    r = np.asarray(list(rewards), dtype=float)
+    if r.size == 0:
+        return 0.0
+    if not np.all(np.isfinite(r)):
+        raise InvalidInputError("rewards must all be finite")
+    return float(r @ np.power(lam, np.arange(r.size)))
+
 
 # ---------------------------------------------------------------------------
 # Finite MDPs

@@ -12,15 +12,14 @@ from greenrl.agents import (
     TabularQAgent,
     evaluate_greedy_agent,
     evaluate_greedy_net,
-    greedy_action,
     make_agent,
     run_local_agent,
 )
 from greenrl.config import config_from_dict
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.neural import glorot_init
-from greenrl.rach_env import BernoulliTraffic, RachAction, RachConfig, le_urc_policy
-from oracles import reference_evaluate_greedy_agent, reference_run_local_agent
+from greenrl.rach_env import BernoulliTraffic, RachAction, RachConfig
+from oracles import reference_evaluate_greedy_agent, reference_le_urc_policy, reference_run_local_agent
 
 MENU = (
     RachAction(1, 8, 8),
@@ -171,7 +170,7 @@ def test_le_urc_agent_matches_policy_function():
     obs = np.array([5.0, 2.0, 3.0, 0.0, 0.0, 0.0])
     counts = agent.features(obs)
     idx = agent.act(counts)
-    assert cfg.action_menu[idx] == le_urc_policy(obs, cfg.action_menu)
+    assert cfg.action_menu[idx] == reference_le_urc_policy(obs, cfg.action_menu)
     agent.learn(counts, idx, 1.0, counts)  # no-op, must not raise
 
 
@@ -223,7 +222,7 @@ def test_greedy_action_freezes_learning_agents():
     cfg = env_config()
     _, agent = run_local_agent(cfg, "tabular", LocalAgentParams(), 200, 50, seed=1)
     obs = np.zeros(6)
-    picks = {greedy_action(agent, obs) for _ in range(20)}
+    picks = {agent.greedy(agent.features(obs)) for _ in range(20)}
     assert len(picks) == 1  # no exploration left
     row = agent.table.row(agent.features(obs))
     assert picks.pop() == int(np.argmax(row))

@@ -517,6 +517,21 @@ def test_train_on_batch_counts_and_staleness():
     assert session.message_ledger.staleness_histogram == {0: 1, 1: 1}
 
 
+@pytest.mark.parametrize("actions", [[7, 7, 7, 7], [0, 1, 2, 4]])
+def test_train_on_batch_rejects_actions_outside_the_outputs(actions):
+    """An upload whose action has no network output is refused before the
+    ring or the staleness histogram is written; it used to reach the learner
+    and fail there with a raw IndexError."""
+    session = Session(make_request())
+    assert session.online.layer_dims[-1] == 4
+    cols = _columns(6, 4)._replace(action=np.array(actions))
+    batch = decode_sample_batch(encode_sample_batch(0, 0, cols))
+    with pytest.raises(InvalidInputError, match="actions must lie in"):
+        session.train_on_batch(batch)
+    assert session.buffer._ring is None and len(session.buffer) == 0
+    assert session.train_steps == 0 and session.message_ledger.staleness_histogram == {}
+
+
 def test_target_sync_cadence():
     session = Session(make_request(dqn=small_dqn(target_sync_every=2)))
     initial_target = [w.copy() for w in session.target.weights]

@@ -8,7 +8,6 @@ from greenrl.compression import (
     aggregate_states,
     apply_partition,
     bin_indices,
-    discretize,
     prune_by_magnitude,
     prune_neurons,
     quantize_weights,
@@ -198,12 +197,12 @@ def test_quantize_weights_bits_range(bits):
     [(-1.0, 0), (0.0, 0), (1.9, 0), (2.0, 1), (5.99, 2), (6.0, 2), (100.0, 2)],
 )
 def test_discretize_bins_and_clamps(value, expected):
-    assert discretize(DiscretizationScheme(0.0, 6.0, 3), value) == expected
+    assert bin_indices(DiscretizationScheme(0.0, 6.0, 3), (value,)) == (expected,)
 
 
 def test_discretize_rejects_nan():
     with pytest.raises(InvalidInputError):
-        discretize(DiscretizationScheme(0.0, 1.0, 2), float("nan"))
+        bin_indices(DiscretizationScheme(0.0, 1.0, 2), (float("nan"),))
     for bad in (float("inf"), -float("inf"), float("nan")):
         with pytest.raises(InvalidInputError):
             bin_indices(DiscretizationScheme(0.0, 1.0, 2), [0.5, bad])
@@ -231,14 +230,15 @@ def test_scheme_validation(low, high, levels):
 )
 def test_discretize_always_in_range(value, levels):
     scheme = DiscretizationScheme(-10.0, 10.0, levels)
-    assert 0 <= discretize(scheme, value) < levels
+    (idx,) = bin_indices(scheme, (value,))
+    assert 0 <= idx < levels
 
 
 @pytest.mark.parametrize("value,expected", [(1.7e308, 1), (-1.7e308, 0), (8.9e307, 1)])
 def test_discretize_clamps_values_whose_quotient_overflows(value, expected):
     """The bin quotient of these overflows; they used to raise OverflowError
     or ValueError from ``int``."""
-    assert discretize(DiscretizationScheme(0.0, 1.0, 2), value) == expected
+    assert bin_indices(DiscretizationScheme(0.0, 1.0, 2), (value,)) == (expected,)
 
 
 @given(
@@ -254,13 +254,13 @@ def test_discretize_matches_reference(value, low, span, levels):
         want = reference_discretize(scheme, value)
     except InvalidInputError:
         with pytest.raises(InvalidInputError):
-            discretize(scheme, value)
+            bin_indices(scheme, (value,))
         return
     except (OverflowError, ValueError):
         # the reference's quotient overflows far outside the range; the
         # value clamps to its edge instead
         want = 0 if value < low else levels - 1
-    assert discretize(scheme, value) == want
+    assert bin_indices(scheme, (value,)) == (want,)
     assert bin_indices(scheme, [value, value]) == (want, want)
 
 

@@ -331,16 +331,24 @@ def test_cli_rejects_bad_spatial_field_before_writing(tmp_path, capsys, key, val
 
 
 @pytest.mark.parametrize(
-    "key,value", [("eps_decay_steps", 0), ("alpha", 1.5), ("eps_start", 2.0)]
+    "key,value",
+    [
+        ("eps_decay_steps", 0), ("alpha", 1.5), ("eps_start", 2.0),
+        ("cloud.inner_steps", 0), ("compression.quant_bits", 99),
+    ],
 )
 def test_cli_rejects_bad_agent_param_before_writing(tmp_path, capsys, key, value):
-    """Each used to fail only at run time: eps_decay_steps 0 as a raw
-    ZeroDivisionError (exit 1), the other two after config.json was written."""
-    path = write_config_file(tmp_path, agent="tabular", agent_params={key: value})
+    """A bare key is an ``agent_params`` field.  Each used to fail only at
+    run time: eps_decay_steps 0 and inner_steps 0 as a raw ZeroDivisionError
+    or ValueError (exit 1), alpha and eps_start after config.json was
+    written, and quant_bits 99 not at all on a run that never quantises."""
+    section, _, field = key.rpartition(".")
+    section = section or "agent_params"
+    path = write_config_file(tmp_path, agent="tabular", **{section: {field: value}})
     rc = cli_main(["run", path])
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"config.agent_params.{key}: must be" in err
+    assert f"config.{section}.{field}: must be" in err
     assert not os.path.exists(tmp_path / "out")
 
 

@@ -219,6 +219,17 @@ def _t(r):
     return Transition(s, 0, float(r), s)
 
 
+def _rows(transitions):
+    """``transitions`` as one column batch, oldest first, for a multi-row write."""
+    return ReplayBatch(
+        np.array([t.state for t in transitions]),
+        np.array([t.action for t in transitions], np.int64),
+        np.array([t.reward for t in transitions], np.float64),
+        np.array([t.next_state for t in transitions]),
+        np.array([1.0 - t.terminal for t in transitions]),
+    )
+
+
 def test_replay_fifo_eviction():
     buf = ReplayBuffer(2)
     for r in (1, 2, 3):
@@ -277,7 +288,7 @@ def test_replay_wraparound_maps_draw_to_oldest(chunks):
         if k == 1:
             buf.push(batch[0])
         else:
-            buf.extend(batch)
+            buf.write(_rows(batch))
     assert len(buf) == 3
     assert list(buf.sample(3, _FixedDraw([0, 1, 2])).reward) == [5.0, 6.0, 7.0]
     got = buf.sample(3, _FixedDraw([2, 0, 2]))
@@ -285,10 +296,10 @@ def test_replay_wraparound_maps_draw_to_oldest(chunks):
     assert got.state.shape == (3, 1)
 
 
-def test_replay_write_matches_extend():
-    """Columns written straight into the ring sample like the same Transitions."""
+def test_replay_write_matches_push():
+    """Columns written straight into the ring sample like the same Transitions pushed."""
     rng = np.random.default_rng(5)
-    via_write, via_extend = ReplayBuffer(10), ReplayBuffer(10)
+    via_write, via_push = ReplayBuffer(10), ReplayBuffer(10)
     for k in (4, 7, 3, 12):
         rows = ReplayBatch(
             rng.random((k, 3)).astype(np.float32),
@@ -298,12 +309,10 @@ def test_replay_write_matches_extend():
             (rng.random(k) < 0.5).astype(np.float64),
         )
         via_write.write(rows)
-        via_extend.extend(
-            [Transition(rows.state[i], int(rows.action[i]), float(rows.reward[i]),
-                        rows.next_state[i], rows.live[i] == 0) for i in range(k)]
-        )
+        for state, action, reward, next_state, live in zip(*rows):
+            via_push.push(Transition(state, int(action), float(reward), next_state, live == 0))
     a = via_write.sample(10, np.random.default_rng(1))
-    b = via_extend.sample(10, np.random.default_rng(1))
+    b = via_push.sample(10, np.random.default_rng(1))
     for col_a, col_b in zip(a, b):
         np.testing.assert_array_equal(col_a, col_b)
 
@@ -372,7 +381,7 @@ def test_train_step_only_taken_action_moves_head():
 def test_train_step_rejects_a_mismatched_target():
     online = glorot_init((3, 4, 2), seed=1, dtype=np.float32)
     buf = ReplayBuffer(8)
-    buf.extend([Transition(np.ones(3), i % 2, 1.0, np.zeros(3)) for i in range(4)])
+    buf.write(_rows([Transition(np.ones(3), i % 2, 1.0, np.zeros(3)) for i in range(4)]))
     for target in (glorot_init((3, 4, 2), seed=1), glorot_init((3, 5, 2), seed=1, dtype=np.float32)):
         with pytest.raises(InvalidInputError, match="target"):
             dqn_train_step(online, target, buf, 2, 0.9, 0.01, np.random.default_rng(0))
@@ -416,7 +425,7 @@ def test_train_step_matches_reference(dtype, pruned, capacity):
             for _ in range(int(data_rng.integers(1, 9)))
         ]
         if step % 2:
-            buf.extend(fresh)
+            buf.write(_rows(fresh))
         else:
             for t in fresh:
                 buf.push(t)
@@ -712,7 +721,7 @@ def test_returned_nets_and_gradients_do_not_alias_the_workspace():
     online, _ = prune_by_magnitude(online, threshold_for_sparsity(online, 0.3))
     target = sync_target(online)
     buf = ReplayBuffer(32)
-    buf.extend([Transition(rng.random(4), int(rng.integers(3)), float(rng.random()), rng.random(4)) for _ in range(32)])
+    buf.write(_rows([Transition(rng.random(4), int(rng.integers(3)), float(rng.random()), rng.random(4)) for _ in range(32)]))
     batch = [(rng.random(4), rng.random(3), np.eye(3)[i % 3]) for i in range(5)]
     sample_rng = np.random.default_rng(5)
     first, _ = dqn_train_step(online, target, buf, 8, 0.9, 0.05, sample_rng)

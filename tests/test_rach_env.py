@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.rach_env import (
     COLLISION_MULTIPLICITY,
-    TRACE_COLUMNS,
     BernoulliTraffic,
     ExternalTraffic,
     RachAction,
     RachConfig,
     RachEnv,
     expected_successes,
-    le_urc_policy,
+    le_urc_counts,
+    le_urc_pick,
+    le_urc_ranking,
     simulate_contention,
-    write_trace_csv,
 )
 from oracles import ReferenceRachEnv, enumerate_expected_successes, reference_le_urc_policy
 
@@ -290,83 +290,64 @@ def test_reset_restores_initial_state():
     assert first == second
 
 
-def test_trace_rows_and_csv(tmp_path):
-    cfg = RachConfig(num_devices=20, action_menu=MENU, traffic=BernoulliTraffic(0.3), seed=1)
-    env = RachEnv(cfg, record_trace=True)
-    for _ in range(5):
-        env.step(MENU[2])
-    assert len(env.trace) == 5
-    row = env.trace[0]
-    assert len(row) == len(TRACE_COLUMNS)
-    assert row[0] == 1  # slots are 1-based in the trace
-    assert row[1:4] == (4, 8, 8)
-    assert row[6] == row[7]  # successful == served
-    path = tmp_path / "trace.csv"
-    write_trace_csv(env.trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(TRACE_COLUMNS)
-    assert len(lines) == 6
-
-
-def test_env_without_trace_keeps_no_rows():
-    env = make_env()
-    env.step(MENU[0])
-    assert env.trace == []
-
-
 # ---------------------------------------------------------------------------
 # load-estimating baseline
 # ---------------------------------------------------------------------------
+
+
+def pick(obs, menu):
+    """The menu entry the kernels pick for ``obs``, as the LE-URC agent does."""
+    return menu[le_urc_pick(le_urc_counts(obs), le_urc_ranking(menu))]
 
 
 def test_le_urc_busy_slot_opens_everything():
     # N = 3 + 2.392 * 2 ~ 7.78 attempts; the score rises with m, so the
     # widest allocation wins
     obs = np.array([5.0, 2.0, 3.0] + [0.0] * 9)
-    assert le_urc_policy(obs, MENU) is MENU[3]
+    assert pick(obs, MENU) is MENU[3]
 
 
 def test_le_urc_idle_slot_prefers_smallest_allocation():
     obs = np.zeros(12)
-    assert le_urc_policy(obs, MENU) is MENU[0]
+    assert pick(obs, MENU) is MENU[0]
 
 
 def test_le_urc_single_opportunity_scoring():
     # with N = 1 every m scores 1.0 and the m = 1 entry wins the tie
     menu = (RachAction(2, 4, 1), RachAction(1, 1, 1))
-    assert le_urc_policy(np.zeros(3), menu) is menu[1]
+    assert pick(np.zeros(3), menu) is menu[1]
     # a busy observation makes m = 1 useless (score 0)
     busy = np.array([0.0, 4.0, 2.0])
-    assert le_urc_policy(busy, menu) is menu[0]
+    assert pick(busy, menu) is menu[0]
 
 
 def test_le_urc_tie_breaks_by_index():
     menu = (RachAction(2, 4, 8), RachAction(4, 2, 1))  # both m = 8
-    assert le_urc_policy(np.zeros(3), menu) is menu[0]
+    assert pick(np.zeros(3), menu) is menu[0]
 
 
 def test_le_urc_only_reads_most_recent_slot():
     recent = np.array([5.0, 2.0, 3.0])
     padded = np.concatenate([recent, [9.0, 9.0, 9.0]])
-    assert le_urc_policy(recent, MENU) is le_urc_policy(padded, MENU)
+    assert pick(recent, MENU) is pick(padded, MENU)
 
 
 def test_le_urc_validation():
     with pytest.raises(InvalidInputError):
-        le_urc_policy(np.zeros(3), ())
+        pick(np.zeros(3), ())
     with pytest.raises(InvalidInputError):
-        le_urc_policy(np.zeros(2), MENU)
+        pick(np.zeros(2), MENU)
     with pytest.raises(InvalidInputError):
-        le_urc_policy(np.array([-1.0, 0.0, 0.0]), MENU)
+        pick(np.array([-1.0, 0.0, 0.0]), MENU)
     with pytest.raises(InvalidInputError):
-        le_urc_policy(np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0]), MENU)  # any slot of the window
+        pick(np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0]), MENU)  # any slot of the window
     # non-finite counts anywhere in the window, which used to pick menu[0]
     for bad in (np.nan, np.inf, -np.inf):
         for pos in range(6):
             obs = np.zeros(6)
             obs[pos] = bad
             with pytest.raises(InvalidInputError):
-                le_urc_policy(obs, MENU)
+                pick(obs, MENU)
 
 
 @given(
@@ -377,7 +358,7 @@ def test_le_urc_validation():
 def test_le_urc_estimate_drives_choice(collided, successful):
     """The pick must maximise the success score among menu entries."""
     obs = np.array([0.0, collided, successful])
-    choice = le_urc_policy(obs, MENU)
+    choice = pick(obs, MENU)
     n_hat = max(successful + COLLISION_MULTIPLICITY * collided, 1.0)
     scores = [n_hat * (1 - 1 / a.opportunities) ** (n_hat - 1) for a in MENU]
     assert scores[MENU.index(choice)] == pytest.approx(max(scores))
@@ -398,4 +379,4 @@ menus = st.lists(
 def test_le_urc_matches_reference(obs, menu):
     """Same pick as the reference scoring on every finite observation,
     ties included (menus repeat opportunity counts)."""
-    assert le_urc_policy(np.array(obs), menu) is reference_le_urc_policy(np.array(obs), menu)
+    assert pick(np.array(obs), menu) is reference_le_urc_policy(np.array(obs), menu)

@@ -8,15 +8,15 @@ from greenrl.rl_core import (
     LinearQ,
     QTable,
     Transition,
-    discounted_return,
+    bias_features,
     epsilon_greedy,
-    linear_q_predict,
-    linear_q_update,
+    linear_q_step,
+    q_backup,
     state_key,
-    tabular_q_update,
 )
 from oracles import (
     chain_mdp,
+    discounted_return,
     reference_linear_q_predict,
     reference_linear_q_update,
     reference_tabular_q_update,
@@ -29,7 +29,7 @@ finite_rewards = st.lists(
 
 
 # ---------------------------------------------------------------------------
-# discounted_return
+# discounted_return (the oracle in tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 
@@ -155,7 +155,7 @@ def test_state_key_forms():
 
 
 # ---------------------------------------------------------------------------
-# QTable / tabular_q_update
+# QTable / q_backup
 # ---------------------------------------------------------------------------
 
 
@@ -180,33 +180,37 @@ def test_qtable_validation():
 def test_tabular_update_hand_value():
     """Q(s,a) <- (1-a) Q + a (r + lam max Q'), here 0.5*1 + 0.5*(1 + 0.9*2)."""
     table = QTable(2, 0.5, {0: np.array([1.0, 3.0]), 1: np.array([0.0, 2.0])})
-    t = Transition(0, 0, 1.0, 1)
-    out = tabular_q_update(table, t, 0.9)
-    assert out.values[0][0] == pytest.approx(1.9)
-    assert out.values[0][1] == 3.0
-    assert np.array_equal(out.values[1], table.values[1])
-    # the input table is untouched
-    assert table.values[0][0] == 1.0
+    q_backup(table, 0, 0, 1.0, 1, 0.9)
+    assert table.values[0][0] == pytest.approx(1.9)
+    assert table.values[0][1] == 3.0
+    assert np.array_equal(table.values[1], [0.0, 2.0])
 
 
 def test_tabular_update_terminal_drops_bootstrap():
+    """No next key, no bootstrap: neither the next row nor the updated row
+    itself adds to the target."""
     table = QTable(2, 0.5, {0: np.array([1.0, 3.0]), 1: np.array([0.0, 50.0])})
-    out = tabular_q_update(table, Transition(0, 0, 1.0, 1, terminal=True), 0.9)
-    assert out.values[0][0] == pytest.approx(1.0)
+    q_backup(table, 0, 0, 1.0, None, 0.9)
+    assert table.values[0][0] == pytest.approx(1.0)
 
 
 def test_tabular_update_unseen_states():
-    out = tabular_q_update(QTable(2, 0.5), Transition(7, 1, 4.0, 8), 0.9)
-    assert out.values[7][1] == pytest.approx(2.0)
-    assert 8 not in out.values
+    table = QTable(2, 0.5)
+    q_backup(table, 7, 1, 4.0, 8, 0.9)
+    assert table.values[7][1] == pytest.approx(2.0)
+    assert 8 not in table.values
 
 
 def test_tabular_update_validation():
+    """Both checks run before the table is touched."""
     table = QTable(2, 0.5)
     with pytest.raises(InvalidInputError):
-        tabular_q_update(table, Transition(0, 2, 1.0, 1), 0.9)
+        q_backup(table, 0, 2, 1.0, 1, 0.9)
     with pytest.raises(InvalidInputError):
-        tabular_q_update(table, Transition(0, 0, float("nan"), 1), 0.9)
+        q_backup(table, 0, -1, 1.0, 1, 0.9)
+    with pytest.raises(InvalidInputError):
+        q_backup(table, 0, 0, float("nan"), 1, 0.9)
+    assert table.values == {}
 
 
 @given(
@@ -216,8 +220,8 @@ def test_tabular_update_validation():
 @settings(max_examples=30)
 def test_tabular_update_alpha_one_jumps_to_target(q0, reward):
     table = QTable(1, 1.0, {0: np.array([q0])})
-    out = tabular_q_update(table, Transition(0, 0, reward, 0), 0.5)
-    assert out.values[0][0] == pytest.approx(reward + 0.5 * q0)
+    q_backup(table, 0, 0, reward, 0, 0.5)
+    assert table.values[0][0] == pytest.approx(reward + 0.5 * q0)
 
 
 def test_tabular_sweeps_converge_to_value_iteration():
@@ -231,8 +235,7 @@ def test_tabular_sweeps_converge_to_value_iteration():
                 continue
             for a in range(2):
                 s2 = int(np.argmax(mdp.P[s, a]))
-                t = Transition(s, a, float(mdp.R[s, a]), s2, terminal=bool(mdp.terminal[s2]))
-                table = tabular_q_update(table, t, 0.9)
+                q_backup(table, s, a, float(mdp.R[s, a]), None if mdp.terminal[s2] else s2, 0.9)
     learned = np.array([table.row(s) for s in range(3)])
     q_star = q_star.copy()
     q_star[mdp.terminal] = 0.0
@@ -240,36 +243,40 @@ def test_tabular_sweeps_converge_to_value_iteration():
 
 
 # ---------------------------------------------------------------------------
-# LinearQ
+# LinearQ / bias_features / linear_q_step
 # ---------------------------------------------------------------------------
 
 
 def test_linear_predict_hand_value():
     lq = LinearQ(np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 1.0]]))
-    q = linear_q_predict(lq, [2.0, 0.5])
-    assert q == pytest.approx([6.0, 0.5])
+    phi = bias_features([2.0, 0.5], 2)
+    assert np.array_equal(phi, [2.0, 0.5, 1.0])
+    assert lq.weights.dot(phi) == pytest.approx([6.0, 0.5])
+    # the scale divides the state, never the bias
+    assert np.array_equal(bias_features([2.0, 0.5], 2, 4.0), [0.5, 0.125, 1.0])
 
 
 def test_linear_update_hand_value():
-    lq = LinearQ(np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 1.0]]))
-    t = Transition(np.array([2.0, 0.5]), 0, 1.0, np.array([0.0, 0.0]))
-    out = linear_q_update(lq, t, 0.5, 0.1)
+    w = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 1.0]])
+    linear_q_step(w, bias_features([2.0, 0.5], 2), 0, 1.0, bias_features([0.0, 0.0], 2), 0.5, 0.1)
     # target = 1 + 0.5 * max(3, 1) = 2.5, delta = 2.5 - 6 = -3.5
-    assert out.weights[0] == pytest.approx([0.3, 1.825, 2.65])
-    assert np.array_equal(out.weights[1], lq.weights[1])
+    assert w[0] == pytest.approx([0.3, 1.825, 2.65])
+    assert np.array_equal(w[1], [0.0, -1.0, 1.0])
 
 
 def test_linear_update_terminal_target():
-    lq = LinearQ.zeros(2, 2)
-    t = Transition(np.array([1.0, 0.0]), 1, 3.0, np.array([9.0, 9.0]), terminal=True)
-    out = linear_q_update(lq, t, 0.9, 1.0)
-    assert out.weights[1] == pytest.approx([3.0, 0.0, 3.0])
+    w = LinearQ.zeros(2, 2).weights
+    w[0] = 5.0  # a bootstrap from any row would show
+    linear_q_step(w, bias_features([1.0, 0.0], 2), 1, 3.0, None, 0.9, 1.0)
+    assert w[1] == pytest.approx([3.0, 0.0, 3.0])
+    assert np.array_equal(w[0], [5.0, 5.0, 5.0])
 
 
 def test_linear_feature_mismatch():
-    lq = LinearQ.zeros(2, 3)
     with pytest.raises(InvalidInputError):
-        linear_q_predict(lq, [1.0, 2.0])
+        bias_features([1.0, 2.0], 3)
+    with pytest.raises(InvalidInputError):
+        bias_features(np.zeros((2, 2)), 3)
     with pytest.raises(ConfigError):
         LinearQ(np.zeros((2,)))
 
@@ -280,14 +287,11 @@ def test_linear_update_fixed_point(seed):
     """When the TD error is zero the weights must not move."""
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(3, 4))
-    lq = LinearQ(w)
-    s = rng.normal(size=3)
-    s2 = rng.normal(size=3)
-    q_next = linear_q_predict(lq, s2).max()
-    pred = linear_q_predict(lq, s)[1]
-    reward = pred - 0.9 * q_next
-    out = linear_q_update(lq, Transition(s, 1, float(reward), s2), 0.9, 0.3)
-    np.testing.assert_allclose(out.weights, lq.weights, atol=1e-12)
+    phi, next_phi = bias_features(rng.normal(size=3), 3), bias_features(rng.normal(size=3), 3)
+    reward = w[1].dot(phi) - 0.9 * w.dot(next_phi).max()
+    before = w.copy()
+    linear_q_step(w, phi, 1, float(reward), next_phi, 0.9, 0.3)
+    np.testing.assert_allclose(w, before, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +313,15 @@ small_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 )
 @settings(max_examples=100)
 def test_tabular_update_matches_reference(rows, steps, alpha, discount):
-    """A chain of updates gives the reference's table bit for bit and leaves
-    every earlier table as it was."""
-    table = ref = QTable(3, alpha, {k: np.array(v) for k, v in rows.items()})
+    """A chain of in-place backups gives the reference's table bit for bit."""
+    table = QTable(3, alpha, {k: np.array(v) for k, v in rows.items()})
+    ref = QTable(3, alpha, {k: np.array(v) for k, v in rows.items()})
     for s, a, r, s2, terminal in steps:
-        before = {k: v.tobytes() for k, v in table.values.items()}
-        t = Transition(s, a, r, s2, terminal)
-        new, ref = tabular_q_update(table, t, discount), reference_tabular_q_update(ref, t, discount)
-        assert {k: v.tobytes() for k, v in table.values.items()} == before
-        assert {k: v.tobytes() for k, v in new.values.items()} == {
+        q_backup(table, s, a, r, None if terminal else s2, discount)
+        ref = reference_tabular_q_update(ref, Transition(s, a, r, s2, terminal), discount)
+        assert {k: v.tobytes() for k, v in table.values.items()} == {
             k: v.tobytes() for k, v in ref.values.items()
         }
-        table = new
 
 
 @given(
@@ -334,29 +335,28 @@ def test_tabular_update_matches_reference(rows, steps, alpha, discount):
 @settings(max_examples=100)
 def test_linear_update_matches_reference(seed, n_features, n_actions, alpha, discount, steps):
     rng = np.random.default_rng(seed)
-    lq = ref = LinearQ(rng.normal(size=(n_actions, n_features + 1)))
+    ref = LinearQ(rng.normal(size=(n_actions, n_features + 1)))
+    w = ref.weights.copy()
     for _ in range(steps):
         s, s2 = rng.normal(size=n_features), rng.normal(size=n_features)
         t = Transition(s, int(rng.integers(n_actions)), float(rng.normal()), s2, bool(rng.random() < 0.3))
-        assert linear_q_predict(lq, s).tobytes() == reference_linear_q_predict(ref, s).tobytes()
-        before = lq.weights.tobytes()
-        new, ref = linear_q_update(lq, t, discount, alpha), reference_linear_q_update(ref, t, discount, alpha)
-        assert lq.weights.tobytes() == before
-        assert new.weights.tobytes() == ref.weights.tobytes()
-        lq = new
+        phi = bias_features(s, n_features)
+        next_phi = None if t.terminal else bias_features(s2, n_features)
+        assert w.dot(phi).tobytes() == reference_linear_q_predict(ref, s).tobytes()
+        linear_q_step(w, phi, t.action, t.reward, next_phi, discount, alpha)
+        ref = reference_linear_q_update(ref, t, discount, alpha)
+        assert w.tobytes() == ref.weights.tobytes()
 
 
 def test_linear_update_validation():
-    lq = LinearQ.zeros(2, 2)
-    good = np.zeros(2)
-    for t in (
-        Transition(good, 0, float("nan"), good),
-        Transition(good, 2, 1.0, good),
-        Transition(np.array([np.inf, 0.0]), 0, 1.0, good),
-        Transition(good, 0, 1.0, np.array([0.0, np.nan])),
-    ):
+    """Bad features fail in ``bias_features``; a bad reward or action fails
+    before ``linear_q_step`` writes."""
+    w = LinearQ.zeros(2, 2).weights
+    good = bias_features(np.zeros(2), 2)
+    for state in (np.array([np.inf, 0.0]), np.array([0.0, np.nan])):
         with pytest.raises(InvalidInputError):
-            linear_q_update(lq, t, 0.9, 0.5)
-    with pytest.raises(ConfigError):
-        linear_q_update(lq, Transition(good, 0, 1.0, good), 0.9, 1.5)
-    assert not np.any(lq.weights)
+            bias_features(state, 2)
+    for action, reward in ((0, float("nan")), (2, 1.0), (-1, 1.0)):
+        with pytest.raises(InvalidInputError):
+            linear_q_step(w, good, action, reward, good, 0.9, 0.5)
+    assert not np.any(w)

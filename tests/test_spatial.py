@@ -14,11 +14,10 @@ from greenrl.spatial import (
     FieldTrafficSource,
     Kernel,
     SpatialField,
-    TrafficIntensity,
+    _rates,
     estimate_correlation,
     fit_kernel,
     quadrature_matrix,
-    sample_traffic,
     side_step,
     transfer_weights,
 )
@@ -155,22 +154,24 @@ def test_side_step_noise_matches_manual_addition():
 
 
 def test_intensity_log_link():
-    ti = TrafficIntensity(2.0, np.array([0.0, math.log(3.0)]))
-    np.testing.assert_allclose(ti.rates, [2.0, 6.0])
+    np.testing.assert_allclose(_rates(2.0, np.array([0.0, math.log(3.0)])), [2.0, 6.0])
 
 
 def test_intensity_validation():
     with pytest.raises(ConfigError):
-        TrafficIntensity(0.0, np.zeros(2))
+        FieldTrafficSource(SpatialField.line(2, 2.0), Kernel(0.1, 1.0), "identity", FieldNoise(0.0), 0.0)
     with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
-        TrafficIntensity(1.0, np.array([1000.0]))
+        _rates(1.0, np.array([1000.0]))
 
 
 def test_sample_traffic_matches_poisson_mean():
-    ti = TrafficIntensity(0.8, np.zeros(8))
-    rng = np.random.default_rng(1)
-    draws = np.stack([sample_traffic(ti, rng) for _ in range(20000)])
-    assert draws.mean() == pytest.approx(0.8, rel=0.02)
+    """Two sites too far apart to interact hold z = 0 and z = log 3 under an
+    identity step of unit gain, so their counts average mu and 3 mu."""
+    field = SpatialField(np.array([0.0, 100.0]), np.array([0.0, math.log(3.0)]), 1.0)
+    src = FieldTrafficSource(field, Kernel(1.0, 1.0), "identity", FieldNoise(0.0), 0.8, seed=1)
+    src.counts_at(19999)
+    assert src.field.z.tobytes() == field.z.tobytes()
+    np.testing.assert_allclose(src.history().mean(axis=0), [0.8, 2.4], rtol=0.02)
 
 
 def test_source_caches_one_realisation_per_slot():
@@ -186,7 +187,7 @@ def test_source_caches_one_realisation_per_slot():
     np.testing.assert_array_equal(src.counts_at(3), out_of_order)
     assert src.history().shape == (4, 6)
     # two consumers of the same site see the same stream
-    s_a, s_b = src.stream(2), src.stream(2)
+    s_a, s_b = src.stream_region((2,)), src.stream_region((2,))
     assert [s_a(i) for i in range(4)] == [s_b(i) for i in range(4)]
 
 
@@ -213,7 +214,7 @@ def test_stream_validation():
         SpatialField.line(3, 3.0), Kernel(0.1, 1.0), "identity", FieldNoise(0.0), 1.0
     )
     with pytest.raises(InvalidInputError):
-        src.stream(3)
+        src.stream_region((3,))
     with pytest.raises(InvalidInputError):
         src.stream_region([])
     with pytest.raises(InvalidInputError):
