@@ -31,7 +31,7 @@ from .cloud_loop import build_state, derive_seeds, epsilon_linear
 from .compression import DiscretizationScheme, bin_indices
 from .errors import ConfigError
 from .neural import DenseNet, forward
-from .rach_env import RachConfig, RachEnv, le_urc_counts, le_urc_pick, le_urc_ranking
+from .rach_env import RachConfig, RachEnv, _is_int, le_urc_counts, le_urc_pick, le_urc_ranking
 from .rl_core import LinearQ, QTable, bias_features, epsilon_greedy, linear_q_step, q_backup
 
 __all__ = [
@@ -46,10 +46,6 @@ __all__ = [
     "evaluate_greedy_net",
     "LOCAL_AGENTS",
 ]
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _in_unit(x, low_open: bool) -> bool:

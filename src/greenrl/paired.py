@@ -138,6 +138,9 @@ def _paired_p(a, b, test, **kwargs) -> float | None:
 
 
 def _effect_size_d(diff: np.ndarray) -> float:
+    """Mean over sample standard deviation; 0.0 when there is no spread, as for one pair."""
+    if len(diff) < 2:
+        return 0.0
     sd = diff.std(ddof=1)
     return float(diff.mean() / sd) if sd > 0 else 0.0
 

@@ -48,6 +48,10 @@ __all__ = [
 COLLISION_MULTIPLICITY = (1.0 - math.exp(-1.0)) / (1.0 - 2.0 * math.exp(-1.0))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class RachAction:
     """One menu entry: channel/preamble allocation plus repetition level."""
@@ -74,7 +78,7 @@ class BernoulliTraffic:
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"activation probability must lie in [0, 1], got {self.p}")
+            raise ConfigError(f"p: must be an activation probability in [0, 1], got {self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -94,15 +98,12 @@ class RachConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_devices < 1:
-            raise ConfigError("num_devices must be >= 1")
+        for name in ("num_devices", "history_window", "backoff_slots"):
+            if not (_is_int(getattr(self, name)) and getattr(self, name) >= 1):
+                raise ConfigError(f"{name}: must be an integer >= 1, got {getattr(self, name)!r}")
         if len(self.action_menu) == 0:
-            raise ConfigError("action_menu must be nonempty")
+            raise ConfigError("action_menu: must be nonempty")
         object.__setattr__(self, "action_menu", tuple(self.action_menu))
-        if self.history_window < 1:
-            raise ConfigError("history_window must be >= 1")
-        if self.backoff_slots < 1:
-            raise ConfigError("backoff_slots must be >= 1")
 
     @property
     def max_opportunities(self) -> int:

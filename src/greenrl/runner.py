@@ -301,8 +301,6 @@ def _run_rach(cfg: ExperimentConfig, run_dir: str) -> dict:
 
 
 def _run_compression(cfg: ExperimentConfig, run_dir: str) -> dict:
-    if cfg.agent != "dqn":
-        raise ConfigError("compression scenario trains a DQN; set agent to 'dqn'")
     env_cfg = cfg.rach.to_env_config()
     norm = float(env_cfg.max_opportunities)
     quantile = cfg.compression.prune_quantile if cfg.compression.prune_quantile is not None else 0.5

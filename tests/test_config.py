@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,34 @@ def test_spatial_cells_normalised_to_int_tuples():
 def test_experiment_validation(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("scenario", ["compression", "transfer"])
+def test_non_rach_scenarios_need_the_dqn_agent(scenario):
+    """compression used to fail only at run time, and transfer silently trained a DQN."""
+    with pytest.raises(ConfigError, match=r"^config\.agent: must be dqn"):
+        config_from_dict({"scenario": scenario, "agent": "le-urc", "reward_threshold": 1.0})
+
+
+# scenario, agent and seed count of each config in configs/
+SHIPPED_CONFIGS = {
+    "compression.json": ("compression", "dqn", 3),
+    "rach_dqn.json": ("rach", "dqn", 12),
+    "rach_la_q.json": ("rach", "la-q", 12),
+    "rach_le_urc.json": ("rach", "le-urc", 12),
+    "transfer.json": ("transfer", "dqn", 12),
+}
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_every_shipped_config_is_listed():
+    assert sorted(p.name for p in CONFIG_DIR.glob("*.json")) == sorted(SHIPPED_CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_config_loads(name):
+    cfg = load_config(str(CONFIG_DIR / name))
+    assert (cfg.scenario, cfg.agent, len(cfg.seeds)) == SHIPPED_CONFIGS[name]
 
 
 def test_rounds_is_ceiling_division():

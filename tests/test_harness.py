@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -7,9 +8,10 @@ from scipy import stats
 
 from greenrl import runner
 from greenrl.cli import main as cli_main
+from greenrl.cli import run_report
 from greenrl.config import config_from_dict
 from greenrl.errors import ConfigError
-from greenrl.paired import _paired_p, ttest_p, wilcoxon_p
+from greenrl.paired import _effect_size_d, _paired_p, ttest_p, wilcoxon_p
 from greenrl.runner import (
     ROUND_COLUMNS,
     compare_agents,
@@ -202,6 +204,12 @@ def test_failed_run_leaves_no_earlier_artifacts(tmp_path):
     assert sorted(os.listdir(run_dir)) == ["config.json", "error.json"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_effect_size_of_one_pair_is_zero():
+    """One pair has no spread: 0.0, without numpy's degrees-of-freedom warnings."""
+    assert _effect_size_d(np.array([0.4])) == 0.0
+
+
 def test_paired_p_branches():
     a = np.array([1.0, 2.0, 3.5, 4.0])
     b = np.array([0.5, 2.5, 1.0, 3.0])
@@ -335,13 +343,18 @@ def test_cli_rejects_bad_spatial_field_before_writing(tmp_path, capsys, key, val
     [
         ("eps_decay_steps", 0), ("alpha", 1.5), ("eps_start", 2.0),
         ("cloud.inner_steps", 0), ("compression.quant_bits", 99),
+        ("rach.num_devices", 0), ("rach.traffic_p", 1.5), ("cloud.snapshot_bits", 99),
+        ("compression.prune_quantile", 1.5), ("compression.prune_at_round", -1), ("cloud.n_entities", 2.5),
     ],
 )
 def test_cli_rejects_bad_agent_param_before_writing(tmp_path, capsys, key, value):
     """A bare key is an ``agent_params`` field.  Each used to fail only at
     run time: eps_decay_steps 0 and inner_steps 0 as a raw ZeroDivisionError
     or ValueError (exit 1), alpha and eps_start after config.json was
-    written, and quant_bits 99 not at all on a run that never quantises."""
+    written, and quant_bits 99 not at all on a run that never quantises.
+    num_devices, traffic_p and snapshot_bits failed after config.json and
+    error.json were written, the compression fields only on a compression
+    run, and n_entities 2.5 not at all on a local agent."""
     section, _, field = key.rpartition(".")
     section = section or "agent_params"
     path = write_config_file(tmp_path, agent="tabular", **{section: {field: value}})
@@ -352,14 +365,70 @@ def test_cli_rejects_bad_agent_param_before_writing(tmp_path, capsys, key, value
     assert not os.path.exists(tmp_path / "out")
 
 
+TINY_DQN = {"inner_steps": 20, "hidden": [8], "batch_size": 8, "replay_capacity": 64}
+
+
+def test_cli_run_compression_report(tmp_path, capsys):
+    path = write_config_file(tmp_path, scenario="compression", agent="dqn", cloud=TINY_DQN)
+    assert cli_main(["run", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    run_dir = tmp_path / "out" / "cli"
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert run_report(summary) == lines
+    row = summary["per_seed"][0]
+    ratios = " ".join(f"{k}={v:.3f}" for k, v in sorted(row["ledger_ratios"].items()))
+    assert lines[1:3] == [
+        f"seed 1: reward dense={row['dense_terminal_reward']:.3f} "
+        f"compressed={row['compressed_terminal_reward']:.3f}  {ratios}",
+        "reward by pruned fraction of the dense net:",
+    ]
+    with open(run_dir / "sparsity_reward.csv") as fh:
+        rewards = [float(r["reward"]) for r in csv.DictReader(fh)]
+    # one seed: each level's mean is its one reward
+    assert lines[3:] == [f"  {pct:3d}%: {r:.4f}" for pct, r in zip((0, 25, 50, 75), rewards)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("transfer_every, correlation", [(5, True), (50, False)])
+def test_cli_run_transfer_report(tmp_path, capsys, transfer_every, correlation):
+    """15 rounds: a transfer every 5 measures the demand correlation, one
+    every 50 never runs, and the report says n/a rather than failing."""
+    path = write_config_file(
+        tmp_path, scenario="transfer", agent="dqn", reward_threshold=1.0, cloud=dict(TINY_DQN, inner_steps=4),
+        spatial={"burn_in": 10, "transfer_every": transfer_every},
+    )
+    assert cli_main(["run", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads((tmp_path / "out" / "cli" / "summary.json").read_text())
+    assert run_report(summary) == lines
+    corr = summary["estimated_correlation_mean"]
+    rtt, term = summary["rounds_to_threshold"], summary["terminal_reward"]
+    assert (corr is not None) == correlation
+    assert lines[1:] == [
+        "demand correlation between stations: " + (f"{corr:.4f}" if correlation else "n/a"),
+        f"rounds to threshold: transfer median={rtt['transfer_median']} baseline median={rtt['baseline_median']} "
+        f"(mean {rtt['transfer_mean']:.1f} vs {rtt['baseline_mean']:.1f})",
+        f"terminal reward: transfer={term['transfer_mean']:.4f} baseline={term['baseline_mean']:.4f} "
+        f"p(drop)={term['p_transfer_drop']} effect d={term['effect_size_d']:.3f}",
+    ]
+
+
 def test_cli_compare(tmp_path, capsys):
-    a = write_config_file(tmp_path, name="heur")
-    b = write_config_file(tmp_path, name="rand", agent="random")
+    a = write_config_file(tmp_path, name="heur", seeds=[1, 2])
+    b = write_config_file(tmp_path, name="rand", agent="random", seeds=[1, 2])
     rc = cli_main(["compare", a, b])
     out = capsys.readouterr().out
     assert rc == 0
     assert "comparison written" in out
     assert "heur" in out and "rand" in out
+    report = json.loads((tmp_path / "out" / "comparison_heur_rand" / "compare_report.json").read_text())
+    for name in ("heur", "rand"):
+        entry = report["agents"][name]
+        lo, hi = entry["ci95"]
+        assert lo < hi
+        assert f"  {name}: {entry['mean']:.4f} ci95=[{lo:.4f}, {hi:.4f}] (agent={entry['agent']})" in out
+    pair = report["pairwise"]["heur>rand"]
+    assert f"pairwise one-sided p-values:\n  heur>rand: diff={pair['mean_diff']:+.4f} p={pair['p_one_sided']}\n" in out
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -326,6 +326,7 @@ def test_replay_write_matches_push():
         pytest.param({"action": np.zeros(3, np.int64)}, id="action-rows"),
         pytest.param({"reward": np.zeros(1)}, id="reward-rows"),
         pytest.param({"live": np.ones((2, 1))}, id="live-shape"),
+        pytest.param({"action": np.array([0, -1])}, id="negative-action"),
     ],
 )
 def test_replay_write_validation(change):
@@ -385,6 +386,20 @@ def test_train_step_rejects_a_mismatched_target():
     for target in (glorot_init((3, 4, 2), seed=1), glorot_init((3, 5, 2), seed=1, dtype=np.float32)):
         with pytest.raises(InvalidInputError, match="target"):
             dqn_train_step(online, target, buf, 2, 0.9, 0.01, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("action", [7, -1])
+def test_train_step_rejects_an_action_the_net_has_no_output_for(action):
+    """Action 7 used to raise a raw IndexError in the gather, and -1 to
+    train the last output column."""
+    online = glorot_init((3, 4, 2), seed=1, dtype=np.float32)
+    target, before = sync_target(online), online.params.copy()
+    buf = ReplayBuffer(8)
+    with pytest.raises(InvalidInputError, match="actions"):
+        for _ in range(4):
+            buf.push(Transition(np.ones(3), action, 1.0, np.zeros(3)))
+        online, _ = dqn_train_step(online, target, buf, 2, 0.9, 0.01, np.random.default_rng(0))
+    np.testing.assert_array_equal(online.params, before)
 
 
 @pytest.mark.parametrize(
