@@ -31,7 +31,7 @@ from .cloud_loop import build_state, derive_seeds, epsilon_linear
 from .compression import DiscretizationScheme, bin_indices
 from .errors import ConfigError
 from .neural import DenseNet, forward
-from .rach_env import RachConfig, RachEnv, _is_int, le_urc_counts, le_urc_pick, le_urc_ranking
+from .rach_env import RachConfig, RachEnv, _in_unit, _is_int, le_urc_counts, le_urc_pick, le_urc_ranking
 from .rl_core import LinearQ, QTable, bias_features, epsilon_greedy, linear_q_step, q_backup
 
 __all__ = [
@@ -46,12 +46,6 @@ __all__ = [
     "evaluate_greedy_net",
     "LOCAL_AGENTS",
 ]
-
-
-def _in_unit(x, low_open: bool) -> bool:
-    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
-        return False
-    return (0.0 < x <= 1.0) if low_open else (0.0 <= x <= 1.0)
 
 
 @dataclass(frozen=True)

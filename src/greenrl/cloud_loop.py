@@ -8,7 +8,9 @@ epsilon, and uploads the K transitions as one fixed-width binary batch.  The
 coordinator writes them into the replay ring in one batch and performs one
 mini-batch update.
 Entities never backprop; their network changes only by snapshot overwrite,
-so a round's K inferences are logged as one ledger entry.
+so a round's K inferences are logged as one ledger entry.  The ledger logs
+K even though exploring slots skip the forward pass: it models the deployed
+entity (see ``greenrl.energy``).
 
 The round is array-native end to end.  The entity writes its states into one
 (K+1, dim) array, where row i+1 is both slot i's next state and slot i+1's
@@ -18,12 +20,19 @@ packed little-endian numpy structured dtype, so a batch encodes with one
 that go straight into the replay ring.
 
 Each slot of a round is a lean path with the same RNG calls, in the same
-order, as the per-object path it replaced.  The entity runs ``forward`` on
-row i of the state array: one finiteness check of the row, then one
-trusted (1, dim) forward pass.  ``epsilon_greedy`` picks the action from
-those values, and ``RachEnv.step`` plays it through the environment's
-precomputed action table.  ``build_state`` writes the new observation,
-divided by the menu norm, straight into row i+1.
+order, as the per-object path it replaced.  The entity draws first:
+``explore`` makes epsilon-greedy's draws and, on an exploring slot, returns
+the uniform action, so no forward pass runs.  Only on a greedy slot does
+the entity run ``forward`` on row i of the state array (one finiteness
+check of the row, then one trusted (1, dim) forward pass) and take the
+argmax with ``epsilon_greedy`` at epsilon 0, which draws nothing.
+``forward`` uses no randomness, so actions and generator states are those
+of calling ``epsilon_greedy`` on every slot's values.  Since exploring
+slots never look at the network, the entity checks the decoded snapshot's
+parameters finite before it acts, and the round's states before upload.
+``RachEnv.step`` plays the action through the environment's precomputed
+action table, and ``build_state`` writes the new observation, divided by
+the menu norm, straight into row i+1.
 
 Both message directions are real byte payloads, so the message ledger and
 the energy ledger account exactly what would cross the wire.
@@ -62,8 +71,8 @@ from .neural import (
     net_to_bytes,
     sync_target,
 )
-from .rach_env import RachConfig, RachEnv, _is_int
-from .rl_core import check_discount, epsilon_greedy
+from .rach_env import RachConfig, RachEnv, _in_unit, _is_int, _positive
+from .rl_core import epsilon_greedy, explore
 
 __all__ = [
     "DqnConfig",
@@ -103,23 +112,24 @@ class DqnConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        check_discount(self.discount)
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if self.batch_size < 1 or self.replay_capacity < 1:
-            raise ConfigError("batch_size and replay_capacity must be >= 1")
-        if self.target_sync_every < 1:
-            raise ConfigError("target_sync_every must be >= 1")
-        for name in ("eps_start", "eps_end"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.eps_decay_steps < 1:
-            raise ConfigError("eps_decay_steps must be >= 1")
-        if len(self.hidden) == 0 or any(h < 1 for h in self.hidden):
-            raise ConfigError("hidden must be a nonempty tuple of positive ints")
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        hidden = self.hidden
+        widths_ok = isinstance(hidden, (tuple, list)) and len(hidden) > 0
+        # (field, value is in range, the rule as reported)
+        checks = (
+            ("hidden", widths_ok and all(_is_int(h) and h >= 1 for h in hidden), "a nonempty list of integers >= 1"),
+            ("lr", _positive(self.lr), "finite and > 0"),
+            ("batch_size", _is_int(self.batch_size) and self.batch_size >= 1, "an integer >= 1"),
+            ("discount", _in_unit(self.discount, True), "a number in (0, 1]"),
+            ("replay_capacity", _is_int(self.replay_capacity) and self.replay_capacity >= 1, "an integer >= 1"),
+            ("target_sync_every", _is_int(self.target_sync_every) and self.target_sync_every >= 1, "an integer >= 1"),
+            ("eps_start", _in_unit(self.eps_start, False), "a number in [0, 1]"),
+            ("eps_end", _in_unit(self.eps_end, False), "a number in [0, 1]"),
+            ("eps_decay_steps", _is_int(self.eps_decay_steps) and self.eps_decay_steps >= 1, "an integer >= 1"),
+            ("dtype", self.dtype in ("float32", "float64"), "float32 or float64"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def np_dtype(self):
@@ -489,8 +499,10 @@ class Session:
         menu = self.request.env_config.action_menu
         snap = self._publish()
         _version, epsilon, net = decode_snapshot(snap.payload)
+        if not np.isfinite(net.params).all():
+            raise InvalidInputError("snapshot parameters must be finite")
         entity.net = net
-        k = self.request.inner_steps
+        k, n_actions = self.request.inner_steps, net.layer_dims[-1]
         env, rng = entity.env, entity.action_rng
         # Row i is slot i's state and row i+1 its next state.
         states = np.empty((k + 1, entity.obs.size), cfg.np_dtype)
@@ -498,10 +510,14 @@ class Session:
         actions = np.empty(k, np.int64)
         rewards = np.empty(k)
         for i in range(k):
-            action = epsilon_greedy(forward(net, states[i]), epsilon, rng)
+            action = explore(epsilon, rng, n_actions)
+            if action is None:
+                action = epsilon_greedy(forward(net, states[i]), 0.0, rng)
             entity.obs, rewards[i], _outcome = env.step(menu[action])
             build_state(entity.obs, self.norm, cfg.np_dtype, out=states[i + 1])
             actions[i] = action
+        if not np.isfinite(states).all():
+            raise InvalidInputError("states must be finite")
         self.energy.record_inference(entity.net, count=k)
         rows = ReplayBatch(states[:-1], actions, rewards, states[1:], np.ones(k))
         payload = encode_sample_batch(

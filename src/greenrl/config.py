@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from .agents import LOCAL_AGENTS, LocalAgentParams
 from .cloud_loop import CompressionPlan, DqnConfig, ServiceRequest
 from .errors import ConfigError
-from .rach_env import BernoulliTraffic, RachAction, RachConfig, _is_int
+from .rach_env import BernoulliTraffic, RachAction, RachConfig, _is_int, _positive, _real
 
 __all__ = [
     "RachSection",
@@ -153,14 +153,9 @@ class CompressionSection:
             ),
             snapshot_bits="quant_bits",
         )
-
-
-def _real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _positive(x) -> bool:
-    return _real(x) and math.isfinite(x) and x > 0
+        levels = self.sparsity_levels
+        if not (isinstance(levels, (tuple, list)) and all(_real(f) and 0.0 <= f < 1.0 for f in levels)):
+            raise ConfigError(f"sparsity_levels: must be a list of numbers in [0, 1), got {levels!r}")
 
 
 def _nonnegative(x) -> bool:
@@ -251,8 +246,13 @@ class ExperimentConfig:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.agent not in AGENTS:
             raise ConfigError(f"agent must be one of {AGENTS}, got {self.agent!r}")
-        if len(self.seeds) == 0:
-            raise ConfigError("seeds must be nonempty")
+        seeds = self.seeds
+        if not (
+            isinstance(seeds, (tuple, list))
+            and seeds
+            and all(_is_int(s) or (isinstance(s, float) and s.is_integer()) for s in seeds)
+        ):
+            raise ConfigError(f"seeds: must be a nonempty list of integers, got {seeds!r}")
         if self.total_slots < 1 or self.eval_slots < 1:
             raise ConfigError("total_slots and eval_slots must be >= 1")
         if not 0.0 < self.tail_fraction <= 1.0:

@@ -7,7 +7,10 @@ in an append-only log so the totals can be recomputed and reconciled.
 
 An entity's network changes only when a snapshot overwrites it, so a cloud
 session logs each round's K inference passes as one ``inference`` event
-with ``count=K`` rather than K events of one pass each.
+with ``count=K`` rather than K events of one pass each.  The count models
+a deployed entity that runs its network on every slot: the simulation
+skips the forward pass on slots where epsilon-greedy explores, since it
+discards those values, but the ledger still credits K passes per round.
 """
 
 from __future__ import annotations

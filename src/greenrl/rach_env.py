@@ -48,8 +48,23 @@ __all__ = [
 COLLISION_MULTIPLICITY = (1.0 - math.exp(-1.0)) / (1.0 - 2.0 * math.exp(-1.0))
 
 
+# Type-and-range predicates shared by the config checks of every module.
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _positive(x) -> bool:
+    return _real(x) and math.isfinite(x) and x > 0
+
+
+def _in_unit(x, low_open: bool) -> bool:
+    if not _real(x):
+        return False
+    return (0.0 < x <= 1.0) if low_open else (0.0 <= x <= 1.0)
 
 
 @dataclass(frozen=True)

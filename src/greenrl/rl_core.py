@@ -1,11 +1,12 @@
 """Core reinforcement-learning primitives.
 
-Epsilon-greedy action selection, the tabular Q-learning backup
-(``q_backup``) and the linear (semi-gradient) Q-learning step
-(``linear_q_step``) on a trailing bias feature (``bias_features``).  The
-local agents in ``greenrl.agents`` call these kernels on their own table or
-weight rows, in place.  Everything here is deterministic given its inputs
-and, where randomness is involved, an explicit ``numpy.random.Generator``.
+Epsilon-greedy action selection (``explore`` is its exploring half), the
+tabular Q-learning backup (``q_backup``) and the linear (semi-gradient)
+Q-learning step (``linear_q_step``) on a trailing bias feature
+(``bias_features``).  The local agents in ``greenrl.agents`` call these
+kernels on their own table or weight rows, in place.  Everything here is
+deterministic given its inputs and, where randomness is involved, an
+explicit ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "Transition",
     "QTable",
     "LinearQ",
+    "explore",
     "epsilon_greedy",
     "q_backup",
     "bias_features",
@@ -56,11 +58,29 @@ def _check_step_size(alpha: float) -> float:
     return a
 
 
+def explore(epsilon: float, rng: np.random.Generator, n_actions: int) -> int | None:
+    """The exploring half of epsilon-greedy: a uniform action, or None to act greedily.
+
+    With epsilon > 0 it draws ``rng.random()`` and, when that falls below
+    epsilon, ``rng.integers(n_actions)``; with epsilon = 0 it draws nothing.
+    A caller that gets None can compute its action values only then, and
+    pick with ``epsilon_greedy(q, 0.0, rng)``, which draws nothing more: the
+    generator ends where one ``epsilon_greedy(q, epsilon, rng)`` call leaves it.
+    """
+    eps = float(epsilon)
+    if not 0.0 <= eps <= 1.0:
+        raise InvalidInputError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    if eps > 0.0 and rng.random() < eps:
+        return int(rng.integers(n_actions))
+    return None
+
+
 def epsilon_greedy(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Pick argmax with probability 1 - epsilon, else a uniform action.
 
-    Ties in the greedy branch resolve to the lowest action index.  With
-    epsilon = 0 the choice is fully deterministic.  Float values up to 64
+    The values are checked first, then ``explore`` checks epsilon and makes
+    the draws.  Ties in the greedy branch resolve to the lowest action index.
+    With epsilon = 0 the choice is fully deterministic.  Float values up to 64
     bits are read out as Python floats, an exact widening, so the checks
     and the argmax see what a float64 copy would hold; for a menu-sized
     vector that is several times cheaper than numpy's per-call overhead.
@@ -74,12 +94,8 @@ def epsilon_greedy(q_values: np.ndarray, epsilon: float, rng: np.random.Generato
     values = q.tolist()
     if not all(map(math.isfinite, values)):
         raise InvalidInputError("q_values must be finite")
-    eps = float(epsilon)
-    if not 0.0 <= eps <= 1.0:
-        raise InvalidInputError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    if eps > 0.0 and rng.random() < eps:
-        return int(rng.integers(q.size))
-    return values.index(max(values))
+    action = explore(epsilon, rng, q.size)
+    return values.index(max(values)) if action is None else action
 
 
 def state_key(state) -> Hashable:

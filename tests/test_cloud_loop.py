@@ -656,6 +656,32 @@ def test_outer_round_rejects_non_finite_snapshot():
         session.outer_round(0)
 
 
+@pytest.mark.parametrize("epsilon,forward_calls", [(1.0, 0), (0.0, 6)])
+def test_exploring_slots_skip_the_forward_pass(monkeypatch, epsilon, forward_calls):
+    """An exploring slot takes its action without running the network, but
+    the ledger still credits the round's K inferences to the entity."""
+    import greenrl.cloud_loop as cloud_loop
+
+    calls, real_forward = [], cloud_loop.forward
+
+    def counted(net, state):
+        calls.append(1)
+        return real_forward(net, state)
+
+    monkeypatch.setattr(cloud_loop, "forward", counted)
+    session = Session(make_request(inner_steps=6, dqn=small_dqn(eps_start=epsilon, eps_end=epsilon)))
+    _batch, delta = session.outer_round(0)
+    assert delta["epsilon"] == epsilon
+    assert len(calls) == forward_calls
+    macs = macs_forward(session.online)
+    assert session.energy.events == [
+        ("message", delta["bytes_down"], "down"),
+        ("inference", macs, 6),
+        ("message", delta["bytes_up"], "up"),
+    ]
+    assert session.energy.macs_inference == 6 * macs
+
+
 def test_run_session_validation():
     session = Session(make_request())
     with pytest.raises(InvalidInputError):

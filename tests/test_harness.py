@@ -345,6 +345,7 @@ def test_cli_rejects_bad_spatial_field_before_writing(tmp_path, capsys, key, val
         ("cloud.inner_steps", 0), ("compression.quant_bits", 99),
         ("rach.num_devices", 0), ("rach.traffic_p", 1.5), ("cloud.snapshot_bits", 99),
         ("compression.prune_quantile", 1.5), ("compression.prune_at_round", -1), ("cloud.n_entities", 2.5),
+        ("compression.sparsity_levels", [1.5]), ("cloud.lr", -1), ("cloud.eps_end", 2.0),
     ],
 )
 def test_cli_rejects_bad_agent_param_before_writing(tmp_path, capsys, key, value):
@@ -354,7 +355,9 @@ def test_cli_rejects_bad_agent_param_before_writing(tmp_path, capsys, key, value
     written, and quant_bits 99 not at all on a run that never quantises.
     num_devices, traffic_p and snapshot_bits failed after config.json and
     error.json were written, the compression fields only on a compression
-    run, and n_entities 2.5 not at all on a local agent."""
+    run, and n_entities 2.5 not at all on a local agent.  sparsity_levels
+    [1.5] failed on a compression run only after the dense session had
+    trained, and lr and eps_end were reported as ``config.cloud`` alone."""
     section, _, field = key.rpartition(".")
     section = section or "agent_params"
     path = write_config_file(tmp_path, agent="tabular", **{section: {field: value}})
@@ -362,6 +365,16 @@ def test_cli_rejects_bad_agent_param_before_writing(tmp_path, capsys, key, value
     err = capsys.readouterr().err
     assert rc == 2
     assert f"config.{section}.{field}: must be" in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("seeds", ["abc", [1.5], [True]])
+def test_cli_rejects_non_integer_seeds_before_writing(tmp_path, capsys, seeds):
+    """"abc" used to end in a raw ValueError traceback, and [1.5] and [True]
+    ran silently as seed 1."""
+    rc = cli_main(["run", write_config_file(tmp_path, seeds=seeds)])
+    assert rc == 2
+    assert "config.seeds: must be a nonempty list of integers" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out")
 
 

@@ -10,6 +10,7 @@ from greenrl.rl_core import (
     Transition,
     bias_features,
     epsilon_greedy,
+    explore,
     linear_q_step,
     q_backup,
     state_key,
@@ -125,6 +126,24 @@ def test_epsilon_greedy_matches_float64_reference(qs, dtype, eps, seed):
     rng = np.random.default_rng(seed)
     assert epsilon_greedy(q, eps, rng) == expected
     assert rng.random() == ref_rng.random()
+
+
+@given(
+    st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=8),
+    st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_explore_then_greedy_matches_epsilon_greedy(qs, eps, seed):
+    """Drawing first and taking the argmax only when ``explore`` returns None
+    gives the same action and leaves the generator in the same state."""
+    q = np.asarray(qs)
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = epsilon_greedy(q, eps, ref_rng)
+    action = explore(eps, rng, q.size)
+    if action is None:
+        action = epsilon_greedy(q, 0.0, rng)
+    assert action == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_epsilon_greedy_input_validation():
