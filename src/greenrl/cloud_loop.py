@@ -51,6 +51,7 @@ count).
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -487,6 +488,34 @@ class Session:
         if plan.prune_quantile is not None and round_idx == plan.prune_at_round:
             self.apply_pruning()
         return rows
+
+    def fork(self) -> Session:
+        """A new session that continues exactly as this one would.
+
+        The fork is made through ``instantiate``, like any session, and then
+        takes up this session's position: copies of the networks and the
+        replay ring, every generator's state, the entities' environments,
+        observations and loaded networks, and the train-step count.  Its
+        ledger objects are its own, filled with copies of this session's
+        entries, so both sessions' totals count the rounds played before the
+        fork.  Both sessions' environments read one traffic callable, the
+        request's.
+        """
+        twin = instantiate(self.request)
+        twin.online, twin.target = sync_target(self.online), sync_target(self.target)
+        twin.buffer = copy.deepcopy(self.buffer)
+        twin.sample_rng.bit_generator.state = self.sample_rng.bit_generator.state
+        twin.train_steps = self.train_steps
+        for eid, entity in self.entities.items():
+            mine = twin.entities[eid]
+            mine.env.resume_from(entity.env)
+            mine.action_rng.bit_generator.state = entity.action_rng.bit_generator.state
+            mine.obs = entity.obs.copy()
+            mine.net = None if entity.net is None else sync_target(entity.net)
+        for mine, theirs in ((twin.message_ledger, self.message_ledger), (twin.energy, self.energy)):
+            vars(mine).update(copy.deepcopy(vars(theirs)))
+        twin.sparsity_reports = list(self.sparsity_reports)
+        return twin
 
     # -- entity side ----------------------------------------------------------
 

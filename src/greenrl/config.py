@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from .agents import LOCAL_AGENTS, LocalAgentParams
 from .cloud_loop import CompressionPlan, DqnConfig, ServiceRequest
 from .errors import ConfigError
-from .rach_env import BernoulliTraffic, RachAction, RachConfig, _is_int, _positive, _real
+from .rach_env import BernoulliTraffic, RachAction, RachConfig, _in_unit, _is_int, _positive, _real
 
 __all__ = [
     "RachSection",
@@ -253,12 +253,16 @@ class ExperimentConfig:
             and all(_is_int(s) or (isinstance(s, float) and s.is_integer()) for s in seeds)
         ):
             raise ConfigError(f"seeds: must be a nonempty list of integers, got {seeds!r}")
-        if self.total_slots < 1 or self.eval_slots < 1:
-            raise ConfigError("total_slots and eval_slots must be >= 1")
-        if not 0.0 < self.tail_fraction <= 1.0:
-            raise ConfigError("tail_fraction must lie in (0, 1]")
-        if self.threshold_window < 1:
-            raise ConfigError("threshold_window must be >= 1")
+        # (field, value is in range, the rule as reported)
+        checks = (
+            ("total_slots", _is_int(self.total_slots) and self.total_slots >= 1, "an integer >= 1"),
+            ("eval_slots", _is_int(self.eval_slots) and self.eval_slots >= 1, "an integer >= 1"),
+            ("threshold_window", _is_int(self.threshold_window) and self.threshold_window >= 1, "an integer >= 1"),
+            ("tail_fraction", _in_unit(self.tail_fraction, True), "a number in (0, 1]"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
         if self.scenario != "rach" and self.agent != "dqn":
             raise ConfigError(f"agent: must be dqn, which the {self.scenario} scenario trains, got {self.agent!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))

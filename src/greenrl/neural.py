@@ -187,9 +187,11 @@ def _forward_cached(net: DenseNet, x: np.ndarray, ws: _Workspace | None = None):
 def forward(net: DenseNet, state) -> np.ndarray:
     """Per-action value estimates for a single state vector.
 
-    After one check of the state, a batch-of-one pass of the same (1, d) gemm
-    and bias add as ``_forward_cached``, so its values match a batch row bit
-    for bit."""
+    After one check of the state, a pass of the same (1, d) product and bias
+    add as ``_forward_cached``, so its values equal that function's on the
+    state as a batch of one, bit for bit.  Rows of larger batches may differ
+    from them in the last bits: numpy hands a (1, d) product to gemv and a
+    larger one to gemm, which can sum in another order."""
     if net.activation != "relu":
         raise ConfigError(f"unsupported activation {net.activation!r}")
     x = np.asarray(state, dtype=net.dtype)
@@ -298,7 +300,9 @@ class ReplayBuffer:
     """Bounded FIFO of transitions with uniform random sampling.
 
     Transitions live in a ring of preallocated column arrays, one row per
-    slot, allocated at the first write once the state width is known.
+    slot, allocated at the first write once the state width is known.  A
+    pickled or deep-copied buffer carries only its filled rows, and no
+    learner workspace; it allocates its full ring at its next write.
     ``head`` is the slot of the oldest item; item i, counting from the
     oldest, sits in slot ``(head + i) % capacity``.  A full buffer
     overwrites its oldest slot.  Floats are stored as float64, which holds
@@ -350,12 +354,15 @@ class ReplayBuffer:
             return
         if min(rows.action.tolist()) < 0:  # on a round's few rows a list min is ~8x cheaper than numpy's
             raise InvalidInputError("replay actions must be >= 0")
-        if self._ring is None:
+        held = self._ring
+        if held is not None and width != held.state.shape[1]:
+            raise InvalidInputError(f"state width {width} does not match replay width {held.state.shape[1]}")
+        if held is None or len(held.action) < cap:  # the first write, or the first to a copy's filled rows
             self._ring = ReplayBatch(
                 np.zeros((cap, width)), np.zeros(cap, np.int64), np.zeros(cap), np.zeros((cap, width)), np.zeros(cap)
             )
-        elif width != self._ring.state.shape[1]:
-            raise InvalidInputError(f"state width {width} does not match replay width {self._ring.state.shape[1]}")
+            for col, rows_held in zip(self._ring, held or ()):
+                col[: len(rows_held)] = rows_held
         if k > cap:
             rows = ReplayBatch(*(c[k - cap :] for c in rows))
             k = cap
@@ -371,6 +378,22 @@ class ReplayBuffer:
 
     def __len__(self) -> int:
         return self._size
+
+    def __getstate__(self) -> dict:
+        """Pickle and deepcopy keep the filled rows and leave the workspace behind.
+
+        The rows in use are ``[0, size)``, since the ring starts at slot 0
+        until it is full.  A copied workspace's gradient views would no
+        longer view its gradient, so a copy builds its own at its first
+        train step.
+        """
+        state = {k: v for k, v in vars(self).items() if k != "_workspace"}
+        if self._ring is not None:
+            state["_ring"] = ReplayBatch(*(col[: self._size] for col in self._ring))
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state, _workspace=None)
 
     def sample(self, batch_size: int, rng: np.random.Generator, out: ReplayBatch | None = None) -> ReplayBatch:
         """Uniform sample with replacement; errors if underfilled.

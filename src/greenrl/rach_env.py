@@ -193,6 +193,16 @@ class RachEnv:
     def observation(self) -> np.ndarray:
         return self._window.flatten()
 
+    def resume_from(self, other: RachEnv) -> None:
+        """Take up ``other``'s position: the state ``reset`` sets, copied.
+
+        ``other`` should be built from the same config; traffic is read
+        through the config, so both then draw the same arrivals.
+        """
+        self.rng.bit_generator.state = other.rng.bit_generator.state
+        self.backlog, self.slot = other.backlog, other.slot
+        self._window = other._window.copy()
+
     def _draw_arrivals(self) -> int:
         traffic = self.cfg.traffic
         if isinstance(traffic, BernoulliTraffic):

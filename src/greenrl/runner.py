@@ -9,7 +9,9 @@ Three scenarios:
   pruning plus snapshot quantisation to compare energy/byte ledgers.
 * ``transfer``: two single-entity coordinators on sites of one shared
   spatial traffic field, with and without correlation-gated parameter
-  transfer, comparing rounds-to-threshold.
+  transfer, comparing rounds-to-threshold.  Per seed the two arms read one
+  field source and play their rounds before the first transfer once; the
+  baseline arm continues from forks of those sessions.
 
 Outputs are deterministic for a given config and seed: no timestamps, sorted
 JSON keys, atomic writes.  Every run directory carries a config snapshot and
@@ -60,7 +62,7 @@ __all__ = [
     "sweep",
     "per_round_curve",
     "rounds_to_threshold",
-    "run_transfer_arm",
+    "run_transfer_arms",
     "ROUND_COLUMNS",
 ]
 
@@ -385,10 +387,27 @@ def _seed_int(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, np.uint64)[0] % (2**63))
 
 
-def run_transfer_arm(cfg: ExperimentConfig, seed: int, enabled: bool) -> dict:
-    """Two coordinators on one shared field, optional parameter transfer."""
-    threshold = cfg.reward_threshold
-    if threshold is None:
+def _play(sessions, rounds: range, rows: list, after_round=None) -> None:
+    """Run ``rounds`` on every session in turn, appending their rows."""
+    for r in rounds:
+        for session in sessions:
+            rows += session.run_round(r)
+        if after_round is not None:
+            after_round(r)
+
+
+def run_transfer_arms(cfg: ExperimentConfig, seed: int) -> tuple[dict, dict]:
+    """Both arms of one seed, (transfer, baseline): two coordinators on one
+    shared field, with and without parameter transfer.
+
+    The arms are one computation until the first transfer, after round
+    ``transfer_every - 1``, so those rounds run once; the pair is then
+    forked, the transfer arm finishes on the originals and the baseline
+    arm on the forks.  Both read one ``FieldTrafficSource``, whose counts
+    depend only on the slot; each correlation is estimated on the first
+    ``(r + 1) * inner_steps`` slots, the ones played by the end of round r.
+    """
+    if cfg.reward_threshold is None:
         raise ConfigError("transfer scenario needs reward_threshold")
     sp = cfg.spatial
     children = np.random.SeedSequence([int(seed), 7077]).spawn(5)
@@ -415,24 +434,38 @@ def run_transfer_arm(cfg: ExperimentConfig, seed: int, enabled: bool) -> dict:
         )
         sessions.append(instantiate(request))
     rounds = cfg.rounds()
-    rows = []
+    shared = min(sp.transfer_every, rounds)
+    rows: list[dict] = []
+    _play(sessions, range(shared), rows)
+    baseline = [session.fork() for session in sessions]
+    baseline_rows = list(rows)
     correlations = []
-    for r in range(rounds):
-        for session in sessions:
-            rows += session.run_round(r)
-        if enabled and (r + 1) % sp.transfer_every == 0 and (r + 1) < rounds:
-            cm = estimate_correlation(source.region_history(sp.bs_cells))
+
+    def transfer(r: int) -> None:
+        if (r + 1) % sp.transfer_every == 0 and (r + 1) < rounds:
+            history = source.region_history(sp.bs_cells)[: (r + 1) * cfg.cloud.inner_steps]
+            cm = estimate_correlation(history)
             correlations.append(float(cm.values[0, 1]))
             mixed = transfer_weights([s.online for s in sessions], cm, sp.beta)
             for session, net in zip(sessions, mixed):
                 session.online = net
                 session.target = sync_target(net)
+
+    transfer(shared - 1)
+    _play(sessions, range(shared, rounds), rows, transfer)
+    transfer_arm = _arm_result(cfg, seed, True, rows, sessions, correlations)
+    sessions.clear()  # frees the transfer arm's replay rings before the forks allocate theirs
+    _play(baseline, range(shared, rounds), baseline_rows)
+    return transfer_arm, _arm_result(cfg, seed, False, baseline_rows, baseline, [])
+
+
+def _arm_result(cfg: ExperimentConfig, seed: int, enabled: bool, rows, sessions, correlations) -> dict:
     curve = per_round_curve(rows)
     return {
         "seed": seed,
         "enabled": enabled,
         "curve": curve,
-        "rounds_to_threshold": rounds_to_threshold(curve, threshold, cfg.threshold_window),
+        "rounds_to_threshold": rounds_to_threshold(curve, cfg.reward_threshold, cfg.threshold_window),
         "terminal_reward": tail_mean(curve, cfg.tail_fraction),
         "correlations": correlations,
         "bytes_down": sum(s.message_ledger.bytes_down for s in sessions),
@@ -444,8 +477,7 @@ def _run_transfer(cfg: ExperimentConfig, run_dir: str) -> dict:
     curve_rows = []
     arms: dict[bool, list[dict]] = {True: [], False: []}
     for seed in cfg.seeds:
-        for enabled in (True, False):
-            result = run_transfer_arm(cfg, seed, enabled)
+        for enabled, result in zip((True, False), run_transfer_arms(cfg, seed)):
             arms[enabled].append(result)
             for r, reward in enumerate(result["curve"]):
                 curve_rows.append(

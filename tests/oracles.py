@@ -16,7 +16,15 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from greenrl.cloud_loop import build_state, derive_seeds, epsilon_linear
+from greenrl.cloud_loop import (
+    CompressionPlan,
+    ServiceRequest,
+    build_state,
+    derive_seeds,
+    epsilon_linear,
+    instantiate,
+    tail_mean,
+)
 from greenrl.compression import DiscretizationScheme
 from greenrl.errors import ConfigError, InvalidInputError, NotReadyError
 from greenrl.neural import (
@@ -34,6 +42,7 @@ from greenrl.neural import (
 from greenrl.rach_env import (
     COLLISION_MULTIPLICITY,
     BernoulliTraffic,
+    ExternalTraffic,
     RachEnv,
     SlotOutcome,
     simulate_contention,
@@ -46,7 +55,17 @@ from greenrl.rl_core import (
     epsilon_greedy,
     state_key,
 )
-from greenrl.spatial import CorrelationMatrix, FieldNoise, Kernel, SpatialField, quadrature_matrix
+from greenrl.runner import per_round_curve, rounds_to_threshold
+from greenrl.spatial import (
+    CorrelationMatrix,
+    FieldNoise,
+    FieldTrafficSource,
+    Kernel,
+    SpatialField,
+    estimate_correlation,
+    quadrature_matrix,
+    transfer_weights,
+)
 
 # ---------------------------------------------------------------------------
 # Returns
@@ -811,6 +830,69 @@ def reference_transfer_weights(
             )
         )
     return out
+
+
+# The one-arm transfer driver that ``greenrl.runner.run_transfer_arms``
+# replaced, kept verbatim apart from its name and ``_reference_seed_int``.
+# Each call builds its own field source and sessions and runs every round,
+# so an arm shares nothing with the other arm of its seed.
+def _reference_seed_int(seq: np.random.SeedSequence) -> int:
+    return int(seq.generate_state(1, np.uint64)[0] % (2**63))
+
+
+def reference_run_transfer_arm(cfg, seed: int, enabled: bool) -> dict:
+    """Two coordinators on one shared field, optional parameter transfer."""
+    threshold = cfg.reward_threshold
+    if threshold is None:
+        raise ConfigError("transfer scenario needs reward_threshold")
+    sp = cfg.spatial
+    children = np.random.SeedSequence([int(seed), 7077]).spawn(5)
+    noise = FieldNoise(sp.noise_sigma, seed=children[0])
+    field = SpatialField.line(sp.n_sites, sp.length, 0.0)
+    kernel = Kernel(sp.kernel_amplitude, sp.kernel_length_scale)
+    source = FieldTrafficSource(
+        field, kernel, sp.squash, noise, sp.mu, seed=children[1], burn_in=sp.burn_in
+    )
+    base_env = cfg.rach.to_env_config()
+    net_seed = _reference_seed_int(children[4])
+    plan = CompressionPlan(snapshot_bits=cfg.cloud.snapshot_bits, batch_fp16=cfg.cloud.batch_fp16)
+    sessions = []
+    for idx, cell in enumerate(sp.bs_cells):
+        env_cfg = replace(base_env, traffic=ExternalTraffic(source.stream_region(cell)))
+        request = ServiceRequest(
+            entity_ids=(0,),
+            env_config=env_cfg,
+            inner_steps=cfg.cloud.inner_steps,
+            dqn=cfg.cloud.dqn_config(),
+            compression=plan,
+            seed=_reference_seed_int(children[2 + idx]),
+            net_seed=net_seed,
+        )
+        sessions.append(instantiate(request))
+    rounds = cfg.rounds()
+    rows = []
+    correlations = []
+    for r in range(rounds):
+        for session in sessions:
+            rows += session.run_round(r)
+        if enabled and (r + 1) % sp.transfer_every == 0 and (r + 1) < rounds:
+            cm = estimate_correlation(source.region_history(sp.bs_cells))
+            correlations.append(float(cm.values[0, 1]))
+            mixed = transfer_weights([s.online for s in sessions], cm, sp.beta)
+            for session, net in zip(sessions, mixed):
+                session.online = net
+                session.target = sync_target(net)
+    curve = per_round_curve(rows)
+    return {
+        "seed": seed,
+        "enabled": enabled,
+        "curve": curve,
+        "rounds_to_threshold": rounds_to_threshold(curve, threshold, cfg.threshold_window),
+        "terminal_reward": tail_mean(curve, cfg.tail_fraction),
+        "correlations": correlations,
+        "bytes_down": sum(s.message_ledger.bytes_down for s in sessions),
+        "bytes_up": sum(s.message_ledger.bytes_up for s in sessions),
+    }
 
 # ---------------------------------------------------------------------------
 # Reference sample-batch codec

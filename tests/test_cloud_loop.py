@@ -598,6 +598,62 @@ def test_mid_session_pruning():
         assert np.all(w[m == 0] == 0)
 
 
+def _session_state(session):
+    """Everything a session carries from one round to the next, as comparable values."""
+    ring, mask = session.buffer._ring, session.online.param_mask
+    entities = {
+        eid: (
+            e.env.rng.bit_generator.state, e.env.backlog, e.env.slot, e.env._window.tobytes(),
+            e.action_rng.bit_generator.state, e.obs.tobytes(),
+            None if e.net is None else e.net.params.tobytes(),
+        )
+        for eid, e in session.entities.items()
+    }
+    return {
+        "online": (session.online.params.tobytes(), None if mask is None else mask.tobytes()),
+        "target": session.target.params.tobytes(),
+        "ring": None if ring is None else [c[: len(session.buffer)].tobytes() for c in ring],
+        "ring_position": (session.buffer._head, len(session.buffer)),
+        "sample_rng": session.sample_rng.bit_generator.state,
+        "train_steps": session.train_steps,
+        "entities": entities,
+        "message_ledger": session.message_ledger,
+        "energy": session.energy,
+        "sparsity_reports": session.sparsity_reports,
+    }
+
+
+@pytest.mark.parametrize("mode", ["lockstep", "concurrent"])
+@pytest.mark.parametrize("fork_after,prune_at", [(0, 3), (2, 3), (4, 1)])
+def test_fork_continues_as_the_parent(monkeypatch, mode, fork_after, prune_at):
+    """A fork made after ``fork_after`` rounds and its parent play the same
+    later rounds as a session that was never forked: the same rows,
+    parameters, replay rows, ledgers and generator states.  The fork is
+    made through ``instantiate`` and owns its ledger objects."""
+    import greenrl.cloud_loop as cloud_loop
+
+    plan = CompressionPlan(snapshot_bits=8, prune_quantile=0.5, prune_at_round=prune_at)
+    request = make_request(entity_ids=(0, 1), compression=plan)
+    parent, unforked = Session(request), Session(request)
+    for r in range(fork_after):
+        assert parent.run_round(r, mode) == unforked.run_round(r, mode)
+    made = []
+    monkeypatch.setattr(cloud_loop, "instantiate", lambda req: made.append(req) or Session(req))
+    fork = parent.fork()
+    assert made == [request]
+    assert fork.message_ledger is not parent.message_ledger and fork.energy is not parent.energy
+    assert fork.energy.events is not parent.energy.events
+    assert fork.buffer is not parent.buffer
+    assert _session_state(fork) == _session_state(parent)
+    for r in range(fork_after, 7):
+        rows = unforked.run_round(r, mode)
+        assert parent.run_round(r, mode) == rows
+        assert fork.run_round(r, mode) == rows
+        assert _session_state(parent) == _session_state(unforked)
+        assert _session_state(fork) == _session_state(unforked)
+    assert len(fork.sparsity_reports) == 1
+
+
 def test_compressed_wire_is_smaller():
     base = run_session(Session(make_request(seed=21)), rounds=5)
     plan = CompressionPlan(snapshot_bits=8, batch_fp16=True)

@@ -10,7 +10,7 @@ from greenrl import runner
 from greenrl.cli import main as cli_main
 from greenrl.cli import run_report
 from greenrl.config import config_from_dict
-from greenrl.errors import ConfigError
+from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.paired import _effect_size_d, _paired_p, ttest_p, wilcoxon_p
 from greenrl.runner import (
     ROUND_COLUMNS,
@@ -23,7 +23,7 @@ from greenrl.runner import (
     write_csv,
     write_json,
 )
-from oracles import reference_per_round_curve
+from oracles import reference_per_round_curve, reference_run_transfer_arm
 
 
 def tiny_config(tmp_path, **overrides):
@@ -378,6 +378,22 @@ def test_cli_rejects_non_integer_seeds_before_writing(tmp_path, capsys, seeds):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("total_slots", "5"), ("total_slots", 2.5), ("eval_slots", True), ("threshold_window", True),
+        ("threshold_window", 0), ("tail_fraction", 1.5), ("tail_fraction", "0.2"),
+    ],
+)
+def test_cli_rejects_bad_experiment_field_before_writing(tmp_path, capsys, key, value):
+    """eval_slots and threshold_window true used to run, and total_slots "5"
+    exited 2 with a bare "'<' not supported" comparison error."""
+    rc = cli_main(["run", write_config_file(tmp_path, **{key: value})])
+    assert rc == 2
+    assert f"config.{key}: must be" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 TINY_DQN = {"inner_steps": 20, "hidden": [8], "batch_size": 8, "replay_capacity": 64}
 
 
@@ -424,6 +440,82 @@ def test_cli_run_transfer_report(tmp_path, capsys, transfer_every, correlation):
         f"terminal reward: transfer={term['transfer_mean']:.4f} baseline={term['baseline_mean']:.4f} "
         f"p(drop)={term['p_transfer_drop']} effect d={term['effect_size_d']:.3f}",
     ]
+
+
+TRANSFER_ROUNDS = 9
+
+
+def transfer_config(tmp_path, transfer_every, inner_steps=4, compressed=False):
+    """Two seeds of TRANSFER_ROUNDS rounds, greedy from the fourth train step
+    on, so a transfer changes the actions; a replay of 24 rows wraps by
+    round 6 at 4 steps."""
+    cloud = dict(TINY_DQN, inner_steps=inner_steps, replay_capacity=24, eps_decay_steps=3)
+    if compressed:
+        cloud.update(snapshot_bits=8, batch_fp16=True)
+    return tiny_config(
+        tmp_path, scenario="transfer", agent="dqn", seeds=[4, 5], total_slots=TRANSFER_ROUNDS * inner_steps,
+        reward_threshold=6.0, threshold_window=3, cloud=cloud,
+        spatial={"burn_in": 10, "transfer_every": transfer_every},
+    )
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize("inner_steps", [1, 4])
+@pytest.mark.parametrize("transfer_every", [1, 7, TRANSFER_ROUNDS, TRANSFER_ROUNDS + 5])
+def test_transfer_arms_match_separate_arms(tmp_path, transfer_every, inner_steps, compressed):
+    """Both arms of a seed, sharing their rounds before the first transfer
+    and one field source, equal two separately run arms bit for bit: the
+    curves, correlations, rounds to threshold, terminal rewards and bytes.
+    A transfer after one slot has too short a history for a correlation,
+    and both ways of running fail alike."""
+    cfg = transfer_config(tmp_path, transfer_every, inner_steps, compressed)
+    if transfer_every * inner_steps < 2:
+        for run in (lambda: runner.run_transfer_arms(cfg, 4), lambda: reference_run_transfer_arm(cfg, 4, True)):
+            with pytest.raises(InvalidInputError, match="T >= 2"):
+                run()
+        return
+    for seed in cfg.seeds:
+        for got, enabled in zip(runner.run_transfer_arms(cfg, seed), (True, False)):
+            want = reference_run_transfer_arm(cfg, seed, enabled)
+            assert got["curve"].tobytes() == want["curve"].tobytes()
+            assert {k: v for k, v in got.items() if k != "curve"} == {k: v for k, v in want.items() if k != "curve"}
+            transfers = sum(1 for r in range(1, TRANSFER_ROUNDS) if r % transfer_every == 0)
+            assert len(got["correlations"]) == (transfers if enabled else 0)
+
+
+def test_transfer_run_creates_a_session_pair_per_arm(tmp_path, monkeypatch):
+    """Wrapped the way a ledger capture wraps ``instantiate``, binding each
+    session's ledger objects when it is created, a transfer run creates four
+    sessions per seed: the transfer arm's pair, then the baseline arm's pair,
+    forked from it in the same order.  Every session ends with all rounds on
+    the ledgers it was created with, and each pair's add up to its arm's bytes."""
+    import greenrl.cloud_loop as cloud_loop
+
+    created = []
+    original = cloud_loop.instantiate
+
+    def capturing(request):
+        session = original(request)
+        created.append((request, session, session.message_ledger, session.energy))
+        return session
+
+    for module in (cloud_loop, runner):
+        monkeypatch.setattr(module, "instantiate", capturing)
+    cfg = transfer_config(tmp_path, 3)
+    summary = run_experiment(cfg)
+    assert len(created) == 4 * len(cfg.seeds)
+    for i in range(len(cfg.seeds)):
+        group = created[4 * i : 4 * i + 4]
+        assert group[0][0] is not group[1][0]
+        assert group[2][0] is group[0][0] and group[3][0] is group[1][0]
+        for arm, pair in (("transfer", group[:2]), ("baseline", group[2:])):
+            for _request, session, message, energy in pair:
+                assert session.message_ledger is message and session.energy is energy
+                assert message.rounds == cfg.rounds()
+                assert energy.recompute_from_events()["bytes_wire"] == message.bytes_down + message.bytes_up
+            result = summary["per_seed"][arm][i]
+            assert sum(m.bytes_up for _, _, m, _ in pair) == result["bytes_up"]
+            assert sum(m.bytes_down for _, _, m, _ in pair) == result["bytes_down"]
 
 
 def test_cli_compare(tmp_path, capsys):

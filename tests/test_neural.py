@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -460,6 +462,63 @@ def test_train_step_matches_reference(dtype, pruned, capacity):
     assert online.dtype == dtype
     if pruned:
         assert all(np.all(w[mk == 0] == 0) for w, mk in zip(online.weights, online.mask))
+
+
+def _random_rows(rng, count, width):
+    return ReplayBatch(
+        rng.random((count, width)), rng.integers(0, 3, count), rng.random(count), rng.random((count, width)),
+        np.ones(count),
+    )
+
+
+def _copy_of(buf, how):
+    return copy.deepcopy(buf) if how == "deepcopy" else pickle.loads(pickle.dumps(buf))
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+@pytest.mark.parametrize("capacity", [40, 100])
+def test_copied_replay_buffer_trains_like_the_original(how, capacity):
+    """A copy of a buffer that has taken a train step trains as the original
+    does, bit for bit; capacity 40 holds a wrapped ring.  The learner's
+    workspace used to be copied along, and in the copy the per-layer
+    gradient views no longer viewed the gradient, so each step applied a
+    stale gradient without an error."""
+    data_rng = np.random.default_rng(11)
+    online = glorot_init((6, 8, 3), seed=2, dtype=np.float32)
+    target = sync_target(online)
+    buf = ReplayBuffer(capacity)
+    buf.write(_random_rows(data_rng, 64, 6))
+    online, _ = dqn_train_step(online, target, buf, 16, 0.9, 0.05, np.random.default_rng(0))
+    copied = _copy_of(buf, how)
+    after = {}
+    for name, b in (("original", buf), ("copy", copied)):
+        net, rng, losses = online, np.random.default_rng(1), []
+        for _ in range(3):
+            net, loss = dqn_train_step(net, target, b, 16, 0.9, 0.05, rng)
+            losses.append(loss)
+        after[name] = (net.params.tobytes(), losses)
+    assert after["copy"] == after["original"]
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_copied_replay_ring_keeps_only_its_filled_rows(how):
+    """A copy of a ring that has not wrapped carries its filled rows only,
+    not the whole capacity, until its next write; it then fills and samples
+    as the original."""
+    data_rng = np.random.default_rng(5)
+    buf = ReplayBuffer(100_000)
+    buf.write(_random_rows(data_rng, 10, 12))
+    assert len(pickle.dumps(buf)) < 20_000  # the whole ring is about 21.6 MB
+    copied = _copy_of(buf, how)
+    assert copied.capacity == buf.capacity and len(copied) == len(buf)
+    assert copied._ring.state.shape == (10, 12)
+    more = _random_rows(data_rng, 7, 12)
+    buf.write(more)
+    copied.write(more)
+    assert copied._ring.state.shape == buf._ring.state.shape
+    picks = [b.sample(12, np.random.default_rng(3)) for b in (buf, copied)]
+    for a, b in zip(*picks):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
