@@ -31,7 +31,7 @@ from .cloud_loop import build_state, derive_seeds, epsilon_linear
 from .compression import DiscretizationScheme, bin_indices
 from .errors import ConfigError
 from .neural import DenseNet, forward
-from .rach_env import RachConfig, RachEnv, _in_unit, _is_int, le_urc_counts, le_urc_pick, le_urc_ranking
+from .rach_env import RachConfig, RachEnv, _check_fields, le_urc_counts, le_urc_pick, le_urc_ranking
 from .rl_core import LinearQ, QTable, bias_features, epsilon_greedy, linear_q_step, q_backup
 
 __all__ = [
@@ -58,22 +58,17 @@ class LocalAgentParams:
     eps_decay_steps: int = 3000
 
     def __post_init__(self):
-        # (field, value is in range, the rule as reported)
-        checks = (
-            ("alpha", _in_unit(self.alpha, True), "a number in (0, 1]"),
-            ("discount", _in_unit(self.discount, True), "a number in (0, 1]"),
-            ("levels", _is_int(self.levels) and self.levels >= 2, "an integer >= 2"),
-            ("eps_start", _in_unit(self.eps_start, False), "a number in [0, 1]"),
-            ("eps_end", _in_unit(self.eps_end, False), "a number in [0, 1]"),
-            (
-                "eps_decay_steps",
-                _is_int(self.eps_decay_steps) and self.eps_decay_steps >= 1,
-                "an integer >= 1",
-            ),
+        _check_fields(
+            self,
+            lambda: [
+                ("alpha", 0 < self.alpha <= 1, "a number in (0, 1]"),
+                ("discount", 0 < self.discount <= 1, "a number in (0, 1]"),
+                ("levels", self.levels >= 2, "an integer >= 2"),
+                ("eps_start", 0 <= self.eps_start <= 1, "a number in [0, 1]"),
+                ("eps_end", 0 <= self.eps_end <= 1, "a number in [0, 1]"),
+                ("eps_decay_steps", self.eps_decay_steps >= 1, "an integer >= 1"),
+            ],
         )
-        for name, ok, rule in checks:
-            if not ok:
-                raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
 
 
 class _EpsilonGreedyAgent:

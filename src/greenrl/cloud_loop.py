@@ -72,7 +72,7 @@ from .neural import (
     net_to_bytes,
     sync_target,
 )
-from .rach_env import RachConfig, RachEnv, _in_unit, _is_int, _positive
+from .rach_env import RachConfig, RachEnv, _check_fields, _is_int
 from .rl_core import epsilon_greedy, explore
 
 __all__ = [
@@ -114,23 +114,22 @@ class DqnConfig:
 
     def __post_init__(self):
         hidden = self.hidden
-        widths_ok = isinstance(hidden, (tuple, list)) and len(hidden) > 0
-        # (field, value is in range, the rule as reported)
-        checks = (
-            ("hidden", widths_ok and all(_is_int(h) and h >= 1 for h in hidden), "a nonempty list of integers >= 1"),
-            ("lr", _positive(self.lr), "finite and > 0"),
-            ("batch_size", _is_int(self.batch_size) and self.batch_size >= 1, "an integer >= 1"),
-            ("discount", _in_unit(self.discount, True), "a number in (0, 1]"),
-            ("replay_capacity", _is_int(self.replay_capacity) and self.replay_capacity >= 1, "an integer >= 1"),
-            ("target_sync_every", _is_int(self.target_sync_every) and self.target_sync_every >= 1, "an integer >= 1"),
-            ("eps_start", _in_unit(self.eps_start, False), "a number in [0, 1]"),
-            ("eps_end", _in_unit(self.eps_end, False), "a number in [0, 1]"),
-            ("eps_decay_steps", _is_int(self.eps_decay_steps) and self.eps_decay_steps >= 1, "an integer >= 1"),
-            ("dtype", self.dtype in ("float32", "float64"), "float32 or float64"),
+        widths_ok = isinstance(hidden, (tuple, list)) and hidden and all(_is_int(h) and h >= 1 for h in hidden)
+        _check_fields(
+            self,
+            lambda: [
+                ("hidden", widths_ok, "a nonempty list of integers >= 1"),
+                ("lr", 0 < self.lr < np.inf, "finite and > 0"),
+                ("batch_size", self.batch_size >= 1, "an integer >= 1"),
+                ("discount", 0 < self.discount <= 1, "a number in (0, 1]"),
+                ("replay_capacity", self.replay_capacity >= 1, "an integer >= 1"),
+                ("target_sync_every", self.target_sync_every >= 1, "an integer >= 1"),
+                ("eps_start", 0 <= self.eps_start <= 1, "a number in [0, 1]"),
+                ("eps_end", 0 <= self.eps_end <= 1, "a number in [0, 1]"),
+                ("eps_decay_steps", self.eps_decay_steps >= 1, "an integer >= 1"),
+                ("dtype", self.dtype in ("float32", "float64"), "float32 or float64"),
+            ],
         )
-        for name, ok, rule in checks:
-            if not ok:
-                raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def np_dtype(self):
@@ -152,13 +151,15 @@ class CompressionPlan:
     prune_at_round: int = 0
 
     def __post_init__(self):
-        bits, quantile, at_round = self.snapshot_bits, self.prune_quantile, self.prune_at_round
-        if bits is not None and not (_is_int(bits) and 2 <= bits <= 16):
-            raise ConfigError(f"snapshot_bits: must be an integer in [2, 16], got {bits!r}")
-        if quantile is not None and not 0.0 <= quantile < 1.0:
-            raise ConfigError(f"prune_quantile: must be in [0, 1), got {quantile!r}")
-        if not (_is_int(at_round) and at_round >= 0):
-            raise ConfigError(f"prune_at_round: must be an integer >= 0, got {at_round!r}")
+        bits, quantile = self.snapshot_bits, self.prune_quantile
+        _check_fields(
+            self,
+            lambda: [
+                ("snapshot_bits", bits is None or 2 <= bits <= 16, "an integer in [2, 16]"),
+                ("prune_quantile", quantile is None or 0 <= quantile < 1, "in [0, 1)"),
+                ("prune_at_round", self.prune_at_round >= 0, "an integer >= 0"),
+            ],
+        )
 
 
 @dataclass(frozen=True)

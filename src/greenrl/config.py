@@ -1,12 +1,15 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
-Configs are plain JSON documents.  Loading is strict: unknown keys anywhere
-raise a ConfigError naming the full field path, and every validation error
-is prefixed with the path of the section it came from; a section check
-whose message starts ``<field>: `` is reported under ``<section>.<field>``.
-Where a runtime type (``RachConfig``, ``DqnConfig``, ``CompressionPlan``)
-already holds a rule, the section builds it at load rather than repeating
-the rule, so every error surfaces before a run writes anything.
+Configs are plain JSON documents, and the dataclass annotations are their
+schema.  Loading is strict: unknown keys anywhere raise a ConfigError naming
+the full field path; a field annotated with a config dataclass, or a tuple
+of one (``rach.menu``), is built from its own object; and every scalar is
+checked against its declared type before any range rule runs, with null
+accepted only where a field is optional.  A section check whose message
+starts ``<field>: `` is reported under ``<section>.<field>``.  Where a
+runtime type (``RachConfig``, ``DqnConfig``, ``CompressionPlan``) already
+holds a rule, the section is or builds that type rather than repeating the
+rule, so every error surfaces before a run writes anything.
 A canonical hash of the config travels with every output file so results
 stay attributable.
 """
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from .agents import LOCAL_AGENTS, LocalAgentParams
 from .cloud_loop import CompressionPlan, DqnConfig, ServiceRequest
 from .errors import ConfigError
-from .rach_env import BernoulliTraffic, RachAction, RachConfig, _in_unit, _is_int, _positive, _real
+from .rach_env import BernoulliTraffic, RachAction, RachConfig, _check_fields, _is_int, _real
 
 __all__ = [
     "RachSection",
@@ -41,13 +44,9 @@ OUTPUT_ROOT_ENV = "GREENRL_OUTPUT_ROOT"
 
 SCENARIOS = ("rach", "compression", "transfer")
 AGENTS = ("dqn",) + LOCAL_AGENTS
+MODES = ("lockstep", "concurrent")
 
-DEFAULT_MENU = (
-    {"rach_channels": 1, "preambles_per_channel": 8, "repetition": 8},
-    {"rach_channels": 2, "preambles_per_channel": 8, "repetition": 8},
-    {"rach_channels": 4, "preambles_per_channel": 8, "repetition": 8},
-    {"rach_channels": 6, "preambles_per_channel": 8, "repetition": 4},
-)
+DEFAULT_MENU = (RachAction(1, 8, 8), RachAction(2, 8, 8), RachAction(4, 8, 8), RachAction(6, 8, 4))
 
 
 def _checked_by(build, **renames) -> None:
@@ -69,22 +68,13 @@ class RachSection:
     history_window: int = 4
     backoff_slots: int = 8
     traffic_p: float = 0.08
-    menu: tuple = DEFAULT_MENU
+    menu: tuple[RachAction, ...] = DEFAULT_MENU
 
     def __post_init__(self):
         _checked_by(self.to_env_config, p="traffic_p", action_menu="menu")
 
     def actions(self) -> tuple[RachAction, ...]:
-        out = []
-        for i, entry in enumerate(self.menu):
-            if isinstance(entry, RachAction):
-                out.append(entry)
-                continue
-            unknown = set(entry) - {"rach_channels", "preambles_per_channel", "repetition"}
-            if unknown:
-                raise ConfigError(f"rach.menu[{i}].{sorted(unknown)[0]}: unknown key")
-            out.append(RachAction(**entry))
-        return tuple(out)
+        return tuple(self.menu)
 
     def to_env_config(self, seed: int = 0) -> RachConfig:
         return RachConfig(
@@ -98,45 +88,30 @@ class RachSection:
 
 
 @dataclass(frozen=True)
-class CloudSection:
+class CloudSection(DqnConfig):
+    """The coordinator's ``DqnConfig``, plus how its sessions run: slots
+    per round, round mode, entity count and wire compression."""
+
     inner_steps: int = 8
     mode: str = "lockstep"
     n_entities: int = 1
-    batch_size: int = 32
-    lr: float = 0.005
-    discount: float = 0.9
-    replay_capacity: int = 2000
-    target_sync_every: int = 100
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    eps_decay_steps: int = 3000
-    hidden: tuple = (32, 32)
-    dtype: str = "float32"
     snapshot_bits: int | None = None
     batch_fp16: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("lockstep", "concurrent"):
-            raise ConfigError(f"mode must be lockstep or concurrent, got {self.mode!r}")
-        for name in ("n_entities", "inner_steps"):
-            if not (_is_int(getattr(self, name)) and getattr(self, name) >= 1):
-                raise ConfigError(f"{name}: must be an integer >= 1, got {getattr(self, name)!r}")
-        self.dqn_config()
+        super().__post_init__()
+        _check_fields(
+            self,
+            lambda: [
+                ("inner_steps", self.inner_steps >= 1, "an integer >= 1"),
+                ("mode", self.mode in MODES, f"one of {list(MODES)}"),
+                ("n_entities", self.n_entities >= 1, "an integer >= 1"),
+            ],
+        )
         CompressionPlan(snapshot_bits=self.snapshot_bits, batch_fp16=self.batch_fp16)
 
     def dqn_config(self) -> DqnConfig:
-        return DqnConfig(
-            hidden=tuple(self.hidden),
-            lr=self.lr,
-            batch_size=self.batch_size,
-            discount=self.discount,
-            replay_capacity=self.replay_capacity,
-            target_sync_every=self.target_sync_every,
-            eps_start=self.eps_start,
-            eps_end=self.eps_end,
-            eps_decay_steps=self.eps_decay_steps,
-            dtype=self.dtype,
-        )
+        return DqnConfig(**{f.name: getattr(self, f.name) for f in fields(DqnConfig)})
 
 
 @dataclass(frozen=True)
@@ -147,24 +122,20 @@ class CompressionSection:
     sparsity_levels: tuple = (0.0, 0.25, 0.5, 0.75)
 
     def __post_init__(self):
+        levels = self.sparsity_levels
+        levels_ok = isinstance(levels, (tuple, list)) and all(_real(f) and 0.0 <= f < 1.0 for f in levels)
+        _check_fields(self, lambda: [("sparsity_levels", levels_ok, "a list of numbers in [0, 1)")])
         _checked_by(
             lambda: CompressionPlan(
                 self.quant_bits, prune_quantile=self.prune_quantile, prune_at_round=self.prune_at_round
             ),
             snapshot_bits="quant_bits",
         )
-        levels = self.sparsity_levels
-        if not (isinstance(levels, (tuple, list)) and all(_real(f) and 0.0 <= f < 1.0 for f in levels)):
-            raise ConfigError(f"sparsity_levels: must be a list of numbers in [0, 1), got {levels!r}")
-
-
-def _nonnegative(x) -> bool:
-    return _real(x) and math.isfinite(x) and x >= 0
 
 
 def _cells(cells, n_sites) -> bool:
     """Two nonempty lists of integer site indices in [0, n_sites)."""
-    if not isinstance(cells, (list, tuple)) or len(cells) != 2 or not _is_int(n_sites):
+    if not isinstance(cells, (list, tuple)) or len(cells) != 2:
         return False
     return all(
         isinstance(cell, (list, tuple)) and cell and all(_is_int(s) and 0 <= s < n_sites for s in cell)
@@ -203,23 +174,22 @@ class SpatialSection:
         # runner's other imports moved field-transfer's peak RSS up by 1 MiB.
         from .spatial import SQUASH_TAGS
 
-        # (field, value is in range, the rule as reported)
-        checks = (
-            ("n_sites", _is_int(self.n_sites) and self.n_sites >= 1, "an integer >= 1"),
-            ("length", _positive(self.length), "finite and > 0"),
-            ("kernel_amplitude", _nonnegative(self.kernel_amplitude), "finite and >= 0"),
-            ("kernel_length_scale", _positive(self.kernel_length_scale), "finite and > 0"),
-            ("noise_sigma", _nonnegative(self.noise_sigma), "finite and >= 0"),
-            ("squash", self.squash in SQUASH_TAGS, f"one of {list(SQUASH_TAGS)}"),
-            ("mu", _positive(self.mu), "finite and > 0"),
-            ("burn_in", _is_int(self.burn_in) and self.burn_in >= 0, "an integer >= 0"),
-            ("bs_cells", _cells(self.bs_cells, self.n_sites), "two nonempty lists of integer sites < n_sites"),
-            ("beta", _real(self.beta) and 0.0 <= self.beta <= 1.0, "a number in [0, 1]"),
-            ("transfer_every", _is_int(self.transfer_every) and self.transfer_every >= 1, "an integer >= 1"),
+        _check_fields(
+            self,
+            lambda: [
+                ("n_sites", self.n_sites >= 1, "an integer >= 1"),
+                ("length", 0 < self.length < math.inf, "finite and > 0"),
+                ("kernel_amplitude", 0 <= self.kernel_amplitude < math.inf, "finite and >= 0"),
+                ("kernel_length_scale", 0 < self.kernel_length_scale < math.inf, "finite and > 0"),
+                ("noise_sigma", 0 <= self.noise_sigma < math.inf, "finite and >= 0"),
+                ("squash", self.squash in SQUASH_TAGS, f"one of {list(SQUASH_TAGS)}"),
+                ("mu", 0 < self.mu < math.inf, "finite and > 0"),
+                ("burn_in", self.burn_in >= 0, "an integer >= 0"),
+                ("bs_cells", _cells(self.bs_cells, self.n_sites), "two nonempty lists of integer sites < n_sites"),
+                ("beta", 0 <= self.beta <= 1, "a number in [0, 1]"),
+                ("transfer_every", self.transfer_every >= 1, "an integer >= 1"),
+            ],
         )
-        for name, ok, rule in checks:
-            if not ok:
-                raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
         object.__setattr__(self, "bs_cells", tuple(tuple(int(s) for s in cell) for cell in self.bs_cells))
 
 
@@ -242,30 +212,45 @@ class ExperimentConfig:
     spatial: SpatialSection = field(default_factory=SpatialSection)
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.agent not in AGENTS:
-            raise ConfigError(f"agent must be one of {AGENTS}, got {self.agent!r}")
         seeds = self.seeds
-        if not (
+        seeds_ok = (
             isinstance(seeds, (tuple, list))
             and seeds
             and all(_is_int(s) or (isinstance(s, float) and s.is_integer()) for s in seeds)
-        ):
-            raise ConfigError(f"seeds: must be a nonempty list of integers, got {seeds!r}")
-        # (field, value is in range, the rule as reported)
-        checks = (
-            ("total_slots", _is_int(self.total_slots) and self.total_slots >= 1, "an integer >= 1"),
-            ("eval_slots", _is_int(self.eval_slots) and self.eval_slots >= 1, "an integer >= 1"),
-            ("threshold_window", _is_int(self.threshold_window) and self.threshold_window >= 1, "an integer >= 1"),
-            ("tail_fraction", _in_unit(self.tail_fraction, True), "a number in (0, 1]"),
         )
-        for name, ok, rule in checks:
-            if not ok:
-                raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
-        if self.scenario != "rach" and self.agent != "dqn":
-            raise ConfigError(f"agent: must be dqn, which the {self.scenario} scenario trains, got {self.agent!r}")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        _check_fields(
+            self,
+            lambda: [
+                ("scenario", self.scenario in SCENARIOS, f"one of {list(SCENARIOS)}"),
+                ("agent", self.agent in AGENTS, f"one of {list(AGENTS)}"),
+                ("seeds", seeds_ok, "a nonempty list of integers"),
+                ("total_slots", self.total_slots >= 1, "an integer >= 1"),
+                ("eval_slots", self.eval_slots >= 1, "an integer >= 1"),
+                ("threshold_window", self.threshold_window >= 1, "an integer >= 1"),
+                ("tail_fraction", 0 < self.tail_fraction <= 1, "a number in (0, 1]"),
+                ("agent", self.agent == "dqn" or self.scenario == "rach", f"dqn for the {self.scenario} scenario"),
+            ],
+        )
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
+
+    def check_scenario(self) -> None:
+        """The transfer scenario's own rules.  A config that breaks them still
+        builds, and ``run_experiment`` records the failure in ``error.json``;
+        ``load_config`` applies them, so a command exits 2 before writing."""
+        if self.scenario != "transfer":
+            return
+        every, steps = self.spatial.transfer_every, self.cloud.inner_steps
+        if self.reward_threshold is None:
+            raise ConfigError("config.reward_threshold: must be a number for the transfer scenario, got None")
+        if every * steps < 2 and every < self.rounds():
+            raise ConfigError(
+                f"config.spatial.transfer_every: must be >= 2 when cloud.inner_steps is {steps}, "
+                f"as a correlation needs 2 slots, got {every}"
+            )
+        if self.cloud.n_entities != 1:
+            raise ConfigError(
+                f"config.cloud.n_entities: must be 1 for the transfer scenario, got {self.cloud.n_entities}"
+            )
 
     # -- derived objects ----------------------------------------------------
 
@@ -274,6 +259,7 @@ class ExperimentConfig:
         seed: int,
         compression: CompressionPlan | None = None,
         net_seed: int | None = None,
+        env_config: RachConfig | None = None,
     ) -> ServiceRequest:
         plan = compression
         if plan is None:
@@ -282,7 +268,7 @@ class ExperimentConfig:
             )
         return ServiceRequest(
             entity_ids=tuple(range(self.cloud.n_entities)),
-            env_config=self.rach.to_env_config(),
+            env_config=self.rach.to_env_config() if env_config is None else env_config,
             inner_steps=self.cloud.inner_steps,
             dqn=self.cloud.dqn_config(),
             compression=plan,
@@ -314,16 +300,13 @@ class ExperimentConfig:
         return clean(self)
 
 
-_SECTIONS = {
-    "rach": RachSection,
-    "cloud": CloudSection,
-    "agent_params": LocalAgentParams,
-    "compression": CompressionSection,
-    "spatial": SpatialSection,
-}
-
-
 def _build(cls, data, path: str):
+    """Build the config dataclass ``cls`` from the JSON object ``data``.
+
+    A field annotated with a config dataclass is built from its object, one
+    annotated ``tuple[<config dataclass>, ...]`` from a list of objects, and
+    any other list becomes a tuple; ``cls`` then checks every value.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
     known = {f.name for f in fields(cls)}
@@ -332,16 +315,22 @@ def _build(cls, data, path: str):
             raise ConfigError(f"{path}.{key}: unknown key")
     kwargs = {}
     for f in fields(cls):
+        where = f"{path}.{f.name}"
         if f.name not in data:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{where}: missing required key")
             continue
         value = data[f.name]
-        sub = _SECTIONS.get(f.name) if cls is ExperimentConfig else None
-        if sub is not None:
-            kwargs[f.name] = _build(sub, value, f"{path}.{f.name}")
+        many = f.type.startswith("tuple[")  # "tuple[X, ...]", whose items are X
+        sub = globals().get(f.type[6:-6] if many else f.type)
+        if not dataclasses.is_dataclass(sub):
+            kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+        elif not many:
+            kwargs[f.name] = _build(sub, value, where)
         elif isinstance(value, list):
-            kwargs[f.name] = tuple(value)
+            kwargs[f.name] = tuple(_build(sub, v, f"{where}[{i}]") for i, v in enumerate(value))
         else:
-            kwargs[f.name] = value
+            raise ConfigError(f"{where}: must be a list of objects, got {value!r}")
     try:
         return cls(**kwargs)
     except ConfigError as exc:
@@ -365,7 +354,9 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return config_from_dict(data)
+    cfg = config_from_dict(data)
+    cfg.check_scenario()
+    return cfg
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -21,7 +21,7 @@ attempt and contention draws, and two counts of the occupancy vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ __all__ = [
 COLLISION_MULTIPLICITY = (1.0 - math.exp(-1.0)) / (1.0 - 2.0 * math.exp(-1.0))
 
 
-# Type-and-range predicates shared by the config checks of every module.
+# Type predicates shared by the config checks of every module.
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
@@ -57,14 +57,34 @@ def _real(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
-def _positive(x) -> bool:
-    return _real(x) and math.isfinite(x) and x > 0
+# Each scalar type a config field may declare: the test its values pass
+# (a float is no bool and no NaN), and its name in an error.
+_SCALAR_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda x: _real(x) and x == x, "a number"),
+    "bool": (lambda x: isinstance(x, bool), "a boolean"),
+    "str": (lambda x: isinstance(x, str), "a string"),
+}
 
 
-def _in_unit(x, low_open: bool) -> bool:
-    if not _real(x):
-        return False
-    return (0.0 < x <= 1.0) if low_open else (0.0 <= x <= 1.0)
+def _check_fields(obj, rules) -> None:
+    """Check each scalar field of the dataclass ``obj`` against its declared
+    type, then each (field, value is in range, the rule as reported) that
+    ``rules()`` returns.  ``rules`` is called only once every type holds, so
+    a rule need not test its field's type.
+
+    ``X | None`` also accepts None.  Errors read ``"<field>: must be ..."``.
+    """
+    for f in fields(obj):
+        name, optional, _ = f.type.partition(" | None")
+        if name in _SCALAR_TYPES:
+            value = getattr(obj, f.name)
+            ok, kind = _SCALAR_TYPES[name]
+            if not (ok(value) or (optional and value is None)):
+                raise ConfigError(f"{f.name}: must be {kind}{' or null' if optional else ''}, got {value!r}")
+    for name, ok, rule in rules():
+        if not ok:
+            raise ConfigError(f"{name}: must be {rule}, got {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +96,7 @@ class RachAction:
     repetition: int
 
     def __post_init__(self):
-        for name in ("rach_channels", "preambles_per_channel", "repetition"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        _check_fields(self, lambda: [(f.name, getattr(self, f.name) >= 1, "an integer >= 1") for f in fields(self)])
 
     @property
     def opportunities(self) -> int:
@@ -92,8 +110,7 @@ class BernoulliTraffic:
     p: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"p: must be an activation probability in [0, 1], got {self.p!r}")
+        _check_fields(self, lambda: [("p", 0.0 <= self.p <= 1.0, "an activation probability in [0, 1]")])
 
 
 @dataclass(frozen=True)
@@ -113,12 +130,15 @@ class RachConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_devices", "history_window", "backoff_slots"):
-            if not (_is_int(getattr(self, name)) and getattr(self, name) >= 1):
-                raise ConfigError(f"{name}: must be an integer >= 1, got {getattr(self, name)!r}")
-        if len(self.action_menu) == 0:
-            raise ConfigError("action_menu: must be nonempty")
-        object.__setattr__(self, "action_menu", tuple(self.action_menu))
+        menu = self.action_menu
+        menu_ok = isinstance(menu, (tuple, list)) and menu and all(isinstance(a, RachAction) for a in menu)
+        counts = ("num_devices", "history_window", "backoff_slots")
+        _check_fields(
+            self,
+            lambda: [(name, getattr(self, name) >= 1, "an integer >= 1") for name in counts]
+            + [("action_menu", menu_ok, "a nonempty list of RachAction")],
+        )
+        object.__setattr__(self, "action_menu", tuple(menu))
 
     @property
     def max_opportunities(self) -> int:

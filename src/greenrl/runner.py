@@ -34,7 +34,6 @@ import numpy as np
 from .agents import evaluate_greedy_agent, evaluate_greedy_net, run_local_agent
 from .cloud_loop import (
     CompressionPlan,
-    ServiceRequest,
     instantiate,
     run_session,
     tail_mean,
@@ -258,6 +257,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     _remove_run_artifacts(run_dir)
     write_json(os.path.join(run_dir, "config.json"), {"hash": chash, "config": cfg.to_dict()})
     try:
+        cfg.check_scenario()
         if cfg.scenario == "rach":
             aggregate = _run_rach(cfg, run_dir)
         elif cfg.scenario == "compression":
@@ -407,8 +407,6 @@ def run_transfer_arms(cfg: ExperimentConfig, seed: int) -> tuple[dict, dict]:
     depend only on the slot; each correlation is estimated on the first
     ``(r + 1) * inner_steps`` slots, the ones played by the end of round r.
     """
-    if cfg.reward_threshold is None:
-        raise ConfigError("transfer scenario needs reward_threshold")
     sp = cfg.spatial
     children = np.random.SeedSequence([int(seed), 7077]).spawn(5)
     noise = FieldNoise(sp.noise_sigma, seed=children[0])
@@ -419,19 +417,10 @@ def run_transfer_arms(cfg: ExperimentConfig, seed: int) -> tuple[dict, dict]:
     )
     base_env = cfg.rach.to_env_config()
     net_seed = _seed_int(children[4])
-    plan = CompressionPlan(snapshot_bits=cfg.cloud.snapshot_bits, batch_fp16=cfg.cloud.batch_fp16)
     sessions = []
     for idx, cell in enumerate(sp.bs_cells):
         env_cfg = replace(base_env, traffic=ExternalTraffic(source.stream_region(cell)))
-        request = ServiceRequest(
-            entity_ids=(0,),
-            env_config=env_cfg,
-            inner_steps=cfg.cloud.inner_steps,
-            dqn=cfg.cloud.dqn_config(),
-            compression=plan,
-            seed=_seed_int(children[2 + idx]),
-            net_seed=net_seed,
-        )
+        request = cfg.service_request(_seed_int(children[2 + idx]), net_seed=net_seed, env_config=env_cfg)
         sessions.append(instantiate(request))
     rounds = cfg.rounds()
     shared = min(sp.transfer_every, rounds)

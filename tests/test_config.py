@@ -1,12 +1,15 @@
+import copy
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from greenrl.cloud_loop import CompressionPlan
+from greenrl.cloud_loop import CompressionPlan, DqnConfig
 from greenrl.config import (
     OUTPUT_ROOT_ENV,
     CloudSection,
+    CompressionSection,
     ExperimentConfig,
     RachSection,
     SpatialSection,
@@ -258,3 +261,178 @@ def test_set_by_path():
         set_by_path(doc, "cloud.momentum", 1)
     with pytest.raises(ConfigError, match="no section"):
         set_by_path(doc, "optim.lr", 1)
+
+
+# config_hash of each shipped config, pinned at the commit before the
+# config schema was read from the dataclass annotations
+SHIPPED_HASHES = {
+    "compression.json": "10dacb61e674f732",
+    "rach_dqn.json": "514ab58199175bc4",
+    "rach_la_q.json": "5ef9d3e43b885881",
+    "rach_le_urc.json": "624248cccc21235d",
+    "transfer.json": "103e1314fa1532a6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_HASHES))
+def test_shipped_config_hash_is_pinned(name):
+    assert config_hash(load_config(str(CONFIG_DIR / name))) == SHIPPED_HASHES[name]
+
+
+FUZZ_VALUES = (
+    None, True, False, 0, -1, 2.5, 1e308, float("nan"), float("inf"),
+    "abc", "", [], [1, 2], [{}], {}, {"a": 1}, 2**40,
+)
+
+
+def _wrong_type(declared: str, value) -> bool:
+    """Whether ``value`` is not of a scalar field's declared type; False for non-scalars."""
+    base = declared.removesuffix(" | None")
+    if base not in ("int", "float", "bool", "str"):
+        return False
+    if value is None:
+        return base == declared
+    if base == "int":
+        return isinstance(value, bool) or not isinstance(value, int)
+    if base == "float":
+        return isinstance(value, bool) or not isinstance(value, (int, float)) or value != value
+    return not isinstance(value, bool if base == "bool" else str)
+
+
+def _leaves(cfg, doc, prefix=""):
+    """(dotted path, declared type) of each non-section field of a config."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(doc[f.name], dict):
+            yield from _leaves(value, doc[f.name], f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f.type
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_single_field_fuzz_loads_or_names_the_field(name):
+    """Each field of a shipped config set to each of 17 JSON values either
+    loads or raises a ConfigError under ``config.``, and a value of the
+    wrong scalar type is rejected under its own dotted field."""
+    base = load_config(str(CONFIG_DIR / name))
+    doc = base.to_dict()
+    problems = []
+    for dotted, declared in _leaves(base, doc):
+        *sections, leaf = dotted.split(".")
+        for value in FUZZ_VALUES:
+            case = copy.deepcopy(doc)
+            node = case
+            for section in sections:
+                node = node[section]
+            node[leaf] = value
+            try:
+                config_from_dict(case)
+                message = None
+            except ConfigError as exc:
+                message = str(exc)
+                if not message.startswith("config."):
+                    problems.append((dotted, value, message))
+            if _wrong_type(declared, value) and not (message or "").startswith(f"config.{dotted}: must be"):
+                problems.append((dotted, value, message))
+    assert problems == []
+
+
+ENTRY = {"rach_channels": 1, "preambles_per_channel": 8, "repetition": 8}
+
+
+@pytest.mark.parametrize(
+    "menu, error",
+    [
+        ([dict(ENTRY, rach_channels=2.5)], "menu[0].rach_channels: must be an integer"),
+        ([dict(ENTRY, preambles_per_channel=0)], "menu[0].preambles_per_channel: must be an integer >= 1"),
+        ([ENTRY, dict(ENTRY, repetition="8")], "menu[1].repetition: must be an integer"),
+        ([{"rach_channels": 1, "preambles_per_channel": 8}], "menu[0].repetition: missing required key"),
+        ([{}], "menu[0].rach_channels: missing required key"),
+        ([1, 2], "menu[0]: expected an object"),
+        (5, "menu: must be a list of objects"),
+        ([], "menu: must be a nonempty list"),
+    ],
+)
+def test_menu_entries_are_checked_under_their_dotted_path(menu, error):
+    """A fractional rach_channels used to load and end the run in a raw
+    TypeError; [1, 2], [{}] and 5 were reported as ``config.rach``."""
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"rach": {"menu": menu}})
+    assert str(info.value).startswith(f"config.rach.{error}")
+
+
+def test_menu_entries_load_as_actions():
+    menu = [{"rach_channels": 3, "preambles_per_channel": 4, "repetition": 2}]
+    sec = config_from_dict({"rach": {"menu": menu}}).rach
+    assert sec.actions() == (RachAction(3, 4, 2),)
+    assert sec.to_env_config().action_menu == (RachAction(3, 4, 2),)
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ({"cloud": {"mode": "async"}}, "config.cloud.mode: must be one of ['lockstep', 'concurrent'], got 'async'"),
+        ({"scenario": "bandit"}, "config.scenario: must be one of ['rach', 'compression', 'transfer'], got 'bandit'"),
+        ({"agent": "sarsa"}, "config.agent: must be one of ['dqn', "),
+    ],
+)
+def test_enum_fields_list_their_values(doc, error):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(doc)
+    assert str(info.value).startswith(error)
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (DqnConfig, {"batch_size": 2.5}),
+        (SpatialSection, {"n_sites": 2.5}),
+        (CloudSection, {"batch_fp16": "abc"}),
+        (CloudSection, {"inner_steps": True}),
+        (CompressionSection, {"quant_bits": None}),
+        (CompressionPlan, {"prune_quantile": "abc"}),
+        (RachAction, {"rach_channels": 2.5, "preambles_per_channel": 8, "repetition": 8}),
+        (BernoulliTraffic, {"p": True}),
+        (RachSection, {"menu": ({"rach_channels": 1, "preambles_per_channel": 8, "repetition": 8},)}),
+        (ExperimentConfig, {"name": {}}),
+        (ExperimentConfig, {"reward_threshold": float("nan")}),
+    ],
+)
+def test_direct_construction_checks_declared_types(cls, kwargs):
+    with pytest.raises(ConfigError, match=r"^\w+: must be"):
+        cls(**kwargs)
+
+
+def test_cloud_section_is_a_dqn_config():
+    cloud = config_from_dict({"cloud": {"lr": 0.01, "hidden": [16], "inner_steps": 4}}).cloud
+    assert isinstance(cloud, DqnConfig)
+    assert type(cloud.dqn_config()) is DqnConfig
+    assert cloud.dqn_config() == DqnConfig(lr=0.01, hidden=(16,))
+    assert {f.name for f in fields(CloudSection)} - {f.name for f in fields(DqnConfig)} == {
+        "inner_steps", "mode", "n_entities", "snapshot_bits", "batch_fp16"
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ({}, "config.reward_threshold: must be a number"),
+        ({"reward_threshold": 1.0, "cloud": {"inner_steps": 1}, "spatial": {"transfer_every": 1}},
+         "config.spatial.transfer_every: must be >= 2"),
+        ({"reward_threshold": 1.0, "cloud": {"n_entities": 2}}, "config.cloud.n_entities: must be 1"),
+    ],
+)
+def test_transfer_rules_are_checked_by_check_scenario(doc, error):
+    cfg = config_from_dict({"scenario": "transfer", **doc})
+    with pytest.raises(ConfigError) as info:
+        cfg.check_scenario()
+    assert str(info.value).startswith(error)
+
+
+def test_transfer_rules_allow_a_run_with_no_transfer():
+    """transfer_every 1 at one slot a round is fine when the run has one round."""
+    cfg = config_from_dict(
+        {"scenario": "transfer", "reward_threshold": 1.0, "total_slots": 1,
+         "cloud": {"inner_steps": 1}, "spatial": {"transfer_every": 1}}
+    )
+    cfg.check_scenario()

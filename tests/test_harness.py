@@ -394,6 +394,36 @@ def test_cli_rejects_bad_experiment_field_before_writing(tmp_path, capsys, key, 
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        ({"scenario": "transfer", "agent": "dqn"}, "config.reward_threshold: must be a number"),
+        (
+            {"scenario": "transfer", "agent": "dqn", "reward_threshold": 1.0, "cloud": {"inner_steps": 1},
+             "spatial": {"transfer_every": 1}},
+            "config.spatial.transfer_every: must be >= 2",
+        ),
+        ({"rach": {"menu": [{"rach_channels": 2.5, "preambles_per_channel": 8, "repetition": 8}]}},
+         "config.rach.menu[0].rach_channels: must be an integer"),
+        ({"rach": {"menu": [{}]}}, "config.rach.menu[0].rach_channels: missing required key"),
+        ({"cloud": {"inner_steps": 20, "batch_fp16": "abc"}}, "config.cloud.batch_fp16: must be a boolean"),
+        ({"reward_threshold": "abc"}, "config.reward_threshold: must be a number or null"),
+        ({"rach": {"traffic_p": True}}, "config.rach.traffic_p: must be a number"),
+        ({"compression": {"quant_bits": None}}, "config.compression.quant_bits: must be an integer"),
+    ],
+)
+def test_cli_rejects_before_writing(tmp_path, capsys, overrides, error):
+    """A transfer run without reward_threshold used to write config.json and
+    error.json before failing, and one whose first transfer came after one
+    slot exited 1 from estimate_correlation.  The fractional menu entry ran
+    into a raw TypeError, [{}] was reported as ``config.rach``, and the
+    wrong-typed scalars loaded (quant_bits null turned quantisation off)."""
+    rc = cli_main(["run", write_config_file(tmp_path, **overrides)])
+    assert rc == 2
+    assert error in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 TINY_DQN = {"inner_steps": 20, "hidden": [8], "batch_size": 8, "replay_capacity": 64}
 
 
