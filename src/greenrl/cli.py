@@ -11,9 +11,9 @@ demand correlation, rounds to threshold and paired terminal-reward test for
 ``transfer``.  ``compare`` prints each agent's mean eval reward with its 95%
 interval, then every pair's mean difference and one-sided p-value.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration error.  The output
-root comes from each config's ``out_dir``, else the GREENRL_OUTPUT_ROOT
-environment variable, else ./results.
+Exit codes: 0 success, 1 runtime or file-system failure, 2 configuration
+error.  The output root comes from each config's ``out_dir``, else the
+GREENRL_OUTPUT_ROOT environment variable, else ./results.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GreenRLError as exc:
+    except (GreenRLError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -212,6 +212,14 @@ class MessageLedger:
     bytes_up: int = 0
     staleness_histogram: dict[int, int] = field(default_factory=dict)
 
+    def snapshot(self) -> dict:
+        return {
+            "rounds": self.rounds,
+            "bytes_down": self.bytes_down,
+            "bytes_up": self.bytes_up,
+            "staleness_histogram": {str(k): v for k, v in sorted(self.staleness_histogram.items())},
+        }
+
 
 def epsilon_linear(step: int, start: float, end: float, decay_steps: int) -> float:
     """Linear anneal from start to end over decay_steps, then flat."""

@@ -212,7 +212,7 @@ class ExperimentConfig:
     spatial: SpatialSection = field(default_factory=SpatialSection)
 
     def __post_init__(self):
-        seeds = self.seeds
+        seeds, name = self.seeds, self.name
         seeds_ok = (
             isinstance(seeds, (tuple, list))
             and seeds
@@ -221,6 +221,8 @@ class ExperimentConfig:
         _check_fields(
             self,
             lambda: [
+                ("name", name != "" and not os.path.isabs(name) and ".." not in name.split(os.sep),
+                 "a nonempty relative path with no '..' component"),
                 ("scenario", self.scenario in SCENARIOS, f"one of {list(SCENARIOS)}"),
                 ("agent", self.agent in AGENTS, f"one of {list(AGENTS)}"),
                 ("seeds", seeds_ok, "a nonempty list of integers"),

@@ -1,21 +1,23 @@
 """Experiment runner: validated configs in, CSV/JSON artifacts out.
 
-Three scenarios:
+Each scenario is one pure seed function, ``run_seed(cfg, seed) -> (rows,
+entry)``, that opens no file and touches no shared state:
 
-* ``rach``: one agent (cloud DQN or a local baseline) on the slotted
-  random-access environment, one run per seed.
-* ``compression``: trains a dense DQN per seed, emits the sparsity-vs-reward
-  curve at configured sparsity levels, and re-runs the same session with
-  pruning plus snapshot quantisation to compare energy/byte ledgers.
-* ``transfer``: two single-entity coordinators on sites of one shared
-  spatial traffic field, with and without correlation-gated parameter
-  transfer, comparing rounds-to-threshold.  Per seed the two arms read one
-  field source and play their rounds before the first transfer once; the
-  baseline arm continues from forks of those sessions.
+* ``rach`` (``run_rach_seed``): one agent (cloud DQN or a local baseline) on
+  the slotted random-access environment; the rows are its round rows.
+* ``compression`` (``run_compression_seed``): trains a dense DQN, evaluates
+  it pruned to each configured sparsity level, and re-runs the same session
+  with pruning plus snapshot quantisation to compare energy/byte ledgers.
+* ``transfer`` (``run_transfer_seed``): two single-entity coordinators on
+  sites of one shared spatial traffic field, with and without
+  correlation-gated parameter transfer, comparing rounds-to-threshold.  The
+  two arms read one field source and play their rounds before the first
+  transfer once; the baseline arm continues from forks of those sessions.
 
-Outputs are deterministic for a given config and seed: no timestamps, sorted
-JSON keys, atomic writes.  Every run directory carries a config snapshot and
-its hash.
+``run_experiment`` owns the one loop over a config's seeds and every write
+and aggregate.  Outputs are deterministic for a given config and seed: no
+timestamps, sorted JSON keys, atomic writes.  Every run directory carries a
+config snapshot and its hash.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 from .agents import evaluate_greedy_agent, evaluate_greedy_net, run_local_agent
 from .cloud_loop import (
     CompressionPlan,
+    MessageLedger,
     instantiate,
     run_session,
     tail_mean,
@@ -75,6 +78,11 @@ ROUND_COLUMNS = (
     "bytes_down_total",
     "bytes_up_total",
 )
+
+_SPARSITY_COLUMNS = (
+    "seed", "sparsity_target", "threshold", "sparsity", "nonzero_weights", "mac_count_pruned", "reward",
+)
+_CURVE_COLUMNS = ("seed", "arm", "round", "reward_mean")
 
 EVAL_SEED_OFFSET = 100000  # greedy-evaluation envs get their own seed stream
 
@@ -151,20 +159,18 @@ def rounds_to_threshold(curve: np.ndarray, threshold: float, window: int) -> int
     return int(hits[0]) + window if hits.size else len(curve)
 
 
-# ---------------------------------------------------------------------------
-# Single-agent runs (scenario "rach")
-# ---------------------------------------------------------------------------
+def _learning_curve(cfg: ExperimentConfig, rows) -> dict:
+    """The per-round curve of ``rows``, its terminal reward, and its rounds
+    to threshold (None when the config sets no threshold)."""
+    curve, threshold = per_round_curve(rows), cfg.reward_threshold
+    rtt = None if threshold is None else rounds_to_threshold(curve, threshold, cfg.threshold_window)
+    terminal = tail_mean(curve, cfg.tail_fraction)
+    return {"curve": curve, "terminal_reward": terminal, "rounds_to_threshold": rtt}
 
 
-def _ledger_dicts(metrics) -> tuple[dict, dict]:
-    msg = metrics.message_ledger
-    message = {
-        "rounds": msg.rounds,
-        "bytes_down": msg.bytes_down,
-        "bytes_up": msg.bytes_up,
-        "staleness_histogram": {str(k): v for k, v in sorted(msg.staleness_histogram.items())},
-    }
-    return message, metrics.energy.snapshot()
+# ---------------------------------------------------------------------------
+# Seed functions: run_seed(cfg, seed) -> (rows, entry), writing nothing
+# ---------------------------------------------------------------------------
 
 
 def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
@@ -178,9 +184,8 @@ def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
     if cfg.agent == "dqn":
         session = instantiate(cfg.service_request(seed))
         metrics = run_session(session, cfg.rounds(), cfg.cloud.mode)
-        rows = metrics.rows
-        message, energy_snapshot = _ledger_dicts(metrics)
-        sparsity = [asdict(r) for r in metrics.sparsity_reports]
+        rows, message, energy = metrics.rows, metrics.message_ledger, metrics.energy
+        reports = metrics.sparsity_reports
         eval_reward = evaluate_greedy_net(
             metrics.final_net,
             env_cfg,
@@ -197,190 +202,69 @@ def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
             cfg.cloud.inner_steps,
             seed,
         )
-        message = {"rounds": 0, "bytes_down": 0, "bytes_up": 0, "staleness_histogram": {}}
-        energy_snapshot = EnergyLedger().snapshot()
-        sparsity = []
+        message, energy, reports = MessageLedger(), EnergyLedger(), []
         eval_reward = evaluate_greedy_agent(agent, env_cfg, cfg.eval_slots, seed + EVAL_SEED_OFFSET)
-    curve = per_round_curve(rows)
+    figures = _learning_curve(cfg, rows)
+    curve = figures.pop("curve")
     summary = {
         "seed": seed,
         "agent": cfg.agent,
         "rounds": int(len(curve)),
         "total_slots": cfg.total_slots,
-        "terminal_reward": tail_mean(curve, cfg.tail_fraction),
         "eval_reward": eval_reward,
-        "rounds_to_threshold": (
-            rounds_to_threshold(curve, cfg.reward_threshold, cfg.threshold_window)
-            if cfg.reward_threshold is not None
-            else None
-        ),
         "reward_threshold": cfg.reward_threshold,
-        "message": message,
-        "energy": energy_snapshot,
-        "sparsity_reports": sparsity,
+        "message": message.snapshot(),
+        "energy": energy.snapshot(),
+        "sparsity_reports": [asdict(r) for r in reports],
+        **figures,
     }
     return rows, summary
 
 
-# Files a run writes besides config.json and its seedNNNN_* files.
-_RUN_ARTIFACTS = (
-    "summary.json", "error.json", "sparsity_reward.csv", "ledger_comparison.json",
-    "transfer_curves.csv", "transfer_summary.json",
-)
+def _compressed_plan(cfg: ExperimentConfig) -> CompressionPlan:
+    """The compression scenario's compressed session: pruned once, by default
+    at the median magnitude a quarter of the way in, with quantised snapshots."""
+    quantile = cfg.compression.prune_quantile
+    return CompressionPlan(
+        snapshot_bits=cfg.compression.quant_bits,
+        batch_fp16=cfg.cloud.batch_fp16,
+        prune_quantile=0.5 if quantile is None else quantile,
+        prune_at_round=cfg.compression.prune_at_round or max(0, cfg.rounds() // 4),
+    )
 
 
-def _remove_run_artifacts(run_dir: str) -> None:
-    if not os.path.isdir(run_dir):
-        return
-    for name in os.listdir(run_dir):
-        head, sep, _ = name.partition("_")
-        if name in _RUN_ARTIFACTS or (sep and head.startswith("seed") and head[4:].isdigit()):
-            os.remove(os.path.join(run_dir, name))
+def run_compression_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
+    """One seed of the compression scenario; returns (sparsity-curve rows, ledger entry).
 
-
-def _write_seed_outputs(run_dir: str, seed: int, rows, summary) -> None:
-    write_csv(os.path.join(run_dir, f"seed{seed:04d}_rounds.csv"), rows, ROUND_COLUMNS)
-    write_json(os.path.join(run_dir, f"seed{seed:04d}_summary.json"), summary)
-
-
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run every seed of the configured scenario and write all artifacts.
-
-    The artifacts of an earlier run in the same directory are removed first,
-    so every file there belongs to this run.  A mid-run failure leaves this
-    run's partial outputs in place and records the error in ``error.json``
-    before propagating.
+    A dense session is trained, and its final network is pruned to each
+    sparsity level and evaluated greedily; then the same request runs again
+    compressed, and the two sessions' ledgers are compared.
     """
-    run_dir = cfg.run_dir()
-    error_path = os.path.join(run_dir, "error.json")
-    chash = config_hash(cfg)
-    _remove_run_artifacts(run_dir)
-    write_json(os.path.join(run_dir, "config.json"), {"hash": chash, "config": cfg.to_dict()})
-    try:
-        cfg.check_scenario()
-        if cfg.scenario == "rach":
-            aggregate = _run_rach(cfg, run_dir)
-        elif cfg.scenario == "compression":
-            aggregate = _run_compression(cfg, run_dir)
-        elif cfg.scenario == "transfer":
-            aggregate = _run_transfer(cfg, run_dir)
-        else:  # pragma: no cover - scenario validated at config build
-            raise ConfigError(f"unknown scenario {cfg.scenario!r}")
-    except Exception as exc:
-        write_json(
-            error_path, {"error": str(exc), "type": type(exc).__name__, "config_hash": chash}
-        )
-        raise
-    aggregate.update(
-        {"name": cfg.name, "scenario": cfg.scenario, "config_hash": chash, "run_dir": run_dir}
-    )
-    write_json(os.path.join(run_dir, "summary.json"), aggregate)
-    return aggregate
-
-
-def _run_rach(cfg: ExperimentConfig, run_dir: str) -> dict:
-    per_seed = []
-    for seed in cfg.seeds:
-        rows, summary = run_rach_seed(cfg, seed)
-        _write_seed_outputs(run_dir, seed, rows, summary)
-        per_seed.append(summary)
-    terminals = np.asarray([s["terminal_reward"] for s in per_seed])
-    evals = np.asarray([s["eval_reward"] for s in per_seed])
-    return {
-        "agent": cfg.agent,
-        "seeds": list(cfg.seeds),
-        "per_seed": per_seed,
-        "terminal_reward_mean": float(terminals.mean()),
-        "terminal_reward_std": float(terminals.std(ddof=1)) if len(terminals) > 1 else 0.0,
-        "eval_reward_mean": float(evals.mean()),
-        "eval_reward_std": float(evals.std(ddof=1)) if len(evals) > 1 else 0.0,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Scenario "compression"
-# ---------------------------------------------------------------------------
-
-
-def _run_compression(cfg: ExperimentConfig, run_dir: str) -> dict:
     env_cfg = cfg.rach.to_env_config()
-    norm = float(env_cfg.max_opportunities)
-    quantile = cfg.compression.prune_quantile if cfg.compression.prune_quantile is not None else 0.5
-    prune_round = cfg.compression.prune_at_round or max(0, cfg.rounds() // 4)
-    curve_rows: list[dict] = []
-    per_seed = []
-    for seed in cfg.seeds:
-        dense_req = cfg.service_request(seed, compression=CompressionPlan())
-        dense = instantiate(dense_req)
-        dense_metrics = run_session(dense, cfg.rounds(), cfg.cloud.mode)
-        final = dense_metrics.final_net
-        for frac in cfg.compression.sparsity_levels:
-            thr = threshold_for_sparsity(final, frac)
-            pruned, report = prune_by_magnitude(final, thr)
-            reward = evaluate_greedy_net(
-                pruned, env_cfg, cfg.eval_slots, norm, EVAL_SEED_OFFSET + seed
-            )
-            curve_rows.append(
-                {
-                    "seed": seed,
-                    "sparsity_target": frac,
-                    "threshold": thr,
-                    "sparsity": report.sparsity,
-                    "nonzero_weights": report.nonzero_weights,
-                    "mac_count_pruned": report.mac_count_pruned,
-                    "reward": reward,
-                }
-            )
-        comp_plan = CompressionPlan(
-            snapshot_bits=cfg.compression.quant_bits,
-            batch_fp16=cfg.cloud.batch_fp16,
-            prune_quantile=quantile,
-            prune_at_round=prune_round,
+    dense_request = cfg.service_request(seed, compression=CompressionPlan())
+    dense = run_session(instantiate(dense_request), cfg.rounds(), cfg.cloud.mode)
+    rows = []
+    for frac in cfg.compression.sparsity_levels:
+        thr = threshold_for_sparsity(dense.final_net, frac)
+        pruned, report = prune_by_magnitude(dense.final_net, thr)
+        reward = evaluate_greedy_net(
+            pruned, env_cfg, cfg.eval_slots, float(env_cfg.max_opportunities), EVAL_SEED_OFFSET + seed
         )
-        comp = instantiate(cfg.service_request(seed, compression=comp_plan))
-        comp_metrics = run_session(comp, cfg.rounds(), cfg.cloud.mode)
-        ledger_cmp = energy_compare(dense_metrics.energy, comp_metrics.energy)
-        dense_msg, dense_energy = _ledger_dicts(dense_metrics)
-        comp_msg, comp_energy = _ledger_dicts(comp_metrics)
-        per_seed.append(
-            {
-                "seed": seed,
-                "dense_terminal_reward": dense_metrics.terminal_reward(cfg.tail_fraction),
-                "compressed_terminal_reward": comp_metrics.terminal_reward(cfg.tail_fraction),
-                "dense": {"message": dense_msg, "energy": dense_energy},
-                "compressed": {"message": comp_msg, "energy": comp_energy},
-                "ledger_ratios": {k: v["ratio"] for k, v in ledger_cmp.items()},
-                "sparsity_reports": [asdict(r) for r in comp_metrics.sparsity_reports],
-            }
-        )
-    write_csv(
-        os.path.join(run_dir, "sparsity_reward.csv"),
-        curve_rows,
-        (
-            "seed",
-            "sparsity_target",
-            "threshold",
-            "sparsity",
-            "nonzero_weights",
-            "mac_count_pruned",
-            "reward",
-        ),
-    )
-    write_json(os.path.join(run_dir, "ledger_comparison.json"), per_seed)
-    return {
-        "agent": cfg.agent,
-        "seeds": list(cfg.seeds),
-        "per_seed": per_seed,
-        "sparsity_levels": list(cfg.compression.sparsity_levels),
-        "prune_quantile": quantile,
-        "prune_at_round": prune_round,
-        "quant_bits": cfg.compression.quant_bits,
+        counts = (report.sparsity, report.nonzero_weights, report.mac_count_pruned)
+        rows.append(dict(zip(_SPARSITY_COLUMNS, (seed, frac, thr, *counts, reward))))
+    comp_request = cfg.service_request(seed, compression=_compressed_plan(cfg))
+    comp = run_session(instantiate(comp_request), cfg.rounds(), cfg.cloud.mode)
+    ledger_cmp = energy_compare(dense.energy, comp.energy)
+    entry = {
+        "seed": seed,
+        "dense_terminal_reward": dense.terminal_reward(cfg.tail_fraction),
+        "compressed_terminal_reward": comp.terminal_reward(cfg.tail_fraction),
+        "dense": {"message": dense.message_ledger.snapshot(), "energy": dense.energy.snapshot()},
+        "compressed": {"message": comp.message_ledger.snapshot(), "energy": comp.energy.snapshot()},
+        "ledger_ratios": {k: v["ratio"] for k, v in ledger_cmp.items()},
+        "sparsity_reports": [asdict(r) for r in comp.sparsity_reports],
     }
-
-
-# ---------------------------------------------------------------------------
-# Scenario "transfer"
-# ---------------------------------------------------------------------------
+    return rows, entry
 
 
 def _seed_int(seq: np.random.SeedSequence) -> int:
@@ -449,49 +333,75 @@ def run_transfer_arms(cfg: ExperimentConfig, seed: int) -> tuple[dict, dict]:
 
 
 def _arm_result(cfg: ExperimentConfig, seed: int, enabled: bool, rows, sessions, correlations) -> dict:
-    curve = per_round_curve(rows)
     return {
         "seed": seed,
         "enabled": enabled,
-        "curve": curve,
-        "rounds_to_threshold": rounds_to_threshold(curve, cfg.reward_threshold, cfg.threshold_window),
-        "terminal_reward": tail_mean(curve, cfg.tail_fraction),
+        **_learning_curve(cfg, rows),
         "correlations": correlations,
         "bytes_down": sum(s.message_ledger.bytes_down for s in sessions),
         "bytes_up": sum(s.message_ledger.bytes_up for s in sessions),
     }
 
 
-def _run_transfer(cfg: ExperimentConfig, run_dir: str) -> dict:
-    curve_rows = []
-    arms: dict[bool, list[dict]] = {True: [], False: []}
-    for seed in cfg.seeds:
-        for enabled, result in zip((True, False), run_transfer_arms(cfg, seed)):
-            arms[enabled].append(result)
-            for r, reward in enumerate(result["curve"]):
-                curve_rows.append(
-                    {
-                        "seed": seed,
-                        "arm": "transfer" if enabled else "baseline",
-                        "round": r,
-                        "reward_mean": reward,
-                    }
-                )
-    write_csv(
-        os.path.join(run_dir, "transfer_curves.csv"),
-        curve_rows,
-        ("seed", "arm", "round", "reward_mean"),
-    )
-    rtt_stats = _paired_stats(
-        [a["rounds_to_threshold"] for a in arms[True]],
-        [a["rounds_to_threshold"] for a in arms[False]],
-    )
-    term_transfer = [a["terminal_reward"] for a in arms[True]]
-    term_baseline = [a["terminal_reward"] for a in arms[False]]
-    all_corr = [c for a in arms[True] for c in a["correlations"]]
+_TRANSFER_ARMS = ("transfer", "baseline")
+
+
+def run_transfer_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
+    """One seed of the transfer scenario; returns (curve rows of both arms,
+    {arm: its result without the curve})."""
+    arms = dict(zip(_TRANSFER_ARMS, run_transfer_arms(cfg, seed)))
+    rows = [
+        dict(zip(_CURVE_COLUMNS, (seed, arm, r, reward)))
+        for arm, result in arms.items()
+        for r, reward in enumerate(result["curve"])
+    ]
+    return rows, {arm: {k: v for k, v in result.items() if k != "curve"} for arm, result in arms.items()}
+
+
+# ---------------------------------------------------------------------------
+# The driver, and each scenario's aggregate: (cfg, per-seed entries) ->
+# (summary, {file name: JSON object})
+# ---------------------------------------------------------------------------
+
+
+def _rach_summary(cfg: ExperimentConfig, per_seed: list[dict]) -> tuple[dict, dict]:
+    terminals = np.asarray([s["terminal_reward"] for s in per_seed])
+    evals = np.asarray([s["eval_reward"] for s in per_seed])
+    return {
+        "agent": cfg.agent,
+        "seeds": list(cfg.seeds),
+        "per_seed": per_seed,
+        "terminal_reward_mean": float(terminals.mean()),
+        "terminal_reward_std": float(terminals.std(ddof=1)) if len(terminals) > 1 else 0.0,
+        "eval_reward_mean": float(evals.mean()),
+        "eval_reward_std": float(evals.std(ddof=1)) if len(evals) > 1 else 0.0,
+    }, {}
+
+
+def _compression_summary(cfg: ExperimentConfig, per_seed: list[dict]) -> tuple[dict, dict]:
+    plan = _compressed_plan(cfg)
+    return {
+        "agent": cfg.agent,
+        "seeds": list(cfg.seeds),
+        "per_seed": per_seed,
+        "sparsity_levels": list(cfg.compression.sparsity_levels),
+        "prune_quantile": plan.prune_quantile,
+        "prune_at_round": plan.prune_at_round,
+        "quant_bits": cfg.compression.quant_bits,
+    }, {"ledger_comparison.json": per_seed}
+
+
+def _transfer_summary(cfg: ExperimentConfig, per_seed: list[dict]) -> tuple[dict, dict]:
+    arms = {arm: [entry[arm] for entry in per_seed] for arm in _TRANSFER_ARMS}
+
+    def paired(key: str) -> list[list]:  # [transfer values, baseline values], seed by seed
+        return [[result[key] for result in arms[arm]] for arm in _TRANSFER_ARMS]
+
+    term_transfer, term_baseline = paired("terminal_reward")
+    all_corr = [c for a in arms["transfer"] for c in a["correlations"]]
     summary = {
         "seeds": list(cfg.seeds),
-        "rounds_to_threshold": rtt_stats,
+        "rounds_to_threshold": _paired_stats(*paired("rounds_to_threshold")),
         "terminal_reward": {
             "transfer_mean": float(np.mean(term_transfer)),
             "baseline_mean": float(np.mean(term_baseline)),
@@ -501,16 +411,80 @@ def _run_transfer(cfg: ExperimentConfig, run_dir: str) -> dict:
             ),
         },
         "estimated_correlation_mean": float(np.mean(all_corr)) if all_corr else None,
-        "per_seed": {
-            "transfer": [
-                {k: v for k, v in a.items() if k != "curve"} for a in arms[True]
-            ],
-            "baseline": [
-                {k: v for k, v in a.items() if k != "curve"} for a in arms[False]
-            ],
-        },
+        "per_seed": arms,
     }
-    write_json(os.path.join(run_dir, "transfer_summary.json"), summary)
+    return summary, {"transfer_summary.json": dict(summary)}
+
+
+# scenario: (seed function, aggregate, the run's CSV of every seed's rows and
+# its columns); a rach seed's rows go to its own CSV as the seed finishes.
+_SCENARIOS = {
+    "rach": (run_rach_seed, _rach_summary, None, ROUND_COLUMNS),
+    "compression": (run_compression_seed, _compression_summary, "sparsity_reward.csv", _SPARSITY_COLUMNS),
+    "transfer": (run_transfer_seed, _transfer_summary, "transfer_curves.csv", _CURVE_COLUMNS),
+}
+
+# Files a run writes besides config.json and its seedNNNN_* files.
+_RUN_ARTIFACTS = (
+    "summary.json", "error.json", "sparsity_reward.csv", "ledger_comparison.json",
+    "transfer_curves.csv", "transfer_summary.json",
+)
+
+
+def _remove_run_artifacts(run_dir: str) -> None:
+    if not os.path.isdir(run_dir):
+        return
+    for name in os.listdir(run_dir):
+        head, sep, _ = name.partition("_")
+        if name in _RUN_ARTIFACTS or (sep and head.startswith("seed") and head[4:].isdigit()):
+            os.remove(os.path.join(run_dir, name))
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Run every seed of the configured scenario and write all artifacts.
+
+    The one loop over ``cfg.seeds`` calls the scenario's seed function, which
+    writes nothing, and does every write here.  A rach seed's
+    ``seedNNNN_rounds.csv`` and ``_summary.json`` are written as the seed
+    finishes, so its rows are not held; the other scenarios write one CSV of
+    every seed's rows and their summary files once the last seed is done.
+
+    An earlier run's artifacts in the same directory are removed first.  A
+    failure leaves ``config.json`` and the finished rach seeds' files, and
+    records the error in ``error.json`` before propagating; only a run that
+    completes writes ``summary.json``.
+    """
+    run_dir = cfg.run_dir()
+    error_path = os.path.join(run_dir, "error.json")
+    chash = config_hash(cfg)
+    _remove_run_artifacts(run_dir)
+    write_json(os.path.join(run_dir, "config.json"), {"hash": chash, "config": cfg.to_dict()})
+    try:
+        cfg.check_scenario()
+        run_seed, aggregate, rows_file, columns = _SCENARIOS[cfg.scenario]
+        all_rows, per_seed = [], []
+        for seed in cfg.seeds:
+            rows, entry = run_seed(cfg, seed)
+            per_seed.append(entry)
+            if rows_file is None:
+                write_csv(os.path.join(run_dir, f"seed{seed:04d}_rounds.csv"), rows, columns)
+                write_json(os.path.join(run_dir, f"seed{seed:04d}_summary.json"), entry)
+            else:
+                all_rows += rows
+        if rows_file is not None:
+            write_csv(os.path.join(run_dir, rows_file), all_rows, columns)
+        summary, files = aggregate(cfg, per_seed)
+        for name, obj in files.items():
+            write_json(os.path.join(run_dir, name), obj)
+    except Exception as exc:
+        write_json(
+            error_path, {"error": str(exc), "type": type(exc).__name__, "config_hash": chash}
+        )
+        raise
+    summary.update(
+        {"name": cfg.name, "scenario": cfg.scenario, "config_hash": chash, "run_dir": run_dir}
+    )
+    write_json(os.path.join(run_dir, "summary.json"), summary)
     return summary
 
 
@@ -543,30 +517,26 @@ def compare_agents(cfgs: list[ExperimentConfig]) -> dict:
             raise ConfigError(
                 "compare configs must share rach section, seeds, slot budgets, inner_steps"
             )
-    names = []
     results = {}
     for cfg in cfgs:
         if cfg.name in results:
             raise ConfigError(f"duplicate config name {cfg.name!r} in compare")
         results[cfg.name] = run_experiment(cfg)
-        names.append(cfg.name)
+    names = list(results)
     report_rows = []
     report = {"agents": {}, "pairwise": {}}
     for name in names:
         res = results[name]
-        terminals = np.asarray([s["terminal_reward"] for s in res["per_seed"]], dtype=float)
         evals = np.asarray([s["eval_reward"] for s in res["per_seed"]], dtype=float)
         entry = {
             "agent": res["agent"],
-            "terminal_rewards": terminals.tolist(),
+            "terminal_rewards": [s["terminal_reward"] for s in res["per_seed"]],
             "eval_rewards": evals.tolist(),
-            "terminal_mean": float(terminals.mean()),
-            "mean": float(evals.mean()),
+            "terminal_mean": res["terminal_reward_mean"],
+            "mean": res["eval_reward_mean"],
         }
-        if len(evals) > 1 and evals.std(ddof=1) > 0:
-            entry["ci95"] = list(ci95(evals))
-        else:
-            entry["ci95"] = [float(evals.mean()), float(evals.mean())]
+        # one seed, or seeds that all scored alike, have no spread to test
+        entry["ci95"] = list(ci95(evals)) if res["eval_reward_std"] > 0 else [entry["mean"]] * 2
         rtts = [s["rounds_to_threshold"] for s in res["per_seed"]]
         if all(r is not None for r in rtts):
             entry["rounds_to_threshold_mean"] = float(np.mean(rtts))
@@ -617,7 +587,6 @@ def sweep(cfg: ExperimentConfig, param_path: str, values: list) -> dict:
     base_dict = cfg.to_dict()
     set_by_path(copy.deepcopy(base_dict), param_path, values[0])  # path check up front
     rows = []
-    per_value = {}
     for value in values:
         data = copy.deepcopy(base_dict)
         set_by_path(data, param_path, value)
@@ -625,8 +594,6 @@ def sweep(cfg: ExperimentConfig, param_path: str, values: list) -> dict:
         sub_cfg = config_from_dict(data)
         result = run_experiment(sub_cfg)
         per_seed = result["per_seed"]
-        terminals = np.asarray([s["terminal_reward"] for s in per_seed], dtype=float)
-        evals = np.asarray([s["eval_reward"] for s in per_seed], dtype=float)
         bytes_down = float(np.mean([s["message"]["bytes_down"] for s in per_seed]))
         bytes_up = float(np.mean([s["message"]["bytes_up"] for s in per_seed]))
         energy_proxy = float(np.mean([s["energy"]["energy_proxy"] for s in per_seed]))
@@ -634,30 +601,16 @@ def sweep(cfg: ExperimentConfig, param_path: str, values: list) -> dict:
             {
                 "param": param_path,
                 "value": value,
-                "terminal_reward_mean": float(terminals.mean()),
-                "eval_reward_mean": float(evals.mean()),
+                "terminal_reward_mean": result["terminal_reward_mean"],
+                "eval_reward_mean": result["eval_reward_mean"],
                 "bytes_down_mean": bytes_down,
                 "bytes_up_mean": bytes_up,
                 "bytes_total_mean": bytes_down + bytes_up,
                 "energy_proxy_mean": energy_proxy,
             }
         )
-        per_value[str(value)] = result
     out_dir = os.path.join(cfg.run_dir(), "sweep", _sanitize(param_path))
-    write_csv(
-        os.path.join(out_dir, "sweep.csv"),
-        rows,
-        (
-            "param",
-            "value",
-            "terminal_reward_mean",
-            "eval_reward_mean",
-            "bytes_down_mean",
-            "bytes_up_mean",
-            "bytes_total_mean",
-            "energy_proxy_mean",
-        ),
-    )
+    write_csv(os.path.join(out_dir, "sweep.csv"), rows, tuple(rows[0]))  # columns in the rows' key order
     report = {"param": param_path, "values": values, "rows": rows, "out_dir": out_dir}
     write_json(os.path.join(out_dir, "sweep.json"), {"param": param_path, "rows": rows})
     return report

@@ -9,7 +9,8 @@ from scipy import stats
 from greenrl import runner
 from greenrl.cli import main as cli_main
 from greenrl.cli import run_report
-from greenrl.config import config_from_dict
+from greenrl.cloud_loop import CompressionPlan
+from greenrl.config import config_from_dict, config_hash
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.paired import _effect_size_d, _paired_p, ttest_p, wilcoxon_p
 from greenrl.runner import (
@@ -410,6 +411,8 @@ def test_cli_rejects_bad_experiment_field_before_writing(tmp_path, capsys, key, 
         ({"reward_threshold": "abc"}, "config.reward_threshold: must be a number or null"),
         ({"rach": {"traffic_p": True}}, "config.rach.traffic_p: must be a number"),
         ({"compression": {"quant_bits": None}}, "config.compression.quant_bits: must be an integer"),
+        ({"name": ".."}, "config.name: must be a nonempty relative path with no '..' component"),
+        ({"name": ""}, "config.name: must be a nonempty relative path with no '..' component"),
     ],
 )
 def test_cli_rejects_before_writing(tmp_path, capsys, overrides, error):
@@ -422,6 +425,41 @@ def test_cli_rejects_before_writing(tmp_path, capsys, overrides, error):
     assert rc == 2
     assert error in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("name", ["absolute", "../escape", "sub/../../escape"])
+def test_cli_rejects_a_name_that_leaves_out_dir(tmp_path, capsys, name):
+    """An absolute ``name`` used to replace ``out_dir`` (``os.path.join``
+    keeps the absolute part): the run wrote there, and its clean-up deleted a
+    seedNNNN_* file that it never wrote.  A ``..`` component resolved outside
+    ``out_dir``.  Both now exit 2 before anything is written or removed."""
+    outside = tmp_path / "absolute"
+    outside.mkdir()
+    (outside / "seed0009_notes.txt").write_text("not a run artifact")
+    if name == "absolute":
+        name = str(outside)
+    doc = {"name": name, "agent": "le-urc", "seeds": [1], "total_slots": 60, "eval_slots": 40,
+           "out_dir": str(tmp_path / "out"), "rach": {"num_devices": 20}, "cloud": {"inner_steps": 20}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    rc = cli_main(["run", str(path)])
+    assert rc == 2
+    assert "config.name: must be a nonempty relative path with no '..' component" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["absolute", "cfg.json"]
+    assert os.listdir(outside) == ["seed0009_notes.txt"]
+
+
+def test_cli_reports_a_file_system_error(tmp_path, capsys):
+    """An ``out_dir`` that is a regular file used to end in a raw
+    NotADirectoryError traceback from ``os.makedirs``."""
+    blocker = tmp_path / "out"
+    blocker.write_text("not a directory")
+    rc = cli_main(["run", write_config_file(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
 
 
 TINY_DQN = {"inner_steps": 20, "hidden": [8], "batch_size": 8, "replay_capacity": 64}
@@ -546,6 +584,84 @@ def test_transfer_run_creates_a_session_pair_per_arm(tmp_path, monkeypatch):
             result = summary["per_seed"][arm][i]
             assert sum(m.bytes_up for _, _, m, _ in pair) == result["bytes_up"]
             assert sum(m.bytes_down for _, _, m, _ in pair) == result["bytes_down"]
+
+
+def capture_sessions(monkeypatch) -> list:
+    """Wrap ``instantiate`` the way a ledger capture does; the list gets each
+    (request, session, message ledger, energy ledger) at creation."""
+    import greenrl.cloud_loop as cloud_loop
+
+    created = []
+    original = cloud_loop.instantiate
+
+    def capturing(request):
+        session = original(request)
+        created.append((request, session, session.message_ledger, session.energy))
+        return session
+
+    for module in (cloud_loop, runner):
+        monkeypatch.setattr(module, "instantiate", capturing)
+    return created
+
+
+def test_rach_run_creates_one_session_per_seed(tmp_path, monkeypatch):
+    """A rach dqn run creates one session per seed, in seed order, and each
+    session's final ledgers are its seed's summary entry."""
+    created = capture_sessions(monkeypatch)
+    cfg = tiny_config(tmp_path, agent="dqn", seeds=[3, 1, 2], cloud=TINY_DQN)
+    summary = run_experiment(cfg)
+    assert [request.seed for request, *_ in created] == [3, 1, 2]
+    for (_request, session, message, energy), entry in zip(created, summary["per_seed"]):
+        assert session.message_ledger is message and session.energy is energy
+        assert message.rounds == cfg.rounds()
+        assert message.snapshot() == entry["message"]
+        assert energy.snapshot() == entry["energy"]
+
+
+def test_compression_run_creates_dense_then_compressed_per_seed(tmp_path, monkeypatch):
+    """A compression run creates two sessions per seed, dense then
+    compressed, and each one's final ledgers are its arm of the seed's entry."""
+    created = capture_sessions(monkeypatch)
+    cfg = tiny_config(tmp_path, scenario="compression", agent="dqn", cloud=TINY_DQN)
+    summary = run_experiment(cfg)
+    assert [request.seed for request, *_ in created] == [1, 1, 2, 2]
+    for i, entry in enumerate(summary["per_seed"]):
+        dense, compressed = created[2 * i : 2 * i + 2]
+        assert dense[0].compression == CompressionPlan()
+        assert compressed[0].compression.snapshot_bits == cfg.compression.quant_bits
+        assert compressed[0].compression.prune_quantile == summary["prune_quantile"]
+        for arm, (_request, session, message, energy) in (("dense", dense), ("compressed", compressed)):
+            assert session.message_ledger is message and session.energy is energy
+            assert message.rounds == cfg.rounds()
+            assert message.snapshot() == entry[arm]["message"]
+            assert energy.snapshot() == entry[arm]["energy"]
+
+
+@pytest.mark.parametrize("scenario, sessions_per_seed", [("rach", 1), ("compression", 2)])
+def test_failure_in_a_later_seed_keeps_the_finished_seeds(tmp_path, monkeypatch, scenario, sessions_per_seed):
+    """The second of two seeds fails at its first session.  The first rach
+    seed's files stay, ``error.json`` names the error and no summary.json is
+    written; a compression run writes its files once every seed is done, so
+    it leaves only config.json and error.json."""
+    original = runner.instantiate
+    seeds = []
+
+    def failing(request):
+        seeds.append(request.seed)
+        if len(seeds) > sessions_per_seed:
+            raise RuntimeError("the second seed failed")
+        return original(request)
+
+    monkeypatch.setattr(runner, "instantiate", failing)
+    cfg = tiny_config(tmp_path, scenario=scenario, agent="dqn", cloud=TINY_DQN)
+    with pytest.raises(RuntimeError, match="the second seed failed"):
+        run_experiment(cfg)
+    assert seeds == [1] * sessions_per_seed + [2]
+    finished = ["seed0001_rounds.csv", "seed0001_summary.json"] if scenario == "rach" else []
+    assert sorted(os.listdir(cfg.run_dir())) == ["config.json", "error.json"] + finished
+    with open(os.path.join(cfg.run_dir(), "error.json")) as fh:
+        record = json.load(fh)
+    assert record == {"error": "the second seed failed", "type": "RuntimeError", "config_hash": config_hash(cfg)}
 
 
 def test_cli_compare(tmp_path, capsys):
