@@ -12,12 +12,25 @@ so a round's K inferences are logged as one ledger entry.  The ledger logs
 K even though exploring slots skip the forward pass: it models the deployed
 entity (see ``greenrl.energy``).
 
-The round is array-native end to end.  The entity writes its states into one
-(K+1, dim) array, where row i+1 is both slot i's next state and slot i+1's
-state, and uploads them as ``ReplayBatch`` columns.  Each wire record is one
-packed little-endian numpy structured dtype, so a batch encodes with one
-``tobytes`` and decodes with one ``frombuffer`` into float64/int64 columns
-that go straight into the replay ring.
+The round is array-native end to end, and its fixed cost is kept small
+while both messages stay real bytes, encoded and decoded every round:
+
+- The entity keeps one resident network.  Each snapshot is decoded into
+  its parameter vector in place (``decode_snapshot(payload, into=net)``),
+  after every header, length and scale check has passed.
+- The entity writes its states into one (K+1, dim) array it keeps across
+  rounds, where row i+1 is both slot i's next state and slot i+1's state,
+  and uploads them as ``ReplayBatch`` columns viewing that array, beside
+  its kept action and reward arrays.
+- Each wire record is one packed little-endian numpy structured dtype, so
+  a batch encodes with one ``tobytes`` and is parsed with one
+  ``frombuffer`` (``_parse_sample_batch``).  The session writes the parsed
+  wire columns straight into the replay ring, which holds its floats in
+  the learner's dtype and casts them as it stores them.
+  ``decode_sample_batch`` is the same parser with float64/int64 columns.
+- MACs are counted once per online parameter vector, for its train step
+  and for an entity that loads a dense snapshot of it; an entity that
+  loads a quantised snapshot is counted on its own (see ``greenrl.energy``).
 
 Each slot of a round is a lean path with the same RNG calls, in the same
 order, as the per-object path it replaced.  The entity draws first:
@@ -59,7 +72,7 @@ from functools import lru_cache
 import numpy as np
 
 from .compression import prune_by_magnitude, threshold_for_sparsity
-from .energy import EnergyLedger
+from .energy import EnergyLedger, macs_forward
 from .errors import ConfigError, InvalidInputError
 from .neural import (
     DenseNet,
@@ -175,13 +188,22 @@ class ServiceRequest:
     net_seed: int | None = None  # override to share initial weights across sessions
 
     def __post_init__(self):
-        object.__setattr__(self, "entity_ids", tuple(self.entity_ids))
-        if len(self.entity_ids) == 0:
-            raise ConfigError("need at least one entity")
-        if len(set(self.entity_ids)) != len(self.entity_ids):
-            raise ConfigError("entity ids must be unique")
-        if self.inner_steps < 1:
-            raise ConfigError("inner_steps must be >= 1")
+        ids = self.entity_ids
+        if isinstance(ids, (list, range)):
+            object.__setattr__(self, "entity_ids", ids := tuple(ids))
+        # an id travels as the upload header's u32
+        ids_ok = isinstance(ids, tuple) and len(ids) > 0 and all(_is_int(e) and 0 <= e < 2**32 for e in ids)
+        _check_fields(
+            self,
+            lambda: [
+                ("entity_ids", ids_ok, "a nonempty list of integers in [0, 2**32)"),
+                ("entity_ids", ids_ok and len(set(ids)) == len(ids), "a list of distinct integers"),
+                ("inner_steps", self.inner_steps >= 1, "an integer >= 1"),
+                ("env_config", isinstance(self.env_config, RachConfig), "a RachConfig"),
+                ("dqn", isinstance(self.dqn, DqnConfig), "a DqnConfig"),
+                ("compression", isinstance(self.compression, CompressionPlan), "a CompressionPlan"),
+            ],
+        )
 
 
 @dataclass(frozen=True)
@@ -197,7 +219,13 @@ class ParamSnapshot:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """A decoded upload: one float64/int64 replay column per record field."""
+    """One upload's header fields and its columns, one per record field.
+
+    ``decode_sample_batch`` gives float64/int64 columns.  A session's own
+    uploads keep the wire's dtypes instead: read-only views of the payload
+    holding float32 (float16 when fp16) states and rewards and u16 actions,
+    and a bool ``live``; the replay ring casts them as it stores them.
+    """
 
     entity_id: int
     snapshot_version: int
@@ -288,8 +316,12 @@ def encode_snapshot(version: int, epsilon: float, net: DenseNet, quant_bits: int
     return header + net_to_bytes(net, quant_bits)
 
 
-def decode_snapshot(buf: bytes) -> tuple[int, float, DenseNet]:
-    """Parse an ``encode_snapshot`` payload; any malformed one raises InvalidInputError."""
+def decode_snapshot(buf: bytes, into: DenseNet | None = None) -> tuple[int, float, DenseNet]:
+    """Parse an ``encode_snapshot`` payload; any malformed one raises InvalidInputError.
+
+    The network is decoded as by ``net_from_bytes(body, into)``: into
+    ``into`` where it fits the payload, and unchanged by a malformed one.
+    """
     if len(buf) < _SNAP_HEADER.size:
         raise InvalidInputError("snapshot payload is shorter than its header")
     magic, fmt, version, epsilon = _SNAP_HEADER.unpack_from(buf)
@@ -297,7 +329,7 @@ def decode_snapshot(buf: bytes) -> tuple[int, float, DenseNet]:
         raise InvalidInputError("bad magic in snapshot payload")
     if fmt != _WIRE_VERSION:
         raise InvalidInputError(f"unsupported snapshot format {fmt}")
-    return version, epsilon, net_from_bytes(buf[_SNAP_HEADER.size :])
+    return version, epsilon, net_from_bytes(memoryview(buf)[_SNAP_HEADER.size :], into)
 
 
 def encode_sample_batch(
@@ -321,10 +353,11 @@ def encode_sample_batch(
     count, dim = state.shape
     if count == 0 or dim == 0:
         raise InvalidInputError("cannot encode an empty batch or zero-width states")
-    action, reward, live = (np.asarray(c) for c in (batch.action, batch.reward, batch.live))
-    if any(c.shape != (count,) for c in (action, reward, live)):
+    action, reward, live = np.asarray(batch.action), np.asarray(batch.reward), np.asarray(batch.live)
+    if not action.shape == reward.shape == live.shape == (count,):
         raise InvalidInputError("every batch column must hold one entry per record")
-    if action.dtype.kind not in "iu" or action.min() < 0 or action.max() > 0xFFFF:
+    # On a round's few rows a list's min and max are several times cheaper than numpy's.
+    if action.dtype.kind not in "iu" or min(acts := action.tolist()) < 0 or max(acts) > 0xFFFF:
         raise InvalidInputError("actions must be integers in [0, 65535]")
     try:
         header = _BATCH_HEADER.pack(
@@ -341,8 +374,10 @@ def encode_sample_batch(
     return header + records.tobytes()
 
 
-def decode_sample_batch(buf: bytes) -> SampleBatch:
-    """Parse an ``encode_sample_batch`` payload into float64/int64 columns."""
+def _parse_sample_batch(buf: bytes) -> SampleBatch:
+    """Check an ``encode_sample_batch`` payload and view its columns in their
+    wire dtypes, copying nothing but the ``live`` flags; any malformed
+    payload raises InvalidInputError."""
     if len(buf) < _BATCH_HEADER.size:
         raise InvalidInputError("sample batch payload is shorter than its header")
     magic, fmt, fp16, entity_id, version, count, dim = _BATCH_HEADER.unpack_from(buf)
@@ -363,13 +398,23 @@ def decode_sample_batch(buf: bytes) -> SampleBatch:
         )
     records = np.frombuffer(buf, _record_dtype(dim, bool(fp16)), count, _BATCH_HEADER.size)
     columns = ReplayBatch(
-        records["state"].astype(np.float64),
-        records["action"].astype(np.int64),
-        records["reward"].astype(np.float64),
-        records["next_state"].astype(np.float64),
-        (records["terminal"] == 0).astype(np.float64),
+        records["state"], records["action"], records["reward"], records["next_state"], records["terminal"] == 0
     )
     return SampleBatch(entity_id, version, columns, len(buf))
+
+
+def decode_sample_batch(buf: bytes) -> SampleBatch:
+    """Parse an ``encode_sample_batch`` payload into float64/int64 columns."""
+    batch = _parse_sample_batch(buf)
+    state, action, reward, next_state, live = batch.columns
+    wide = ReplayBatch(
+        state.astype(np.float64),
+        action.astype(np.int64),
+        reward.astype(np.float64),
+        next_state.astype(np.float64),
+        live.astype(np.float64),
+    )
+    return SampleBatch(batch.entity_id, batch.snapshot_version, wide, batch.byte_size)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +424,16 @@ def decode_sample_batch(buf: bytes) -> SampleBatch:
 
 @dataclass
 class _Entity:
+    """One entity's environment, generator and resident network, and the
+    round arrays it refills each round: ``states`` is (K+1, dim), and
+    ``rows`` views it (row i slot i's state, row i+1 its next state) beside
+    the K actions, rewards and live flags."""
+
     env: RachEnv
     action_rng: np.random.Generator
     obs: np.ndarray
+    states: np.ndarray
+    rows: ReplayBatch
     net: DenseNet | None = None
 
 
@@ -397,16 +449,18 @@ class Session:
         net_seed = seeds["net"] if request.net_seed is None else request.net_seed
         self.online = glorot_init(dims, net_seed, dtype=cfg.np_dtype)
         self.target = sync_target(self.online)
-        self.buffer = ReplayBuffer(cfg.replay_capacity)
+        self.buffer = ReplayBuffer(cfg.replay_capacity, cfg.np_dtype)
         self.sample_rng = np.random.default_rng(seeds["sample"])
         self.train_steps = 0
+        self._macs_of: tuple[np.ndarray | None, int] = (None, 0)  # (online params, their macs_forward)
         self.norm = float(env_cfg.max_opportunities)
         self.entities: dict[int, _Entity] = {}
+        k = request.inner_steps
         for eid, es in zip(request.entity_ids, seeds["entities"]):
             env = RachEnv(replace(env_cfg, seed=es["env"]))
-            self.entities[eid] = _Entity(
-                env=env, action_rng=np.random.default_rng(es["action"]), obs=env.reset()
-            )
+            states = np.empty((k + 1, dims[0]), cfg.np_dtype)
+            rows = ReplayBatch(states[:-1], np.empty(k, np.int64), np.empty(k), states[1:], np.ones(k))
+            self.entities[eid] = _Entity(env, np.random.default_rng(es["action"]), env.reset(), states, rows)
         self.message_ledger = MessageLedger()
         self.energy = EnergyLedger()
         self.sparsity_reports: list = []
@@ -416,6 +470,17 @@ class Session:
     def current_epsilon(self) -> float:
         cfg = self.request.dqn
         return epsilon_linear(self.train_steps, cfg.eps_start, cfg.eps_end, cfg.eps_decay_steps)
+
+    def _online_macs(self) -> int:
+        """``macs_forward(self.online)``, counted once per parameter vector.
+
+        The online network is replaced on every change, never written in
+        place, so a vector's count holds for as long as it is online.
+        """
+        params = self.online.params
+        if self._macs_of[0] is not params:
+            self._macs_of = (params, macs_forward(self.online))
+        return self._macs_of[1]
 
     def _publish(self) -> ParamSnapshot:
         """Encode the online network, versioned by the current train step."""
@@ -446,7 +511,7 @@ class Session:
         hist[lag] = hist.get(lag, 0) + 1
         self.buffer.write(batch.columns)
         bs = min(cfg.batch_size, len(self.buffer))
-        self.energy.record_train_step(self.online, bs)
+        self.energy.record_train_step(self.online, bs, self._online_macs())
         self.online, loss = dqn_train_step(
             self.online, self.target, self.buffer, bs, cfg.discount, cfg.lr, self.sample_rng
         )
@@ -533,42 +598,41 @@ class Session:
         if entity_id not in self.entities:
             raise InvalidInputError(f"unknown entity {entity_id}")
         entity = self.entities[entity_id]
-        cfg = self.request.dqn
+        dtype = self.request.dqn.np_dtype
         menu = self.request.env_config.action_menu
         snap = self._publish()
-        _version, epsilon, net = decode_snapshot(snap.payload)
+        _version, epsilon, net = decode_snapshot(snap.payload, into=entity.net)
         if not np.isfinite(net.params).all():
             raise InvalidInputError("snapshot parameters must be finite")
         entity.net = net
         k, n_actions = self.request.inner_steps, net.layer_dims[-1]
-        env, rng = entity.env, entity.action_rng
-        # Row i is slot i's state and row i+1 its next state.
-        states = np.empty((k + 1, entity.obs.size), cfg.np_dtype)
-        build_state(entity.obs, self.norm, cfg.np_dtype, out=states[0])
-        actions = np.empty(k, np.int64)
-        rewards = np.empty(k)
+        env, rng, states, rows = entity.env, entity.action_rng, entity.states, entity.rows
+        actions, rewards = rows.action, rows.reward
+        build_state(entity.obs, self.norm, dtype, out=states[0])
         for i in range(k):
             action = explore(epsilon, rng, n_actions)
             if action is None:
                 action = epsilon_greedy(forward(net, states[i]), 0.0, rng)
             entity.obs, rewards[i], _outcome = env.step(menu[action])
-            build_state(entity.obs, self.norm, cfg.np_dtype, out=states[i + 1])
+            build_state(entity.obs, self.norm, dtype, out=states[i + 1])
             actions[i] = action
         if not np.isfinite(states).all():
             raise InvalidInputError("states must be finite")
-        self.energy.record_inference(entity.net, count=k)
-        rows = ReplayBatch(states[:-1], actions, rewards, states[1:], np.ones(k))
+        # A dense snapshot is the online vector byte for byte; rounding can
+        # zero more weights of a quantised one, so it is counted on its own.
+        macs = self._online_macs() if net.quant is None else macs_forward(net)
+        self.energy.record_inference(net, k, macs)
         payload = encode_sample_batch(
             entity_id, snap.version, rows, self.request.compression.batch_fp16
         )
-        batch = decode_sample_batch(payload)
+        batch = _parse_sample_batch(payload)
         self.message_ledger.bytes_up += len(payload)
         self.energy.record_message(len(payload), "up")
         self.message_ledger.rounds += 1
         delta = {
             "bytes_down": snap.byte_size,
             "bytes_up": len(payload),
-            "reward_mean": float(np.mean(rewards)),
+            "reward_mean": float(rewards.sum()) / k,  # the division np.mean makes
             "epsilon": epsilon,
         }
         return batch, delta

@@ -11,6 +11,13 @@ with ``count=K`` rather than K events of one pass each.  The count models
 a deployed entity that runs its network on every slot: the simulation
 skips the forward pass on slots where epsilon-greedy explores, since it
 discards those values, but the ledger still credits K passes per round.
+
+A caller that already knows a network's ``macs_forward`` may pass it as
+``macs`` to save the count.  A cloud session counts each online parameter
+vector once, for its train step and for the entities that load a dense
+snapshot of it; an entity that loads a quantised snapshot is counted on its
+own, since rounding can zero weights the online network keeps.  Either
+way, each event records ``macs_forward`` of the network it describes.
 """
 
 from __future__ import annotations
@@ -55,20 +62,22 @@ class EnergyLedger:
     bytes_wire: int = 0
     events: list[tuple] = field(default_factory=list)
 
-    def record_inference(self, net, count: int = 1) -> None:
-        """Log ``count`` forward passes of ``net``."""
+    def record_inference(self, net, count: int = 1, macs: int | None = None) -> None:
+        """Log ``count`` forward passes of ``net``, whose ``macs_forward`` is ``macs`` if given."""
         if count < 1:
             raise InvalidInputError("count must be >= 1")
-        macs = macs_forward(net)
+        if macs is None:
+            macs = macs_forward(net)
         self.macs_inference += macs * count
         self.mem_accesses += macs * count
         self.events.append(("inference", macs, count))
 
-    def record_train_step(self, net, batch_size: int) -> None:
-        """Log one mini-batch update: 3x forward MACs per sample."""
+    def record_train_step(self, net, batch_size: int, macs: int | None = None) -> None:
+        """Log one mini-batch update: 3x forward MACs per sample (``macs`` as above)."""
         if batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
-        macs = macs_forward(net)
+        if macs is None:
+            macs = macs_forward(net)
         self.macs_training += _BACKWARD_FACTOR * macs * batch_size
         self.mem_accesses += macs * batch_size
         self.events.append(("train_step", macs, batch_size))

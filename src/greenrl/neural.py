@@ -10,7 +10,10 @@ sparsity mask is a vector of the same layout (1 in every bias slot), seen
 per layer through ``mask``.  The constructor, assignment to those three
 fields and ``dataclasses.replace`` pack the given arrays into a fresh
 vector, so views and ``params`` never disagree; mixed dtypes are rejected.
-Networks are immutable in use: every update returns a fresh vector.
+Networks are immutable in use: every update returns a fresh vector.  The
+one exception is a cloud entity's resident network, which
+``net_from_bytes(payload, into=net)`` overwrites in place with each
+snapshot; nothing else holds its vector.
 
 A DQN step gathers its replay sample into network-dtype arrays, runs the
 target and the online network once each and takes the loss from the
@@ -305,18 +308,24 @@ class ReplayBuffer:
     learner workspace; it allocates its full ring at its next write.
     ``head`` is the slot of the oldest item; item i, counting from the
     oldest, sits in slot ``(head + i) % capacity``.  A full buffer
-    overwrites its oldest slot.  Floats are stored as float64, which holds
-    any float32 or float64 input exactly, so a sample converts to the
-    network dtype with the same single rounding as the input itself would.
+    overwrites its oldest slot.  Floats are stored in ``dtype``, float64 by
+    default; a learner passes its network dtype.  A sample casts the floats
+    to the network dtype, so each float is rounded to that dtype exactly
+    once, whether at write time (a ring in the network dtype) or when
+    sampled (a float64 ring, which holds any float32 or float64 input
+    exactly): the sampled bytes are the same.
 
     ``write`` is the one path into the ring and takes whole columns;
     ``push`` turns one ``Transition`` record into columns for it.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, dtype=np.float64):
         if capacity < 1:
             raise ConfigError(f"replay capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
+        self.dtype = np.dtype(dtype)
+        if self.dtype.type not in (np.float32, np.float64):
+            raise ConfigError(f"replay dtype must be float32 or float64, got {self.dtype}")
         self._ring: ReplayBatch | None = None
         self._head = 0
         self._size = 0
@@ -344,11 +353,11 @@ class ReplayBuffer:
         network's outputs is caught by ``dqn_train_step``.
         """
         cap = self.capacity
-        rows = ReplayBatch(*(np.asarray(c) for c in rows))
+        rows = ReplayBatch._make(map(np.asarray, rows))
         if rows.state.ndim != 2 or rows.state.shape != rows.next_state.shape or rows.state.shape[1] == 0:
             raise InvalidInputError("state and next_state must be (rows, width) arrays of one nonzero width")
         k, width = rows.state.shape
-        if any(c.shape != (k,) for c in (rows.action, rows.reward, rows.live)):
+        if not rows.action.shape == rows.reward.shape == rows.live.shape == (k,):
             raise InvalidInputError("every replay column must hold one entry per row")
         if k == 0:
             return
@@ -358,8 +367,10 @@ class ReplayBuffer:
         if held is not None and width != held.state.shape[1]:
             raise InvalidInputError(f"state width {width} does not match replay width {held.state.shape[1]}")
         if held is None or len(held.action) < cap:  # the first write, or the first to a copy's filled rows
+            f = self.dtype
             self._ring = ReplayBatch(
-                np.zeros((cap, width)), np.zeros(cap, np.int64), np.zeros(cap), np.zeros((cap, width)), np.zeros(cap)
+                np.zeros((cap, width), f), np.zeros(cap, np.int64), np.zeros(cap, f), np.zeros((cap, width), f),
+                np.zeros(cap, f),
             )
             for col, rows_held in zip(self._ring, held or ()):
                 col[: len(rows_held)] = rows_held
@@ -400,18 +411,20 @@ class ReplayBuffer:
 
         One ``rng.integers(0, len(self), size=batch_size)`` draw picks the
         rows; draw value i selects the i-th oldest transition.  With ``out``
-        the rows are cast into its columns, and ``out`` is returned.
+        the rows are gathered and cast into its columns, and ``out`` is
+        returned.
         """
         if batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if len(self) < batch_size:
             raise NotReadyError(f"replay holds {len(self)} transitions, need {batch_size}")
-        idx = rng.integers(0, self._size, size=batch_size)
-        slots = (idx + self._head) % self.capacity
+        # "wrap" takes the slot modulo the ring's length: the capacity, or a
+        # copy's filled rows, which start at slot 0 until the ring is full.
+        slots = rng.integers(0, self._size, size=batch_size) + self._head
         if out is None:
-            return ReplayBatch(*(col[slots] for col in self._ring))
+            return ReplayBatch(*(np.take(col, slots, axis=0, mode="wrap") for col in self._ring))
         for col, dst in zip(self._ring, out):
-            dst[...] = col[slots]
+            np.take(col, slots, axis=0, out=dst, mode="wrap")
         return out
 
 
@@ -529,13 +542,19 @@ def net_to_bytes(net: DenseNet, quant_bits: int | None = None) -> bytes:
     return b"".join(parts)
 
 
-def net_from_bytes(buf: bytes) -> DenseNet:
+def net_from_bytes(buf, into: DenseNet | None = None) -> DenseNet:
     """Rebuild a DenseNet from ``net_to_bytes`` output.
 
     A dense body is copied into ``params`` whole; a quantised one writes each
     layer's codes * scale straight into its slice and carries a QuantMeta tag.
-    The header fields, and the payload length they imply, are checked before
-    any body read, so every malformed payload raises ``InvalidInputError``.
+    The header fields, the payload length they imply and every quantisation
+    scale are checked before any byte is written, so every malformed payload
+    raises ``InvalidInputError`` and changes nothing.
+
+    With ``into``, a network of the payload's dims, dtype and activation and
+    with no mask, the body is written into ``into.params``, which keeps its
+    views, and ``into`` is returned with its quant tag replaced.  Any other
+    ``into`` is left alone and a fresh network is returned.
     """
     if len(buf) < _NET_HEADER.size:
         raise InvalidInputError("network payload is shorter than its header")
@@ -565,19 +584,30 @@ def net_from_bytes(buf: bytes) -> DenseNet:
     expected = off + sum(layer_head + (fan_in * w_size + dtype.itemsize) * fan_out for fan_in, fan_out in layers)
     if len(buf) != expected:
         raise InvalidInputError(f"network payload holds {len(buf)} bytes, its header implies {expected}")
+    scales, pos = [], off
+    if quant_bits:
+        for fan_in, fan_out in layers:
+            (scale,) = struct.unpack_from("<f", buf, pos)
+            if not 0 < scale < np.inf:
+                raise InvalidInputError(f"quantisation scale must be finite and positive, got {scale}")
+            scales.append(scale)
+            pos += 4 + (fan_in * code_dtype.itemsize + dtype.itemsize) * fan_out
+    fits = into is not None and into.param_mask is None
+    if not (fits and (into.layer_dims, into.dtype, into.activation) == (dims, dtype, activation)):
+        n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
+        into = DenseNet._wrap(dims, np.empty(n_params, dtype), activation)
+    params = into.params
     if quant_bits == 0:
-        return DenseNet._wrap(dims, np.frombuffer(buf, dtype, offset=off).copy(), activation)
-    params = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in layers), dtype)
-    scales, pos = [], 0
-    for fan_in, fan_out in layers:
+        params[...] = np.frombuffer(buf, dtype, offset=off)
+        into.quant = None
+        return into
+    pos = 0
+    for (fan_in, fan_out), scale in zip(layers, scales):
         n = fan_in * fan_out
-        (scale,) = struct.unpack_from("<f", buf, off)
-        if not 0 < scale < np.inf:
-            raise InvalidInputError(f"quantisation scale must be finite and positive, got {scale}")
         np.multiply(np.frombuffer(buf, code_dtype, n, off + 4), dtype.type(scale), out=params[pos : pos + n])
         off += 4 + n * code_dtype.itemsize
         params[pos + n : pos + n + fan_out] = np.frombuffer(buf, dtype, fan_out, off)
         off += fan_out * dtype.itemsize
         pos += n + fan_out
-        scales.append(float(scale))
-    return DenseNet._wrap(dims, params, activation, quant=QuantMeta(quant_bits, scales, [0] * len(scales)))
+    into.quant = QuantMeta(quant_bits, scales, [0] * len(scales))
+    return into

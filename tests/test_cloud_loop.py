@@ -465,6 +465,41 @@ def test_service_request_validation(kwargs):
         make_request(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("inner_steps", 2.5),
+        ("inner_steps", True),
+        ("inner_steps", "3"),
+        ("entity_ids", (0.5,)),
+        ("entity_ids", (-1,)),
+        ("entity_ids", (2**40,)),
+        ("entity_ids", (True,)),
+        ("entity_ids", 3),
+        ("seed", "3"),
+        ("seed", 1.5),
+        ("seed", True),
+        ("net_seed", 2.5),
+        ("env_config", {"num_devices": 20}),
+        ("dqn", {"lr": 1.0}),
+        ("compression", None),
+    ],
+)
+def test_service_request_checks_name_the_field(field, value):
+    """Each field is checked at construction and its error names it; these
+    used to construct and then fail in the session (a raw TypeError or
+    AttributeError) or at the first upload's header (an InvalidInputError),
+    or, for ``(True,)``, to run."""
+    with pytest.raises(ConfigError, match=f"^{field}: must be"):
+        make_request(**{field: value})
+
+
+def test_service_request_accepts_the_u32_edges():
+    request = make_request(entity_ids=[0, 2**32 - 1], seed=np.int64(4))
+    assert request.entity_ids == (0, 2**32 - 1)
+    assert len(run_session(Session(request), rounds=1).rows) == 2
+
+
 # ---------------------------------------------------------------------------
 # session mechanics
 # ---------------------------------------------------------------------------
@@ -497,6 +532,21 @@ def test_outer_round_accounting():
     assert session.energy.macs_inference == 5 * macs
     kinds = [e[0] for e in session.energy.events]
     assert kinds.count("message") == 2
+
+
+def test_session_upload_keeps_the_wire_columns():
+    """A session's own upload is parsed, not widened: its columns hold the
+    wire's dtypes, and they are the columns ``decode_sample_batch`` widens."""
+    session = Session(make_request(compression=CompressionPlan(batch_fp16=True)))
+    batch, delta = session.outer_round(0)
+    cols = batch.columns
+    assert [c.dtype for c in cols] == [np.float16, np.uint16, np.float16, np.float16, np.bool_]
+    payload = encode_sample_batch(batch.entity_id, batch.snapshot_version, cols, fp16=True)
+    assert len(payload) == delta["bytes_up"] == batch.byte_size
+    wide = decode_sample_batch(payload).columns
+    assert [c.dtype for c in wide] == [np.float64, np.int64, np.float64, np.float64, np.float64]
+    for narrow, widened in zip(cols, wide):
+        assert narrow.astype(widened.dtype).tobytes() == widened.tobytes()
 
 
 def test_outer_round_unknown_entity():
@@ -652,6 +702,77 @@ def test_fork_continues_as_the_parent(monkeypatch, mode, fork_after, prune_at):
         assert _session_state(parent) == _session_state(unforked)
         assert _session_state(fork) == _session_state(unforked)
     assert len(fork.sparsity_reports) == 1
+
+
+def test_fork_does_not_share_entity_networks():
+    """The entity networks are resident and rewritten in place each round,
+    so a fork takes copies: further rounds of the parent leave the fork's
+    entity networks as they were at the fork."""
+    plan = CompressionPlan(snapshot_bits=8)
+    parent = Session(make_request(entity_ids=(0, 1), compression=plan))
+    for r in range(3):
+        parent.run_round(r)
+    fork = parent.fork()
+    kept = {eid: (e.net.params.tobytes(), e.net.quant) for eid, e in fork.entities.items()}
+    for r in range(3, 6):
+        parent.run_round(r)
+    for eid, e in fork.entities.items():
+        mine = parent.entities[eid]
+        assert not np.shares_memory(e.net.params, mine.net.params)
+        assert not np.shares_memory(e.states, mine.states)
+        assert (e.net.params.tobytes(), e.net.quant) == kept[eid]
+        assert e.net.params.tobytes() != mine.net.params.tobytes()
+
+
+@pytest.mark.parametrize("bits", [None, 8])
+def test_entity_network_is_resident(bits):
+    """Each round decodes the snapshot into the entity's one network: the
+    same object and vector every round, never the online one's, and equal
+    to a fresh decode of the round's snapshot."""
+    session = Session(make_request(compression=CompressionPlan(snapshot_bits=bits)))
+    session.run_round(0)
+    net = session.entities[0].net
+    params = net.params
+    for r in range(1, 4):
+        expected = decode_snapshot(encode_snapshot(0, 0.0, session.online, bits))[2]
+        session.run_round(r)
+        assert session.entities[0].net is net and net.params is params
+        assert net.params.tobytes() == expected.params.tobytes() and net.quant == expected.quant
+        assert not np.shares_memory(params, session.online.params)
+
+
+@pytest.mark.parametrize("bits", [8, 3])
+@pytest.mark.parametrize("mode", ["lockstep", "concurrent"])
+def test_every_mac_count_is_that_of_the_network_it_describes(monkeypatch, mode, bits):
+    """On a pruned session with quantised snapshots, each inference event
+    carries macs_forward of the entity's decoded network, and each train
+    step event macs_forward of the online network it updates, although
+    each count is taken once per network; the counters reconcile.  At 3
+    bits rounding zeroes weights the online network keeps, so the two
+    counts differ."""
+    from greenrl.energy import EnergyLedger
+
+    seen = []
+    for name in ("record_inference", "record_train_step"):
+        real = getattr(EnergyLedger, name)
+
+        def spy(ledger, net, n, macs=None, real=real):
+            seen.append(macs_forward(net))
+            return real(ledger, net, n, macs)
+
+        monkeypatch.setattr(EnergyLedger, name, spy)
+    plan = CompressionPlan(snapshot_bits=bits, prune_quantile=0.5, prune_at_round=2)
+    session = Session(make_request(entity_ids=(0, 1), compression=plan))
+    run_session(session, rounds=8, mode=mode)
+    events = [e for e in session.energy.events if e[0] != "message"]
+    assert len(events) == len(seen) == 32
+    assert [e[1] for e in events] == seen
+    if mode == "lockstep":  # each inference is of a snapshot of the next train step's network
+        pairs = list(zip(events[::2], events[1::2]))
+        assert all((i[0], t[0]) == ("inference", "train_step") and i[1] <= t[1] for i, t in pairs)
+        assert any(i[1] < t[1] for i, t in pairs) == (bits == 3)
+    recomputed = session.energy.recompute_from_events()
+    assert recomputed == {k: v for k, v in session.energy.snapshot().items() if k != "energy_proxy"}
 
 
 def test_compressed_wire_is_smaller():

@@ -46,6 +46,20 @@ def test_train_step_accounting():
     assert ledger.macs_inference == 0
 
 
+def test_a_given_mac_count_is_recorded_as_counted():
+    """A caller that already counted a network's MACs passes the count; the
+    ledger records the same events and totals as when it counts them."""
+    net = glorot_init((4, 3, 2), seed=0)
+    net.weights[0][0, :] = 0.0
+    counted, given = EnergyLedger(), EnergyLedger()
+    counted.record_inference(net, count=3)
+    counted.record_train_step(net, batch_size=5)
+    given.record_inference(net, 3, macs_forward(net))
+    given.record_train_step(net, 5, macs=macs_forward(net))
+    assert given.events == counted.events == [("inference", 15, 3), ("train_step", 15, 5)]
+    assert given.snapshot() == counted.snapshot()
+
+
 def test_message_accounting():
     ledger = EnergyLedger()
     ledger.record_message(100, "down")

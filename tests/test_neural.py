@@ -319,6 +319,42 @@ def test_replay_write_matches_push():
         np.testing.assert_array_equal(col_a, col_b)
 
 
+@pytest.mark.parametrize("how", ["push", "write"])
+def test_float32_ring_samples_as_a_float64_ring_cast(how):
+    """A ring held in float32 rounds each float64 input once, as it is
+    stored; a float64 ring rounds it once, as it is sampled into float32.
+    Both give the same bytes."""
+    data_rng = np.random.default_rng(8)
+    narrow, wide = ReplayBuffer(16, np.float32), ReplayBuffer(16)
+    for k in (5, 7, 9):
+        rows = _random_rows(data_rng, k, 3)
+        for buf in (narrow, wide):
+            if how == "write":
+                buf.write(rows)
+            else:
+                for state, action, reward, next_state, live in zip(*rows):
+                    buf.push(Transition(state, int(action), float(reward), next_state, live == 0))
+    assert narrow._ring.state.dtype == narrow._ring.reward.dtype == np.float32
+    assert wide._ring.state.dtype == np.float64
+    n = 12
+    outs = [
+        ReplayBatch(np.empty((n, 3), np.float32), np.empty(n, np.int64), np.empty(n, np.float32),
+                    np.empty((n, 3), np.float32), np.empty(n, np.float32))
+        for _ in range(2)
+    ]
+    got = [buf.sample(n, np.random.default_rng(4), out=out) for buf, out in zip((narrow, wide), outs)]
+    for a, b in zip(*got):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    plain = narrow.sample(n, np.random.default_rng(4))
+    for a, b in zip(plain, got[1]):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_replay_dtype_is_a_float_dtype():
+    with pytest.raises(ConfigError):
+        ReplayBuffer(4, np.int64)
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -678,25 +714,99 @@ def _wire_byte(buf, offset, value):
     return buf[:offset] + bytes([value]) + buf[offset + 1 :]
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        pytest.param(b"", id="no-bytes"),
-        pytest.param(_WIRE_Q8[:9], id="truncated-header"),
-        pytest.param(_WIRE_Q8[:14], id="truncated-dims"),
-        pytest.param(_WIRE_Q8[:-1], id="one-byte-short"),
-        pytest.param(_wire_byte(_WIRE_Q8, 7, 1), id="quant-bits-1"),
-        pytest.param(_wire_byte(_WIRE_Q8, 7, 17), id="quant-bits-17"),
-        pytest.param(_wire_byte(_WIRE_Q8, 9, 1), id="one-dim"),
-        pytest.param(_WIRE_Q8[:10] + bytes(4) + _WIRE_Q8[14:], id="zero-dim"),
-        pytest.param(_WIRE_Q8[:10] + b"\xff" * 4 + _WIRE_Q8[14:], id="huge-dim"),
-        pytest.param(_WIRE_Q8[:22] + b"\x00\x00\x80\xbf" + _WIRE_Q8[26:], id="negative-scale"),
-        pytest.param(_WIRE_Q8[:22] + b"\x00\x00\x80\x7f" + _WIRE_Q8[26:], id="infinite-scale"),
-    ],
-)
+# The second layer's scale of _WIRE_Q8 sits after the 22-byte header and
+# the first layer's scale, 12 codes and 3 float32 biases.
+_SECOND_SCALE = 22 + 4 + 12 + 3 * 4
+_MALFORMED_WIRE = [
+    pytest.param(b"", id="no-bytes"),
+    pytest.param(_WIRE_Q8[:9], id="truncated-header"),
+    pytest.param(_WIRE_Q8[:14], id="truncated-dims"),
+    pytest.param(_WIRE_Q8[:-1], id="one-byte-short"),
+    pytest.param(_wire_byte(_WIRE_Q8, 7, 1), id="quant-bits-1"),
+    pytest.param(_wire_byte(_WIRE_Q8, 7, 17), id="quant-bits-17"),
+    pytest.param(_wire_byte(_WIRE_Q8, 9, 1), id="one-dim"),
+    pytest.param(_WIRE_Q8[:10] + bytes(4) + _WIRE_Q8[14:], id="zero-dim"),
+    pytest.param(_WIRE_Q8[:10] + b"\xff" * 4 + _WIRE_Q8[14:], id="huge-dim"),
+    pytest.param(_WIRE_Q8[:22] + b"\x00\x00\x80\xbf" + _WIRE_Q8[26:], id="negative-scale"),
+    pytest.param(_WIRE_Q8[:22] + b"\x00\x00\x80\x7f" + _WIRE_Q8[26:], id="infinite-scale"),
+    pytest.param(
+        _WIRE_Q8[:_SECOND_SCALE] + b"\x00\x00\xc0\x7f" + _WIRE_Q8[_SECOND_SCALE + 4 :], id="second-scale-nan"
+    ),
+]
+
+
+@pytest.mark.parametrize("payload", _MALFORMED_WIRE)
 def test_wire_decode_rejects_malformed_payload(payload):
     with pytest.raises(InvalidInputError):
         net_from_bytes(payload)
+
+
+# ---------------------------------------------------------------------------
+# decoding into a resident network
+# ---------------------------------------------------------------------------
+
+
+def _resident(dims, dtype, bits=None, seed=11):
+    """A decoded network, as an entity holds one, from a payload of another net."""
+    return net_from_bytes(net_to_bytes(glorot_init(dims, seed, dtype=dtype), bits))
+
+
+@pytest.mark.parametrize("resident_bits", [None, 8])
+@pytest.mark.parametrize("bits", [None, 8, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_resident_decode_matches_a_fresh_decode(dtype, bits, resident_bits):
+    """Decoding into a resident network of the payload's layout writes its
+    vector in place, keeps its views, and gives the bytes and QuantMeta of
+    a fresh decode and of the reference decoder; a dense payload clears a
+    quantised resident's tag."""
+    dims = (5, 4, 3, 2)
+    net = glorot_init(dims, 3, dtype=dtype)
+    net.biases = [np.linspace(-0.5, 0.5, b.size).astype(dtype) for b in net.biases]
+    payload = net_to_bytes(net, bits)
+    resident = _resident(dims, dtype, resident_bits)
+    params, weights = resident.params, resident.weights
+    back = net_from_bytes(payload, into=resident)
+    fresh, ref = net_from_bytes(payload), reference_net_from_bytes(payload)
+    assert back is resident and back.params is params and back.weights is weights
+    assert back.params.tobytes() == fresh.params.tobytes() == ref.params.tobytes()
+    assert (back.layer_dims, back.dtype, back.quant, back.mask) == (ref.layer_dims, ref.dtype, ref.quant, None)
+    assert back.quant == fresh.quant
+    _assert_views_agree(back)
+
+
+@pytest.mark.parametrize(
+    "into",
+    [
+        pytest.param(lambda: _resident((5, 4, 2), np.float32), id="other-dims"),
+        pytest.param(lambda: _resident((5, 4, 3, 2), np.float64), id="other-dtype"),
+        pytest.param(
+            lambda: prune_by_magnitude(_resident((5, 4, 3, 2), np.float32), 0.1)[0], id="masked"
+        ),
+    ],
+)
+def test_resident_decode_builds_a_fresh_net_for_another_layout(into):
+    """A resident network whose dims, dtype or mask layout differ from the
+    payload's is left alone, and a fresh network is returned."""
+    into = into()
+    before = into.params.tobytes()
+    payload = net_to_bytes(glorot_init((5, 4, 3, 2), 3, dtype=np.float32), 8)
+    back = net_from_bytes(payload, into=into)
+    assert back is not into and not np.shares_memory(back.params, into.params)
+    assert back.params.tobytes() == net_from_bytes(payload).params.tobytes()
+    assert back.quant == net_from_bytes(payload).quant and back.mask is None
+    assert into.params.tobytes() == before
+
+
+@pytest.mark.parametrize("payload", _MALFORMED_WIRE)
+def test_resident_decode_of_a_malformed_payload_changes_nothing(payload):
+    """Every check runs before the first byte is written: a bad payload,
+    such as a quantised one whose second layer's scale is NaN, leaves the
+    resident network's vector and tag as they were."""
+    resident = _resident((4, 3, 2), np.float32, 8)
+    before, quant = resident.params.tobytes(), resident.quant
+    with pytest.raises(InvalidInputError):
+        net_from_bytes(payload, into=resident)
+    assert resident.params.tobytes() == before and resident.quant is quant
 
 
 # ---------------------------------------------------------------------------
