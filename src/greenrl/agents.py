@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cloud_loop import build_state, derive_seeds, epsilon_linear
+from .cloud_loop import RoundLog, build_state, derive_seeds, epsilon_linear
 from .compression import DiscretizationScheme, bin_indices
 from .errors import ConfigError
 from .neural import DenseNet, forward
@@ -206,10 +206,10 @@ def run_local_agent(
     total_slots: int,
     bucket: int,
     seed: int,
-) -> tuple[list[dict], object]:
-    """Run one local agent; rows aggregate every ``bucket`` slots so the
-    output lines up with cloud-session round rows.  Returns (rows, agent)
-    so the trained agent can be evaluated after the run.
+) -> tuple[RoundLog, object]:
+    """Run one local agent; each record of its width-1 round log aggregates
+    ``bucket`` slots, so the log lines up with a one-entity cloud session's.
+    Returns (log, agent) so the trained agent can be evaluated after the run.
 
     Seeds derive exactly as a one-entity cloud session would derive them,
     so runs with the same seed see identical arrival and contention noise
@@ -223,7 +223,7 @@ def run_local_agent(
     agent = make_agent(kind, env_cfg, params, rng)
     menu = env_cfg.action_menu
     feat = agent.features(env.reset())
-    rows: list[dict] = []
+    log = RoundLog(1)
     for start in range(0, total_slots, bucket):
         n = min(bucket, total_slots - start)
         total = 0.0
@@ -234,21 +234,10 @@ def run_local_agent(
             agent.learn(feat, action, reward, next_feat)
             feat = next_feat
             total += reward
-        rows.append(
-            {
-                "round": len(rows),
-                "entity": 0,
-                # rewards are whole counts of served devices, so the running
-                # sum is exact in any order and total / n is np.mean's value
-                "reward_mean": total / n,
-                "loss": float("nan"),
-                "epsilon": agent.epsilon(),
-                "staleness": 0,
-                "bytes_down_total": 0,
-                "bytes_up_total": 0,
-            }
-        )
-    return rows, agent
+        # rewards are whole counts of served devices, so the running sum is
+        # exact in any order and total / n is np.mean's value
+        log.append(len(log), 0, total / n, float("nan"), agent.epsilon(), 0, 0, 0)
+    return log, agent
 
 
 def evaluate_greedy_agent(agent, env_cfg: RachConfig, slots: int, seed: int) -> float:

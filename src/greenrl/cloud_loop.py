@@ -51,13 +51,16 @@ Both message directions are real byte payloads, so the message ledger and
 the energy ledger account exactly what would cross the wire.
 
 One deterministic round driver, ``Session.run_round``, serves every entity
-once per round.  A snapshot's version is the coordinator's train-step count
-at publish time, and an upload's staleness is the number of train steps
-taken between its snapshot and the update that uses it.  In lockstep mode
-the coordinator trains on each upload as it arrives, so staleness is always
-0.  In concurrent mode every entity acts on a snapshot of the same train
-step and the coordinator then trains on the uploads in entity order, so the
-i-th upload is exactly i train steps stale (the stale-synchronous-parallel
+once per round and appends one record per entity to the session's
+``RoundLog``: a list per column of ``ROUND_COLUMNS``, in play order, which
+the round CSV, the learning curves and ``SessionMetrics`` all read.  A
+snapshot's version is the coordinator's train-step count at publish time,
+and an upload's staleness is the number of train steps taken between its
+snapshot and the update that uses it.  In lockstep mode the coordinator
+trains on each upload as it arrives, so staleness is always 0.  In
+concurrent mode every entity acts on a snapshot of the same train step and
+the coordinator then trains on the uploads in entity order, so the i-th
+upload is exactly i train steps stale (the stale-synchronous-parallel
 schedule of Ho et al., NeurIPS 2013, with its bound set by the entity
 count).
 """
@@ -97,6 +100,8 @@ __all__ = [
     "MessageLedger",
     "Session",
     "SessionMetrics",
+    "RoundLog",
+    "ROUND_COLUMNS",
     "instantiate",
     "run_session",
     "derive_seeds",
@@ -247,6 +252,51 @@ class MessageLedger:
             "bytes_up": self.bytes_up,
             "staleness_histogram": {str(k): v for k, v in sorted(self.staleness_histogram.items())},
         }
+
+
+ROUND_COLUMNS = (
+    "round",
+    "entity",
+    "reward_mean",
+    "loss",
+    "epsilon",
+    "staleness",
+    "bytes_down_total",
+    "bytes_up_total",
+)
+
+
+class RoundLog:
+    """One record per (round, entity), in play order, held as one list per
+    column of ``ROUND_COLUMNS``.
+
+    Every round holds ``width`` records, so ``len`` counts records, a column
+    is read by name (``log["reward_mean"]``) and iterating yields each record
+    as a tuple in column order.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.columns = tuple([] for _ in ROUND_COLUMNS)
+
+    def append(self, *record) -> None:
+        for column, value in zip(self.columns, record, strict=True):
+            column.append(value)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, name: str) -> list:
+        return self.columns[ROUND_COLUMNS.index(name)]
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+    def curve(self) -> np.ndarray:
+        """Mean reward per round over its entities: one ``mean(axis=1)`` over
+        the (rounds, width) matrix, which reduces each row as ``np.mean``
+        reduces that round's list."""
+        return np.asarray(self["reward_mean"], dtype=float).reshape(-1, self.width).mean(axis=1)
 
 
 def epsilon_linear(step: int, start: float, end: float, decay_steps: int) -> float:
@@ -463,6 +513,7 @@ class Session:
             self.entities[eid] = _Entity(env, np.random.default_rng(es["action"]), env.reset(), states, rows)
         self.message_ledger = MessageLedger()
         self.energy = EnergyLedger()
+        self.log = RoundLog(len(request.entity_ids))
         self.sparsity_reports: list = []
 
     # -- coordinator side ---------------------------------------------------
@@ -527,8 +578,8 @@ class Session:
         self.target = sync_target(self.online)
         self.sparsity_reports.append(report)
 
-    def run_round(self, round_idx: int, mode: str = "lockstep") -> list[dict]:
-        """Serve every entity once, in entity order; return the round's rows.
+    def run_round(self, round_idx: int, mode: str = "lockstep") -> None:
+        """Serve every entity once, in entity order, logging one record each.
 
         ``lockstep`` trains on each upload before the next entity acts.
         ``concurrent`` lets every entity act on the same train step's
@@ -542,26 +593,17 @@ class Session:
             uploads = [self.outer_round(eid) for eid in self.entities]
         else:
             raise ConfigError(f"unknown session mode {mode!r}")
-        rows = []
-        for batch, delta in uploads:
+        ledger = self.message_ledger
+        for batch, (reward_mean, epsilon) in uploads:
             staleness = self.train_steps - batch.snapshot_version
             loss = self.train_on_batch(batch)
-            rows.append(
-                {
-                    "round": round_idx,
-                    "entity": batch.entity_id,
-                    "reward_mean": delta["reward_mean"],
-                    "loss": loss,
-                    "epsilon": delta["epsilon"],
-                    "staleness": staleness,
-                    "bytes_down_total": self.message_ledger.bytes_down,
-                    "bytes_up_total": self.message_ledger.bytes_up,
-                }
+            self.log.append(
+                round_idx, batch.entity_id, reward_mean, loss, epsilon, staleness,
+                ledger.bytes_down, ledger.bytes_up,
             )
         plan = self.request.compression
         if plan.prune_quantile is not None and round_idx == plan.prune_at_round:
             self.apply_pruning()
-        return rows
 
     def fork(self) -> Session:
         """A new session that continues exactly as this one would.
@@ -570,10 +612,10 @@ class Session:
         takes up this session's position: copies of the networks and the
         replay ring, every generator's state, the entities' environments,
         observations and loaded networks, and the train-step count.  Its
-        ledger objects are its own, filled with copies of this session's
-        entries, so both sessions' totals count the rounds played before the
-        fork.  Both sessions' environments read one traffic callable, the
-        request's.
+        ledger objects and round log are its own, filled with copies of this
+        session's entries, so both sessions' totals and logs count the rounds
+        played before the fork.  Both sessions' environments read one traffic
+        callable, the request's.
         """
         twin = instantiate(self.request)
         twin.online, twin.target = sync_target(self.online), sync_target(self.target)
@@ -586,15 +628,21 @@ class Session:
             mine.action_rng.bit_generator.state = entity.action_rng.bit_generator.state
             mine.obs = entity.obs.copy()
             mine.net = None if entity.net is None else sync_target(entity.net)
-        for mine, theirs in ((twin.message_ledger, self.message_ledger), (twin.energy, self.energy)):
+        for mine, theirs in (
+            (twin.message_ledger, self.message_ledger), (twin.energy, self.energy), (twin.log, self.log)
+        ):
             vars(mine).update(copy.deepcopy(vars(theirs)))
         twin.sparsity_reports = list(self.sparsity_reports)
         return twin
 
     # -- entity side ----------------------------------------------------------
 
-    def outer_round(self, entity_id: int) -> tuple[SampleBatch, dict]:
-        """Publish to one entity, run K inference-only steps, upload the batch."""
+    def outer_round(self, entity_id: int) -> tuple[SampleBatch, tuple[float, float]]:
+        """Publish to one entity, run K inference-only steps, upload the batch.
+
+        Returns the parsed upload and (the round's mean reward, the epsilon
+        the entity acted at).
+        """
         if entity_id not in self.entities:
             raise InvalidInputError(f"unknown entity {entity_id}")
         entity = self.entities[entity_id]
@@ -629,13 +677,7 @@ class Session:
         self.message_ledger.bytes_up += len(payload)
         self.energy.record_message(len(payload), "up")
         self.message_ledger.rounds += 1
-        delta = {
-            "bytes_down": snap.byte_size,
-            "bytes_up": len(payload),
-            "reward_mean": float(rewards.sum()) / k,  # the division np.mean makes
-            "epsilon": epsilon,
-        }
-        return batch, delta
+        return batch, (float(rewards.sum()) / k, epsilon)  # the division np.mean makes
 
 
 def instantiate(request: ServiceRequest) -> Session:
@@ -644,16 +686,20 @@ def instantiate(request: ServiceRequest) -> Session:
 
 @dataclass
 class SessionMetrics:
-    """Per-round rows plus final ledgers of one run_session call."""
+    """The session's round log plus its final ledgers, after run_session.
 
-    rows: list[dict]
+    ``reward_curve`` and ``terminal_reward`` read one reward per record, not
+    the per-round ``rows.curve()``.
+    """
+
+    rows: RoundLog
     message_ledger: MessageLedger
     energy: EnergyLedger
     final_net: DenseNet
     sparsity_reports: list
 
     def reward_curve(self) -> np.ndarray:
-        return np.asarray([r["reward_mean"] for r in self.rows], dtype=float)
+        return np.asarray(self.rows["reward_mean"], dtype=float)
 
     def terminal_reward(self, tail_fraction: float = 0.2) -> float:
         return tail_mean(self.reward_curve(), tail_fraction)
@@ -673,9 +719,10 @@ def run_session(session: Session, rounds: int, mode: str = "lockstep") -> Sessio
     """
     if rounds < 1:
         raise InvalidInputError("rounds must be >= 1")
-    rows = [row for r in range(rounds) for row in session.run_round(r, mode)]
+    for r in range(rounds):
+        session.run_round(r, mode)
     return SessionMetrics(
-        rows=rows,
+        rows=session.log,
         message_ledger=session.message_ledger,
         energy=session.energy,
         final_net=session.online,

@@ -9,7 +9,9 @@ accepted only where a field is optional.  A section check whose message
 starts ``<field>: `` is reported under ``<section>.<field>``.  Where a
 runtime type (``RachConfig``, ``DqnConfig``, ``CompressionPlan``) already
 holds a rule, the section is or builds that type rather than repeating the
-rule, so every error surfaces before a run writes anything.
+rule, so every error surfaces before a run writes anything.  The transfer
+scenario's own rules are ``ExperimentConfig`` rules, so ``config_from_dict``,
+``load_config`` and direct construction all apply them.
 A canonical hash of the config travels with every output file so results
 stay attributable.
 """
@@ -212,7 +214,7 @@ class ExperimentConfig:
     spatial: SpatialSection = field(default_factory=SpatialSection)
 
     def __post_init__(self):
-        seeds, name = self.seeds, self.name
+        seeds, name, transfer = self.seeds, self.name, self.scenario == "transfer"
         seeds_ok = (
             isinstance(seeds, (tuple, list))
             and seeds
@@ -231,28 +233,17 @@ class ExperimentConfig:
                 ("threshold_window", self.threshold_window >= 1, "an integer >= 1"),
                 ("tail_fraction", 0 < self.tail_fraction <= 1, "a number in (0, 1]"),
                 ("agent", self.agent == "dqn" or self.scenario == "rach", f"dqn for the {self.scenario} scenario"),
+                ("reward_threshold", not transfer or self.reward_threshold is not None,
+                 "a number for the transfer scenario"),
+                # the first transfer estimates a correlation, which needs 2 slots
+                ("spatial.transfer_every",
+                 not transfer or self.spatial.transfer_every * self.cloud.inner_steps >= 2
+                 or self.spatial.transfer_every >= self.rounds(),
+                 f">= 2 when cloud.inner_steps is {self.cloud.inner_steps}, as a correlation needs 2 slots"),
+                ("cloud.n_entities", not transfer or self.cloud.n_entities == 1, "1 for the transfer scenario"),
             ],
         )
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
-
-    def check_scenario(self) -> None:
-        """The transfer scenario's own rules.  A config that breaks them still
-        builds, and ``run_experiment`` records the failure in ``error.json``;
-        ``load_config`` applies them, so a command exits 2 before writing."""
-        if self.scenario != "transfer":
-            return
-        every, steps = self.spatial.transfer_every, self.cloud.inner_steps
-        if self.reward_threshold is None:
-            raise ConfigError("config.reward_threshold: must be a number for the transfer scenario, got None")
-        if every * steps < 2 and every < self.rounds():
-            raise ConfigError(
-                f"config.spatial.transfer_every: must be >= 2 when cloud.inner_steps is {steps}, "
-                f"as a correlation needs 2 slots, got {every}"
-            )
-        if self.cloud.n_entities != 1:
-            raise ConfigError(
-                f"config.cloud.n_entities: must be 1 for the transfer scenario, got {self.cloud.n_entities}"
-            )
 
     # -- derived objects ----------------------------------------------------
 
@@ -337,7 +328,7 @@ def _build(cls, data, path: str):
         return cls(**kwargs)
     except ConfigError as exc:
         name, sep, _ = str(exc).partition(": ")
-        if sep and name in known:
+        if sep and name.split(".")[0] in known:
             raise ConfigError(f"{path}.{exc}") from None
         raise ConfigError(f"{path}: {exc}") from None
     except TypeError as exc:
@@ -356,9 +347,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    cfg = config_from_dict(data)
-    cfg.check_scenario()
-    return cfg
+    return config_from_dict(data)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

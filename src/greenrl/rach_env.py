@@ -74,6 +74,8 @@ def _check_fields(obj, rules) -> None:
     a rule need not test its field's type.
 
     ``X | None`` also accepts None.  Errors read ``"<field>: must be ..."``.
+    A rule's field may be dotted (``"spatial.mu"``), naming a field of a
+    section of ``obj``.
     """
     for f in fields(obj):
         name, optional, _ = f.type.partition(" | None")
@@ -84,7 +86,10 @@ def _check_fields(obj, rules) -> None:
                 raise ConfigError(f"{f.name}: must be {kind}{' or null' if optional else ''}, got {value!r}")
     for name, ok, rule in rules():
         if not ok:
-            raise ConfigError(f"{name}: must be {rule}, got {getattr(obj, name)!r}")
+            value = obj
+            for part in name.split("."):
+                value = getattr(value, part)
+            raise ConfigError(f"{name}: must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)

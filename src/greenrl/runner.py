@@ -1,10 +1,12 @@
 """Experiment runner: validated configs in, CSV/JSON artifacts out.
 
 Each scenario is one pure seed function, ``run_seed(cfg, seed) -> (rows,
-entry)``, that opens no file and touches no shared state:
+entry)``, that opens no file and touches no shared state; ``rows`` are the
+records of the scenario's CSV, each a tuple in column order:
 
 * ``rach`` (``run_rach_seed``): one agent (cloud DQN or a local baseline) on
-  the slotted random-access environment; the rows are its round rows.
+  the slotted random-access environment; the rows are its ``RoundLog``, one
+  record per round and entity, in ``ROUND_COLUMNS`` order.
 * ``compression`` (``run_compression_seed``): trains a dense DQN, evaluates
   it pruned to each configured sparsity level, and re-runs the same session
   with pruning plus snapshot quantisation to compare energy/byte ledgers.
@@ -13,6 +15,7 @@ entry)``, that opens no file and touches no shared state:
   correlation-gated parameter transfer, comparing rounds-to-threshold.  The
   two arms read one field source and play their rounds before the first
   transfer once; the baseline arm continues from forks of those sessions.
+  An arm's learning curve is the mean of its two sessions' ``curve()``.
 
 ``run_experiment`` owns the one loop over a config's seeds and every write
 and aggregate.  Outputs are deterministic for a given config and seed: no
@@ -35,8 +38,10 @@ import numpy as np
 
 from .agents import evaluate_greedy_agent, evaluate_greedy_net, run_local_agent
 from .cloud_loop import (
+    ROUND_COLUMNS,
     CompressionPlan,
     MessageLedger,
+    RoundLog,
     instantiate,
     run_session,
     tail_mean,
@@ -62,22 +67,10 @@ __all__ = [
     "run_experiment",
     "compare_agents",
     "sweep",
-    "per_round_curve",
     "rounds_to_threshold",
     "run_transfer_arms",
     "ROUND_COLUMNS",
 ]
-
-ROUND_COLUMNS = (
-    "round",
-    "entity",
-    "reward_mean",
-    "loss",
-    "epsilon",
-    "staleness",
-    "bytes_down_total",
-    "bytes_up_total",
-)
 
 _SPARSITY_COLUMNS = (
     "seed", "sparsity_target", "threshold", "sparsity", "nonzero_weights", "mac_count_pruned", "reward",
@@ -110,38 +103,19 @@ def write_json(path: str, obj) -> None:
     _atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def write_csv(path: str, rows, columns) -> None:
+def write_csv(path: str, records, columns) -> None:
+    """Write a header of ``columns`` and then each record, a sequence of
+    values in column order."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
-    writer.writerows([row[c] for c in columns] for row in rows)
+    writer.writerows(records)
     _atomic_write_text(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
-
-
-def per_round_curve(rows) -> np.ndarray:
-    """Mean reward per round, averaged over entities.
-
-    Rounds with the same number of entities are averaged together by one
-    ``mean(axis=1)`` over their (rounds, entities) matrix, which reduces each
-    row as ``np.mean`` reduces that round's list, so a curve takes one numpy
-    call per distinct round size rather than one per round.
-    """
-    by_round: dict[int, list[float]] = {}
-    for row in rows:
-        by_round.setdefault(row["round"], []).append(row["reward_mean"])
-    rounds = [by_round[r] for r in sorted(by_round)]
-    by_size: dict[int, list[int]] = {}
-    for i, values in enumerate(rounds):
-        by_size.setdefault(len(values), []).append(i)
-    curve = np.empty(len(rounds))
-    for idx in by_size.values():
-        curve[idx] = np.array([rounds[i] for i in idx], dtype=float).mean(axis=1)
-    return curve
 
 
 def rounds_to_threshold(curve: np.ndarray, threshold: float, window: int) -> int:
@@ -159,10 +133,10 @@ def rounds_to_threshold(curve: np.ndarray, threshold: float, window: int) -> int
     return int(hits[0]) + window if hits.size else len(curve)
 
 
-def _learning_curve(cfg: ExperimentConfig, rows) -> dict:
-    """The per-round curve of ``rows``, its terminal reward, and its rounds
-    to threshold (None when the config sets no threshold)."""
-    curve, threshold = per_round_curve(rows), cfg.reward_threshold
+def _learning_curve(cfg: ExperimentConfig, curve: np.ndarray) -> dict:
+    """A per-round curve, its terminal reward, and its rounds to threshold
+    (None when the config sets no threshold)."""
+    threshold = cfg.reward_threshold
     rtt = None if threshold is None else rounds_to_threshold(curve, threshold, cfg.threshold_window)
     terminal = tail_mean(curve, cfg.tail_fraction)
     return {"curve": curve, "terminal_reward": terminal, "rounds_to_threshold": rtt}
@@ -173,12 +147,13 @@ def _learning_curve(cfg: ExperimentConfig, rows) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
-    """One seed of the single-agent scenario; returns (rows, summary).
+def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[RoundLog, dict]:
+    """One seed of the single-agent scenario; returns (round log, summary).
 
-    Training rows feed the learning curve; ``eval_reward`` measures the
-    frozen greedy policy on a held-out env (seed offset by EVAL_SEED_OFFSET)
-    so agents are compared at convergence without exploration noise.
+    The training log's curve is the learning curve; ``eval_reward``
+    measures the frozen greedy policy on a held-out env (seed offset by
+    EVAL_SEED_OFFSET) so agents are compared at convergence without
+    exploration noise.
     """
     env_cfg = cfg.rach.to_env_config()
     if cfg.agent == "dqn":
@@ -204,7 +179,7 @@ def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
         )
         message, energy, reports = MessageLedger(), EnergyLedger(), []
         eval_reward = evaluate_greedy_agent(agent, env_cfg, cfg.eval_slots, seed + EVAL_SEED_OFFSET)
-    figures = _learning_curve(cfg, rows)
+    figures = _learning_curve(cfg, rows.curve())
     curve = figures.pop("curve")
     summary = {
         "seed": seed,
@@ -233,7 +208,7 @@ def _compressed_plan(cfg: ExperimentConfig) -> CompressionPlan:
     )
 
 
-def run_compression_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
+def run_compression_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[tuple], dict]:
     """One seed of the compression scenario; returns (sparsity-curve rows, ledger entry).
 
     A dense session is trained, and its final network is pruned to each
@@ -251,7 +226,7 @@ def run_compression_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], 
             pruned, env_cfg, cfg.eval_slots, float(env_cfg.max_opportunities), EVAL_SEED_OFFSET + seed
         )
         counts = (report.sparsity, report.nonzero_weights, report.mac_count_pruned)
-        rows.append(dict(zip(_SPARSITY_COLUMNS, (seed, frac, thr, *counts, reward))))
+        rows.append((seed, frac, thr, *counts, reward))
     comp_request = cfg.service_request(seed, compression=_compressed_plan(cfg))
     comp = run_session(instantiate(comp_request), cfg.rounds(), cfg.cloud.mode)
     ledger_cmp = energy_compare(dense.energy, comp.energy)
@@ -271,11 +246,11 @@ def _seed_int(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, np.uint64)[0] % (2**63))
 
 
-def _play(sessions, rounds: range, rows: list, after_round=None) -> None:
-    """Run ``rounds`` on every session in turn, appending their rows."""
+def _play(sessions, rounds: range, after_round=None) -> None:
+    """Run ``rounds`` on every session in turn."""
     for r in rounds:
         for session in sessions:
-            rows += session.run_round(r)
+            session.run_round(r)
         if after_round is not None:
             after_round(r)
 
@@ -308,10 +283,8 @@ def run_transfer_arms(cfg: ExperimentConfig, seed: int) -> tuple[dict, dict]:
         sessions.append(instantiate(request))
     rounds = cfg.rounds()
     shared = min(sp.transfer_every, rounds)
-    rows: list[dict] = []
-    _play(sessions, range(shared), rows)
+    _play(sessions, range(shared))
     baseline = [session.fork() for session in sessions]
-    baseline_rows = list(rows)
     correlations = []
 
     def transfer(r: int) -> None:
@@ -325,18 +298,18 @@ def run_transfer_arms(cfg: ExperimentConfig, seed: int) -> tuple[dict, dict]:
                 session.target = sync_target(net)
 
     transfer(shared - 1)
-    _play(sessions, range(shared, rounds), rows, transfer)
-    transfer_arm = _arm_result(cfg, seed, True, rows, sessions, correlations)
+    _play(sessions, range(shared, rounds), transfer)
+    transfer_arm = _arm_result(cfg, seed, True, sessions, correlations)
     sessions.clear()  # frees the transfer arm's replay rings before the forks allocate theirs
-    _play(baseline, range(shared, rounds), baseline_rows)
-    return transfer_arm, _arm_result(cfg, seed, False, baseline_rows, baseline, [])
+    _play(baseline, range(shared, rounds))
+    return transfer_arm, _arm_result(cfg, seed, False, baseline, [])
 
 
-def _arm_result(cfg: ExperimentConfig, seed: int, enabled: bool, rows, sessions, correlations) -> dict:
+def _arm_result(cfg: ExperimentConfig, seed: int, enabled: bool, sessions, correlations) -> dict:
     return {
         "seed": seed,
         "enabled": enabled,
-        **_learning_curve(cfg, rows),
+        **_learning_curve(cfg, np.mean([s.log.curve() for s in sessions], axis=0)),
         "correlations": correlations,
         "bytes_down": sum(s.message_ledger.bytes_down for s in sessions),
         "bytes_up": sum(s.message_ledger.bytes_up for s in sessions),
@@ -346,12 +319,12 @@ def _arm_result(cfg: ExperimentConfig, seed: int, enabled: bool, rows, sessions,
 _TRANSFER_ARMS = ("transfer", "baseline")
 
 
-def run_transfer_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
+def run_transfer_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[tuple], dict]:
     """One seed of the transfer scenario; returns (curve rows of both arms,
     {arm: its result without the curve})."""
     arms = dict(zip(_TRANSFER_ARMS, run_transfer_arms(cfg, seed)))
     rows = [
-        dict(zip(_CURVE_COLUMNS, (seed, arm, r, reward)))
+        (seed, arm, r, reward)
         for arm, result in arms.items()
         for r, reward in enumerate(result["curve"])
     ]
@@ -460,7 +433,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     _remove_run_artifacts(run_dir)
     write_json(os.path.join(run_dir, "config.json"), {"hash": chash, "config": cfg.to_dict()})
     try:
-        cfg.check_scenario()
         run_seed, aggregate, rows_file, columns = _SCENARIOS[cfg.scenario]
         all_rows, per_seed = [], []
         for seed in cfg.seeds:
@@ -501,6 +473,10 @@ def compare_agents(cfgs: list[ExperimentConfig]) -> dict:
     """
     if len(cfgs) < 2:
         raise ConfigError("compare needs at least two configs")
+    names = [cfg.name for cfg in cfgs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"duplicate config name {name!r} in compare")
     base = cfgs[0]
     for other in cfgs:
         if other.scenario != "rach":
@@ -517,12 +493,7 @@ def compare_agents(cfgs: list[ExperimentConfig]) -> dict:
             raise ConfigError(
                 "compare configs must share rach section, seeds, slot budgets, inner_steps"
             )
-    results = {}
-    for cfg in cfgs:
-        if cfg.name in results:
-            raise ConfigError(f"duplicate config name {cfg.name!r} in compare")
-        results[cfg.name] = run_experiment(cfg)
-    names = list(results)
+    results = {cfg.name: run_experiment(cfg) for cfg in cfgs}
     report_rows = []
     report = {"agents": {}, "pairwise": {}}
     for name in names:
@@ -542,16 +513,7 @@ def compare_agents(cfgs: list[ExperimentConfig]) -> dict:
             entry["rounds_to_threshold_mean"] = float(np.mean(rtts))
             entry["rounds_to_threshold_median"] = float(np.median(rtts))
         report["agents"][name] = entry
-        report_rows.append(
-            {
-                "name": name,
-                "agent": res["agent"],
-                "eval_reward_mean": entry["mean"],
-                "terminal_reward_mean": entry["terminal_mean"],
-                "ci95_low": entry["ci95"][0],
-                "ci95_high": entry["ci95"][1],
-            }
-        )
+        report_rows.append((name, res["agent"], entry["mean"], entry["terminal_mean"], *entry["ci95"]))
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             ta = np.asarray(report["agents"][a]["eval_rewards"])
@@ -567,7 +529,7 @@ def compare_agents(cfgs: list[ExperimentConfig]) -> dict:
     write_json(os.path.join(out_dir, "compare_report.json"), report)
     write_csv(
         os.path.join(out_dir, "compare_table.csv"),
-        sorted(report_rows, key=lambda r: -r["eval_reward_mean"]),
+        sorted(report_rows, key=lambda r: -r[2]),
         ("name", "agent", "eval_reward_mean", "terminal_reward_mean", "ci95_low", "ci95_high"),
     )
     report["out_dir"] = out_dir
@@ -610,7 +572,7 @@ def sweep(cfg: ExperimentConfig, param_path: str, values: list) -> dict:
             }
         )
     out_dir = os.path.join(cfg.run_dir(), "sweep", _sanitize(param_path))
-    write_csv(os.path.join(out_dir, "sweep.csv"), rows, tuple(rows[0]))  # columns in the rows' key order
+    write_csv(os.path.join(out_dir, "sweep.csv"), [r.values() for r in rows], tuple(rows[0]))  # in key order
     report = {"param": param_path, "values": values, "rows": rows, "out_dir": out_dir}
     write_json(os.path.join(out_dir, "sweep.json"), {"param": param_path, "rows": rows})
     return report

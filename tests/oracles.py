@@ -55,7 +55,7 @@ from greenrl.rl_core import (
     epsilon_greedy,
     state_key,
 )
-from greenrl.runner import per_round_curve, rounds_to_threshold
+from greenrl.runner import rounds_to_threshold
 from greenrl.spatial import (
     CorrelationMatrix,
     FieldNoise,
@@ -833,9 +833,11 @@ def reference_transfer_weights(
 
 
 # The one-arm transfer driver that ``greenrl.runner.run_transfer_arms``
-# replaced, kept verbatim apart from its name and ``_reference_seed_int``.
-# Each call builds its own field source and sessions and runs every round,
-# so an arm shares nothing with the other arm of its seed.
+# replaced, kept verbatim apart from its name, ``_reference_seed_int`` and
+# its curve, which is gathered from the sessions' round logs into
+# ``reference_per_round_curve``, one ``np.mean`` per round.  Each call
+# builds its own field source and sessions and runs every round, so an arm
+# shares nothing with the other arm of its seed.
 def _reference_seed_int(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, np.uint64)[0] % (2**63))
 
@@ -870,11 +872,10 @@ def reference_run_transfer_arm(cfg, seed: int, enabled: bool) -> dict:
         )
         sessions.append(instantiate(request))
     rounds = cfg.rounds()
-    rows = []
     correlations = []
     for r in range(rounds):
         for session in sessions:
-            rows += session.run_round(r)
+            session.run_round(r)
         if enabled and (r + 1) % sp.transfer_every == 0 and (r + 1) < rounds:
             cm = estimate_correlation(source.region_history(sp.bs_cells))
             correlations.append(float(cm.values[0, 1]))
@@ -882,7 +883,12 @@ def reference_run_transfer_arm(cfg, seed: int, enabled: bool) -> dict:
             for session, net in zip(sessions, mixed):
                 session.online = net
                 session.target = sync_target(net)
-    curve = per_round_curve(rows)
+    rows = [
+        {"round": r, "reward_mean": reward}
+        for session in sessions
+        for r, reward in zip(session.log["round"], session.log["reward_mean"])
+    ]
+    curve = reference_per_round_curve(rows)
     return {
         "seed": seed,
         "enabled": enabled,

@@ -15,6 +15,7 @@ from greenrl.agents import (
     make_agent,
     run_local_agent,
 )
+from greenrl.cloud_loop import ROUND_COLUMNS
 from greenrl.config import config_from_dict
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.neural import glorot_init
@@ -27,6 +28,11 @@ MENU = (
     RachAction(4, 8, 8),
     RachAction(6, 8, 4),
 )
+
+
+def reference_records(ref_rows) -> list[tuple]:
+    """The reference's row dicts as round-log records, in column order."""
+    return [tuple(row[c] for c in ROUND_COLUMNS) for row in ref_rows]
 
 
 def env_config(**overrides):
@@ -182,9 +188,10 @@ def test_random_agent_covers_menu():
 
 def test_run_local_agent_row_shape_and_buckets():
     rows, agent = run_local_agent(env_config(), "tabular", LocalAgentParams(), 100, 25, seed=0)
-    assert len(rows) == 4
-    assert rows[0]["round"] == 0 and rows[-1]["round"] == 3
-    assert set(rows[0]) == {
+    assert len(rows) == 4 and rows.width == 1
+    assert rows["round"][0] == 0 and rows["round"][-1] == 3
+    assert all(len(record) == len(ROUND_COLUMNS) for record in rows)
+    assert set(ROUND_COLUMNS) == {
         "round",
         "entity",
         "reward_mean",
@@ -194,7 +201,7 @@ def test_run_local_agent_row_shape_and_buckets():
         "bytes_down_total",
         "bytes_up_total",
     }
-    assert all(r["bytes_down_total"] == 0 for r in rows)  # no cloud traffic
+    assert all(b == 0 for b in rows["bytes_down_total"])  # no cloud traffic
     assert agent.slot == 100
 
 
@@ -205,9 +212,9 @@ def test_run_local_agent_ragged_final_bucket():
 
 def test_heuristic_rows_report_zero_epsilon():
     rows, _ = run_local_agent(env_config(), "le-urc", LocalAgentParams(), 20, 10, seed=0)
-    assert all(r["epsilon"] == 0.0 for r in rows)
+    assert all(e == 0.0 for e in rows["epsilon"])
     rows, _ = run_local_agent(env_config(), "tabular", LocalAgentParams(), 20, 10, seed=0)
-    assert rows[0]["epsilon"] > 0.0
+    assert rows["epsilon"][0] > 0.0
 
 
 def test_same_seed_pairs_identical_noise():
@@ -215,7 +222,7 @@ def test_same_seed_pairs_identical_noise():
     score is reproducible across kinds run back to back."""
     a, _ = run_local_agent(env_config(), "le-urc", LocalAgentParams(), 50, 50, seed=9)
     b, _ = run_local_agent(env_config(), "le-urc", LocalAgentParams(), 50, 50, seed=9)
-    assert a[0]["reward_mean"] == b[0]["reward_mean"]
+    assert a["reward_mean"][0] == b["reward_mean"][0]
 
 
 def test_greedy_action_freezes_learning_agents():
@@ -326,7 +333,7 @@ def test_local_agents_match_reference_bit_for_bit(
     rows, agent = run_local_agent(cfg, kind, params, total_slots, bucket, seed)
     ref_rows, ref = reference_run_local_agent(cfg, kind, params, total_slots, bucket, seed)
     # repr tells every float apart exactly and reads nan as equal to nan
-    assert repr(rows) == repr(ref_rows)
+    assert repr(list(rows)) == repr(reference_records(ref_rows))
     got = evaluate_greedy_agent(agent, cfg, eval_slots, seed + 1)
     want = reference_evaluate_greedy_agent(ref, cfg, eval_slots, seed + 1)
     assert got.hex() == want.hex()
@@ -345,7 +352,7 @@ def test_numpy_scalar_params_match_reference(kind):
     params = LocalAgentParams(alpha=np.float32(0.3), discount=np.float32(0.7), eps_decay_steps=50)
     rows, agent = run_local_agent(env_config(), kind, params, 200, 7, seed=5)
     ref_rows, ref = reference_run_local_agent(env_config(), kind, params, 200, 7, seed=5)
-    assert repr(rows) == repr(ref_rows)
+    assert repr(list(rows)) == repr(reference_records(ref_rows))
     if kind == "la-q":
         assert agent.model.weights.tobytes() == ref.model.weights.tobytes()
     else:

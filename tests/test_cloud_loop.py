@@ -514,7 +514,7 @@ def test_session_network_dimensions():
 
 def test_outer_round_accounting():
     session = Session(make_request(inner_steps=5))
-    batch, delta = session.outer_round(0)
+    batch, (reward_mean, epsilon) = session.outer_round(0)
     cols = batch.columns
     assert len(cols.action) == 5
     assert cols.state.shape == cols.next_state.shape == (5, 6)
@@ -523,9 +523,9 @@ def test_outer_round_accounting():
     np.testing.assert_array_equal(cols.live, np.ones(5))
     # a snapshot is versioned by the train steps taken before it was published
     assert batch.snapshot_version == 0
-    assert delta["reward_mean"] == pytest.approx(np.mean(cols.reward))
-    assert session.message_ledger.bytes_down == delta["bytes_down"]
-    assert session.message_ledger.bytes_up == delta["bytes_up"] == batch.byte_size
+    assert reward_mean == pytest.approx(np.mean(cols.reward))
+    assert session.message_ledger.bytes_down == len(encode_snapshot(0, epsilon, session.online, None))
+    assert session.message_ledger.bytes_up == batch.byte_size
     macs = macs_forward(session.entities[0].net)
     inference = [e for e in session.energy.events if e[0] == "inference"]
     assert inference == [("inference", macs, 5)]
@@ -538,11 +538,11 @@ def test_session_upload_keeps_the_wire_columns():
     """A session's own upload is parsed, not widened: its columns hold the
     wire's dtypes, and they are the columns ``decode_sample_batch`` widens."""
     session = Session(make_request(compression=CompressionPlan(batch_fp16=True)))
-    batch, delta = session.outer_round(0)
+    batch, _ = session.outer_round(0)
     cols = batch.columns
     assert [c.dtype for c in cols] == [np.float16, np.uint16, np.float16, np.float16, np.bool_]
     payload = encode_sample_batch(batch.entity_id, batch.snapshot_version, cols, fp16=True)
-    assert len(payload) == delta["bytes_up"] == batch.byte_size
+    assert len(payload) == session.message_ledger.bytes_up == batch.byte_size
     wide = decode_sample_batch(payload).columns
     assert [c.dtype for c in wide] == [np.float64, np.int64, np.float64, np.float64, np.float64]
     for narrow, widened in zip(cols, wide):
@@ -597,8 +597,8 @@ def test_entity_epsilon_follows_published_schedule():
     session = Session(make_request(dqn=small_dqn(eps_decay_steps=4)))
     seen = []
     for _ in range(5):
-        batch, delta = session.outer_round(0)
-        seen.append(delta["epsilon"])
+        batch, (_reward_mean, epsilon) = session.outer_round(0)
+        seen.append(epsilon)
         session.train_on_batch(batch)
     expected = [epsilon_linear(k, 1.0, 0.05, 4) for k in range(5)]
     assert seen == pytest.approx(expected)
@@ -613,8 +613,8 @@ def test_lockstep_rows_and_determinism():
     metrics_a = run_session(Session(make_request(entity_ids=(0, 1))), rounds=6)
     metrics_b = run_session(Session(make_request(entity_ids=(0, 1))), rounds=6)
     assert len(metrics_a.rows) == 12
-    assert [r["round"] for r in metrics_a.rows] == [i // 2 for i in range(12)]
-    assert all(r["staleness"] == 0 for r in metrics_a.rows)
+    assert metrics_a.rows["round"] == [i // 2 for i in range(12)]
+    assert all(s == 0 for s in metrics_a.rows["staleness"])
     np.testing.assert_array_equal(metrics_a.reward_curve(), metrics_b.reward_curve())
     for a, b in zip(metrics_a.final_net.weights, metrics_b.final_net.weights):
         np.testing.assert_array_equal(a, b)
@@ -669,6 +669,7 @@ def _session_state(session):
         "entities": entities,
         "message_ledger": session.message_ledger,
         "energy": session.energy,
+        "log": list(session.log),
         "sparsity_reports": session.sparsity_reports,
     }
 
@@ -677,16 +678,20 @@ def _session_state(session):
 @pytest.mark.parametrize("fork_after,prune_at", [(0, 3), (2, 3), (4, 1)])
 def test_fork_continues_as_the_parent(monkeypatch, mode, fork_after, prune_at):
     """A fork made after ``fork_after`` rounds and its parent play the same
-    later rounds as a session that was never forked: the same rows,
-    parameters, replay rows, ledgers and generator states.  The fork is
-    made through ``instantiate`` and owns its ledger objects."""
+    later rounds as a session that was never forked: the same round log,
+    record by record, parameters, replay rows, ledgers and generator states.
+    The fork is made through ``instantiate`` and owns its ledger objects and
+    its round log, which starts as a copy of the parent's."""
     import greenrl.cloud_loop as cloud_loop
 
     plan = CompressionPlan(snapshot_bits=8, prune_quantile=0.5, prune_at_round=prune_at)
     request = make_request(entity_ids=(0, 1), compression=plan)
     parent, unforked = Session(request), Session(request)
     for r in range(fork_after):
-        assert parent.run_round(r, mode) == unforked.run_round(r, mode)
+        parent.run_round(r, mode)
+        unforked.run_round(r, mode)
+        assert list(parent.log) == list(unforked.log)
+    assert len(parent.log) == 2 * fork_after
     made = []
     monkeypatch.setattr(cloud_loop, "instantiate", lambda req: made.append(req) or Session(req))
     fork = parent.fork()
@@ -694,11 +699,12 @@ def test_fork_continues_as_the_parent(monkeypatch, mode, fork_after, prune_at):
     assert fork.message_ledger is not parent.message_ledger and fork.energy is not parent.energy
     assert fork.energy.events is not parent.energy.events
     assert fork.buffer is not parent.buffer
+    assert fork.log is not parent.log
     assert _session_state(fork) == _session_state(parent)
     for r in range(fork_after, 7):
-        rows = unforked.run_round(r, mode)
-        assert parent.run_round(r, mode) == rows
-        assert fork.run_round(r, mode) == rows
+        for session in (unforked, parent, fork):
+            session.run_round(r, mode)
+        assert len(unforked.log) == 2 * (r + 1)
         assert _session_state(parent) == _session_state(unforked)
         assert _session_state(fork) == _session_state(unforked)
     assert len(fork.sparsity_reports) == 1
@@ -714,8 +720,10 @@ def test_fork_does_not_share_entity_networks():
         parent.run_round(r)
     fork = parent.fork()
     kept = {eid: (e.net.params.tobytes(), e.net.quant) for eid, e in fork.entities.items()}
+    logged = list(fork.log)
     for r in range(3, 6):
         parent.run_round(r)
+    assert list(fork.log) == logged and len(parent.log) == 12
     for eid, e in fork.entities.items():
         mine = parent.entities[eid]
         assert not np.shares_memory(e.net.params, mine.net.params)
@@ -799,9 +807,9 @@ def test_concurrent_mode_preserves_accounting():
     # every entity acts on one train step's snapshot; the i-th upload of a
     # round is trained on i steps later
     assert hist == {0: 4, 1: 4, 2: 4}
-    assert [r["staleness"] for r in metrics.rows] == [0, 1, 2] * 4
-    assert [r["entity"] for r in metrics.rows] == [0, 1, 2] * 4
-    assert [r["round"] for r in metrics.rows] == [i // 3 for i in range(12)]
+    assert metrics.rows["staleness"] == [0, 1, 2] * 4
+    assert metrics.rows["entity"] == [0, 1, 2] * 4
+    assert metrics.rows["round"] == [i // 3 for i in range(12)]
     recomputed = session.energy.recompute_from_events()
     assert recomputed["bytes_wire"] == session.energy.bytes_wire
     assert (
@@ -809,7 +817,8 @@ def test_concurrent_mode_preserves_accounting():
         == session.energy.bytes_wire
     )
     _, again = run()
-    assert again.rows == metrics.rows
+    assert len(again.rows) == 12
+    assert list(again.rows) == list(metrics.rows)
     for a, b in zip(again.final_net.weights, metrics.final_net.weights):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(again.final_net.biases, metrics.final_net.biases):
@@ -847,14 +856,14 @@ def test_exploring_slots_skip_the_forward_pass(monkeypatch, epsilon, forward_cal
 
     monkeypatch.setattr(cloud_loop, "forward", counted)
     session = Session(make_request(inner_steps=6, dqn=small_dqn(eps_start=epsilon, eps_end=epsilon)))
-    _batch, delta = session.outer_round(0)
-    assert delta["epsilon"] == epsilon
+    batch, (_reward_mean, acted_at) = session.outer_round(0)
+    assert acted_at == epsilon
     assert len(calls) == forward_calls
     macs = macs_forward(session.online)
     assert session.energy.events == [
-        ("message", delta["bytes_down"], "down"),
+        ("message", session.message_ledger.bytes_down, "down"),
         ("inference", macs, 6),
-        ("message", delta["bytes_up"], "up"),
+        ("message", batch.byte_size, "up"),
     ]
     assert session.energy.macs_inference == 6 * macs
 
@@ -871,10 +880,14 @@ def test_run_session_validation():
 
 
 def test_metrics_terminal_reward_tail():
-    from greenrl.cloud_loop import SessionMetrics, MessageLedger
+    """The tail is of the records' rewards, not of the per-round curve: here
+    one round of five entities, whose curve is the single value 2.4."""
+    from greenrl.cloud_loop import MessageLedger, RoundLog, SessionMetrics
     from greenrl.energy import EnergyLedger
 
-    rows = [{"reward_mean": float(v)} for v in [0, 0, 0, 4, 8]]
+    rows = RoundLog(5)
+    for entity, reward in enumerate([0, 0, 0, 4, 8]):
+        rows.append(0, entity, float(reward), 0.0, 0.0, 0, 0, 0)
     metrics = SessionMetrics(rows, MessageLedger(), EnergyLedger(), None, [])
     assert metrics.terminal_reward(0.4) == pytest.approx(6.0)
     assert metrics.terminal_reward(0.01) == pytest.approx(8.0)  # at least one row

@@ -396,6 +396,7 @@ def test_enum_fields_list_their_values(doc, error):
         (RachSection, {"menu": ({"rach_channels": 1, "preambles_per_channel": 8, "repetition": 8},)}),
         (ExperimentConfig, {"name": {}}),
         (ExperimentConfig, {"reward_threshold": float("nan")}),
+        (ExperimentConfig, {"scenario": "transfer"}),
     ],
 )
 def test_direct_construction_checks_declared_types(cls, kwargs):
@@ -423,9 +424,11 @@ def test_cloud_section_is_a_dqn_config():
     ],
 )
 def test_transfer_rules_are_checked_by_check_scenario(doc, error):
-    cfg = config_from_dict({"scenario": "transfer", **doc})
+    """The transfer rules are config rules: ``config_from_dict`` raises them
+    (it used to build such a config, leaving them to ``load_config`` and
+    ``run_experiment``)."""
     with pytest.raises(ConfigError) as info:
-        cfg.check_scenario()
+        config_from_dict({"scenario": "transfer", **doc})
     assert str(info.value).startswith(error)
 
 
@@ -435,4 +438,4 @@ def test_transfer_rules_allow_a_run_with_no_transfer():
         {"scenario": "transfer", "reward_threshold": 1.0, "total_slots": 1,
          "cloud": {"inner_steps": 1}, "spatial": {"transfer_every": 1}}
     )
-    cfg.check_scenario()
+    assert cfg.rounds() == 1 and cfg.spatial.transfer_every == 1

@@ -18,3 +18,18 @@ def test_every_exported_name_resolves():
         assert len(set(exported)) == len(exported), f"greenrl.{info.name}.__all__ repeats a name"
         checked += bool(exported)
     assert checked
+
+
+def test_benchmark_hook_targets_resolve():
+    """The names the benchmark's timing and capture hooks wrap still exist.
+    A hook whose target is gone is skipped, and its metrics read 0."""
+    from greenrl import agents, cloud_loop, runner
+
+    assert runner.instantiate is cloud_loop.instantiate
+    for owner, name in (
+        (cloud_loop.Session, "outer_round"),
+        (cloud_loop.Session, "train_on_batch"),
+        (runner, "write_csv"),
+        (agents, "run_local_agent"),
+    ):
+        assert callable(getattr(owner, name, None)), name

@@ -9,14 +9,13 @@ from scipy import stats
 from greenrl import runner
 from greenrl.cli import main as cli_main
 from greenrl.cli import run_report
-from greenrl.cloud_loop import CompressionPlan
+from greenrl.cloud_loop import CompressionPlan, RoundLog
 from greenrl.config import config_from_dict, config_hash
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.paired import _effect_size_d, _paired_p, ttest_p, wilcoxon_p
 from greenrl.runner import (
     ROUND_COLUMNS,
     compare_agents,
-    per_round_curve,
     rounds_to_threshold,
     run_experiment,
     run_rach_seed,
@@ -68,26 +67,33 @@ def test_rounds_to_threshold_boundary_counts():
     assert rounds_to_threshold(curve, 5.0, window=2) == 2  # mean exactly at threshold
 
 
+def log_of(width: int, rewards) -> RoundLog:
+    """A round log holding ``rewards`` in play order, ``width`` per round."""
+    log = RoundLog(width)
+    for i, reward in enumerate(rewards):
+        log.append(i // width, i % width, reward, 0.0, 0.0, 0, 0, 0)
+    return log
+
+
 def test_per_round_curve_averages_entities():
-    rows = [
-        {"round": 0, "reward_mean": 1.0},
-        {"round": 0, "reward_mean": 3.0},
-        {"round": 1, "reward_mean": 5.0},
-    ]
-    np.testing.assert_allclose(per_round_curve(rows), [2.0, 5.0])
+    log = log_of(2, [1.0, 3.0, 5.0, 5.0])
+    assert len(log) == 4
+    np.testing.assert_allclose(log.curve(), [2.0, 5.0])
 
 
-@pytest.mark.parametrize("max_entities", [1, 3, 9, 33])
-def test_per_round_curve_matches_per_round_mean(max_entities):
-    """Ragged rounds, in shuffled row order: bit for bit the one-np.mean-per-round reference."""
-    rng = np.random.default_rng(max_entities)
-    rows = [
-        {"round": r, "reward_mean": float(v)}
-        for r in range(300)
-        for v in rng.normal(size=int(rng.integers(1, max_entities + 1))) * 10.0 ** rng.integers(-3, 4)
-    ]
-    rows = [rows[i] for i in rng.permutation(len(rows))]
-    assert per_round_curve(rows).tobytes() == reference_per_round_curve(rows).tobytes()
+def test_round_log_refuses_a_record_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        RoundLog(1).append(0, 0, 1.0)
+
+
+@pytest.mark.parametrize("width", [1, 3, 9, 33])
+def test_round_log_curve_matches_per_round_mean(width):
+    """Rewards over six orders of magnitude: bit for bit the one-np.mean-per-round reference."""
+    rng = np.random.default_rng(width)
+    log = log_of(width, [float(v) for v in rng.normal(size=300 * width) * 10.0 ** rng.integers(-3, 4, 300 * width)])
+    rows = [{"round": r, "reward_mean": v} for r, v in zip(log["round"], log["reward_mean"])]
+    assert len(log.curve()) == 300
+    assert log.curve().tobytes() == reference_per_round_curve(rows).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +111,9 @@ def test_write_json_canonical(tmp_path):
 
 
 def test_write_csv_selects_columns(tmp_path):
+    """The header names the columns, and each record is written in their order."""
     path = tmp_path / "rows.csv"
-    rows = [{"x": 1, "y": 2, "z": 3}, {"x": 4, "y": 5, "z": 6}]
+    rows = [(2, 1), (5, 4)]
     write_csv(str(path), rows, ("y", "x"))
     lines = path.read_text().strip().splitlines()
     assert lines == ["y,x", "2,1", "5,4"]
@@ -122,7 +129,7 @@ def test_run_rach_seed_local_agent(tmp_path):
     cfg = tiny_config(tmp_path)
     rows, summary = run_rach_seed(cfg, seed=1)
     assert len(rows) == 3  # 60 slots bucketed by 20
-    assert set(rows[0]) == set(ROUND_COLUMNS)
+    assert all(len(record) == len(ROUND_COLUMNS) for record in rows)
     assert summary["agent"] == "le-urc"
     assert summary["rounds"] == 3
     assert summary["eval_reward"] > 0.0
@@ -137,7 +144,7 @@ def test_run_rach_seed_dqn_accounts_messages(tmp_path):
     assert summary["message"]["bytes_down"] > 0
     assert summary["message"]["bytes_up"] > 0
     assert summary["energy"]["energy_proxy"] > 0
-    assert rows[-1]["bytes_down_total"] == summary["message"]["bytes_down"]
+    assert rows["bytes_down_total"][-1] == summary["message"]["bytes_down"]
 
 
 def test_run_rach_seed_threshold_summary(tmp_path):
@@ -171,19 +178,23 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert saved["hash"] == result["config_hash"]
 
 
+def refuse_sessions(request):
+    raise InvalidInputError("no session for this request")
+
+
 def test_run_experiment_records_failures(tmp_path, monkeypatch):
-    # the transfer scenario insists on a convergence threshold, and checks
-    # for it before it builds or trains any session
-    cfg = tiny_config(tmp_path, scenario="transfer", agent="dqn")
+    # the run fails when it builds its first session
+    cfg = tiny_config(tmp_path, scenario="transfer", agent="dqn", reward_threshold=1.0)
     with monkeypatch.context() as m:
-        m.setattr(runner, "instantiate", lambda request: pytest.fail("trained before failing"))
-        with pytest.raises(ConfigError):
+        m.setattr(runner, "instantiate", refuse_sessions)
+        with pytest.raises(InvalidInputError):
             run_experiment(cfg)
     error_path = os.path.join(cfg.run_dir(), "error.json")
     with open(error_path) as fh:
         record = json.load(fh)
-    assert record["type"] == "ConfigError"
-    assert "threshold" in record["error"]
+    assert record["type"] == "InvalidInputError"
+    assert "no session" in record["error"]
+    assert record["config_hash"] == config_hash(cfg)
     assert not os.path.exists(os.path.join(cfg.run_dir(), "summary.json"))
     # the fixed config succeeds in the same run_dir and clears the stale error
     fixed = tiny_config(tmp_path, scenario="transfer", agent="dqn", reward_threshold=1.0)
@@ -193,14 +204,15 @@ def test_run_experiment_records_failures(tmp_path, monkeypatch):
     assert os.path.isfile(os.path.join(cfg.run_dir(), "summary.json"))
 
 
-def test_failed_run_leaves_no_earlier_artifacts(tmp_path):
+def test_failed_run_leaves_no_earlier_artifacts(tmp_path, monkeypatch):
     """A failing config cannot sit beside an earlier run's summary and seed files."""
     first = run_experiment(tiny_config(tmp_path))
     run_dir = first["run_dir"]
     assert os.path.isfile(os.path.join(run_dir, "seed0001_rounds.csv"))
-    failing = tiny_config(tmp_path, scenario="transfer", agent="dqn")
+    failing = tiny_config(tmp_path, agent="dqn", cloud=TINY_DQN)
     assert failing.run_dir() == run_dir
-    with pytest.raises(ConfigError):
+    monkeypatch.setattr(runner, "instantiate", refuse_sessions)
+    with pytest.raises(InvalidInputError):
         run_experiment(failing)
     assert sorted(os.listdir(run_dir)) == ["config.json", "error.json"]
 
@@ -253,6 +265,7 @@ def test_compare_agents_validation(tmp_path):
         compare_agents([a])
     with pytest.raises(ConfigError, match="duplicate"):
         compare_agents([a, tiny_config(tmp_path, name="one", agent="random")])
+    assert not os.path.exists(a.run_dir())  # rejected before anything ran
     mismatched = tiny_config(tmp_path, name="two", total_slots=80)
     with pytest.raises(ConfigError, match="share"):
         compare_agents([a, mismatched])
@@ -534,14 +547,19 @@ def test_transfer_arms_match_separate_arms(tmp_path, transfer_every, inner_steps
     """Both arms of a seed, sharing their rounds before the first transfer
     and one field source, equal two separately run arms bit for bit: the
     curves, correlations, rounds to threshold, terminal rewards and bytes.
-    A transfer after one slot has too short a history for a correlation,
-    and both ways of running fail alike."""
-    cfg = transfer_config(tmp_path, transfer_every, inner_steps, compressed)
+    A transfer after one slot has too short a history for a correlation:
+    the config is refused, and forced past that rule, both ways of running
+    fail alike."""
     if transfer_every * inner_steps < 2:
+        with pytest.raises(ConfigError, match=r"^config\.spatial\.transfer_every: must be >= 2"):
+            transfer_config(tmp_path, transfer_every, inner_steps, compressed)
+        cfg = transfer_config(tmp_path, 2, inner_steps, compressed)
+        object.__setattr__(cfg.spatial, "transfer_every", transfer_every)
         for run in (lambda: runner.run_transfer_arms(cfg, 4), lambda: reference_run_transfer_arm(cfg, 4, True)):
             with pytest.raises(InvalidInputError, match="T >= 2"):
                 run()
         return
+    cfg = transfer_config(tmp_path, transfer_every, inner_steps, compressed)
     for seed in cfg.seeds:
         for got, enabled in zip(runner.run_transfer_arms(cfg, seed), (True, False)):
             want = reference_run_transfer_arm(cfg, seed, enabled)
@@ -680,6 +698,17 @@ def test_cli_compare(tmp_path, capsys):
         assert f"  {name}: {entry['mean']:.4f} ci95=[{lo:.4f}, {hi:.4f}] (agent={entry['agent']})" in out
     pair = report["pairwise"]["heur>rand"]
     assert f"pairwise one-sided p-values:\n  heur>rand: diff={pair['mean_diff']:+.4f} p={pair['p_one_sided']}\n" in out
+
+
+def test_cli_compare_rejects_a_repeated_name_before_running(tmp_path, capsys):
+    """``compare a b a`` used to run a and b in full, write their run
+    directories, and only then exit 2 on the repeated name."""
+    a = write_config_file(tmp_path, name="a")
+    b = write_config_file(tmp_path, name="b", agent="random")
+    rc = cli_main(["compare", a, b, a])
+    assert rc == 2
+    assert "duplicate config name 'a'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_cli_sweep(tmp_path, capsys):
