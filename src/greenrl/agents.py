@@ -257,14 +257,13 @@ def evaluate_greedy_agent(agent, env_cfg: RachConfig, slots: int, seed: int) -> 
     return total / slots
 
 
-def evaluate_greedy_net(
-    net: DenseNet, env_cfg: RachConfig, slots: int, norm: float, seed: int
-) -> float:
-    """Mean per-slot reward of the network's greedy policy on a fresh env."""
+def evaluate_greedy_net(net: DenseNet, env_cfg: RachConfig, slots: int, seed: int) -> float:
+    """Mean per-slot reward of the network's greedy policy on a fresh env,
+    fed states scaled by the menu norm, ``env_cfg.max_opportunities``."""
     seeds = derive_seeds(seed, 1)["entities"][0]
     env = RachEnv(replace(env_cfg, seed=seeds["env"]))
     rng = np.random.default_rng(seeds["action"])
-    menu = env_cfg.action_menu
+    menu, norm = env_cfg.action_menu, float(env_cfg.max_opportunities)
     obs = env.reset()
     # One state row, refilled in place every slot.
     state = np.empty(obs.size, net.dtype)

@@ -11,8 +11,8 @@ demand correlation, rounds to threshold and paired terminal-reward test for
 ``transfer``.  ``compare`` prints each agent's mean eval reward with its 95%
 interval, then every pair's mean difference and one-sided p-value.
 
-Exit codes: 0 success, 1 runtime or file-system failure, 2 configuration
-error.  The output root comes from each config's ``out_dir``, else the
+Exit codes: 0 success, 1 runtime, file-system or allocation failure, 2
+configuration error.  The output root comes from each config's ``out_dir``, else the
 GREENRL_OUTPUT_ROOT environment variable, else ./results.
 """
 
@@ -126,8 +126,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (GreenRLError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GreenRLError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

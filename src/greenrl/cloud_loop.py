@@ -95,7 +95,6 @@ __all__ = [
     "DqnConfig",
     "CompressionPlan",
     "ServiceRequest",
-    "ParamSnapshot",
     "SampleBatch",
     "MessageLedger",
     "Session",
@@ -209,17 +208,6 @@ class ServiceRequest:
                 ("compression", isinstance(self.compression, CompressionPlan), "a CompressionPlan"),
             ],
         )
-
-
-@dataclass(frozen=True)
-class ParamSnapshot:
-    version: int
-    epsilon: float
-    payload: bytes
-
-    @property
-    def byte_size(self) -> int:
-        return len(self.payload)
 
 
 @dataclass(frozen=True)
@@ -533,15 +521,14 @@ class Session:
             self._macs_of = (params, macs_forward(self.online))
         return self._macs_of[1]
 
-    def _publish(self) -> ParamSnapshot:
-        """Encode the online network, versioned by the current train step."""
-        epsilon = self.current_epsilon()
+    def _publish(self) -> bytes:
+        """The snapshot payload of the online network, versioned by the current train step."""
         payload = encode_snapshot(
-            self.train_steps, epsilon, self.online, self.request.compression.snapshot_bits
+            self.train_steps, self.current_epsilon(), self.online, self.request.compression.snapshot_bits
         )
         self.message_ledger.bytes_down += len(payload)
         self.energy.record_message(len(payload), "down")
-        return ParamSnapshot(self.train_steps, epsilon, payload)
+        return payload
 
     def train_on_batch(self, batch: SampleBatch) -> float:
         """Append the batch to replay and run one mini-batch update.
@@ -648,8 +635,8 @@ class Session:
         entity = self.entities[entity_id]
         dtype = self.request.dqn.np_dtype
         menu = self.request.env_config.action_menu
-        snap = self._publish()
-        _version, epsilon, net = decode_snapshot(snap.payload, into=entity.net)
+        # The entity knows only the bytes: it stamps its upload with the version they carry.
+        version, epsilon, net = decode_snapshot(self._publish(), into=entity.net)
         if not np.isfinite(net.params).all():
             raise InvalidInputError("snapshot parameters must be finite")
         entity.net = net
@@ -670,9 +657,7 @@ class Session:
         # zero more weights of a quantised one, so it is counted on its own.
         macs = self._online_macs() if net.quant is None else macs_forward(net)
         self.energy.record_inference(net, k, macs)
-        payload = encode_sample_batch(
-            entity_id, snap.version, rows, self.request.compression.batch_fp16
-        )
+        payload = encode_sample_batch(entity_id, version, rows, self.request.compression.batch_fp16)
         batch = _parse_sample_batch(payload)
         self.message_ledger.bytes_up += len(payload)
         self.energy.record_message(len(payload), "up")

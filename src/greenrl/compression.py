@@ -8,13 +8,13 @@ aggregation) shrink tabular representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .neural import DenseNet, QuantMeta, symmetric_quantize_layer
+from .neural import DenseNet, QuantMeta, pack, symmetric_quantize_layer, sync_target
 from .rl_core import QTable
 
 __all__ = [
@@ -69,7 +69,7 @@ def prune_by_magnitude(net: DenseNet, threshold: float) -> tuple[DenseNet, Spars
         mac_count_dense=total,
         mac_count_pruned=nonzero,
     )
-    return DenseNet(net.layer_dims, weights, net.biases, net.activation, new_mask), report
+    return pack(net.layer_dims, weights, net.biases, new_mask), report
 
 
 def threshold_for_sparsity(net: DenseNet, fraction: float) -> float:
@@ -114,9 +114,7 @@ def prune_neurons(net: DenseNet, neurons: Iterable[tuple[int, int]]) -> DenseNet
         if mask is not None:
             new_mask.append(mask[i][np.ix_(keep[i], keep[i + 1])])
     dims = tuple(len(k) for k in keep)
-    return DenseNet(
-        dims, weights, biases, net.activation, new_mask if mask is not None else None, quant=None
-    )
+    return pack(dims, weights, biases, new_mask if mask is not None else None)
 
 
 def _on_lattice(net: DenseNet, bits: int) -> bool:
@@ -142,7 +140,7 @@ def quantize_weights(net: DenseNet, bits: int) -> DenseNet:
         raise ConfigError(f"quantisation bits must lie in [2, 16], got {bits}")
     bits = int(bits)
     if _on_lattice(net, bits):
-        return replace(net, quant=QuantMeta(bits, list(net.quant.scales), list(net.quant.zero_points)))
+        return sync_target(net)  # a copy: no two networks share a vector
     weights, scales = [], []
     for w in net.weights:
         codes, scale = symmetric_quantize_layer(w, bits)
@@ -150,9 +148,7 @@ def quantize_weights(net: DenseNet, bits: int) -> DenseNet:
         scales.append(scale)
     if net.mask is not None:
         weights = [w * m for w, m in zip(weights, net.mask)]
-    return DenseNet(
-        net.layer_dims, weights, net.biases, net.activation, net.mask, QuantMeta(bits, scales, [0] * len(scales))
-    )
+    return pack(net.layer_dims, weights, net.biases, net.mask, QuantMeta(bits, scales))
 
 
 _INF = float("inf")

@@ -3,17 +3,17 @@
 ReLU hidden layers and a linear output head, one output per action, trained
 by plain SGD on the squared TD error of the taken action.
 
-Each network owns one contiguous parameter vector ``params`` in its dtype,
-laid out ``[W0, b0, W1, b1, ...]`` row-major, which is also the dense wire
-body.  ``weights[i]`` and ``biases[i]`` are views of it; an optional
-sparsity mask is a vector of the same layout (1 in every bias slot), seen
-per layer through ``mask``.  The constructor, assignment to those three
-fields and ``dataclasses.replace`` pack the given arrays into a fresh
-vector, so views and ``params`` never disagree; mixed dtypes are rejected.
-Networks are immutable in use: every update returns a fresh vector.  The
-one exception is a cloud entity's resident network, which
-``net_from_bytes(payload, into=net)`` overwrites in place with each
-snapshot; nothing else holds its vector.
+A network is its parameter vector: ``params``, one contiguous array in the
+network's dtype, laid out ``[W0, b0, W1, b1, ...]`` row-major, which is
+also the dense wire body.  ``weights[i]`` and ``biases[i]`` are read-only
+views of it, and an optional sparsity mask is a vector of the same layout
+(1 in every bias slot), seen per layer through ``mask``.  ``DenseNet``
+takes both vectors as given; ``pack`` is the one way to build a network
+from per-layer arrays, and copies them into a fresh vector.  No two
+networks handed out share a vector: every update, copy and compression
+step returns a fresh one.  The one vector written in place is a cloud
+entity's resident network, which ``net_from_bytes(payload, into=net)``
+overwrites with each snapshot.
 
 A DQN step gathers its replay sample into network-dtype arrays, runs the
 target and the online network once each and takes the loss from the
@@ -27,7 +27,7 @@ operation, ``params - lr * grad``, re-masked.  ``batch_loss`` and
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,103 +36,74 @@ from .errors import ConfigError, InvalidInputError, NotReadyError
 from .rl_core import Transition, check_discount
 
 __all__ = [
-    "DenseNet", "QuantMeta", "GradientBatch", "ReplayBatch", "ReplayBuffer", "glorot_init", "forward", "batch_loss",
-    "backprop_minibatch", "sgd_step", "dqn_train_step", "sync_target", "net_to_bytes", "net_from_bytes",
+    "DenseNet", "QuantMeta", "pack", "GradientBatch", "ReplayBatch", "ReplayBuffer", "glorot_init", "forward",
+    "batch_loss", "backprop_minibatch", "sgd_step", "dqn_train_step", "sync_target", "net_to_bytes", "net_from_bytes",
     "symmetric_quantize_layer",
 ]
 
 @dataclass
 class QuantMeta:
-    """Record of a symmetric per-layer weight quantisation.
-
-    ``scales`` holds one positive step size per weight layer; zero points are
-    kept explicitly even though the symmetric scheme pins them all to 0.
-    """
+    """Record of a symmetric per-layer weight quantisation: ``scales`` holds
+    one positive step size per weight layer, and every zero point is 0."""
 
     bits: int
     scales: list[float]
-    zero_points: list[int]
 
     def __post_init__(self):
         if not 2 <= int(self.bits) <= 16:
             raise ConfigError(f"quantisation bits must lie in [2, 16], got {self.bits}")
         if any(s <= 0 for s in self.scales):
             raise ConfigError("quantisation scales must be positive")
-        if any(z != 0 for z in self.zero_points):
-            raise ConfigError("symmetric quantisation requires zero_point == 0")
 
 
 def _views(dims: tuple[int, ...], flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer (fan_in, fan_out) and (fan_out,) views of a ``[W0, b0, W1, b1, ...]`` vector."""
+    """Per-layer (fan_in, fan_out) and (fan_out,) views of a ``[W0, b0, W1, b1, ...]``
+    vector.  One that does not hold exactly those layers raises ConfigError, or
+    the reshape's ValueError where it ends inside a weight block."""
     weights, biases, off = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         end = off + fan_in * fan_out
         weights.append(flat[off:end].reshape(fan_in, fan_out))
         biases.append(flat[end : end + fan_out])
         off = end + fan_out
+    if not weights or flat.shape != (off,):
+        raise ConfigError(f"a vector of shape {flat.shape} does not hold the layers of {dims}")
     return tuple(weights), tuple(biases)
 
 
-@dataclass
 class DenseNet:
-    """Feed-forward value network with optional sparsity mask and quant tag.
+    """Feed-forward value network on one parameter vector.
 
-    ``weights[i]`` has shape (layer_dims[i], layer_dims[i+1]); a mask entry of
-    0 pins the corresponding weight to exactly zero through any training.
+    ``params`` is laid out ``[W0, b0, W1, b1, ...]``, and ``weights[i]``, of
+    shape (layer_dims[i], layer_dims[i+1]), and ``biases[i]`` are read-only
+    views of it.  An optional ``param_mask`` has the same layout, with 1 in
+    every bias slot, and ``mask`` views its weight blocks; a mask entry of 0
+    pins its weight to exactly zero through any training.  ``quant`` records
+    the symmetric quantisation the weights sit on, if any.
+
+    The constructor takes both vectors as given, without copying them;
+    ``pack`` builds a network from per-layer arrays.
     """
 
-    layer_dims: tuple[int, ...]
-    weights: Sequence[np.ndarray]
-    biases: Sequence[np.ndarray]
-    activation: str = "relu"
-    mask: Sequence[np.ndarray] | None = None
-    quant: QuantMeta | None = None
+    __slots__ = ("layer_dims", "params", "param_mask", "quant", "_weights", "_biases", "_mask")
 
-    def __post_init__(self):
-        self._pack(self.weights, self.biases, self.mask)
+    def __init__(
+        self,
+        layer_dims: tuple[int, ...],
+        params: np.ndarray,
+        param_mask: np.ndarray | None = None,
+        quant: QuantMeta | None = None,
+    ):
+        self.layer_dims, self.params, self.param_mask, self.quant = layer_dims, params, param_mask, quant
+        self._weights, self._biases = _views(layer_dims, params)
+        self._mask = None if param_mask is None else _views(layer_dims, param_mask)[0]
 
-    def __setattr__(self, name, value):
-        if name in ("weights", "biases", "mask") and "params" in self.__dict__:
-            self._pack(**{"weights": self.weights, "biases": self.biases, "mask": self.mask, name: value})
-        else:
-            super().__setattr__(name, value)
+    weights = property(lambda self: self._weights)
+    biases = property(lambda self: self._biases)
+    mask = property(lambda self: self._mask)
 
-    def _pack(self, weights, biases, mask) -> None:
-        """Copy the given layers into one fresh ``params``; raise before changing anything."""
-        dims = _validate_dims(self.layer_dims)
-        weights, biases = [np.asarray(w) for w in weights], [np.asarray(b) for b in biases]
-        dtypes = sorted({str(a.dtype) for a in weights + biases})
-        if len(dtypes) > 1:
-            raise ConfigError(f"weights and biases must share one dtype, got {dtypes}")
-        shapes = list(zip(dims[:-1], dims[1:]))
-        if [w.shape for w in weights] != shapes or [b.shape for b in biases] != [s[1:] for s in shapes]:
-            raise ConfigError(f"weight and bias shapes do not match layer_dims {dims}")
-        params = np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])
-        param_mask = None
-        if mask is not None:
-            mask = [np.asarray(m, params.dtype) for m in mask]
-            if [m.shape for m in mask] != shapes:
-                raise ConfigError(f"mask shapes do not match layer_dims {dims}")
-            param_mask = np.concatenate([a.ravel() for m, b in zip(mask, biases) for a in (m, np.ones_like(b))])
-        self.__dict__["layer_dims"] = dims
-        self._adopt(params, param_mask)
-
-    def _adopt(self, params: np.ndarray, param_mask: np.ndarray | None) -> None:
-        d = self.__dict__
-        d["params"], d["param_mask"] = params, param_mask
-        d["weights"], d["biases"] = _views(self.layer_dims, params)
-        d["mask"] = None if param_mask is None else _views(self.layer_dims, param_mask)[0]
-
-    @classmethod
-    def _wrap(cls, dims, params, activation="relu", param_mask=None, quant=None) -> DenseNet:
-        """A network on ``params`` (and ``param_mask``) as given, without copying them."""
-        net = object.__new__(cls)
-        net.__dict__.update(layer_dims=dims, activation=activation, quant=quant)
-        net._adopt(params, param_mask)
-        return net
-
-    def __reduce__(self):  # pickle and deepcopy rebuild the views on the copied vector
-        return DenseNet._wrap, (self.layer_dims, self.params, self.activation, self.param_mask, self.quant)
+    def __reduce__(self):  # pickle and deepcopy rebuild the views on the copied vectors
+        return DenseNet, (self.layer_dims, self.params, self.param_mask, self.quant)
 
     @property
     def n_layers(self) -> int:
@@ -141,6 +112,31 @@ class DenseNet:
     @property
     def dtype(self) -> np.dtype:
         return self.params.dtype
+
+
+def pack(layer_dims, weights, biases, mask=None, quant: QuantMeta | None = None) -> DenseNet:
+    """A network on one fresh vector holding the given per-layer arrays.
+
+    Weights and biases must share one dtype; the mask, one array per weight
+    layer, is cast to it.  A shape that does not match ``layer_dims`` raises
+    ConfigError.
+    """
+    dims = _validate_dims(layer_dims)
+    weights, biases = [np.asarray(w) for w in weights], [np.asarray(b) for b in biases]
+    dtypes = sorted({str(a.dtype) for a in weights + biases})
+    if len(dtypes) > 1:
+        raise ConfigError(f"weights and biases must share one dtype, got {dtypes}")
+    shapes = list(zip(dims[:-1], dims[1:]))
+    if [w.shape for w in weights] != shapes or [b.shape for b in biases] != [s[1:] for s in shapes]:
+        raise ConfigError(f"weight and bias shapes do not match layer_dims {dims}")
+    params = np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])
+    param_mask = None
+    if mask is not None:
+        mask = [np.asarray(m, params.dtype) for m in mask]
+        if [m.shape for m in mask] != shapes:
+            raise ConfigError(f"mask shapes do not match layer_dims {dims}")
+        param_mask = np.concatenate([a.ravel() for m, b in zip(mask, biases) for a in (m, np.ones_like(b))])
+    return DenseNet(dims, params, param_mask, quant)
 
 
 @dataclass
@@ -167,14 +163,12 @@ def glorot_init(layer_dims: Sequence[int], seed, dtype=np.float64) -> DenseNet:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype))
         biases.append(np.zeros(fan_out, dtype=dtype))
-    return DenseNet(dims, weights, biases)
+    return pack(dims, weights, biases)
 
 
 def _forward_cached(net: DenseNet, x: np.ndarray, ws: _Workspace | None = None):
     """Batched forward pass keeping per-layer inputs and pre-activations,
     in the workspace's buffers when one is given, else in fresh arrays."""
-    if net.activation != "relu":
-        raise ConfigError(f"unsupported activation {net.activation!r}")
     inputs, pre_acts = [], []
     h = x
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -195,8 +189,6 @@ def forward(net: DenseNet, state) -> np.ndarray:
     state as a batch of one, bit for bit.  Rows of larger batches may differ
     from them in the last bits: numpy hands a (1, d) product to gemv and a
     larger one to gemm, which can sum in another order."""
-    if net.activation != "relu":
-        raise ConfigError(f"unsupported activation {net.activation!r}")
     x = np.asarray(state, dtype=net.dtype)
     if x.shape != (net.layer_dims[0],):
         raise InvalidInputError(f"state shape {x.shape} does not match input dim {net.layer_dims[0]}")
@@ -266,7 +258,7 @@ def _descend(net: DenseNet, grad: np.ndarray, lr: float) -> DenseNet:
     if mask is not None:
         np.multiply(params, mask, out=params)
         mask = mask.copy()
-    return DenseNet._wrap(net.layer_dims, params, net.activation, mask)
+    return DenseNet(net.layer_dims, params, mask)
 
 
 def sgd_step(net: DenseNet, grads: GradientBatch, lr: float) -> DenseNet:
@@ -280,10 +272,9 @@ def sgd_step(net: DenseNet, grads: GradientBatch, lr: float) -> DenseNet:
 
 def sync_target(net: DenseNet) -> DenseNet:
     """Deep copy used as the frozen bootstrap network."""
-    q = net.quant
-    quant = None if q is None else replace(q, scales=list(q.scales), zero_points=list(q.zero_points))
+    quant = None if net.quant is None else QuantMeta(net.quant.bits, list(net.quant.scales))
     mask = None if net.param_mask is None else net.param_mask.copy()
-    return DenseNet._wrap(net.layer_dims, net.params.copy(), net.activation, mask, quant)
+    return DenseNet(net.layer_dims, net.params.copy(), mask, quant)
 
 
 class ReplayBatch(NamedTuple):
@@ -434,8 +425,10 @@ class _Workspace:
     def __init__(self, net: DenseNet, n: int):
         dims, dtype = net.layer_dims, net.dtype
         self.key = (dims, n, dtype)
-        state, next_state = np.empty((2, n, dims[0]), dtype)
-        self.sample = ReplayBatch(state, np.empty(n, np.int64), np.empty(n, dtype), next_state, np.empty(n, dtype))
+        # Zeros: a gather from a ring of another dtype first casts these columns'
+        # old contents, and a signalling NaN left in fresh memory warns.
+        state, next_state = np.zeros((2, n, dims[0]), dtype)
+        self.sample = ReplayBatch(state, np.zeros(n, np.int64), np.zeros(n, dtype), next_state, np.zeros(n, dtype))
         self.z = [np.empty((n, d), dtype) for d in dims[1:]]
         self.h = [np.empty((n, d), dtype) for d in dims[1:-1]]
         self.rows, self.td, self.delta = np.arange(n), np.empty(n, dtype), np.empty((n, dims[-1]), dtype)
@@ -498,8 +491,7 @@ _FORMAT_VERSION = 1
 _NET_HEADER = struct.Struct("<4sHBBBB")
 _FLOAT_TAG_OF = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _DTYPE_OF_TAG = {tag: dtype for dtype, tag in _FLOAT_TAG_OF.items()}
-_ACT_TAG_OF = {"relu": 0}
-_ACT_OF_TAG = {tag: act for act, tag in _ACT_TAG_OF.items()}
+_RELU_TAG = 0  # the activation tag: ReLU, the only activation
 
 
 def symmetric_quantize_layer(w: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
@@ -530,7 +522,7 @@ def net_to_bytes(net: DenseNet, quant_bits: int | None = None) -> bytes:
     if float_tag is None:
         raise InvalidInputError(f"unsupported network dtype {net.dtype}")
     dims, bits = net.layer_dims, 0 if quant_bits is None else int(quant_bits)
-    head = _NET_HEADER.pack(_MAGIC, _FORMAT_VERSION, float_tag, bits, _ACT_TAG_OF[net.activation], len(dims))
+    head = _NET_HEADER.pack(_MAGIC, _FORMAT_VERSION, float_tag, bits, _RELU_TAG, len(dims))
     head += struct.pack(f"<{len(dims)}I", *dims)
     if quant_bits is None:
         return head + net.params.tobytes()
@@ -551,8 +543,8 @@ def net_from_bytes(buf, into: DenseNet | None = None) -> DenseNet:
     scale are checked before any byte is written, so every malformed payload
     raises ``InvalidInputError`` and changes nothing.
 
-    With ``into``, a network of the payload's dims, dtype and activation and
-    with no mask, the body is written into ``into.params``, which keeps its
+    With ``into``, a network of the payload's dims and dtype and with no
+    mask, the body is written into ``into.params``, which keeps its
     views, and ``into`` is returned with its quant tag replaced.  Any other
     ``into`` is left alone and a fresh network is returned.
     """
@@ -563,12 +555,12 @@ def net_from_bytes(buf, into: DenseNet | None = None) -> DenseNet:
         raise InvalidInputError("bad magic in network payload")
     if fmt != _FORMAT_VERSION:
         raise InvalidInputError(f"unsupported payload format version {fmt}")
-    dtype, activation = _DTYPE_OF_TAG.get(float_tag), _ACT_OF_TAG.get(act_tag)
+    dtype = _DTYPE_OF_TAG.get(float_tag)
     if dtype is None:
         raise InvalidInputError(f"unknown float tag {float_tag}")
     if quant_bits != 0 and not 2 <= quant_bits <= 16:
         raise InvalidInputError(f"quantisation bits must be 0 or lie in [2, 16], got {quant_bits}")
-    if activation is None:
+    if act_tag != _RELU_TAG:
         raise InvalidInputError(f"unknown activation tag {act_tag}")
     if n_dims < 2:
         raise InvalidInputError(f"network payload needs >= 2 layer dims, got {n_dims}")
@@ -593,9 +585,9 @@ def net_from_bytes(buf, into: DenseNet | None = None) -> DenseNet:
             scales.append(scale)
             pos += 4 + (fan_in * code_dtype.itemsize + dtype.itemsize) * fan_out
     fits = into is not None and into.param_mask is None
-    if not (fits and (into.layer_dims, into.dtype, into.activation) == (dims, dtype, activation)):
+    if not (fits and (into.layer_dims, into.dtype) == (dims, dtype)):
         n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
-        into = DenseNet._wrap(dims, np.empty(n_params, dtype), activation)
+        into = DenseNet(dims, np.empty(n_params, dtype))
     params = into.params
     if quant_bits == 0:
         params[...] = np.frombuffer(buf, dtype, offset=off)
@@ -609,5 +601,5 @@ def net_from_bytes(buf, into: DenseNet | None = None) -> DenseNet:
         params[pos + n : pos + n + fan_out] = np.frombuffer(buf, dtype, fan_out, off)
         off += fan_out * dtype.itemsize
         pos += n + fan_out
-    into.quant = QuantMeta(quant_bits, scales, [0] * len(scales))
+    into.quant = QuantMeta(quant_bits, scales)
     return into

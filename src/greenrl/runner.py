@@ -161,13 +161,7 @@ def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[RoundLog, dict]:
         metrics = run_session(session, cfg.rounds(), cfg.cloud.mode)
         rows, message, energy = metrics.rows, metrics.message_ledger, metrics.energy
         reports = metrics.sparsity_reports
-        eval_reward = evaluate_greedy_net(
-            metrics.final_net,
-            env_cfg,
-            cfg.eval_slots,
-            float(env_cfg.max_opportunities),
-            seed + EVAL_SEED_OFFSET,
-        )
+        eval_reward = evaluate_greedy_net(metrics.final_net, env_cfg, cfg.eval_slots, seed + EVAL_SEED_OFFSET)
     else:
         rows, agent = run_local_agent(
             env_cfg,
@@ -222,9 +216,7 @@ def run_compression_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[tuple],
     for frac in cfg.compression.sparsity_levels:
         thr = threshold_for_sparsity(dense.final_net, frac)
         pruned, report = prune_by_magnitude(dense.final_net, thr)
-        reward = evaluate_greedy_net(
-            pruned, env_cfg, cfg.eval_slots, float(env_cfg.max_opportunities), EVAL_SEED_OFFSET + seed
-        )
+        reward = evaluate_greedy_net(pruned, env_cfg, cfg.eval_slots, EVAL_SEED_OFFSET + seed)
         counts = (report.sparsity, report.nonzero_weights, report.mac_count_pruned)
         rows.append((seed, frac, thr, *counts, reward))
     comp_request = cfg.service_request(seed, compression=_compressed_plan(cfg))

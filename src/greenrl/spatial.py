@@ -16,7 +16,7 @@ builds the quadrature matrix once and steps a bare z array through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -389,16 +389,15 @@ def transfer_weights(
     np.fill_diagonal(pos, 0.0)
     for i, net in enumerate(nets):
         z_i = float(pos[i].sum())
-        if beta == 0.0 or z_i == 0.0:
-            out.append(replace(net, quant=None))
-            continue
-        w_i = z_i / (1.0 + z_i)
-        mix = (1.0 - beta * w_i) * net.params
-        for j, other in enumerate(nets):
-            if j != i and pos[i, j] != 0.0:
-                mix = mix + beta * w_i * (pos[i, j] / z_i) * other.params
-        mask = net.param_mask
-        if mask is not None:
-            mix, mask = mix * mask, mask.copy()
-        out.append(DenseNet._wrap(dims, mix.astype(net.dtype, copy=False), net.activation, mask))
+        mix, mask = net.params, net.param_mask
+        if beta != 0.0 and z_i != 0.0:  # else the agent keeps its parameters
+            w_i = z_i / (1.0 + z_i)
+            mix = (1.0 - beta * w_i) * mix
+            for j, other in enumerate(nets):
+                if j != i and pos[i, j] != 0.0:
+                    mix = mix + beta * w_i * (pos[i, j] / z_i) * other.params
+            if mask is not None:
+                mix = mix * mask
+        # Copies of both vectors: no two networks share one.
+        out.append(DenseNet(dims, np.array(mix, net.dtype), None if mask is None else mask.copy()))
     return out

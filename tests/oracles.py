@@ -36,6 +36,7 @@ from greenrl.neural import (
     dqn_train_step,
     forward,
     glorot_init,
+    pack,
     symmetric_quantize_layer,
     sync_target,
 )
@@ -518,8 +519,6 @@ class ReferenceReplayBuffer:
 
 def _reference_forward_cached(net: DenseNet, x: np.ndarray):
     """Batched forward pass keeping per-layer inputs and pre-activations."""
-    if net.activation != "relu":
-        raise ConfigError(f"unsupported activation {net.activation!r}")
     inputs, pre_acts = [], []
     h = x
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -637,7 +636,7 @@ def reference_sgd_step(net: DenseNet, grads: GradientBatch, lr: float) -> DenseN
         weights.append(w)
         biases.append(net.biases[i] - lr * grads.bias_grads[i].astype(net.dtype))
     mask = [mk.copy() for mk in net.mask] if net.mask is not None else None
-    return DenseNet(net.layer_dims, weights, biases, net.activation, mask, quant=None)
+    return pack(net.layer_dims, weights, biases, mask)
 
 
 _REF_MAGIC = b"GDNW"
@@ -666,7 +665,7 @@ def reference_net_to_bytes(net: DenseNet, quant_bits: int | None = None) -> byte
             _REF_FORMAT_VERSION,
             float_tag,
             0 if quant_bits is None else int(quant_bits),
-            _REF_ACT_TAGS[net.activation],
+            _REF_ACT_TAGS["relu"],
             len(net.layer_dims),
         ),
         struct.pack(f"<{len(net.layer_dims)}I", *net.layer_dims),
@@ -702,8 +701,7 @@ def reference_net_from_bytes(buf: bytes) -> DenseNet:
         raise InvalidInputError(f"unknown float tag {float_tag}")
     if quant_bits != 0 and not 2 <= quant_bits <= 16:
         raise InvalidInputError(f"quantisation bits must be 0 or lie in [2, 16], got {quant_bits}")
-    activation = {v: k for k, v in _REF_ACT_TAGS.items()}.get(act_tag)
-    if activation is None:
+    if act_tag not in _REF_ACT_TAGS.values():
         raise InvalidInputError(f"unknown activation tag {act_tag}")
     if n_dims < 2:
         raise InvalidInputError(f"network payload needs >= 2 layer dims, got {n_dims}")
@@ -743,8 +741,8 @@ def reference_net_from_bytes(buf: bytes) -> DenseNet:
         biases.append(b.copy())
     quant = None
     if quant_bits:
-        quant = QuantMeta(quant_bits, scales, [0] * len(scales))
-    return DenseNet(tuple(dims), weights, biases, activation, mask=None, quant=quant)
+        quant = QuantMeta(quant_bits, scales)
+    return pack(tuple(dims), weights, biases, quant=quant)
 
 
 
@@ -786,13 +784,11 @@ def reference_transfer_weights(
         raise InvalidInputError("all agents must share one architecture")
 
     def copy_of(net: DenseNet) -> DenseNet:
-        return DenseNet(
+        return pack(
             net.layer_dims,
             [w.copy() for w in net.weights],
             [b.copy() for b in net.biases],
-            net.activation,
             [m.copy() for m in net.mask] if net.mask is not None else None,
-            None,
         )
 
     out: list[DenseNet] = []
@@ -820,13 +816,11 @@ def reference_transfer_weights(
             weights.append(w_mix.astype(net.dtype))
             biases.append(b_mix.astype(net.dtype))
         out.append(
-            DenseNet(
+            pack(
                 net.layer_dims,
                 weights,
                 biases,
-                net.activation,
                 [m.copy() for m in net.mask] if net.mask is not None else None,
-                None,
             )
         )
     return out

@@ -18,7 +18,7 @@ from greenrl.agents import (
 from greenrl.cloud_loop import ROUND_COLUMNS
 from greenrl.config import config_from_dict
 from greenrl.errors import ConfigError, InvalidInputError
-from greenrl.neural import glorot_init
+from greenrl.neural import glorot_init, pack
 from greenrl.rach_env import BernoulliTraffic, RachAction, RachConfig
 from oracles import reference_evaluate_greedy_agent, reference_le_urc_policy, reference_run_local_agent
 
@@ -247,9 +247,9 @@ def test_evaluate_greedy_agent_depends_only_on_policy():
 def test_evaluate_greedy_net_deterministic_and_seed_sensitive():
     cfg = env_config()
     net = glorot_init((6, 8, 4), seed=0, dtype=np.float32)
-    one = evaluate_greedy_net(net, cfg, 150, 48.0, seed=2)
-    two = evaluate_greedy_net(net, cfg, 150, 48.0, seed=2)
-    other = evaluate_greedy_net(net, cfg, 150, 48.0, seed=3)
+    one = evaluate_greedy_net(net, cfg, 150, seed=2)
+    two = evaluate_greedy_net(net, cfg, 150, seed=2)
+    other = evaluate_greedy_net(net, cfg, 150, seed=3)
     assert one == two
     assert one != other
 
@@ -259,28 +259,30 @@ def test_evaluate_greedy_net_rejects_non_finite_weights():
     net = glorot_init((6, 8, 4), seed=0, dtype=np.float32)
     net.weights[1][3, 2] = np.inf
     with pytest.raises(InvalidInputError):
-        evaluate_greedy_net(net, env_config(), 20, 48.0, seed=2)
+        evaluate_greedy_net(net, env_config(), 20, seed=2)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_evaluate_greedy_net_matches_reference_rollout(dtype):
     """The in-place state row and trusted forward pick the same actions as
-    build_state, the reference forward and the reference environment."""
+    build_state at the menu's largest size, the reference forward and the
+    reference environment."""
     from dataclasses import replace
 
     from greenrl.cloud_loop import build_state, derive_seeds
     from oracles import ReferenceRachEnv, _reference_forward_cached
 
     cfg = env_config()
+    assert cfg.max_opportunities == 48
     net = glorot_init((6, 8, 4), seed=4, dtype=dtype)
-    net.biases = [np.linspace(-0.5, 0.5, b.size).astype(dtype) for b in net.biases]
+    net = pack(net.layer_dims, net.weights, [np.linspace(-0.5, 0.5, b.size).astype(dtype) for b in net.biases])
     env = ReferenceRachEnv(replace(cfg, seed=derive_seeds(9, 1)["entities"][0]["env"]))
     obs, total = env.reset(), 0.0
     for _ in range(300):
         q = _reference_forward_cached(net, build_state(obs, 48.0, dtype)[None, :])[1][-1][0]
         obs, reward, _ = env.step(MENU[int(np.argmax(q))])
         total += reward
-    assert evaluate_greedy_net(net, cfg, 300, 48.0, seed=9) == total / 300
+    assert evaluate_greedy_net(net, cfg, 300, seed=9) == total / 300
 
 
 unit = st.floats(min_value=0.0, max_value=1.0)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +20,7 @@ from greenrl.cloud_loop import (
 )
 from greenrl.energy import macs_forward
 from greenrl.errors import ConfigError, InvalidInputError
-from greenrl.neural import ReplayBatch, glorot_init
+from greenrl.neural import ReplayBatch, glorot_init, pack
 from greenrl.rach_env import BernoulliTraffic, ExternalTraffic, RachAction, RachConfig
 from greenrl.rl_core import Transition
 from oracles import (
@@ -534,6 +532,19 @@ def test_outer_round_accounting():
     assert kinds.count("message") == 2
 
 
+def test_upload_carries_the_version_in_the_snapshot_bytes(monkeypatch):
+    """The entity reads the snapshot's version from its header, the only
+    thing it receives, and stamps its upload with it."""
+    import greenrl.cloud_loop as cloud_loop
+
+    real_encode = cloud_loop.encode_snapshot
+    monkeypatch.setattr(cloud_loop, "encode_snapshot", lambda version, *rest: real_encode(version + 7, *rest))
+    session = Session(make_request())
+    assert session.outer_round(0)[0].snapshot_version == 7
+    session.train_on_batch(session.outer_round(0)[0])
+    assert session.outer_round(0)[0].snapshot_version == 8
+
+
 def test_session_upload_keeps_the_wire_columns():
     """A session's own upload is parsed, not widened: its columns hold the
     wire's dtypes, and they are the columns ``decode_sample_batch`` widens."""
@@ -837,7 +848,7 @@ def test_outer_round_rejects_non_finite_snapshot():
     session = Session(make_request())
     weights = [w.copy() for w in session.online.weights]
     weights[0][0, 0] = np.inf
-    session.online = replace(session.online, weights=weights)
+    session.online = pack(session.online.layer_dims, weights, session.online.biases)
     with pytest.raises(InvalidInputError):
         session.outer_round(0)
 

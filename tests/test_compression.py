@@ -14,16 +14,17 @@ from greenrl.compression import (
     threshold_for_sparsity,
 )
 from greenrl.errors import ConfigError, InvalidInputError
-from greenrl.neural import DenseNet, forward, glorot_init
+from greenrl.neural import forward, glorot_init, pack
 from greenrl.rl_core import QTable
 from oracles import reference_discretize
 
 
-def square_net():
-    return DenseNet(
+def square_net(mask=None):
+    return pack(
         (2, 2),
         [np.array([[0.1, -0.5], [0.9, 0.05]])],
         [np.array([0.0, 0.0])],
+        mask,
     )
 
 
@@ -49,8 +50,7 @@ def test_prune_keeps_boundary_magnitude():
 
 
 def test_prune_composes_with_existing_mask():
-    net = square_net()
-    net.mask = [np.array([[1.0, 0.0], [1.0, 1.0]])]
+    net = square_net(mask=[np.array([[1.0, 0.0], [1.0, 1.0]])])
     pruned, report = prune_by_magnitude(net, 0.2)
     np.testing.assert_array_equal(pruned.weights[0], [[0.0, 0.0], [0.9, 0.0]])
     assert report.nonzero_weights == 1
@@ -112,7 +112,7 @@ def test_threshold_hits_requested_sparsity(frac, seed):
 
 
 def test_prune_neurons_shapes_and_rows():
-    net = DenseNet(
+    net = pack(
         (2, 3, 1),
         [np.arange(6, dtype=float).reshape(2, 3), np.array([[10.0], [20.0], [30.0]])],
         [np.array([1.0, 2.0, 3.0]), np.array([0.5])],
@@ -160,6 +160,16 @@ def test_quantize_weights_idempotent():
     q2 = quantize_weights(q1, 8)
     assert all(np.array_equal(a, b) for a, b in zip(q1.weights, q2.weights))
     assert q2.quant.scales == q1.quant.scales
+
+
+def test_quantize_weights_on_lattice_copies_the_vectors():
+    """Re-quantising at the same width gives an equal network on its own
+    vectors and tag, so writing one network cannot change the other."""
+    q1 = quantize_weights(prune_by_magnitude(glorot_init((5, 5), seed=3), 0.2)[0], 8)
+    q2 = quantize_weights(q1, 8)
+    assert (q2.params.tobytes(), q2.param_mask.tobytes()) == (q1.params.tobytes(), q1.param_mask.tobytes())
+    assert not np.shares_memory(q2.params, q1.params) and not np.shares_memory(q2.param_mask, q1.param_mask)
+    assert q2.quant == q1.quant and q2.quant.scales is not q1.quant.scales
 
 
 def test_quantize_weights_requantise_at_other_width():

@@ -23,7 +23,7 @@ def test_every_exported_name_resolves():
 def test_benchmark_hook_targets_resolve():
     """The names the benchmark's timing and capture hooks wrap still exist.
     A hook whose target is gone is skipped, and its metrics read 0."""
-    from greenrl import agents, cloud_loop, runner
+    from greenrl import agents, cloud_loop, compression, neural, runner, spatial
 
     assert runner.instantiate is cloud_loop.instantiate
     for owner, name in (
@@ -31,5 +31,14 @@ def test_benchmark_hook_targets_resolve():
         (cloud_loop.Session, "train_on_batch"),
         (runner, "write_csv"),
         (agents, "run_local_agent"),
+        (agents, "evaluate_greedy_net"),
+        *((neural, name) for name in (
+            "forward", "net_to_bytes", "net_from_bytes", "dqn_train_step", "batch_loss", "backprop_minibatch",
+        )),
+        (neural.ReplayBuffer, "sample"),
+        (neural.ReplayBuffer, "push"),
+        (compression, "prune_by_magnitude"),
+        (compression, "threshold_for_sparsity"),
+        (spatial, "transfer_weights"),
     ):
         assert callable(getattr(owner, name, None)), name

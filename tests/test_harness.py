@@ -475,6 +475,33 @@ def test_cli_reports_a_file_system_error(tmp_path, capsys):
     assert blocker.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize(
+    "message,shown",
+    [
+        ("Unable to allocate 7.45 EiB for an array with shape (1000000000, 1000000000) and data type float64",
+         "Unable to allocate 7.45 EiB"),
+        ("", "MemoryError"),
+    ],
+    ids=["numpy-message", "no-message"],
+)
+def test_cli_reports_an_allocation_failure(tmp_path, capsys, monkeypatch, message, shown):
+    """A network too large to allocate (say ``cloud.hidden: [1000000000]``)
+    used to end in a raw MemoryError traceback; it exits 1 with an
+    ``error:`` line, after ``error.json`` records it."""
+
+    def out_of_memory(request):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(runner, "instantiate", out_of_memory)
+    rc = cli_main(["run", write_config_file(tmp_path, agent="dqn")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {shown}")
+    assert "Traceback" not in err
+    with open(tmp_path / "out" / "cli" / "error.json") as fh:
+        assert json.load(fh)["type"] == "MemoryError"
+
+
 TINY_DQN = {"inner_steps": 20, "hidden": [8], "batch_size": 8, "replay_capacity": 64}
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from greenrl.compression import prune_by_magnitude, threshold_for_sparsity
 from greenrl.errors import ConfigError, InvalidInputError
-from greenrl.neural import DenseNet, glorot_init
+from greenrl.neural import glorot_init, pack
 from greenrl.spatial import (
     MIN_LENGTH_SCALE,
     FieldNoise,
@@ -26,7 +26,7 @@ from greenrl.spatial import (
 def scalar_nets(*values, dtype=np.float64):
     """One-weight nets holding a single constant each."""
     return [
-        DenseNet(
+        pack(
             (1, 1),
             [np.array([[v]], dtype=dtype)],
             [np.array([v], dtype=dtype)],
@@ -371,8 +371,10 @@ def test_transfer_matches_reference(dtype, pruned):
     for _ in range(20):
         n = int(rng.integers(2, 4))
         nets = [glorot_init((5, 6, 3), seed=int(rng.integers(1000)), dtype=dtype) for _ in range(n)]
-        for net in nets:
-            net.biases = [rng.normal(size=b.shape).astype(dtype) for b in net.biases]
+        nets = [
+            pack(net.layer_dims, net.weights, [rng.normal(size=b.shape).astype(dtype) for b in net.biases])
+            for net in nets
+        ]
         if pruned:
             nets = [prune_by_magnitude(net, threshold_for_sparsity(net, 0.5))[0] for net in nets]
         corr = rng.uniform(-1.0, 1.0, (n, n))
@@ -382,6 +384,9 @@ def test_transfer_matches_reference(dtype, pruned):
         got, want = transfer_weights(nets, corr, beta), reference_transfer_weights(nets, corr, beta)
         for g, w in zip(got, want):
             assert g.params.tobytes() == w.params.tobytes()
+            # an unchanged agent (beta 0, or no positive correlation) is a copy too
+            assert not any(np.shares_memory(g.params, net.params) for net in nets)
+            assert not pruned or not any(np.shares_memory(g.param_mask, net.param_mask) for net in nets)
             assert (g.mask is None) == (w.mask is None) == (not pruned)
             if pruned:
                 assert g.param_mask.tobytes() == w.param_mask.tobytes()
