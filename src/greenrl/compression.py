@@ -1,8 +1,8 @@
 """Model and state-space compression.
 
-Weight-level tools (magnitude pruning, neuron removal, symmetric integer
-quantisation) operate on DenseNet instances and keep masked weights exactly
-zero.  State-level tools (equal-width discretisation, greedy Q-table
+Weight-level tools (magnitude pruning, symmetric integer quantisation)
+operate on DenseNet instances and keep masked weights exactly zero.
+State-level tools (equal-width discretisation, greedy Q-table
 aggregation) shrink tabular representations.
 """
 
@@ -22,7 +22,6 @@ __all__ = [
     "StatePartition",
     "DiscretizationScheme",
     "prune_by_magnitude",
-    "prune_neurons",
     "quantize_weights",
     "threshold_for_sparsity",
     "bin_indices",
@@ -80,43 +79,6 @@ def threshold_for_sparsity(net: DenseNet, fraction: float) -> float:
     return float(np.quantile(mags, fraction))
 
 
-def prune_neurons(net: DenseNet, neurons: Iterable[tuple[int, int]]) -> DenseNet:
-    """Remove hidden neurons outright (incoming and outgoing connections).
-
-    ``neurons`` holds (layer_index, neuron_index) pairs where layer_index
-    counts into layer_dims, so valid values are 1 .. len(layer_dims)-2.
-    Dropping input/output units or an entire hidden layer is an error.
-    """
-    by_layer: dict[int, set[int]] = {}
-    for layer, idx in neurons:
-        layer, idx = int(layer), int(idx)
-        if not 1 <= layer <= len(net.layer_dims) - 2:
-            raise InvalidInputError(
-                f"layer {layer} is not a hidden layer of dims {net.layer_dims}"
-            )
-        if not 0 <= idx < net.layer_dims[layer]:
-            raise InvalidInputError(f"neuron {idx} out of range for layer {layer}")
-        by_layer.setdefault(layer, set()).add(idx)
-    for layer, drop in by_layer.items():
-        if len(drop) >= net.layer_dims[layer]:
-            raise InvalidInputError(f"cannot drop every neuron of layer {layer}")
-
-    keep = [
-        np.setdiff1d(np.arange(d), sorted(by_layer.get(i, ())))
-        for i, d in enumerate(net.layer_dims)
-    ]
-    mask = net.mask
-    weights, biases, new_mask = [], [], []
-    for i in range(net.n_layers):
-        w = net.weights[i][np.ix_(keep[i], keep[i + 1])]
-        weights.append(w)
-        biases.append(net.biases[i][keep[i + 1]])
-        if mask is not None:
-            new_mask.append(mask[i][np.ix_(keep[i], keep[i + 1])])
-    dims = tuple(len(k) for k in keep)
-    return pack(dims, weights, biases, new_mask if mask is not None else None)
-
-
 def _on_lattice(net: DenseNet, bits: int) -> bool:
     """True when every weight already equals codes * recorded_scale exactly."""
     if net.quant is None or net.quant.bits != bits:
@@ -132,9 +94,9 @@ def _on_lattice(net: DenseNet, bits: int) -> bool:
 def quantize_weights(net: DenseNet, bits: int) -> DenseNet:
     """Symmetric per-layer quantisation; weights stored dequantised.
 
-    scale = max|w| / (2**(bits-1) - 1) per layer (1.0 for an all-zero layer),
-    codes round to nearest.  Re-quantising an already-quantised network at
-    the same bit width returns it unchanged.  Biases are not quantised.
+    Each layer's codes and scale are ``symmetric_quantize_layer``'s.
+    Re-quantising an already-quantised network at the same bit width returns
+    it unchanged.  Biases are not quantised.
     """
     if not 2 <= int(bits) <= 16:
         raise ConfigError(f"quantisation bits must lie in [2, 16], got {bits}")

@@ -37,7 +37,7 @@ from .rl_core import Transition, check_discount
 
 __all__ = [
     "DenseNet", "QuantMeta", "pack", "GradientBatch", "ReplayBatch", "ReplayBuffer", "glorot_init", "forward",
-    "batch_loss", "backprop_minibatch", "sgd_step", "dqn_train_step", "sync_target", "net_to_bytes", "net_from_bytes",
+    "batch_loss", "backprop_minibatch", "dqn_train_step", "sync_target", "net_to_bytes", "net_from_bytes",
     "symmetric_quantize_layer",
 ]
 
@@ -259,15 +259,6 @@ def _descend(net: DenseNet, grad: np.ndarray, lr: float) -> DenseNet:
         np.multiply(params, mask, out=params)
         mask = mask.copy()
     return DenseNet(net.layer_dims, params, mask)
-
-
-def sgd_step(net: DenseNet, grads: GradientBatch, lr: float) -> DenseNet:
-    """w <- w - lr * g; the sparsity mask is re-applied afterwards."""
-    given = [np.shape(g) for g in (*grads.weight_grads, *grads.bias_grads)]
-    if given != [a.shape for a in (*net.weights, *net.biases)]:
-        raise InvalidInputError(f"gradient shapes {given} do not match the network")
-    layers = zip(grads.weight_grads, grads.bias_grads)
-    return _descend(net, np.concatenate([np.ravel(g) for layer in layers for g in layer], dtype=net.dtype), lr)
 
 
 def sync_target(net: DenseNet) -> DenseNet:
@@ -497,14 +488,18 @@ _RELU_TAG = 0  # the activation tag: ReLU, the only activation
 def symmetric_quantize_layer(w: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
     """Round-to-nearest signed integer codes with scale max|w| / (2**(bits-1)-1).
 
-    An all-zero layer quantises with scale 1.0.  Returns (codes, scale).
+    The wire's scale field is a float32: a scale that is 0 there becomes 1.0 (zero
+    codes), and one it cannot hold raises ``InvalidInputError``.  Returns (codes, scale).
     """
     if not 2 <= int(bits) <= 16:
         raise ConfigError(f"quantisation bits must lie in [2, 16], got {bits}")
     q_max = 2 ** (int(bits) - 1) - 1
     w64 = np.asarray(w, dtype=np.float64)
     peak = float(np.max(np.abs(w64))) if w64.size else 0.0
-    scale = peak / q_max if peak > 0 else 1.0
+    scale = peak / q_max
+    if not scale <= float(np.finfo(np.float32).max):
+        raise InvalidInputError(f"a layer with peak |w| {peak!r} has no float32 quantisation scale")
+    scale = scale if np.float32(scale) > 0 else 1.0
     codes = np.clip(np.round(w64 / scale), -q_max, q_max).astype(np.int32)
     return codes, scale
 

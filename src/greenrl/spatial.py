@@ -29,18 +29,13 @@ __all__ = [
     "Kernel",
     "FieldNoise",
     "CorrelationMatrix",
-    "KernelFit",
     "quadrature_matrix",
     "side_step",
     "FieldTrafficSource",
     "estimate_correlation",
-    "fit_kernel",
     "transfer_weights",
-    "MIN_LENGTH_SCALE",
     "SQUASH_TAGS",
 ]
-
-MIN_LENGTH_SCALE = 1e-6
 
 _SQUASH_FNS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "identity": lambda z: z,
@@ -302,58 +297,6 @@ def estimate_correlation(history: np.ndarray) -> CorrelationMatrix:
         idx = np.flatnonzero(ok)
         values[np.ix_(idx, idx)] = sub
     return CorrelationMatrix(values, degenerate)
-
-
-@dataclass(frozen=True)
-class KernelFit:
-    kernel: Kernel
-    degenerate: bool
-    rss: float
-
-
-def fit_kernel(corr: CorrelationMatrix | np.ndarray, sites: np.ndarray) -> KernelFit:
-    """Least-squares Gaussian fit to clipped off-diagonal correlations.
-
-    Negative correlations clip to 0 before fitting.  If nothing positive
-    remains the fit is flagged degenerate and a zero-amplitude kernel at the
-    minimal length scale is returned.  scipy's ``optimize`` module (about
-    0.7 s to import) loads on the first call, not with greenrl.
-    """
-    from scipy.optimize import curve_fit
-
-    values = corr.values if isinstance(corr, CorrelationMatrix) else np.asarray(corr, dtype=float)
-    sites = np.asarray(sites, dtype=float)
-    if sites.ndim == 1:
-        sites = sites[:, None]
-    n = values.shape[0]
-    if values.shape != (n, n) or sites.shape[0] != n:
-        raise InvalidInputError("correlation matrix and sites disagree on n")
-    if n < 2:
-        raise InvalidInputError("need at least two sites to fit a kernel")
-    dists = _pairwise_distances(sites)
-    iu = np.triu_indices(n, k=1)
-    d = dists[iu]
-    c = np.clip(values[iu], 0.0, None)
-    if not np.any(c > 0):
-        return KernelFit(Kernel(0.0, MIN_LENGTH_SCALE), True, float((c**2).sum()))
-
-    def model(dd, a, ell):
-        return a * np.exp(-(dd**2) / (2.0 * ell**2))
-
-    a0 = float(c.max())
-    ell0 = float(np.median(d[c > 0])) if np.any(d[c > 0] > 0) else 1.0
-    ell0 = max(ell0, MIN_LENGTH_SCALE)
-    params, _ = curve_fit(
-        model,
-        d,
-        c,
-        p0=(a0, ell0),
-        bounds=([0.0, MIN_LENGTH_SCALE], [np.inf, np.inf]),
-        maxfev=10000,
-    )
-    a_hat, ell_hat = float(params[0]), float(params[1])
-    rss = float(((model(d, a_hat, ell_hat) - c) ** 2).sum())
-    return KernelFit(Kernel(a_hat, ell_hat), False, rss)
 
 
 def transfer_weights(

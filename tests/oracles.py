@@ -612,11 +612,12 @@ def reference_dqn_train_step(
 # Reference parameter update and network codec
 # ---------------------------------------------------------------------------
 #
-# The per-layer ``sgd_step`` and network codec that the flat parameter
+# The per-layer parameter update and network codec that the flat parameter
 # vector in greenrl.neural replaced, kept verbatim apart from their names.
 # They walk the network one weight matrix and bias vector at a time.  The
-# learner's updates must match ``reference_sgd_step`` bit for bit, and
-# payloads of the new codec must match these byte for byte.
+# learner's one-vector update (``dqn_train_step``) must match
+# ``reference_sgd_step`` bit for bit, and payloads of the new codec must
+# match these byte for byte.
 
 
 def reference_sgd_step(net: DenseNet, grads: GradientBatch, lr: float) -> DenseNet:

@@ -9,12 +9,11 @@ from greenrl.compression import (
     apply_partition,
     bin_indices,
     prune_by_magnitude,
-    prune_neurons,
     quantize_weights,
     threshold_for_sparsity,
 )
 from greenrl.errors import ConfigError, InvalidInputError
-from greenrl.neural import forward, glorot_init, pack
+from greenrl.neural import glorot_init, pack
 from greenrl.rl_core import QTable
 from oracles import reference_discretize
 
@@ -104,43 +103,6 @@ def test_threshold_hits_requested_sparsity(frac, seed):
     _, report = prune_by_magnitude(net, threshold_for_sparsity(net, frac))
     # quantile interpolation can land a hair off on small nets
     assert abs(report.sparsity - frac) <= 1.5 / report.total_weights
-
-
-# ---------------------------------------------------------------------------
-# neuron removal
-# ---------------------------------------------------------------------------
-
-
-def test_prune_neurons_shapes_and_rows():
-    net = pack(
-        (2, 3, 1),
-        [np.arange(6, dtype=float).reshape(2, 3), np.array([[10.0], [20.0], [30.0]])],
-        [np.array([1.0, 2.0, 3.0]), np.array([0.5])],
-    )
-    out = prune_neurons(net, [(1, 1)])
-    assert out.layer_dims == (2, 2, 1)
-    np.testing.assert_array_equal(out.weights[0], [[0.0, 2.0], [3.0, 5.0]])
-    np.testing.assert_array_equal(out.weights[1], [[10.0], [30.0]])
-    np.testing.assert_array_equal(out.biases[0], [1.0, 3.0])
-
-
-def test_prune_neurons_preserves_function_of_dead_unit():
-    net = glorot_init((3, 4, 2), seed=13)
-    net.weights[1][2, :] = 0.0  # neuron (1, 2) no longer feeds the output
-    out = prune_neurons(net, [(1, 2)])
-    for x in np.random.default_rng(0).normal(size=(5, 3)):
-        np.testing.assert_allclose(forward(out, x), forward(net, x), atol=1e-12)
-
-
-@pytest.mark.parametrize("bad", [(0, 0), (2, 0), (1, 4), (1, -1)])
-def test_prune_neurons_rejects_bad_coordinates(bad):
-    with pytest.raises(InvalidInputError):
-        prune_neurons(glorot_init((3, 4, 2), seed=0), [bad])
-
-
-def test_prune_neurons_cannot_empty_a_layer():
-    with pytest.raises(InvalidInputError):
-        prune_neurons(glorot_init((3, 2, 2), seed=0), [(1, 0), (1, 1)])
 
 
 # ---------------------------------------------------------------------------

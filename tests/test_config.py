@@ -423,7 +423,7 @@ def test_cloud_section_is_a_dqn_config():
         ({"reward_threshold": 1.0, "cloud": {"n_entities": 2}}, "config.cloud.n_entities: must be 1"),
     ],
 )
-def test_transfer_rules_are_checked_by_check_scenario(doc, error):
+def test_transfer_rules_are_config_rules(doc, error):
     """The transfer rules are config rules: ``config_from_dict`` raises them
     (it used to build such a config, leaving them to ``load_config`` and
     ``run_experiment``)."""

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import greenrl
@@ -42,3 +44,20 @@ def test_benchmark_hook_targets_resolve():
         (spatial, "transfer_weights"),
     ):
         assert callable(getattr(owner, name, None)), name
+
+
+def test_scipy_special_is_the_only_scipy_module_imported():
+    """No greenrl module imports a scipy module but ``scipy.special``, at the
+    top or inside a function: ``scipy.stats`` and ``scipy.optimize`` each
+    take most of a second to load."""
+    scipy = []
+    for path in sorted(pathlib.Path(greenrl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            scipy += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
+    assert {".".join(name.split(".")[:2]) for _, name in scipy} == {"scipy.special"}, scipy

@@ -505,6 +505,20 @@ def test_cli_reports_an_allocation_failure(tmp_path, capsys, monkeypatch, messag
 TINY_DQN = {"inner_steps": 20, "hidden": [8], "batch_size": 8, "replay_capacity": 64}
 
 
+def test_cli_reports_a_diverged_snapshot(tmp_path, capsys):
+    """A float64 learner whose weights outgrow the 8-bit snapshot's float32
+    scale field used to end in a raw OverflowError traceback from
+    ``struct.pack``."""
+    cloud = {**TINY_DQN, "dtype": "float64", "snapshot_bits": 8, "lr": 1e12}
+    rc = cli_main(["run", write_config_file(tmp_path, agent="dqn", cloud=cloud)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "float32 quantisation scale" in err
+    assert "Traceback" not in err
+    with open(tmp_path / "out" / "cli" / "error.json") as fh:
+        assert json.load(fh)["type"] == "InvalidInputError"
+
+
 def test_cli_run_compression_report(tmp_path, capsys):
     path = write_config_file(tmp_path, scenario="compression", agent="dqn", cloud=TINY_DQN)
     assert cli_main(["run", path]) == 0

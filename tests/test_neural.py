@@ -3,14 +3,13 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenrl.compression import prune_by_magnitude, threshold_for_sparsity
 from greenrl.errors import ConfigError, InvalidInputError, NotReadyError
 from greenrl.neural import (
     DenseNet,
-    GradientBatch,
     ReplayBatch,
     ReplayBuffer,
     backprop_minibatch,
@@ -21,7 +20,6 @@ from greenrl.neural import (
     net_from_bytes,
     net_to_bytes,
     pack,
-    sgd_step,
     symmetric_quantize_layer,
     sync_target,
 )
@@ -33,7 +31,6 @@ from oracles import (
     reference_dqn_train_step,
     reference_net_from_bytes,
     reference_net_to_bytes,
-    reference_sgd_step,
 )
 
 
@@ -164,35 +161,8 @@ def test_empty_batch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# sgd_step / sync_target
+# sync_target
 # ---------------------------------------------------------------------------
-
-
-def test_sgd_step_arithmetic():
-    net = scalar_net(w=2.0, b=1.0)
-    g = GradientBatch([np.array([[10.0]])], [np.array([4.0])])
-    out = sgd_step(net, g, lr=0.1)
-    assert out.weights[0][0, 0] == pytest.approx(1.0)
-    assert out.biases[0][0] == pytest.approx(0.6)
-    assert net.weights[0][0, 0] == 2.0  # input net untouched
-
-
-def test_sgd_step_reapplies_mask():
-    net = scalar_net(mask=[np.array([[0.0]])])
-    out = sgd_step(net, GradientBatch([np.array([[5.0]])], [np.array([0.0])]), 0.1)
-    assert out.weights[0][0, 0] == 0.0
-    assert out.mask[0][0, 0] == 0.0
-
-
-def test_sgd_step_validation():
-    net = scalar_net()
-    good = GradientBatch([np.zeros((1, 1))], [np.zeros(1)])
-    with pytest.raises(InvalidInputError):
-        sgd_step(net, good, lr=0.0)
-    with pytest.raises(InvalidInputError):
-        sgd_step(net, GradientBatch([np.zeros((2, 1))], [np.zeros(1)]), 0.1)
-    with pytest.raises(InvalidInputError):
-        sgd_step(net, GradientBatch([], []), 0.1)
 
 
 def test_sync_target_is_deep_copy():
@@ -431,6 +401,18 @@ def test_train_step_rejects_an_action_the_net_has_no_output_for(action):
     np.testing.assert_array_equal(online.params, before)
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.01, float("nan")])
+def test_train_step_rejects_a_learning_rate_that_is_not_positive(lr):
+    """The update raises before the online network changes."""
+    online = glorot_init((3, 4, 2), seed=1)
+    target, before = sync_target(online), online.params.copy()
+    buf = ReplayBuffer(8)
+    buf.write(ReplayBatch(np.ones((4, 3)), np.ones(4, np.int64), np.ones(4), np.zeros((4, 3)), np.ones(4)))
+    with pytest.raises(InvalidInputError, match="learning rate"):
+        dqn_train_step(online, target, buf, 2, 0.9, lr, np.random.default_rng(0))
+    np.testing.assert_array_equal(online.params, before)
+
+
 @pytest.mark.parametrize(
     "dtype, pruned, capacity",
     [
@@ -584,6 +566,30 @@ def test_wire_quantized_roundtrip_and_meta():
         )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("peak, dtype", [(5e-324, np.float64), (1e-320, np.float64), (1e-45, np.float32)])
+def test_wire_quantized_subnormal_layer_roundtrips(peak, dtype):
+    """A layer whose scale is 0 in float32 ships as an all-zero layer with
+    scale 1.0.  It used to divide by a zero scale (5e-324) or write a zero
+    scale field, and the decoder rejected the payload either way."""
+    net = pack((2, 1), [np.array([[peak], [0.0]], dtype)], [np.array([0.5], dtype)])
+    back = net_from_bytes(net_to_bytes(net, quant_bits=8))
+    assert back.quant.scales == [1.0]
+    np.testing.assert_array_equal(back.weights[0], [[0.0], [0.0]])
+    np.testing.assert_array_equal(back.biases[0], [0.5])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("peak", [1e300, np.inf, np.nan])
+def test_wire_quantized_rejects_a_scale_beyond_float32(peak):
+    """A layer with no float32 scale used to raise a raw OverflowError from
+    ``struct.pack`` (1e300), ship an infinite scale the decoder rejects
+    (inf), or cast NaN to integer codes (nan)."""
+    net = pack((2, 1), [np.array([[peak], [1.0]])], [np.zeros(1)])
+    with pytest.raises(InvalidInputError, match="float32 quantisation scale"):
+        net_to_bytes(net, quant_bits=8)
+
+
 def test_wire_rejects_garbage():
     net = glorot_init((2, 2), seed=0)
     buf = net_to_bytes(net)
@@ -621,10 +627,13 @@ def test_quantize_layer_zero_layer():
     assert np.all(codes == 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(
     st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=40),
     st.integers(min_value=2, max_value=16),
 )
+@example([5e-324, 0.0], 8)
+@example([1e-320, 0.0], 8)
 @settings(max_examples=60)
 def test_quantize_layer_error_bound(vals, bits):
     w = np.array(vals)
@@ -885,26 +894,6 @@ def test_constructor_checks_shapes_against_dims():
     ]:
         with pytest.raises(ConfigError, match="does not hold"):
             DenseNet((2, 3), params, param_mask)
-
-
-@pytest.mark.parametrize("pruned", [False, True])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_sgd_step_matches_reference(dtype, pruned):
-    """One vector update against the per-layer reference, bit for bit, with
-    float64 gradients on either network dtype."""
-    rng = np.random.default_rng(3)
-    net = glorot_init((5, 7, 3), seed=2, dtype=dtype)
-    if pruned:
-        net, _ = prune_by_magnitude(net, threshold_for_sparsity(net, 0.4))
-    for lr in (0.1, 1e-3, 3.7):
-        grads = GradientBatch(
-            [rng.normal(size=w.shape) for w in net.weights], [rng.normal(size=b.shape) for b in net.biases]
-        )
-        got, want = sgd_step(net, grads, lr), reference_sgd_step(net, grads, lr)
-        assert got.params.dtype == dtype
-        assert got.params.tobytes() == want.params.tobytes()
-        _assert_views_agree(got)
-        net = got
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -9,14 +9,12 @@ from greenrl.compression import prune_by_magnitude, threshold_for_sparsity
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.neural import glorot_init, pack
 from greenrl.spatial import (
-    MIN_LENGTH_SCALE,
     FieldNoise,
     FieldTrafficSource,
     Kernel,
     SpatialField,
     _rates,
     estimate_correlation,
-    fit_kernel,
     quadrature_matrix,
     side_step,
     transfer_weights,
@@ -271,34 +269,6 @@ def test_correlation_validation():
         estimate_correlation(np.full((3, 2), np.nan))
     with pytest.raises(InvalidInputError):
         estimate_correlation(np.zeros(5))
-
-
-def test_fit_kernel_recovers_generating_parameters():
-    sites = SpatialField.line(10, 10.0).sites
-    truth = Kernel(0.8, 1.9)
-    dists = np.sqrt(((sites[:, None, :] - sites[None, :, :]) ** 2).sum(-1))
-    fit = fit_kernel(truth(dists), sites)
-    assert not fit.degenerate
-    assert fit.kernel.amplitude == pytest.approx(0.8, abs=1e-6)
-    assert fit.kernel.length_scale == pytest.approx(1.9, abs=1e-6)
-    assert fit.rss < 1e-12
-
-
-def test_fit_kernel_degenerate_when_nothing_positive():
-    corr = -np.ones((4, 4))
-    np.fill_diagonal(corr, 1.0)
-    fit = fit_kernel(corr, SpatialField.line(4, 4.0).sites)
-    assert fit.degenerate
-    assert fit.kernel.amplitude == 0.0
-    assert fit.kernel.length_scale == MIN_LENGTH_SCALE
-
-
-def test_fit_kernel_validation():
-    sites = SpatialField.line(3, 3.0).sites
-    with pytest.raises(InvalidInputError):
-        fit_kernel(np.ones((2, 2)), sites)
-    with pytest.raises(InvalidInputError):
-        fit_kernel(np.ones((1, 1)), sites[:1])
 
 
 # ---------------------------------------------------------------------------
