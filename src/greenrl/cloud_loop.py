@@ -135,7 +135,8 @@ class DqnConfig:
         _check_fields(
             self,
             lambda: [
-                ("hidden", widths_ok, "a nonempty list of integers >= 1"),
+                # the wire's layer count is one byte, and it counts input and output too
+                ("hidden", widths_ok and len(hidden) <= 253, "a nonempty list of at most 253 integers >= 1"),
                 ("lr", 0 < self.lr < np.inf, "finite and > 0"),
                 ("batch_size", self.batch_size >= 1, "an integer >= 1"),
                 ("discount", 0 < self.discount <= 1, "a number in (0, 1]"),

@@ -1,10 +1,13 @@
 """Paired statistics: seed-by-seed comparisons of two arms.
 
 The paired t-test, the Student t interval of a mean and the Wilcoxon
-signed-rank test, computed from the ``scipy.special`` distribution
-functions alone.  Importing scipy's ``stats`` module costs about a second,
-more than the rest of greenrl's start-up together, and these few p-values
-are all the program needs from it.
+signed-rank test, computed from three ``scipy.special`` distribution
+functions (``stdtr``, ``stdtrit``, ``ndtr``) rather than scipy's ``stats``
+module, which takes about a second to import.  Only ``transfer`` and
+``compare`` runs compute these statistics, at their end, so ``_special``
+imports ``scipy.special`` at the first statistic that needs it: importing
+greenrl loads numpy and no scipy, and a ``rach`` or ``compression`` run
+never loads scipy at all.
 
 Each function reproduces scipy 1.17's ``stats`` bit for bit on 1-D float64
 input without NaN, the only input greenrl passes:
@@ -15,13 +18,13 @@ input without NaN, the only input greenrl passes:
 * ``wilcoxon_p(d)`` is ``wilcoxon(a, b).pvalue`` with scipy's defaults
   (``zero_method="wilcox"``, ``correction=False``, ``method="auto"``).
 
-``tests/test_paired.py`` holds them to scipy's as the reference.
+``tests/test_paired.py`` holds them to scipy's as the reference, and checks
+which runs load scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr, stdtr, stdtrit
 
 __all__ = ["ttest_p", "wilcoxon_p", "ci95"]
 
@@ -34,6 +37,13 @@ _FLIP_MAX_N = 13
 # scipy's permutation test counts null statistics within this relative
 # distance of the observed one as equal to it.
 _FLIP_RTOL = np.finfo(np.float64).eps * 100
+
+
+def _special():
+    """``scipy.special``, imported at the first statistic that needs it."""
+    import scipy.special
+
+    return scipy.special
 
 
 def _t_statistic(d: np.ndarray) -> np.float64:
@@ -52,6 +62,7 @@ def ttest_p(d: np.ndarray, alternative: str = "two-sided") -> float:
     """p-value of the paired t-test on the differences ``d`` (n >= 2)."""
     t = _t_statistic(d)
     df = np.float64(len(d) - 1)
+    stdtr = _special().stdtr
     if alternative == "less":
         return float(stdtr(df, t))
     if alternative == "greater":
@@ -66,6 +77,7 @@ def ci95(x: np.ndarray) -> tuple[float, float]:
     n = len(x)
     sem = x.std(ddof=1) / n**0.5
     mean = x.mean()
+    stdtrit = _special().stdtrit
     lo = stdtrit(n - 1, (1.0 - 0.95) / 2) * sem + mean
     hi = stdtrit(n - 1, (1.0 + 0.95) / 2) * sem + mean
     return float(lo), float(hi)
@@ -107,7 +119,7 @@ def wilcoxon_p(d: np.ndarray) -> float:
         se = m * (m + 1.0) * (2.0 * m + 1.0)
         tie_correct = (counts.astype(float) ** 3 - counts).sum()
         z = (r_plus - mn) / np.sqrt((se - tie_correct / 2) / 24)
-        p = 2 * ndtr(-np.abs(z))
+        p = 2 * _special().ndtr(-np.abs(z))
     elif tied_or_zero:
         m = len(nonzero)
         flips = (np.arange(2**m)[:, None] >> np.arange(m)) & 1

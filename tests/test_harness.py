@@ -12,6 +12,7 @@ from greenrl.cli import run_report
 from greenrl.cloud_loop import CompressionPlan, RoundLog
 from greenrl.config import config_from_dict, config_hash
 from greenrl.errors import ConfigError, InvalidInputError
+from greenrl.neural import glorot_init, net_from_bytes, net_to_bytes
 from greenrl.paired import _effect_size_d, _paired_p, ttest_p, wilcoxon_p
 from greenrl.runner import (
     ROUND_COLUMNS,
@@ -517,6 +518,29 @@ def test_cli_reports_a_diverged_snapshot(tmp_path, capsys):
     assert "Traceback" not in err
     with open(tmp_path / "out" / "cli" / "error.json") as fh:
         assert json.load(fh)["type"] == "InvalidInputError"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_reports_divergence_with_its_error_line_alone(tmp_path, capsys):
+    """A float64 learner with a huge learning rate overflows; numpy's
+    overflow warnings used to print before the typed error line."""
+    cloud = {**TINY_DQN, "dtype": "float64", "lr": 1e300}
+    rc = cli_main(["run", write_config_file(tmp_path, agent="dqn", cloud=cloud)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: snapshot parameters must be finite\n"
+
+
+def test_cli_rejects_more_hidden_layers_than_the_wire_counts(tmp_path, capsys):
+    """The snapshot header counts the layer dims (input, *hidden, output) in
+    one byte.  254 hidden layers used to load, then end the run in a raw
+    ``struct.error`` after writing ``error.json``."""
+    rc = cli_main(["run", write_config_file(tmp_path, agent="dqn", cloud={**TINY_DQN, "hidden": [2] * 254})])
+    assert rc == 2
+    assert "config.cloud.hidden" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    cfg = config_from_dict({"agent": "dqn", "cloud": {**TINY_DQN, "hidden": [2] * 253}})
+    dims = (3, *cfg.cloud.hidden, 4)
+    assert net_from_bytes(net_to_bytes(glorot_init(dims, 0))).layer_dims == dims
 
 
 def test_cli_run_compression_report(tmp_path, capsys):

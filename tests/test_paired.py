@@ -175,3 +175,78 @@ def test_import_and_statistics_load_no_scipy_stats(tmp_path):
     lo, hi = report["compare"]["ci95"]
     assert lo < hi
     assert report["compare"]["pairwise"]["a>b"]["p_one_sided"] not in (None, 1.0)
+
+
+_COLD_PROBE = """
+import json, sys
+
+import greenrl.cli, greenrl.runner
+from greenrl.config import config_from_dict
+from greenrl.runner import compare_agents, run_experiment
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+report = {"after_import": scipy_modules()}
+base = {
+    "seeds": [1, 2, 3],
+    "total_slots": 60,
+    "eval_slots": 40,
+    "out_dir": sys.argv[1],
+    "rach": {"num_devices": 20},
+    "cloud": {"inner_steps": 20, "hidden": [8], "batch_size": 8, "replay_capacity": 64},
+}
+rach = run_experiment(config_from_dict({**base, "name": "rach", "agent": "dqn"}))
+compression = run_experiment(config_from_dict({**base, "name": "compression", "scenario": "compression",
+                                               "agent": "dqn", "seeds": [1]}))
+report["after_rach_and_compression"] = scipy_modules()
+report["ran"] = [rach["scenario"], compression["scenario"]]
+transfer = run_experiment(config_from_dict({
+    **base,
+    "name": "transfer",
+    "scenario": "transfer",
+    "agent": "dqn",
+    "total_slots": 240,
+    "reward_threshold": 9.0,
+    "cloud": {"inner_steps": 4, "hidden": [8], "batch_size": 16, "replay_capacity": 64,
+              "eps_decay_steps": 30},
+    "spatial": {"burn_in": 20, "transfer_every": 10},
+}))
+report["after_transfer"] = "scipy.special" in sys.modules
+compare = compare_agents([
+    config_from_dict({**base, "name": "a", "agent": "le-urc"}),
+    config_from_dict({**base, "name": "b", "agent": "random"}),
+])
+report["after_compare"] = scipy_modules()
+report["transfer"] = transfer["terminal_reward"]["p_transfer_drop"]
+report["compare"] = {"ci95": compare["agents"]["a"]["ci95"], "p": compare["pairwise"]["a>b"]["p_one_sided"]}
+print(json.dumps(report))
+"""
+
+
+def test_rach_and_compression_runs_never_load_scipy(tmp_path):
+    """scipy.special loads at the first paired statistic, which only transfer
+    and compare runs compute, so a rach or compression process starts with
+    numpy alone.  A fresh interpreter: this test process has loaded scipy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PROBE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["after_import"] == []
+    assert report["ran"] == ["rach", "compression"]
+    assert report["after_rach_and_compression"] == []
+    # the statistics load scipy.special, not scipy.stats, and each was computed, not cut short by a guard
+    assert report["after_transfer"]
+    assert "scipy.special" in report["after_compare"]
+    assert not {"scipy.stats", "scipy.optimize"} & set(report["after_compare"])
+    assert report["transfer"] not in (None, 1.0)
+    lo, hi = report["compare"]["ci95"]
+    assert lo < hi
+    assert report["compare"]["p"] not in (None, 1.0)
