@@ -24,10 +24,10 @@ while both messages stay real bytes, encoded and decoded every round:
   its kept action and reward arrays.
 - Each wire record is one packed little-endian numpy structured dtype, so
   a batch encodes with one ``tobytes`` and is parsed with one
-  ``frombuffer`` (``_parse_sample_batch``).  The session writes the parsed
-  wire columns straight into the replay ring, which holds its floats in
-  the learner's dtype and casts them as it stores them.
-  ``decode_sample_batch`` is the same parser with float64/int64 columns.
+  ``frombuffer`` (``decode_sample_batch``), into read-only views of the
+  payload in the wire's dtypes.  The session writes those columns
+  straight into the replay ring through ``ReplayBuffer.write``; the ring
+  holds its floats in the learner's dtype and casts them as it stores them.
 - MACs are counted once per online parameter vector, for its train step
   and for an entity that loads a dense snapshot of it; an entity that
   loads a quantised snapshot is counted on its own (see ``greenrl.energy``).
@@ -215,8 +215,7 @@ class ServiceRequest:
 class SampleBatch:
     """One upload's header fields and its columns, one per record field.
 
-    ``decode_sample_batch`` gives float64/int64 columns.  A session's own
-    uploads keep the wire's dtypes instead: read-only views of the payload
+    The columns keep the wire's dtypes: read-only views of the payload
     holding float32 (float16 when fp16) states and rewards and u16 actions,
     and a bool ``live``; the replay ring casts them as it stores them.
     """
@@ -413,7 +412,7 @@ def encode_sample_batch(
     return header + records.tobytes()
 
 
-def _parse_sample_batch(buf: bytes) -> SampleBatch:
+def decode_sample_batch(buf: bytes) -> SampleBatch:
     """Check an ``encode_sample_batch`` payload and view its columns in their
     wire dtypes, copying nothing but the ``live`` flags; any malformed
     payload raises InvalidInputError."""
@@ -440,20 +439,6 @@ def _parse_sample_batch(buf: bytes) -> SampleBatch:
         records["state"], records["action"], records["reward"], records["next_state"], records["terminal"] == 0
     )
     return SampleBatch(entity_id, version, columns, len(buf))
-
-
-def decode_sample_batch(buf: bytes) -> SampleBatch:
-    """Parse an ``encode_sample_batch`` payload into float64/int64 columns."""
-    batch = _parse_sample_batch(buf)
-    state, action, reward, next_state, live = batch.columns
-    wide = ReplayBatch(
-        state.astype(np.float64),
-        action.astype(np.int64),
-        reward.astype(np.float64),
-        next_state.astype(np.float64),
-        live.astype(np.float64),
-    )
-    return SampleBatch(batch.entity_id, batch.snapshot_version, wide, batch.byte_size)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +644,7 @@ class Session:
         macs = self._online_macs() if net.quant is None else macs_forward(net)
         self.energy.record_inference(net, k, macs)
         payload = encode_sample_batch(entity_id, version, rows, self.request.compression.batch_fp16)
-        batch = _parse_sample_batch(payload)
+        batch = decode_sample_batch(payload)
         self.message_ledger.bytes_up += len(payload)
         self.energy.record_message(len(payload), "up")
         self.message_ledger.rounds += 1

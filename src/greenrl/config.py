@@ -118,8 +118,11 @@ class CloudSection(DqnConfig):
 
 @dataclass(frozen=True)
 class CompressionSection:
+    """``prune_at_round`` null prunes after round ``rounds // 4``; any other
+    value, less than the run's rounds, after that round."""
+
     prune_quantile: float | None = None
-    prune_at_round: int = 0
+    prune_at_round: int | None = None
     quant_bits: int = 8
     sparsity_levels: tuple = (0.0, 0.25, 0.5, 0.75)
 
@@ -129,7 +132,7 @@ class CompressionSection:
         _check_fields(self, lambda: [("sparsity_levels", levels_ok, "a list of numbers in [0, 1)")])
         _checked_by(
             lambda: CompressionPlan(
-                self.quant_bits, prune_quantile=self.prune_quantile, prune_at_round=self.prune_at_round
+                self.quant_bits, prune_quantile=self.prune_quantile, prune_at_round=self.prune_at_round or 0
             ),
             snapshot_bits="quant_bits",
         )
@@ -241,6 +244,9 @@ class ExperimentConfig:
                  or self.spatial.transfer_every >= self.rounds(),
                  f">= 2 when cloud.inner_steps is {self.cloud.inner_steps}, as a correlation needs 2 slots"),
                 ("cloud.n_entities", not transfer or self.cloud.n_entities == 1, "1 for the transfer scenario"),
+                ("compression.prune_at_round",
+                 self.scenario != "compression" or (self.compression.prune_at_round or 0) < self.rounds(),
+                 f"less than the run's {self.rounds()} rounds, or null"),
             ],
         )
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))

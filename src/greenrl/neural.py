@@ -21,7 +21,8 @@ taken-action column alone.  Its forward passes, backprop and flat gradient
 use a workspace allocated once per (dims, batch size, dtype) and kept with
 the replay buffer; nothing returned aliases it.  The update is one vector
 operation, ``params - lr * grad``, re-masked.  ``batch_loss`` and
-``backprop_minibatch`` share the learner's forward and backprop helpers.
+``backprop_minibatch`` run the same forward and backprop helpers in a
+workspace of their own, made for the one call.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, NotReadyError
-from .rl_core import Transition, check_discount
+from .rl_core import check_discount
 
 __all__ = [
     "DenseNet", "QuantMeta", "pack", "GradientBatch", "ReplayBatch", "ReplayBuffer", "glorot_init", "forward",
@@ -166,18 +167,18 @@ def glorot_init(layer_dims: Sequence[int], seed, dtype=np.float64) -> DenseNet:
     return pack(dims, weights, biases)
 
 
-def _forward_cached(net: DenseNet, x: np.ndarray, ws: _Workspace | None = None):
-    """Batched forward pass keeping per-layer inputs and pre-activations,
-    in the workspace's buffers when one is given, else in fresh arrays."""
+def _forward_cached(net: DenseNet, x: np.ndarray, ws: _Workspace):
+    """Batched forward pass keeping per-layer inputs and pre-activations in
+    the workspace's buffers."""
     inputs, pre_acts = [], []
     h = x
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(h)
-        z = np.matmul(h, w, out=None if ws is None else ws.z[i])
+        z = np.matmul(h, w, out=ws.z[i])
         np.add(z, b, out=z)
         pre_acts.append(z)
         if i < net.n_layers - 1:
-            h = np.maximum(z, 0, out=None if ws is None else ws.h[i])
+            h = np.maximum(z, 0, out=ws.h[i])
     return inputs, pre_acts
 
 
@@ -204,24 +205,24 @@ def forward(net: DenseNet, state) -> np.ndarray:
 
 def _batch_loss_and_grad(net: DenseNet, batch, with_grad: bool) -> tuple[float, np.ndarray | None]:
     """Masked squared-error loss of (input, target_vector, action_mask) triples
-    and, if asked, its flat gradient."""
+    and, if asked, its flat gradient, in a workspace made for this call."""
     if len(batch) == 0:
         raise InvalidInputError("batch must be nonempty")
     x, t, m = (np.asarray(column, dtype=net.dtype) for column in zip(*batch))
     n, dims = len(batch), net.layer_dims
     if x.shape != (n, dims[0]) or t.shape != (n, dims[-1]) or m.shape != t.shape:
         raise InvalidInputError("batch entries do not match network dims")
-    inputs, pre_acts = _forward_cached(net, x)
+    ws = _Workspace(net, n)
+    inputs, pre_acts = _forward_cached(net, x, ws)
     diff = pre_acts[-1] - t
     loss = float((diff**2 * m).sum(axis=1).mean())
-    return loss, _backprop(net, inputs, pre_acts, 2.0 * m * diff / x.shape[0]) if with_grad else None
+    return loss, _backprop(net, inputs, pre_acts, 2.0 * m * diff / x.shape[0], ws) if with_grad else None
 
 
-def _backprop(net: DenseNet, inputs, pre_acts, delta: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
-    """Flat gradient, laid out like ``params``, for the (n, out) output delta; the
-    lower deltas overwrite the cached activations once they are spent."""
-    grad = np.empty_like(net.params) if ws is None else ws.grad
-    weight_grads, bias_grads = _views(net.layer_dims, grad) if ws is None else ws.grad_views
+def _backprop(net: DenseNet, inputs, pre_acts, delta: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Flat gradient ``ws.grad``, laid out like ``params``, for the (n, out) output
+    delta; the lower deltas overwrite the cached activations once they are spent."""
+    grad, (weight_grads, bias_grads) = ws.grad, ws.grad_views
     for i in range(net.n_layers - 1, -1, -1):
         np.matmul(inputs[i].T, delta, out=weight_grads[i])
         np.sum(delta, axis=0, out=bias_grads[i])
@@ -284,7 +285,7 @@ class ReplayBatch(NamedTuple):
 class ReplayBuffer:
     """Bounded FIFO of transitions with uniform random sampling.
 
-    Transitions live in a ring of preallocated column arrays, one row per
+    The transitions live in a ring of preallocated column arrays, one row per
     slot, allocated at the first write once the state width is known.  A
     pickled or deep-copied buffer carries only its filled rows, and no
     learner workspace; it allocates its full ring at its next write.
@@ -297,8 +298,8 @@ class ReplayBuffer:
     sampled (a float64 ring, which holds any float32 or float64 input
     exactly): the sampled bytes are the same.
 
-    ``write`` is the one path into the ring and takes whole columns;
-    ``push`` turns one ``Transition`` record into columns for it.
+    ``write`` is the one path into the ring: it takes whole columns, one
+    row per transition, as a session's parsed upload holds them.
     """
 
     def __init__(self, capacity: int, dtype=np.float64):
@@ -312,18 +313,6 @@ class ReplayBuffer:
         self._head = 0
         self._size = 0
         self._workspace: _Workspace | None = None  # dqn_train_step's scratch for this learner
-
-    def push(self, t: Transition) -> None:
-        """Append one ``Transition`` record through ``write``."""
-        self.write(
-            ReplayBatch(
-                np.asarray(t.state)[None],
-                np.array([t.action], np.int64),
-                np.array([t.reward], np.float64),
-                np.asarray(t.next_state)[None],
-                np.array([1.0 - t.terminal]),
-            )
-        )
 
     def write(self, rows: ReplayBatch) -> None:
         """Append column rows oldest first with one slice write per column.
@@ -411,7 +400,8 @@ class ReplayBuffer:
 
 
 class _Workspace:
-    """Scratch for learner steps at one (dims, batch size, dtype); never returned."""
+    """Scratch for learner steps at one (dims, batch size, dtype).  A train
+    step's kept workspace is never returned; a one-off one's gradient is."""
 
     def __init__(self, net: DenseNet, n: int):
         dims, dtype = net.layer_dims, net.dtype
@@ -444,7 +434,7 @@ def dqn_train_step(
     if target.layer_dims != dims or target.dtype != dt:
         raise InvalidInputError("target network must match the online network's dims and dtype")
     ws = buffer._workspace
-    if ws is None or ws.key != (dims, batch_size, dt):
+    if getattr(ws, "key", None) != (dims, batch_size, dt):
         ws = buffer._workspace = _Workspace(online, max(batch_size, 0))
     sample = buffer.sample(batch_size, rng, out=ws.sample)
 

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 
 __all__ = [
-    "Transition",
     "QTable",
     "LinearQ",
     "explore",
@@ -28,19 +27,7 @@ __all__ = [
     "q_backup",
     "bias_features",
     "linear_q_step",
-    "state_key",
 ]
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One (state, action, reward, next_state, terminal) experience record."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool = False
 
 
 def check_discount(discount: float) -> float:
@@ -98,22 +85,13 @@ def epsilon_greedy(q_values: np.ndarray, epsilon: float, rng: np.random.Generato
     return values.index(max(values)) if action is None else action
 
 
-def state_key(state) -> Hashable:
-    """Hashable dictionary key for a state vector or scalar id."""
-    if isinstance(state, (int, str)):
-        return state
-    arr = np.asarray(state)
-    if arr.ndim == 0:
-        return arr.item()
-    return tuple(arr.ravel().tolist())
-
-
 @dataclass
 class QTable:
     """Action-value table with a constant learning rate.
 
-    Rows are dense per-action arrays keyed by a hashable state id; states
-    never visited read as all-zero rows without being inserted.
+    Rows are dense per-action arrays keyed by a hashable state id.  A state
+    never backed up has no row and reads as all zeros
+    (``TabularQAgent.q_values``); ``q_backup`` inserts its row.
     """
 
     n_actions: int
@@ -124,13 +102,6 @@ class QTable:
         if self.n_actions < 1:
             raise ConfigError("QTable needs at least one action")
         self.alpha = _check_step_size(self.alpha)
-
-    def row(self, state) -> np.ndarray:
-        """Per-action values for ``state`` (zeros if unseen).  Read-only copy."""
-        key = state_key(state)
-        if key in self.values:
-            return self.values[key].copy()
-        return np.zeros(self.n_actions)
 
 
 def q_backup(table: QTable, key, action, reward, next_key, lam: float) -> None:

@@ -193,12 +193,12 @@ def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[RoundLog, dict]:
 def _compressed_plan(cfg: ExperimentConfig) -> CompressionPlan:
     """The compression scenario's compressed session: pruned once, by default
     at the median magnitude a quarter of the way in, with quantised snapshots."""
-    quantile = cfg.compression.prune_quantile
+    quantile, at = cfg.compression.prune_quantile, cfg.compression.prune_at_round
     return CompressionPlan(
         snapshot_bits=cfg.compression.quant_bits,
         batch_fp16=cfg.cloud.batch_fp16,
         prune_quantile=0.5 if quantile is None else quantile,
-        prune_at_round=cfg.compression.prune_at_round or max(0, cfg.rounds() // 4),
+        prune_at_round=cfg.rounds() // 4 if at is None else at,
     )
 
 
@@ -539,13 +539,14 @@ def sweep(cfg: ExperimentConfig, param_path: str, values: list) -> dict:
     if cfg.scenario != "rach":
         raise ConfigError("sweep only supports the rach scenario")
     base_dict = cfg.to_dict()
-    set_by_path(copy.deepcopy(base_dict), param_path, values[0])  # path check up front
-    rows = []
+    sub_cfgs = []  # every value is checked before any run writes
     for value in values:
         data = copy.deepcopy(base_dict)
         set_by_path(data, param_path, value)
         data["name"] = os.path.join(cfg.name, "sweep", _sanitize(param_path), _sanitize(str(value)))
-        sub_cfg = config_from_dict(data)
+        sub_cfgs.append(config_from_dict(data))
+    rows = []
+    for value, sub_cfg in zip(values, sub_cfgs):
         result = run_experiment(sub_cfg)
         per_seed = result["per_seed"]
         bytes_down = float(np.mean([s["message"]["bytes_down"] for s in per_seed]))

@@ -133,10 +133,10 @@ def quadrature_matrix(field: SpatialField, kernel: Kernel) -> np.ndarray:
     return kernel(_pairwise_distances(field.sites))
 
 
-def _squash_fn(f: str | Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    fn = _SQUASH_FNS.get(f) if isinstance(f, str) else f
+def _squash_fn(tag: str) -> Callable[[np.ndarray], np.ndarray]:
+    fn = _SQUASH_FNS.get(tag) if isinstance(tag, str) else None
     if fn is None:
-        raise ConfigError(f"unknown squash tag {f!r}; use one of {sorted(_SQUASH_FNS)}")
+        raise ConfigError(f"unknown squash tag {tag!r}; use one of {sorted(_SQUASH_FNS)}")
     return fn
 
 
@@ -164,10 +164,11 @@ def _advance(
 def side_step(
     field: SpatialField,
     kernel: Kernel,
-    f: str | Callable[[np.ndarray], np.ndarray] = "squash",
+    f: str = "squash",
     noise: FieldNoise | None = None,
 ) -> SpatialField:
-    """One field update z' = (K f(z)) dx + e; returns a new field."""
+    """One field update z' = (K f(z)) dx + e, with f named by its squash tag
+    (one of ``SQUASH_TAGS``); returns a new field."""
     fn = _squash_fn(f)
     z_new = _advance(quadrature_matrix(field, kernel), field.z, field.dx, fn, noise)
     return SpatialField(field.sites, z_new, field.dx)
@@ -193,7 +194,7 @@ class FieldTrafficSource:
     each slot's field step and Poisson draw happen exactly once and are
     cached read-only, so all consumers see one consistent realisation.
 
-    The squash function and the quadrature matrix are resolved and built
+    The squash tag and the quadrature matrix are resolved and built
     once, at construction, since sites, kernel and dx are fixed; each slot
     is then one ``_advance`` of the bare z array, one ``_rates`` and one
     Poisson draw, with the same bytes and generator order as stepping a
@@ -206,7 +207,7 @@ class FieldTrafficSource:
         self,
         field: SpatialField,
         kernel: Kernel,
-        squash: str | Callable[[np.ndarray], np.ndarray],
+        squash: str,
         noise: FieldNoise,
         base_rate: float,
         seed: int = 0,

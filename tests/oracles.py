@@ -12,7 +12,7 @@ import itertools
 import struct
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from greenrl.neural import (
     DenseNet,
     GradientBatch,
     QuantMeta,
+    ReplayBatch,
     ReplayBuffer,
     batch_loss,
     dqn_train_step,
@@ -51,10 +52,8 @@ from greenrl.rach_env import (
 from greenrl.rl_core import (
     LinearQ,
     QTable,
-    Transition,
     check_discount,
     epsilon_greedy,
-    state_key,
 )
 from greenrl.runner import rounds_to_threshold
 from greenrl.spatial import (
@@ -67,6 +66,44 @@ from greenrl.spatial import (
     quadrature_matrix,
     transfer_weights,
 )
+
+# ---------------------------------------------------------------------------
+# Transition records and Q-table rows
+# ---------------------------------------------------------------------------
+
+# The per-transition record and the keyed Q-table read that the column
+# replay ring and ``TabularQAgent.q_values`` replaced in greenrl, kept for
+# the references below that walk one transition at a time.
+
+
+@dataclass(frozen=True)
+class Transition:
+    """One (state, action, reward, next_state, terminal) experience record."""
+
+    state: np.ndarray
+    action: int
+    reward: float
+    next_state: np.ndarray
+    terminal: bool = False
+
+
+def state_key(state) -> Hashable:
+    """Hashable dictionary key for a state vector or scalar id."""
+    if isinstance(state, (int, str)):
+        return state
+    arr = np.asarray(state)
+    if arr.ndim == 0:
+        return arr.item()
+    return tuple(arr.ravel().tolist())
+
+
+def q_table_row(table: QTable, state) -> np.ndarray:
+    """Per-action values for ``state`` (zeros if unseen).  Read-only copy."""
+    key = state_key(state)
+    if key in table.values:
+        return table.values[key].copy()
+    return np.zeros(table.n_actions)
+
 
 # ---------------------------------------------------------------------------
 # Returns
@@ -465,7 +502,13 @@ def run_centralized_dqn(env_cfg, dqn_cfg, seed: int, steps: int):
         q = forward(net, state)
         action = epsilon_greedy(q, eps, action_rng)
         obs2, reward, _ = env.step(menu[action])
-        buffer.push(Transition(state, action, reward, build_state(obs2, norm, dqn_cfg.np_dtype), False))
+        next_state = build_state(obs2, norm, dqn_cfg.np_dtype)
+        buffer.write(
+            ReplayBatch(
+                state[None], np.array([action], np.int64), np.array([reward], np.float64), next_state[None],
+                np.array([1.0]),
+            )
+        )
         obs = obs2
         bs = min(dqn_cfg.batch_size, len(buffer))
         net, _loss = dqn_train_step(
@@ -1103,11 +1146,11 @@ def reference_tabular_q_update(table: QTable, t: Transition, discount: float) ->
     a = int(t.action)
     if not 0 <= a < table.n_actions:
         raise InvalidInputError(f"action {t.action} outside [0, {table.n_actions})")
-    row = table.row(t.state)
+    row = q_table_row(table, t.state)
     if t.terminal:
         target = float(t.reward)
     else:
-        target = float(t.reward) + lam * float(table.row(t.next_state).max())
+        target = float(t.reward) + lam * float(q_table_row(table, t.next_state).max())
     row[a] = (1.0 - table.alpha) * row[a] + table.alpha * target
     new_values = dict(table.values)
     new_values[state_key(t.state)] = row
@@ -1168,7 +1211,7 @@ class ReferenceTabularQAgent:
         eps = epsilon_linear(
             self.slot, self.params.eps_start, self.params.eps_end, self.params.eps_decay_steps
         )
-        return epsilon_greedy(self.table.row(self._key(obs)), eps, self.rng)
+        return epsilon_greedy(q_table_row(self.table, self._key(obs)), eps, self.rng)
 
     def learn(self, obs, action, reward, next_obs) -> None:
         t = Transition(
@@ -1283,7 +1326,7 @@ def reference_run_local_agent(env_cfg, kind: str, params, total_slots: int, buck
 def reference_greedy_action(agent, obs: np.ndarray) -> int:
     """Exploitation-only action for a trained local agent."""
     if isinstance(agent, ReferenceTabularQAgent):
-        return int(np.argmax(agent.table.row(agent._key(obs))))
+        return int(np.argmax(q_table_row(agent.table, agent._key(obs))))
     if isinstance(agent, ReferenceLinearQAgent):
         return int(np.argmax(reference_linear_q_predict(agent.model, agent._feat(obs))))
     return agent.act(obs)

@@ -148,11 +148,17 @@ def test_tabular_learn_updates_acted_cell():
     obs = np.zeros(6)
     key = agent.features(obs)
     agent.learn(key, 2, 10.0, key)
-    row = agent.table.row(key)
+    row = agent.q_values(key)
     # the bootstrap row was still all zeros when the target was formed
     assert row[2] == pytest.approx(5.0)  # 0.5 * (10 + 0.9 * 0)
     assert row[0] == row[1] == row[3] == 0.0
     assert agent.slot == 1
+
+
+def test_tabular_unseen_state_reads_zero_without_insert():
+    agent = TabularQAgent(4, 48.0, LocalAgentParams(), np.random.default_rng(0))
+    assert agent.q_values((1, 2, 3)).tolist() == [0.0] * 4
+    assert agent.table.values == {}
 
 
 def test_linear_agent_features_and_update_direction():
@@ -231,7 +237,7 @@ def test_greedy_action_freezes_learning_agents():
     obs = np.zeros(6)
     picks = {agent.greedy(agent.features(obs)) for _ in range(20)}
     assert len(picks) == 1  # no exploration left
-    row = agent.table.row(agent.features(obs))
+    row = agent.q_values(agent.features(obs))
     assert picks.pop() == int(np.argmax(row))
 
 

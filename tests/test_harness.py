@@ -285,6 +285,16 @@ def test_sweep_rows_and_files(tmp_path):
     assert report["rows"][1]["terminal_reward_mean"] > report["rows"][0]["terminal_reward_mean"]
 
 
+def test_sweep_checks_every_value_before_running_any(tmp_path):
+    """A later value that fails its config check stops the sweep before the
+    first value's run writes anything; it used to write the whole first run."""
+    cfg = tiny_config(tmp_path, seeds=[1])
+    with pytest.raises(ConfigError, match="config.rach.traffic_p"):
+        sweep(cfg, "rach.traffic_p", [0.05, 2])
+    assert not os.path.exists(cfg.run_dir())
+    assert os.listdir(tmp_path) == []
+
+
 def test_sweep_validation(tmp_path):
     cfg = tiny_config(tmp_path, seeds=[1])
     with pytest.raises(ConfigError, match="at least one value"):
@@ -561,6 +571,43 @@ def test_cli_run_compression_report(tmp_path, capsys):
         rewards = [float(r["reward"]) for r in csv.DictReader(fh)]
     # one seed: each level's mean is its one reward
     assert lines[3:] == [f"  {pct:3d}%: {r:.4f}" for pct, r in zip((0, 25, 50, 75), rewards)]
+
+
+@pytest.mark.parametrize("prune_at_round, pruned_after", [(None, 1), (0, 0), (3, 3)])
+def test_compression_prunes_after_the_round_it_names(tmp_path, monkeypatch, prune_at_round, pruned_after):
+    """Four rounds: null prunes a quarter of the way in, after round 1, and
+    any other value after that round.  0 used to mean a quarter of the way
+    in, and the summary reported the value given, not the round used."""
+    import greenrl.cloud_loop as cloud_loop
+
+    pruned_at, real = [], cloud_loop.Session.apply_pruning
+
+    def recorded(session):
+        pruned_at.append(len(session.log) - 1)  # one entity: one record per round
+        real(session)
+
+    monkeypatch.setattr(cloud_loop.Session, "apply_pruning", recorded)
+    path = write_config_file(
+        tmp_path, scenario="compression", agent="dqn", total_slots=80, cloud=TINY_DQN,
+        compression={"prune_at_round": prune_at_round},
+    )
+    assert cli_main(["run", path]) == 0
+    summary = json.loads((tmp_path / "out" / "cli" / "summary.json").read_text())
+    assert pruned_at == [pruned_after] and summary["prune_at_round"] == pruned_after
+    assert len(summary["per_seed"][0]["sparsity_reports"]) == 1
+
+
+@pytest.mark.parametrize("prune_at_round", [4, 1000])
+def test_compression_prune_at_round_past_the_run_exits_2_before_writing(tmp_path, capsys, prune_at_round):
+    """A round the run never reaches used to prune nothing without a word,
+    while the summary reported the value given."""
+    path = write_config_file(
+        tmp_path, scenario="compression", agent="dqn", total_slots=80, cloud=TINY_DQN,
+        compression={"prune_at_round": prune_at_round},
+    )
+    assert cli_main(["run", path]) == 2
+    assert "config.compression.prune_at_round: must be less than the run's 4 rounds" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

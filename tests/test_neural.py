@@ -23,9 +23,9 @@ from greenrl.neural import (
     symmetric_quantize_layer,
     sync_target,
 )
-from greenrl.rl_core import Transition
 from oracles import (
     ReferenceReplayBuffer,
+    Transition,
     finite_diff_grads,
     random_net_and_batch,
     reference_dqn_train_step,
@@ -196,7 +196,7 @@ def _rows(transitions):
 def test_replay_fifo_eviction():
     buf = ReplayBuffer(2)
     for r in (1, 2, 3):
-        buf.push(_t(r))
+        buf.write(_rows([_t(r)]))
     assert len(buf) == 2
     rng = np.random.default_rng(0)
     rewards = set(buf.sample(2, rng).reward) | set(buf.sample(2, rng).reward)
@@ -205,7 +205,7 @@ def test_replay_fifo_eviction():
 
 def test_replay_underfill_and_validation():
     buf = ReplayBuffer(4)
-    buf.push(_t(1))
+    buf.write(_rows([_t(1)]))
     with pytest.raises(NotReadyError):
         buf.sample(2, np.random.default_rng(0))
     with pytest.raises(InvalidInputError):
@@ -213,16 +213,16 @@ def test_replay_underfill_and_validation():
     with pytest.raises(ConfigError):
         ReplayBuffer(0)
     with pytest.raises(InvalidInputError):
-        buf.push(Transition(np.zeros(2), 0, 0.0, np.zeros(2)))  # width 1 fixed by first push
+        buf.write(_rows([Transition(np.zeros(2), 0, 0.0, np.zeros(2))]))  # width 1 fixed by first write
     with pytest.raises(InvalidInputError):
-        buf.push(Transition(np.zeros(1), 0, 0.0, np.zeros(2)))
+        buf.write(_rows([Transition(np.zeros(1), 0, 0.0, np.zeros(2))]))
     assert len(buf) == 1
 
 
 def test_replay_samples_with_replacement():
     buf = ReplayBuffer(8)
-    buf.push(_t(1))
-    buf.push(_t(2))
+    buf.write(_rows([_t(1)]))
+    buf.write(_rows([_t(2)]))
     rng = np.random.default_rng(0)
     seen_duplicate = any(
         len(set(buf.sample(2, rng).reward)) == 1 for _ in range(50)
@@ -243,15 +243,11 @@ class _FixedDraw:
 
 @pytest.mark.parametrize("chunks", [[1] * 7, [7], [2, 2, 3], [3, 4], [1, 5, 1]])
 def test_replay_wraparound_maps_draw_to_oldest(chunks):
-    """Capacity 3, rewards 1..7 pushed in chunks: draw i is the i-th oldest of 5, 6, 7."""
+    """Capacity 3, rewards 1..7 written in chunks: draw i is the i-th oldest of 5, 6, 7."""
     buf = ReplayBuffer(3)
     rewards = iter(range(1, 8))
     for k in chunks:
-        batch = [_t(next(rewards)) for _ in range(k)]
-        if k == 1:
-            buf.push(batch[0])
-        else:
-            buf.write(_rows(batch))
+        buf.write(_rows([_t(next(rewards)) for _ in range(k)]))
     assert len(buf) == 3
     assert list(buf.sample(3, _FixedDraw([0, 1, 2])).reward) == [5.0, 6.0, 7.0]
     got = buf.sample(3, _FixedDraw([2, 0, 2]))
@@ -259,29 +255,7 @@ def test_replay_wraparound_maps_draw_to_oldest(chunks):
     assert got.state.shape == (3, 1)
 
 
-def test_replay_write_matches_push():
-    """Columns written straight into the ring sample like the same Transitions pushed."""
-    rng = np.random.default_rng(5)
-    via_write, via_push = ReplayBuffer(10), ReplayBuffer(10)
-    for k in (4, 7, 3, 12):
-        rows = ReplayBatch(
-            rng.random((k, 3)).astype(np.float32),
-            rng.integers(4, size=k),
-            rng.random(k),
-            rng.random((k, 3)),
-            (rng.random(k) < 0.5).astype(np.float64),
-        )
-        via_write.write(rows)
-        for state, action, reward, next_state, live in zip(*rows):
-            via_push.push(Transition(state, int(action), float(reward), next_state, live == 0))
-    a = via_write.sample(10, np.random.default_rng(1))
-    b = via_push.sample(10, np.random.default_rng(1))
-    for col_a, col_b in zip(a, b):
-        np.testing.assert_array_equal(col_a, col_b)
-
-
-@pytest.mark.parametrize("how", ["push", "write"])
-def test_float32_ring_samples_as_a_float64_ring_cast(how):
+def test_float32_ring_samples_as_a_float64_ring_cast():
     """A ring held in float32 rounds each float64 input once, as it is
     stored; a float64 ring rounds it once, as it is sampled into float32.
     Both give the same bytes."""
@@ -290,11 +264,7 @@ def test_float32_ring_samples_as_a_float64_ring_cast(how):
     for k in (5, 7, 9):
         rows = _random_rows(data_rng, k, 3)
         for buf in (narrow, wide):
-            if how == "write":
-                buf.write(rows)
-            else:
-                for state, action, reward, next_state, live in zip(*rows):
-                    buf.push(Transition(state, int(action), float(reward), next_state, live == 0))
+            buf.write(rows)
     assert narrow._ring.state.dtype == narrow._ring.reward.dtype == np.float32
     assert wide._ring.state.dtype == np.float64
     n = 12
@@ -346,7 +316,7 @@ def test_train_step_pinned_update():
     online = scalar_net(w=1.0, b=0.0)
     target = scalar_net(w=2.0, b=0.5)
     buf = ReplayBuffer(1)
-    buf.push(Transition(np.array([1.0]), 0, 1.0, np.array([2.0])))
+    buf.write(_rows([Transition(np.array([1.0]), 0, 1.0, np.array([2.0]))]))
     rng = np.random.default_rng(0)
     # td_target = 1 + 0.5 * (2*2 + 0.5) = 3.25; pred = 1; loss = 2.25^2
     # grad_w = 2*(1 - 3.25)*1 = -4.5; grad_b = -4.5
@@ -360,7 +330,7 @@ def test_train_step_terminal_drops_bootstrap():
     online = scalar_net(w=1.0, b=0.0)
     target = scalar_net(w=100.0, b=0.0)
     buf = ReplayBuffer(1)
-    buf.push(Transition(np.array([1.0]), 0, 1.0, np.array([2.0]), terminal=True))
+    buf.write(_rows([Transition(np.array([1.0]), 0, 1.0, np.array([2.0]), terminal=True)]))
     out, loss = dqn_train_step(online, target, buf, 1, 0.9, 0.1, rng=np.random.default_rng(0))
     assert loss == pytest.approx(0.0)  # pred 1 equals the reward-only target
     assert out.weights[0][0, 0] == pytest.approx(1.0)
@@ -370,7 +340,7 @@ def test_train_step_only_taken_action_moves_head():
     net = glorot_init((2, 4, 3), seed=9, dtype=np.float64)
     target = sync_target(net)
     buf = ReplayBuffer(4)
-    buf.push(Transition(np.array([1.0, 2.0]), 1, 0.5, np.array([0.0, 1.0])))
+    buf.write(_rows([Transition(np.array([1.0, 2.0]), 1, 0.5, np.array([0.0, 1.0]))]))
     out, _ = dqn_train_step(net, target, buf, 1, 0.9, 0.01, np.random.default_rng(1))
     head_delta = out.weights[-1] - net.weights[-1]
     assert np.all(head_delta[:, 0] == 0)
@@ -396,7 +366,7 @@ def test_train_step_rejects_an_action_the_net_has_no_output_for(action):
     buf = ReplayBuffer(8)
     with pytest.raises(InvalidInputError, match="actions"):
         for _ in range(4):
-            buf.push(Transition(np.ones(3), action, 1.0, np.zeros(3)))
+            buf.write(_rows([Transition(np.ones(3), action, 1.0, np.zeros(3))]))
         online, _ = dqn_train_step(online, target, buf, 2, 0.9, 0.01, np.random.default_rng(0))
     np.testing.assert_array_equal(online.params, before)
 
@@ -454,7 +424,7 @@ def test_train_step_matches_reference(dtype, pruned, capacity):
             buf.write(_rows(fresh))
         else:
             for t in fresh:
-                buf.push(t)
+                buf.write(_rows([t]))
         for t in fresh:
             ref_buf.push(t)
         bs = min(32, len(buf))
@@ -669,11 +639,11 @@ def _variant_net(dtype, n_hidden, variant):
 def test_trusted_forward_matches_cached_forward(dtype, n_hidden, variant):
     """``forward`` gives the cached batch forward's last pre-activation row
     bit for bit."""
-    from greenrl.neural import _forward_cached
+    from greenrl.neural import _forward_cached, _Workspace
 
     net = _variant_net(dtype, n_hidden, variant)
     for x in np.random.default_rng(7).normal(size=(25, 6)).astype(dtype):
-        expected = _forward_cached(net, x[None, :])[1][-1][0]
+        expected = _forward_cached(net, x[None, :], _Workspace(net, 1))[1][-1][0]
         got = forward(net, x)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
@@ -942,6 +912,23 @@ def test_returned_nets_and_gradients_do_not_alias_the_workspace():
     for a in (first.params, first.param_mask, net.params, net.param_mask):
         assert not any(np.shares_memory(a, s) for s in scratch)
     assert not np.shares_memory(first.param_mask, net.param_mask)
+
+
+def test_backprop_minibatch_gradients_own_their_memory():
+    """Two calls on one network with batches of one shape: the first call's
+    gradients are unchanged by the second, which a workspace kept across
+    calls would overwrite."""
+    rng = np.random.default_rng(6)
+    net = glorot_init((4, 6, 3), seed=2)
+    batches = [[(rng.random(4), rng.random(3), np.eye(3)[i % 3]) for i in range(5)] for _ in range(2)]
+    first = backprop_minibatch(net, batches[0])
+    kept = [g.copy() for g in first.weight_grads + first.bias_grads]
+    second = backprop_minibatch(net, batches[1])
+    firsts, seconds = first.weight_grads + first.bias_grads, second.weight_grads + second.bias_grads
+    for before, after, other in zip(kept, firsts, seconds):
+        assert before.tobytes() == after.tobytes()
+        assert not np.shares_memory(after, other)
+    assert any(a.tobytes() != b.tobytes() for a, b in zip(kept, seconds))
 
 
 @given(

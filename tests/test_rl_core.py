@@ -7,20 +7,21 @@ from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.rl_core import (
     LinearQ,
     QTable,
-    Transition,
     bias_features,
     epsilon_greedy,
     explore,
     linear_q_step,
     q_backup,
-    state_key,
 )
 from oracles import (
+    Transition,
     chain_mdp,
     discounted_return,
+    q_table_row,
     reference_linear_q_predict,
     reference_linear_q_update,
     reference_tabular_q_update,
+    state_key,
     value_iteration,
 )
 
@@ -161,7 +162,7 @@ def test_epsilon_greedy_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# state_key
+# state_key (the oracles' table key)
 # ---------------------------------------------------------------------------
 
 
@@ -179,12 +180,18 @@ def test_state_key_forms():
 
 
 def test_qtable_unseen_row_reads_zero_without_insert():
+    """The oracles' row read, which the reference backup writes into: an
+    unseen state reads zeros, and every row it returns is a copy."""
     table = QTable(3, 0.5)
-    row = table.row(42)
+    row = q_table_row(table, 42)
     assert np.array_equal(row, np.zeros(3))
     assert table.values == {}
     row[0] = 9.0  # returned row is a copy
-    assert np.array_equal(table.row(42), np.zeros(3))
+    assert np.array_equal(q_table_row(table, 42), np.zeros(3))
+    q_backup(table, 42, 1, 2.0, None, 0.9)
+    seen = q_table_row(table, 42)
+    seen[1] = 9.0
+    assert table.values[42][1] == 1.0
 
 
 def test_qtable_validation():
@@ -255,7 +262,7 @@ def test_tabular_sweeps_converge_to_value_iteration():
             for a in range(2):
                 s2 = int(np.argmax(mdp.P[s, a]))
                 q_backup(table, s, a, float(mdp.R[s, a]), None if mdp.terminal[s2] else s2, 0.9)
-    learned = np.array([table.row(s) for s in range(3)])
+    learned = np.array([q_table_row(table, s) for s in range(3)])
     q_star = q_star.copy()
     q_star[mdp.terminal] = 0.0
     assert np.max(np.abs(learned - q_star)) < 1e-9
