@@ -199,6 +199,12 @@ def make_agent(kind: str, env_cfg: RachConfig, params: LocalAgentParams, rng):
     raise ConfigError(f"unknown local agent {kind!r}")
 
 
+def _entity_env(env_cfg: RachConfig, seed: int) -> tuple[RachEnv, np.random.Generator]:
+    """The environment and action generator of a one-entity session's entity."""
+    seeds = derive_seeds(seed, 1)["entities"][0]
+    return RachEnv(replace(env_cfg, seed=seeds["env"])), np.random.default_rng(seeds["action"])
+
+
 def run_local_agent(
     env_cfg: RachConfig,
     kind: str,
@@ -217,9 +223,7 @@ def run_local_agent(
     observation is featurised once: a slot's next features are the
     following slot's features.
     """
-    seeds = derive_seeds(seed, 1)["entities"][0]
-    env = RachEnv(replace(env_cfg, seed=seeds["env"]))
-    rng = np.random.default_rng(seeds["action"])
+    env, rng = _entity_env(env_cfg, seed)
     agent = make_agent(kind, env_cfg, params, rng)
     menu = env_cfg.action_menu
     feat = agent.features(env.reset())
@@ -246,8 +250,7 @@ def evaluate_greedy_agent(agent, env_cfg: RachConfig, slots: int, seed: int) -> 
     Uses the same seed derivation as evaluate_greedy_net, so agents whose
     greedy policies coincide see byte-identical rollouts.
     """
-    seeds = derive_seeds(seed, 1)["entities"][0]
-    env = RachEnv(replace(env_cfg, seed=seeds["env"]))
+    env, _ = _entity_env(env_cfg, seed)
     menu = env_cfg.action_menu
     obs = env.reset()
     total = 0.0
@@ -260,9 +263,7 @@ def evaluate_greedy_agent(agent, env_cfg: RachConfig, slots: int, seed: int) -> 
 def evaluate_greedy_net(net: DenseNet, env_cfg: RachConfig, slots: int, seed: int) -> float:
     """Mean per-slot reward of the network's greedy policy on a fresh env,
     fed states scaled by the menu norm, ``env_cfg.max_opportunities``."""
-    seeds = derive_seeds(seed, 1)["entities"][0]
-    env = RachEnv(replace(env_cfg, seed=seeds["env"]))
-    rng = np.random.default_rng(seeds["action"])
+    env, rng = _entity_env(env_cfg, seed)
     menu, norm = env_cfg.action_menu, float(env_cfg.max_opportunities)
     obs = env.reset()
     # One state row, refilled in place every slot.

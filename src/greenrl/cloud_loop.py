@@ -54,13 +54,14 @@ One deterministic round driver, ``Session.run_round``, serves every entity
 once per round and appends one record per entity to the session's
 ``RoundLog``: a list per column of ``ROUND_COLUMNS``, in play order, which
 the round CSV, the learning curves and ``SessionMetrics`` all read.  A
-snapshot's version is the coordinator's train-step count at publish time,
-and an upload's staleness is the number of train steps taken between its
-snapshot and the update that uses it.  In lockstep mode the coordinator
-trains on each upload as it arrives, so staleness is always 0.  In
-concurrent mode every entity acts on a snapshot of the same train step and
-the coordinator then trains on the uploads in entity order, so the i-th
-upload is exactly i train steps stale (the stale-synchronous-parallel
+session numbers its rounds by its log (a fork inherits the count) and runs
+in its request's ``mode``.  A snapshot's version is the coordinator's
+train-step count at publish time, and an upload's staleness is the number
+of train steps taken between its snapshot and the update that uses it.  In
+lockstep mode the coordinator trains on each upload as it arrives, so
+staleness is always 0.  In concurrent mode every entity acts on a snapshot
+of the same train step and the coordinator then trains on the uploads in
+entity order, so the i-th upload is exactly i train steps stale (the stale-synchronous-parallel
 schedule of Ho et al., NeurIPS 2013, with its bound set by the entity
 count).
 """
@@ -76,7 +77,7 @@ import numpy as np
 
 from .compression import prune_by_magnitude, threshold_for_sparsity
 from .energy import EnergyLedger, macs_forward
-from .errors import ConfigError, InvalidInputError
+from .errors import InvalidInputError
 from .neural import (
     DenseNet,
     ReplayBatch,
@@ -91,7 +92,10 @@ from .neural import (
 from .rach_env import RachConfig, RachEnv, _check_fields, _is_int
 from .rl_core import epsilon_greedy, explore
 
+MODES = ("lockstep", "concurrent")
+
 __all__ = [
+    "MODES",
     "DqnConfig",
     "CompressionPlan",
     "ServiceRequest",
@@ -182,11 +186,12 @@ class CompressionPlan:
 
 @dataclass(frozen=True)
 class ServiceRequest:
-    """Instantiation request binding entities to one training service."""
+    """Instantiation request binding entities to one training service and its mode."""
 
     entity_ids: tuple[int, ...]
     env_config: RachConfig
     inner_steps: int = 8
+    mode: str = "lockstep"
     dqn: DqnConfig = field(default_factory=DqnConfig)
     compression: CompressionPlan = field(default_factory=CompressionPlan)
     seed: int = 0
@@ -204,6 +209,7 @@ class ServiceRequest:
                 ("entity_ids", ids_ok, "a nonempty list of integers in [0, 2**32)"),
                 ("entity_ids", ids_ok and len(set(ids)) == len(ids), "a list of distinct integers"),
                 ("inner_steps", self.inner_steps >= 1, "an integer >= 1"),
+                ("mode", self.mode in MODES, f"one of {list(MODES)}"),
                 ("env_config", isinstance(self.env_config, RachConfig), "a RachConfig"),
                 ("dqn", isinstance(self.dqn, DqnConfig), "a DqnConfig"),
                 ("compression", isinstance(self.compression, CompressionPlan), "a CompressionPlan"),
@@ -293,6 +299,10 @@ def epsilon_linear(step: int, start: float, end: float, decay_steps: int) -> flo
     return start + (end - start) * frac
 
 
+def _seed_int(seq: np.random.SeedSequence) -> int:
+    return int(seq.generate_state(1, np.uint64)[0] % 2**63)
+
+
 def derive_seeds(seed: int, n_entities: int) -> dict:
     """Deterministic per-concern seeds: net init, replay sampling, and one
     (action, environment) pair per entity."""
@@ -301,11 +311,7 @@ def derive_seeds(seed: int, n_entities: int) -> dict:
         "net": children[0],
         "sample": children[1],
         "entities": [
-            {
-                "action": children[2 + 2 * i],
-                "env": int(children[3 + 2 * i].generate_state(1, np.uint64)[0] % (2**63)),
-            }
-            for i in range(n_entities)
+            {"action": children[2 + 2 * i], "env": _seed_int(children[3 + 2 * i])} for i in range(n_entities)
         ],
     }
 
@@ -551,21 +557,19 @@ class Session:
         self.target = sync_target(self.online)
         self.sparsity_reports.append(report)
 
-    def run_round(self, round_idx: int, mode: str = "lockstep") -> None:
+    def run_round(self) -> None:
         """Serve every entity once, in entity order, logging one record each.
 
-        ``lockstep`` trains on each upload before the next entity acts.
-        ``concurrent`` lets every entity act on the same train step's
-        snapshot, then trains on the uploads in entity order, so the i-th
-        upload is i train steps stale.  Mid-session pruning runs after the
-        round numbered ``prune_at_round``.
+        The round's number is the count of rounds in the log.  In the
+        request's mode, ``lockstep`` trains on each upload before the next
+        entity acts; ``concurrent`` lets every entity act on one train
+        step's snapshot, then trains on the uploads in entity order, so the
+        i-th upload is i steps stale.  Pruning runs after round ``prune_at_round``.
         """
-        if mode == "lockstep":
-            uploads = (self.outer_round(eid) for eid in self.entities)
-        elif mode == "concurrent":
-            uploads = [self.outer_round(eid) for eid in self.entities]
-        else:
-            raise ConfigError(f"unknown session mode {mode!r}")
+        round_idx = len(self.log) // self.log.width
+        uploads = (self.outer_round(eid) for eid in self.entities)
+        if self.request.mode == "concurrent":
+            uploads = list(uploads)
         ledger = self.message_ledger
         for batch, (reward_mean, epsilon) in uploads:
             staleness = self.train_steps - batch.snapshot_version
@@ -682,16 +686,15 @@ def tail_mean(curve: np.ndarray, tail_fraction: float) -> float:
     return float(curve[-tail:].mean())
 
 
-def run_session(session: Session, rounds: int, mode: str = "lockstep") -> SessionMetrics:
-    """Drive ``rounds`` rounds of ``Session.run_round``, numbered from 0.
-
-    Both modes are deterministic for a given request; see ``run_round``.
-    An unknown mode raises ConfigError before the first entity acts.
-    """
+def run_session(session: Session, rounds: int) -> SessionMetrics:
+    """Play ``rounds`` more rounds of ``Session.run_round``, which numbers
+    each round and runs it in the request's mode, so calls in pieces play as
+    one call.  A session played fewer than ``prune_at_round + 1`` rounds
+    stays dense."""
     if rounds < 1:
         raise InvalidInputError("rounds must be >= 1")
-    for r in range(rounds):
-        session.run_round(r, mode)
+    for _ in range(rounds):
+        session.run_round()
     return SessionMetrics(
         rows=session.log,
         message_ledger=session.message_ledger,

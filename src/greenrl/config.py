@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .agents import LOCAL_AGENTS, LocalAgentParams
-from .cloud_loop import CompressionPlan, DqnConfig, ServiceRequest
+from .cloud_loop import MODES, CompressionPlan, DqnConfig, ServiceRequest
 from .errors import ConfigError
 from .rach_env import BernoulliTraffic, RachAction, RachConfig, _check_fields, _is_int, _real
 
@@ -46,7 +46,6 @@ OUTPUT_ROOT_ENV = "GREENRL_OUTPUT_ROOT"
 
 SCENARIOS = ("rach", "compression", "transfer")
 AGENTS = ("dqn",) + LOCAL_AGENTS
-MODES = ("lockstep", "concurrent")
 
 DEFAULT_MENU = (RachAction(1, 8, 8), RachAction(2, 8, 8), RachAction(4, 8, 8), RachAction(6, 8, 4))
 
@@ -247,6 +246,8 @@ class ExperimentConfig:
                 ("compression.prune_at_round",
                  self.scenario != "compression" or (self.compression.prune_at_round or 0) < self.rounds(),
                  f"less than the run's {self.rounds()} rounds, or null"),
+                ("cloud.snapshot_bits", self.scenario != "compression" or self.cloud.snapshot_bits is None,
+                 "null for the compression scenario, which quantises snapshots at compression.quant_bits"),
             ],
         )
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
@@ -269,6 +270,7 @@ class ExperimentConfig:
             entity_ids=tuple(range(self.cloud.n_entities)),
             env_config=self.rach.to_env_config() if env_config is None else env_config,
             inner_steps=self.cloud.inner_steps,
+            mode=self.cloud.mode,
             dqn=self.cloud.dqn_config(),
             compression=plan,
             seed=seed,

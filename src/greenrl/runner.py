@@ -42,6 +42,7 @@ from .cloud_loop import (
     CompressionPlan,
     MessageLedger,
     RoundLog,
+    _seed_int,
     instantiate,
     run_session,
     tail_mean,
@@ -158,7 +159,7 @@ def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[RoundLog, dict]:
     env_cfg = cfg.rach.to_env_config()
     if cfg.agent == "dqn":
         session = instantiate(cfg.service_request(seed))
-        metrics = run_session(session, cfg.rounds(), cfg.cloud.mode)
+        metrics = run_session(session, cfg.rounds())
         rows, message, energy = metrics.rows, metrics.message_ledger, metrics.energy
         reports = metrics.sparsity_reports
         eval_reward = evaluate_greedy_net(metrics.final_net, env_cfg, cfg.eval_slots, seed + EVAL_SEED_OFFSET)
@@ -211,7 +212,7 @@ def run_compression_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[tuple],
     """
     env_cfg = cfg.rach.to_env_config()
     dense_request = cfg.service_request(seed, compression=CompressionPlan())
-    dense = run_session(instantiate(dense_request), cfg.rounds(), cfg.cloud.mode)
+    dense = run_session(instantiate(dense_request), cfg.rounds())
     rows = []
     for frac in cfg.compression.sparsity_levels:
         thr = threshold_for_sparsity(dense.final_net, frac)
@@ -220,7 +221,7 @@ def run_compression_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[tuple],
         counts = (report.sparsity, report.nonzero_weights, report.mac_count_pruned)
         rows.append((seed, frac, thr, *counts, reward))
     comp_request = cfg.service_request(seed, compression=_compressed_plan(cfg))
-    comp = run_session(instantiate(comp_request), cfg.rounds(), cfg.cloud.mode)
+    comp = run_session(instantiate(comp_request), cfg.rounds())
     ledger_cmp = energy_compare(dense.energy, comp.energy)
     entry = {
         "seed": seed,
@@ -234,29 +235,18 @@ def run_compression_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[tuple],
     return rows, entry
 
 
-def _seed_int(seq: np.random.SeedSequence) -> int:
-    return int(seq.generate_state(1, np.uint64)[0] % (2**63))
-
-
-def _play(sessions, rounds: range, after_round=None) -> None:
-    """Run ``rounds`` on every session in turn."""
-    for r in rounds:
-        for session in sessions:
-            session.run_round(r)
-        if after_round is not None:
-            after_round(r)
-
-
 def run_transfer_arms(cfg: ExperimentConfig, seed: int) -> tuple[dict, dict]:
     """Both arms of one seed, (transfer, baseline): two coordinators on one
     shared field, with and without parameter transfer.
 
-    The arms are one computation until the first transfer, after round
-    ``transfer_every - 1``, so those rounds run once; the pair is then
-    forked, the transfer arm finishes on the originals and the baseline
-    arm on the forks.  Both read one ``FieldTrafficSource``, whose counts
-    depend only on the slot; each correlation is estimated on the first
-    ``(r + 1) * inner_steps`` slots, the ones played by the end of round r.
+    The arms are one computation until the first transfer, before round
+    ``transfer_every``, so each session plays those rounds once; the pair
+    is then forked, the transfer arm finishes on the originals and the
+    baseline arm on the forks, each session numbering its own rounds.
+    Both read one ``FieldTrafficSource``, whose counts depend only on the
+    slot; the transfer before round r, for every r a multiple of
+    ``transfer_every``, estimates its correlation on the first
+    ``r * inner_steps`` slots, the ones played before round r.
     """
     sp = cfg.spatial
     children = np.random.SeedSequence([int(seed), 7077]).spawn(5)
@@ -275,25 +265,25 @@ def run_transfer_arms(cfg: ExperimentConfig, seed: int) -> tuple[dict, dict]:
         sessions.append(instantiate(request))
     rounds = cfg.rounds()
     shared = min(sp.transfer_every, rounds)
-    _play(sessions, range(shared))
+    for session in sessions:
+        run_session(session, shared)
     baseline = [session.fork() for session in sessions]
     correlations = []
-
-    def transfer(r: int) -> None:
-        if (r + 1) % sp.transfer_every == 0 and (r + 1) < rounds:
-            history = source.region_history(sp.bs_cells)[: (r + 1) * cfg.cloud.inner_steps]
-            cm = estimate_correlation(history)
+    for r in range(shared, rounds):
+        if r % sp.transfer_every == 0:
+            cm = estimate_correlation(source.region_history(sp.bs_cells)[: r * cfg.cloud.inner_steps])
             correlations.append(float(cm.values[0, 1]))
             mixed = transfer_weights([s.online for s in sessions], cm, sp.beta)
             for session, net in zip(sessions, mixed):
                 session.online = net
                 session.target = sync_target(net)
-
-    transfer(shared - 1)
-    _play(sessions, range(shared, rounds), transfer)
+        for session in sessions:
+            session.run_round()
     transfer_arm = _arm_result(cfg, seed, True, sessions, correlations)
     sessions.clear()  # frees the transfer arm's replay rings before the forks allocate theirs
-    _play(baseline, range(shared, rounds))
+    for session in baseline:
+        for _ in range(shared, rounds):
+            session.run_round()
     return transfer_arm, _arm_result(cfg, seed, False, baseline, [])
 
 

@@ -871,7 +871,8 @@ def reference_transfer_weights(
 
 
 # The one-arm transfer driver that ``greenrl.runner.run_transfer_arms``
-# replaced, kept verbatim apart from its name, ``_reference_seed_int`` and
+# replaced, kept verbatim apart from its name, ``_reference_seed_int``, its
+# ``run_round()`` calls, whose rounds the sessions number themselves, and
 # its curve, which is gathered from the sessions' round logs into
 # ``reference_per_round_curve``, one ``np.mean`` per round.  Each call
 # builds its own field source and sessions and runs every round, so an arm
@@ -913,7 +914,7 @@ def reference_run_transfer_arm(cfg, seed: int, enabled: bool) -> dict:
     correlations = []
     for r in range(rounds):
         for session in sessions:
-            session.run_round(r)
+            session.run_round()
         if enabled and (r + 1) % sp.transfer_every == 0 and (r + 1) < rounds:
             cm = estimate_correlation(source.region_history(sp.bs_cells))
             correlations.append(float(cm.values[0, 1]))

@@ -481,6 +481,8 @@ def test_service_request_validation(kwargs):
         ("env_config", {"num_devices": 20}),
         ("dqn", {"lr": 1.0}),
         ("compression", None),
+        ("mode", "batch"),
+        ("mode", None),
     ],
 )
 def test_service_request_checks_name_the_field(field, value):
@@ -572,8 +574,8 @@ def test_session_uploads_are_parsed_by_decode_sample_batch(monkeypatch, mode):
         return batch
 
     monkeypatch.setattr(cloud_loop, "decode_sample_batch", counted)
-    session = instantiate(make_request(entity_ids=(0, 1, 2)))
-    run_session(session, 3, mode)
+    session = instantiate(make_request(entity_ids=(0, 1, 2), mode=mode))
+    run_session(session, 3)
     assert parsed == [0, 1, 2] * 3
     assert session.message_ledger.rounds == len(parsed)
     assert len(session.buffer) == len(parsed) * session.request.inner_steps
@@ -715,11 +717,11 @@ def test_fork_continues_as_the_parent(monkeypatch, mode, fork_after, prune_at):
     import greenrl.cloud_loop as cloud_loop
 
     plan = CompressionPlan(snapshot_bits=8, prune_quantile=0.5, prune_at_round=prune_at)
-    request = make_request(entity_ids=(0, 1), compression=plan)
+    request = make_request(entity_ids=(0, 1), compression=plan, mode=mode)
     parent, unforked = Session(request), Session(request)
-    for r in range(fork_after):
-        parent.run_round(r, mode)
-        unforked.run_round(r, mode)
+    for _ in range(fork_after):
+        parent.run_round()
+        unforked.run_round()
         assert list(parent.log) == list(unforked.log)
     assert len(parent.log) == 2 * fork_after
     made = []
@@ -733,7 +735,7 @@ def test_fork_continues_as_the_parent(monkeypatch, mode, fork_after, prune_at):
     assert _session_state(fork) == _session_state(parent)
     for r in range(fork_after, 7):
         for session in (unforked, parent, fork):
-            session.run_round(r, mode)
+            session.run_round()
         assert len(unforked.log) == 2 * (r + 1)
         assert _session_state(parent) == _session_state(unforked)
         assert _session_state(fork) == _session_state(unforked)
@@ -746,13 +748,13 @@ def test_fork_does_not_share_entity_networks():
     entity networks as they were at the fork."""
     plan = CompressionPlan(snapshot_bits=8)
     parent = Session(make_request(entity_ids=(0, 1), compression=plan))
-    for r in range(3):
-        parent.run_round(r)
+    for _ in range(3):
+        parent.run_round()
     fork = parent.fork()
     kept = {eid: (e.net.params.tobytes(), e.net.quant) for eid, e in fork.entities.items()}
     logged = list(fork.log)
-    for r in range(3, 6):
-        parent.run_round(r)
+    for _ in range(3):
+        parent.run_round()
     assert list(fork.log) == logged and len(parent.log) == 12
     for eid, e in fork.entities.items():
         mine = parent.entities[eid]
@@ -768,12 +770,12 @@ def test_entity_network_is_resident(bits):
     same object and vector every round, never the online one's, and equal
     to a fresh decode of the round's snapshot."""
     session = Session(make_request(compression=CompressionPlan(snapshot_bits=bits)))
-    session.run_round(0)
+    session.run_round()
     net = session.entities[0].net
     params = net.params
-    for r in range(1, 4):
+    for _ in range(3):
         expected = decode_snapshot(encode_snapshot(0, 0.0, session.online, bits))[2]
-        session.run_round(r)
+        session.run_round()
         assert session.entities[0].net is net and net.params is params
         assert net.params.tobytes() == expected.params.tobytes() and net.quant == expected.quant
         assert not np.shares_memory(params, session.online.params)
@@ -800,8 +802,8 @@ def test_every_mac_count_is_that_of_the_network_it_describes(monkeypatch, mode, 
 
         monkeypatch.setattr(EnergyLedger, name, spy)
     plan = CompressionPlan(snapshot_bits=bits, prune_quantile=0.5, prune_at_round=2)
-    session = Session(make_request(entity_ids=(0, 1), compression=plan))
-    run_session(session, rounds=8, mode=mode)
+    session = Session(make_request(entity_ids=(0, 1), compression=plan, mode=mode))
+    run_session(session, rounds=8)
     events = [e for e in session.energy.events if e[0] != "message"]
     assert len(events) == len(seen) == 32
     assert [e[1] for e in events] == seen
@@ -826,8 +828,8 @@ def test_concurrent_mode_preserves_accounting():
     are stale by exactly the entity's position in its round."""
 
     def run():
-        session = Session(make_request(entity_ids=(0, 1, 2)))
-        return session, run_session(session, rounds=4, mode="concurrent")
+        session = Session(make_request(entity_ids=(0, 1, 2), mode="concurrent"))
+        return session, run_session(session, rounds=4)
 
     session, metrics = run()
     assert len(metrics.rows) == 12
@@ -857,9 +859,9 @@ def test_concurrent_mode_preserves_accounting():
 
 def test_concurrent_failing_entity_raises():
     env = env_config(traffic=ExternalTraffic(lambda slot: -1))
-    session = Session(make_request(entity_ids=(0, 1, 2), env_config=env))
+    session = Session(make_request(entity_ids=(0, 1, 2), env_config=env, mode="concurrent"))
     with pytest.raises(InvalidInputError):
-        run_session(session, rounds=3, mode="concurrent")
+        run_session(session, rounds=3)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -902,11 +904,39 @@ def test_run_session_validation():
     session = Session(make_request())
     with pytest.raises(InvalidInputError):
         run_session(session, rounds=0)
-    with pytest.raises(ConfigError):
-        run_session(session, rounds=1, mode="batch")
-    with pytest.raises(ConfigError):
-        session.run_round(0, "batch")
     assert session.message_ledger.rounds == 0  # nothing ran
+
+
+@pytest.mark.parametrize("mode", ["lockstep", "concurrent"])
+def test_a_session_numbers_its_own_rounds(mode):
+    """Rounds played one at a time through ``run_round`` equal one
+    ``run_session`` call, numbered 0..R-1 by the session, and a fork
+    continues the numbering of the rounds it inherits."""
+    request = make_request(entity_ids=(0, 1), mode=mode)
+    stepped, whole = Session(request), Session(request)
+    for _ in range(5):
+        stepped.run_round()
+    run_session(whole, 5)
+    assert _session_state(stepped) == _session_state(whole)
+    assert stepped.log["round"] == [i // 2 for i in range(10)]
+    fork = stepped.fork()
+    run_session(fork, 2)
+    assert fork.log["round"] == [i // 2 for i in range(14)]
+    assert stepped.log["round"] == [i // 2 for i in range(10)]
+
+
+def test_a_session_driven_in_pieces_prunes_once():
+    """Pruning follows the session's own round count: 5 rounds and then 6
+    more prune once, after round 10, as one 11-round call does.  It used
+    to be skipped, without a word, in any call of fewer than 11 rounds."""
+    plan = CompressionPlan(prune_quantile=0.5, prune_at_round=10)
+    pieces, whole = Session(make_request(compression=plan)), Session(make_request(compression=plan))
+    assert run_session(pieces, 5).sparsity_reports == []  # fewer rounds than prune_at_round + 1: dense
+    assert pieces.online.param_mask is None
+    metrics = run_session(pieces, 6)
+    run_session(whole, 11)
+    assert len(metrics.sparsity_reports) == 1 and metrics.final_net.param_mask is not None
+    assert _session_state(pieces) == _session_state(whole)
 
 
 def test_metrics_terminal_reward_tail():

@@ -203,12 +203,13 @@ def test_output_root_resolution(monkeypatch, tmp_path):
 def test_service_request_wiring():
     cfg = config_from_dict(
         {
-            "cloud": {"n_entities": 3, "inner_steps": 2, "snapshot_bits": 8, "batch_fp16": True}
+            "cloud": {"n_entities": 3, "inner_steps": 2, "mode": "concurrent", "snapshot_bits": 8, "batch_fp16": True}
         }
     )
     req = cfg.service_request(seed=5)
     assert req.entity_ids == (0, 1, 2)
     assert req.inner_steps == 2
+    assert req.mode == "concurrent"
     assert req.seed == 5
     assert req.compression == CompressionPlan(snapshot_bits=8, batch_fp16=True)
     override = cfg.service_request(seed=5, compression=CompressionPlan(), net_seed=42)

@@ -437,6 +437,8 @@ def test_cli_rejects_bad_experiment_field_before_writing(tmp_path, capsys, key, 
         ({"compression": {"quant_bits": None}}, "config.compression.quant_bits: must be an integer"),
         ({"name": ".."}, "config.name: must be a nonempty relative path with no '..' component"),
         ({"name": ""}, "config.name: must be a nonempty relative path with no '..' component"),
+        ({"cloud": {"inner_steps": 20, "mode": "batch"}},
+         "config.cloud.mode: must be one of ['lockstep', 'concurrent'], got 'batch'"),
     ],
 )
 def test_cli_rejects_before_writing(tmp_path, capsys, overrides, error):
@@ -607,6 +609,21 @@ def test_compression_prune_at_round_past_the_run_exits_2_before_writing(tmp_path
     )
     assert cli_main(["run", path]) == 2
     assert "config.compression.prune_at_round: must be less than the run's 4 rounds" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_compression_rejects_cloud_snapshot_bits_before_writing(tmp_path, capsys):
+    """The compression scenario's dense session publishes dense snapshots and
+    its compressed one quantises at ``compression.quant_bits``, so
+    ``cloud.snapshot_bits`` used to be ignored: 4 and null wrote the same
+    ledger comparison and sparsity curve."""
+    path = write_config_file(
+        tmp_path, scenario="compression", agent="dqn", total_slots=80, cloud=dict(TINY_DQN, snapshot_bits=4),
+    )
+    assert cli_main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "config.cloud.snapshot_bits: must be null for the compression scenario" in err
+    assert "compression.quant_bits" in err
     assert not os.path.exists(tmp_path / "out")
 
 
