@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cloud_loop import RoundLog, build_state, derive_seeds, epsilon_linear
+from .cloud_loop import RoundLog, derive_seeds, epsilon_linear
 from .compression import DiscretizationScheme, bin_indices
 from .errors import ConfigError
 from .neural import DenseNet, forward
@@ -266,11 +266,11 @@ def evaluate_greedy_net(net: DenseNet, env_cfg: RachConfig, slots: int, seed: in
     env, rng = _entity_env(env_cfg, seed)
     menu, norm = env_cfg.action_menu, float(env_cfg.max_opportunities)
     obs = env.reset()
-    # One state row, refilled in place every slot.
+    # One state row, refilled in place every slot with build_state's quotient.
     state = np.empty(obs.size, net.dtype)
     total = 0.0
     for _ in range(slots):
-        build_state(obs, norm, net.dtype, out=state)
+        state[...] = obs / norm
         action = epsilon_greedy(forward(net, state), 0.0, rng)
         obs, reward, _ = env.step(menu[action])
         total += reward

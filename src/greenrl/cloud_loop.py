@@ -33,19 +33,22 @@ while both messages stay real bytes, encoded and decoded every round:
   loads a quantised snapshot is counted on its own (see ``greenrl.energy``).
 
 Each slot of a round is a lean path with the same RNG calls, in the same
-order, as the per-object path it replaced.  The entity draws first:
-``explore`` makes epsilon-greedy's draws and, on an exploring slot, returns
-the uniform action, so no forward pass runs.  Only on a greedy slot does
-the entity run ``forward`` on row i of the state array (one finiteness
-check of the row, then one trusted (1, dim) forward pass) and take the
-argmax with ``epsilon_greedy`` at epsilon 0, which draws nothing.
+order, as the per-object path it replaced.  The entity checks the round's
+epsilon once (``check_epsilon``), then draws first on every slot:
+``explore``'s draws, ``rng.random()`` and, on an exploring slot,
+``rng.integers`` for the uniform action, so no forward pass runs.  Only on
+a greedy slot does the entity run ``forward`` on row i of the state array
+(one finiteness check of the row, then one (1, dim) forward pass) and take
+the argmax with ``epsilon_greedy`` at epsilon 0, which draws nothing.
 ``forward`` uses no randomness, so actions and generator states are those
 of calling ``epsilon_greedy`` on every slot's values.  Since exploring
 slots never look at the network, the entity checks the decoded snapshot's
 parameters finite before it acts, and the round's states before upload.
 ``RachEnv.step`` plays the action through the environment's precomputed
-action table, and ``build_state`` writes the new observation, divided by
-the menu norm, straight into row i+1.
+action table, and the new observation's float64 quotient by the menu norm,
+``build_state``'s rule, is assigned straight into row i+1.  Every call the
+benchmark's hooks wrap (``RachEnv.step`` on its class, ``forward`` and
+``epsilon_greedy`` by module name) is made through that name on every slot.
 
 Both message directions are real byte payloads, so the message ledger and
 the energy ledger account exactly what would cross the wire.
@@ -90,7 +93,7 @@ from .neural import (
     sync_target,
 )
 from .rach_env import RachConfig, RachEnv, _check_fields, _is_int
-from .rl_core import epsilon_greedy, explore
+from .rl_core import check_epsilon, epsilon_greedy
 
 MODES = ("lockstep", "concurrent")
 
@@ -320,11 +323,16 @@ def build_state(obs: np.ndarray, norm: float, dtype, out: np.ndarray | None = No
     """Network input: observation counts scaled by the largest menu size.
 
     The counts are divided in float64 and rounded once to ``dtype``.  With
-    ``out``, a row of that dtype, the state is written there in place.
+    ``out``, a row of that dtype, the state is written there in place.  The
+    quotient is made in float64 and then assigned: a division straight into
+    a float32 row goes through numpy's buffered casting, which costs more
+    than the division itself for a window-sized vector.
     """
+    quotient = np.asarray(obs, dtype=np.float64) / norm
     if out is None:
-        out = np.empty(np.shape(obs), dtype)
-    return np.divide(np.asarray(obs, dtype=np.float64), norm, out=out)
+        return quotient.astype(dtype)
+    out[...] = quotient
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +625,12 @@ class Session:
     def outer_round(self, entity_id: int) -> tuple[SampleBatch, tuple[float, float]]:
         """Publish to one entity, run K inference-only steps, upload the batch.
 
-        Returns the parsed upload and (the round's mean reward, the epsilon
-        the entity acted at).
+        The snapshot's epsilon is checked once, before the first slot, and
+        each slot makes ``explore``'s draws at it; a greedy slot runs
+        ``forward`` on its state row and picks with ``epsilon_greedy`` at 0.
+        Each observation's scaled state is written straight into its row of
+        the entity's state array.  Returns the parsed upload and (the round's
+        mean reward, the epsilon the entity acted at).
         """
         if entity_id not in self.entities:
             raise InvalidInputError(f"unknown entity {entity_id}")
@@ -630,16 +642,20 @@ class Session:
         if not np.isfinite(net.params).all():
             raise InvalidInputError("snapshot parameters must be finite")
         entity.net = net
-        k, n_actions = self.request.inner_steps, net.layer_dims[-1]
+        k, n_actions, norm = self.request.inner_steps, net.layer_dims[-1], self.norm
         env, rng, states, rows = entity.env, entity.action_rng, entity.states, entity.rows
         actions, rewards = rows.action, rows.reward
-        build_state(entity.obs, self.norm, dtype, out=states[0])
+        eps = check_epsilon(epsilon)
+        draw, pick = rng.random, rng.integers
+        build_state(entity.obs, norm, dtype, out=states[0])
         for i in range(k):
-            action = explore(epsilon, rng, n_actions)
-            if action is None:
+            # explore's draws, at the epsilon checked above
+            if eps > 0.0 and draw() < eps:
+                action = int(pick(n_actions))
+            else:
                 action = epsilon_greedy(forward(net, states[i]), 0.0, rng)
             entity.obs, rewards[i], _outcome = env.step(menu[action])
-            build_state(entity.obs, self.norm, dtype, out=states[i + 1])
+            states[i + 1] = entity.obs / norm  # build_state's quotient, rounded once into the row
             actions[i] = action
         if not np.isfinite(states).all():
             raise InvalidInputError("states must be finite")

@@ -27,6 +27,7 @@ workspace of their own, made for the one call.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -189,15 +190,20 @@ def forward(net: DenseNet, state) -> np.ndarray:
     add as ``_forward_cached``, so its values equal that function's on the
     state as a batch of one, bit for bit.  Rows of larger batches may differ
     from them in the last bits: numpy hands a (1, d) product to gemv and a
-    larger one to gemm, which can sum in another order."""
-    x = np.asarray(state, dtype=net.dtype)
+    larger one to gemm, which can sum in another order.
+
+    The state is checked finite on its values read out as Python floats, an
+    exact widening and for an input-sized vector several times cheaper than
+    ``np.isfinite``; each bias is added in place into the fresh product."""
+    x = np.asarray(state, dtype=net.params.dtype)
     if x.shape != (net.layer_dims[0],):
         raise InvalidInputError(f"state shape {x.shape} does not match input dim {net.layer_dims[0]}")
-    if not np.isfinite(x).all():
+    if not all(map(math.isfinite, x.tolist())):
         raise InvalidInputError("state must be finite")
-    last, h = net.n_layers - 1, x[None, :]
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
+    last, h = len(net.layer_dims) - 2, x[None, :]
+    for i, (w, b) in enumerate(zip(net._weights, net._biases)):
+        h = h @ w
+        h += b
         if i < last:
             np.maximum(h, 0, out=h)
     return h[0]

@@ -12,10 +12,13 @@ With n devices attempting over m opportunities the expected number served
 is n * (1 - 1/m)**(n-1).
 
 The simulator is built for a cheap per-slot step.  The observation window
-is a rolling numpy array shifted in place, and each menu action's
-opportunity count, attempt probability and contention probabilities are
-computed once per environment, so a step is a dict lookup, the arrival,
-attempt and contention draws, and two counts of the occupancy vector.
+is a tuple of counts, most recent first, that each step replaces with the
+new triple followed by all but the oldest, and each menu action's
+opportunity count, attempt probability and contention probabilities, and
+the Bernoulli arrival probability, are resolved once per environment, so a
+step is a dict lookup, the arrival, attempt and contention draws, two
+counts of the occupancy vector and one conversion of the window to an
+array.
 """
 
 from __future__ import annotations
@@ -187,13 +190,16 @@ class RachEnv:
     (idle, collided, successful), most recent first, flattened to a vector
     of length 3 * history_window.  Slots before the first step read as zeros.
 
-    The window is a rolling (history_window, 3) float array: each step
-    shifts it down one row in place and writes the new triple into row 0,
-    and ``observation`` returns a flattened copy, so an observation held by
-    the caller never changes under a later step.  ``__init__`` precomputes
-    every menu action's opportunity count, attempt probability and uniform
-    contention probabilities once, so a step looks its action up in a dict;
-    an action missing from the table is off the menu.
+    The window is an immutable tuple of those counts: each step makes a new
+    one, the new triple followed by all but the oldest triple, and
+    ``observation`` converts it to a fresh float array, so an observation
+    held by the caller never changes under a later step.  ``__init__``
+    resolves every menu action's opportunity count, attempt probability and
+    uniform contention probabilities, and the Bernoulli arrival probability,
+    once.  A step finds its action by identity in a table of the menu's own
+    objects, and an equal copy by value in a second table, without hashing
+    the action's fields on the common path; an action in neither table is
+    off the menu.
     """
 
     def __init__(self, cfg: RachConfig):
@@ -206,17 +212,22 @@ class RachEnv:
             )
             for a in cfg.action_menu
         }
+        # The menu's objects live as long as ``cfg``, so no other object
+        # can share one's id while this table is in use.
+        self._by_id = {id(a): self._actions[a] for a in cfg.action_menu}
+        traffic = cfg.traffic
+        self._arrival_p = traffic.p if isinstance(traffic, BernoulliTraffic) else None
         self.reset()
 
     def reset(self) -> np.ndarray:
         self.rng = np.random.default_rng(self.cfg.seed)
         self.backlog = 0
         self.slot = 0
-        self._window = np.zeros((self.cfg.history_window, 3))
+        self._window = (0,) * (3 * self.cfg.history_window)
         return self.observation()
 
     def observation(self) -> np.ndarray:
-        return self._window.flatten()
+        return np.array(self._window, float)
 
     def resume_from(self, other: RachEnv) -> None:
         """Take up ``other``'s position: the state ``reset`` sets, copied.
@@ -226,18 +237,22 @@ class RachEnv:
         """
         self.rng.bit_generator.state = other.rng.bit_generator.state
         self.backlog, self.slot = other.backlog, other.slot
-        self._window = other._window.copy()
+        self._window = other._window
 
-    def _draw_arrivals(self) -> int:
-        traffic = self.cfg.traffic
-        if isinstance(traffic, BernoulliTraffic):
-            idle_devices = max(0, self.cfg.num_devices - self.backlog)
-            return int(self.rng.binomial(idle_devices, traffic.p))
-        count = int(traffic.counts(self.slot))
-        if count < 0:
-            raise InvalidInputError("external traffic produced a negative count")
+    def _external_arrivals(self) -> int:
+        """This slot's count from ``ExternalTraffic``, checked and clamped.
+
+        A count that is not an integer >= 0 (a bool, a float, a string,
+        None, ...) raises InvalidInputError naming the slot.  A Python int
+        is told by its class alone, before the full type test.
+        """
+        count = self.cfg.traffic.counts(self.slot)
+        if not (count.__class__ is int or _is_int(count)) or count < 0:
+            raise InvalidInputError(
+                f"external traffic count for slot {self.slot} must be an integer >= 0, got {count!r}"
+            )
         # Clamp to the device population: backlog never exceeds num_devices.
-        return min(count, self.cfg.num_devices - self.backlog)
+        return min(int(count), self.cfg.num_devices - self.backlog)
 
     def step(self, action: RachAction) -> tuple[np.ndarray, float, SlotOutcome]:
         """Play one slot of ``action``, which must be on the menu.
@@ -246,26 +261,29 @@ class RachEnv:
         contention goes through ``simulate_contention`` with the action's
         precomputed probabilities.
         """
-        try:
-            m, p_attempt, pvals = self._actions[action]
-        except (KeyError, TypeError):
-            raise InvalidInputError(f"action {action} is not on the menu") from None
-        self.backlog += self._draw_arrivals()
-        attempts = int(self.rng.binomial(self.backlog, p_attempt))
-        occupancy = simulate_contention(attempts, m, self.rng, pvals)
+        entry = self._by_id.get(id(action))
+        if entry is None:
+            try:
+                entry = self._actions[action]
+            except (KeyError, TypeError):
+                raise InvalidInputError(f"action {action} is not on the menu") from None
+        m, p_attempt, pvals = entry
+        rng, p = self.rng, self._arrival_p
+        if p is None:
+            backlog = self.backlog + self._external_arrivals()
+        else:
+            backlog = self.backlog + int(rng.binomial(max(0, self.cfg.num_devices - self.backlog), p))
+        attempts = int(rng.binomial(backlog, p_attempt))
+        occupancy = simulate_contention(attempts, m, rng, pvals)
         # Counted on a list: for menu-sized m this is several times cheaper
         # than numpy's compare-and-count.
         counts = occupancy.tolist()
         idle = counts.count(0)
         successful = counts.count(1)
-        collided = m - idle - successful
-        self.backlog -= successful
-        window = self._window
-        window[1:] = window[:-1]
-        window[0] = (idle, collided, successful)
+        self.backlog = backlog = backlog - successful
+        window = self._window = (idle, m - idle - successful, successful) + self._window[:-3]
         self.slot += 1
-        outcome = SlotOutcome(successful, self.backlog, occupancy)
-        return window.flatten(), float(successful), outcome
+        return np.array(window, float), float(successful), SlotOutcome(successful, backlog, occupancy)
 
 
 def le_urc_counts(obs) -> list[float]:

@@ -45,6 +45,14 @@ def _check_step_size(alpha: float) -> float:
     return a
 
 
+def check_epsilon(epsilon: float) -> float:
+    """Validate 0 <= epsilon <= 1 and return it as a float."""
+    eps = float(epsilon)
+    if not 0.0 <= eps <= 1.0:
+        raise InvalidInputError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    return eps
+
+
 def explore(epsilon: float, rng: np.random.Generator, n_actions: int) -> int | None:
     """The exploring half of epsilon-greedy: a uniform action, or None to act greedily.
 
@@ -53,10 +61,10 @@ def explore(epsilon: float, rng: np.random.Generator, n_actions: int) -> int | N
     A caller that gets None can compute its action values only then, and
     pick with ``epsilon_greedy(q, 0.0, rng)``, which draws nothing more: the
     generator ends where one ``epsilon_greedy(q, epsilon, rng)`` call leaves it.
+    A caller acting many times at one epsilon may check it once with
+    ``check_epsilon`` and make these draws itself.
     """
-    eps = float(epsilon)
-    if not 0.0 <= eps <= 1.0:
-        raise InvalidInputError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    eps = check_epsilon(epsilon)
     if eps > 0.0 and rng.random() < eps:
         return int(rng.integers(n_actions))
     return None
@@ -68,20 +76,22 @@ def epsilon_greedy(q_values: np.ndarray, epsilon: float, rng: np.random.Generato
     The values are checked first, then ``explore`` checks epsilon and makes
     the draws.  Ties in the greedy branch resolve to the lowest action index.
     With epsilon = 0 the choice is fully deterministic.  Float values up to 64
-    bits are read out as Python floats, an exact widening, so the checks
-    and the argmax see what a float64 copy would hold; for a menu-sized
-    vector that is several times cheaper than numpy's per-call overhead.
-    Other values are converted to float64 first.
+    bits (dtype chars ``e``, ``f``, ``d``) are read out as Python floats, an
+    exact widening, so the checks and the argmax see what a float64 copy
+    would hold; for a menu-sized vector that is several times cheaper than
+    numpy's per-call overhead.  Other values are converted to float64 first.
+    An epsilon that reads as 0.0 through ``float``, which passes ``explore``'s
+    check and draws nothing there, takes the argmax without calling it.
     """
     q = np.asarray(q_values)
-    if q.dtype.kind != "f" or q.dtype.itemsize > 8:
+    if q.dtype.char not in "efd":
         q = q.astype(float)
     if q.ndim != 1 or q.size == 0:
         raise InvalidInputError("q_values must be a nonempty 1-D array")
     values = q.tolist()
     if not all(map(math.isfinite, values)):
         raise InvalidInputError("q_values must be finite")
-    action = explore(epsilon, rng, q.size)
+    action = None if float(epsilon) == 0.0 else explore(epsilon, rng, q.size)
     return values.index(max(values)) if action is None else action
 
 

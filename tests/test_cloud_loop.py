@@ -685,7 +685,7 @@ def _session_state(session):
     ring, mask = session.buffer._ring, session.online.param_mask
     entities = {
         eid: (
-            e.env.rng.bit_generator.state, e.env.backlog, e.env.slot, e.env._window.tobytes(),
+            e.env.rng.bit_generator.state, e.env.backlog, e.env.slot, e.env.observation().tobytes(),
             e.action_rng.bit_generator.state, e.obs.tobytes(),
             None if e.net is None else e.net.params.tobytes(),
         )

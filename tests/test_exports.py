@@ -2,6 +2,9 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import sys
+
+import numpy as np
 
 import greenrl
 
@@ -93,3 +96,77 @@ def test_no_module_imports_scipy_at_import_time():
                 found.append((path.name, node.module))
             stack.extend(ast.iter_child_nodes(node))
     assert not found, found
+
+
+def _count_calls(monkeypatch, counts: dict, module: str, path: str) -> None:
+    """Swap ``greenrl.<module>.<path>`` for a counting wrapper wherever it is
+    bound, as the benchmark's hooks do: a method on its class, a function in
+    every loaded greenrl module that binds the same object."""
+    owner = importlib.import_module(f"greenrl.{module}")
+    *outer, attr = path.split(".")
+    for part in outer:
+        owner = getattr(owner, part)
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        counts[path] += 1
+        return original(*args, **kwargs)
+
+    counts[path] = 0
+    if outer:
+        monkeypatch.setattr(owner, attr, counted)
+        return
+    for name, mod in list(sys.modules.items()):
+        if name == "greenrl" or name.startswith("greenrl."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+
+
+def _hooked(monkeypatch) -> dict:
+    counts: dict = {}
+    _count_calls(monkeypatch, counts, "rach_env", "RachEnv.step")
+    _count_calls(monkeypatch, counts, "neural", "forward")
+    _count_calls(monkeypatch, counts, "rl_core", "epsilon_greedy")
+    return counts
+
+
+def test_benchmark_hooks_see_every_slot(monkeypatch):
+    """The benchmark times the host between environment steps by wrapping
+    ``RachEnv.step`` on the class, and traces ``forward`` and
+    ``epsilon_greedy`` through their module attributes.  A slot loop that
+    went round them would leave the host probes empty and fail the
+    benchmark's run, so every slot must call them through those names:
+    K x entities steps per round, one ``forward`` and one ``epsilon_greedy``
+    per greedy slot, and one step per evaluation slot."""
+    from greenrl.agents import LocalAgentParams, evaluate_greedy_agent, evaluate_greedy_net, make_agent
+    from greenrl.cloud_loop import DqnConfig, ServiceRequest, Session
+    from greenrl.config import DEFAULT_MENU
+    from greenrl.rach_env import BernoulliTraffic, RachConfig
+
+    counts = _hooked(monkeypatch)
+    env_cfg = RachConfig(20, DEFAULT_MENU, 2, BernoulliTraffic(0.1))
+    k, entities = 5, (0, 1, 2)
+    for eps, greedy in ((0.0, "all"), (1.0, "none"), (0.5, "some")):
+        dqn = DqnConfig(hidden=(8,), batch_size=4, eps_start=eps, eps_end=eps)
+        session = Session(ServiceRequest(entities, env_cfg, inner_steps=k, dqn=dqn, seed=1))
+        for _ in range(3):
+            counts.update(dict.fromkeys(counts, 0))
+            session.run_round()
+            assert counts["RachEnv.step"] == k * len(entities)
+            assert counts["forward"] == counts["epsilon_greedy"]
+            n_greedy = {"all": k * len(entities), "none": 0}.get(greedy)
+            if n_greedy is not None:
+                assert counts["forward"] == n_greedy
+        if greedy == "some":
+            assert 0 < counts["forward"] < k * len(entities)
+
+    slots = 7
+    counts.update(dict.fromkeys(counts, 0))
+    evaluate_greedy_net(session.online, env_cfg, slots, seed=2)
+    assert counts == {"RachEnv.step": slots, "forward": slots, "epsilon_greedy": slots}
+    for kind, greedy_calls in (("la-q", slots), ("tabular", slots), ("le-urc", 0)):
+        agent = make_agent(kind, env_cfg, LocalAgentParams(), np.random.default_rng(0))
+        counts.update(dict.fromkeys(counts, 0))
+        evaluate_greedy_agent(agent, env_cfg, slots, seed=2)
+        assert counts == {"RachEnv.step": slots, "forward": 0, "epsilon_greedy": greedy_calls}

@@ -197,8 +197,36 @@ def test_external_traffic_clamps_to_population():
 
 def test_external_traffic_negative_count_rejected():
     env = make_env(traffic=ExternalTraffic(lambda slot: -1))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="slot 0 must be an integer >= 0, got -1"):
         env.step(MENU[0])
+
+
+@pytest.mark.parametrize(
+    "count", [float("nan"), float("inf"), 2.7, 3.0, np.float64(2.0), "3", None, True, np.int64(-2)]
+)
+def test_external_traffic_count_must_be_an_integer(count):
+    """A count that is not an integer >= 0 raises InvalidInputError naming its
+    slot, and the slot is not played.  nan, inf and None used to raise raw
+    ValueError, OverflowError and TypeError; 2.7 was truncated and "3" read."""
+    env = make_env(traffic=ExternalTraffic(lambda slot: count if slot == 2 else 1))
+    env.step(MENU[0])
+    env.step(MENU[0])
+    before = (env.backlog, env.slot, env.observation().tobytes(), env.rng.bit_generator.state)
+    with pytest.raises(InvalidInputError, match=r"external traffic count for slot 2 must be an integer >= 0"):
+        env.step(MENU[0])
+    assert (env.backlog, env.slot, env.observation().tobytes(), env.rng.bit_generator.state) == before
+
+
+@pytest.mark.parametrize("count", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_external_traffic_numpy_integer_counts_match_int(count):
+    """numpy integer counts play exactly as the equal Python int, and the
+    backlog stays a Python int."""
+    env, twin = (make_env(traffic=ExternalTraffic(lambda slot, c=c: c)) for c in (count, 3))
+    for _ in range(20):
+        obs, reward, out = env.step(MENU[1])
+        twin_obs, twin_reward, twin_out = twin.step(MENU[1])
+        assert obs.tobytes() == twin_obs.tobytes() and reward == twin_reward
+        assert type(out.backlog) is int and out.backlog == twin_out.backlog
 
 
 def test_off_menu_action_rejected():
@@ -238,28 +266,33 @@ _traffic = st.one_of(
 )
 @settings(max_examples=40, deadline=None)
 def test_step_matches_reference_env(menu, window, devices, backoff, traffic, seed, action_seed):
-    """Over 500 slots the rolling-window step agrees with the deque step on
-    every observation, reward, backlog and occupancy vector.  Every other
-    slot plays an equal copy of the menu entry rather than the entry itself."""
+    """Over 500 slots the tuple-window step agrees with the deque step on
+    every observation, reward, backlog, slot, occupancy vector and generator
+    state.  Every other slot plays an equal but distinct copy of the menu
+    entry rather than the entry itself."""
     cfg = RachConfig(devices, tuple(menu), window, traffic, backoff, seed)
     env, ref = RachEnv(cfg), ReferenceRachEnv(cfg)
     np.testing.assert_array_equal(env.reset(), ref.reset())
     picks = np.random.default_rng(action_seed).integers(len(menu), size=500)
     for slot, i in enumerate(picks):
         action = menu[i] if slot % 2 else replace(menu[i])
+        assert action == menu[i] and (action is menu[i]) == bool(slot % 2)
         obs, reward, out = env.step(action)
         ref_obs, ref_reward, ref_out = ref.step(menu[i])
         assert obs.dtype == ref_obs.dtype
         np.testing.assert_array_equal(obs, ref_obs)
         assert reward == ref_reward
         assert (out.served, out.backlog, env.backlog) == (ref_out.served, ref_out.backlog, ref.backlog)
+        assert env.slot == ref.slot
         np.testing.assert_array_equal(out.occupancy, ref_out.occupancy)
+        assert env.rng.bit_generator.state == ref.rng.bit_generator.state
     np.testing.assert_array_equal(env.observation(), ref.observation())
 
 
 def test_held_observation_survives_later_steps():
     """Observations are copies: a later step must not write into one the
-    caller still holds."""
+    caller still holds, no two share memory, and a caller writing into one
+    leaves the environment's window as it was."""
     env = make_env(history_window=3, traffic=BernoulliTraffic(0.5))
     held = [env.reset(), env.observation()]
     for _ in range(6):
@@ -270,7 +303,12 @@ def test_held_observation_survives_later_steps():
         env.step(MENU[3])
     for h, f in zip(held, frozen):
         np.testing.assert_array_equal(h, f)
-    assert not any(np.shares_memory(h, env._window) for h in held)
+    held.append(env.observation())
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(held) for b in held[i + 1 :])
+    window = env.observation()
+    for h in held:
+        h[:] = -1.0
+    np.testing.assert_array_equal(env.observation(), window)
 
 
 def test_deterministic_given_seed():
