@@ -12,8 +12,8 @@ demand correlation, rounds to threshold and paired terminal-reward test for
 interval, then every pair's mean difference and one-sided p-value.
 
 Exit codes: 0 success, 1 runtime, file-system or allocation failure, 2
-configuration error.  The output root comes from each config's ``out_dir``, else the
-GREENRL_OUTPUT_ROOT environment variable, else ./results.
+configuration error, 130 interrupted.  The output root comes from each
+config's ``out_dir``, else the GREENRL_OUTPUT_ROOT environment variable, else ./results.
 """
 
 from __future__ import annotations
@@ -134,6 +134,9 @@ def main(argv=None) -> int:
     except (GreenRLError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

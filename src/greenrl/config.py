@@ -49,6 +49,9 @@ AGENTS = ("dqn",) + LOCAL_AGENTS
 
 DEFAULT_MENU = (RachAction(1, 8, 8), RachAction(2, 8, 8), RachAction(4, 8, 8), RachAction(6, 8, 4))
 
+# The most bytes a dqn config's parameter vector, and its replay ring, may take; checked by arithmetic.
+MAX_ARRAY_BYTES = 2**28
+
 
 def _checked_by(build, **renames) -> None:
     """Run ``build``, which makes the runtime object that holds a section's rules.
@@ -217,6 +220,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         seeds, name, transfer = self.seeds, self.name, self.scenario == "transfer"
+        cloud, width = self.cloud, 3 * self.rach.history_window
+        dims, itemsize = (width, *cloud.hidden, len(self.rach.menu)), 4 if cloud.dtype == "float32" else 8
+        net_bytes = itemsize * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+        ring_bytes = cloud.replay_capacity * (8 + itemsize * (2 * width + 2))  # two states, action, reward, live
         seeds_ok = (
             isinstance(seeds, (tuple, list))
             and seeds
@@ -248,6 +255,10 @@ class ExperimentConfig:
                  f"less than the run's {self.rounds()} rounds, or null"),
                 ("cloud.snapshot_bits", self.scenario != "compression" or self.cloud.snapshot_bits is None,
                  "null for the compression scenario, which quantises snapshots at compression.quant_bits"),
+                ("cloud.hidden", self.agent != "dqn" or net_bytes <= MAX_ARRAY_BYTES,
+                 f"widths that give the network {dims} at most {MAX_ARRAY_BYTES} parameter bytes, not {net_bytes}"),
+                ("cloud.replay_capacity", self.agent != "dqn" or ring_bytes <= MAX_ARRAY_BYTES,
+                 f"small enough for a replay ring of at most {MAX_ARRAY_BYTES} bytes, not {ring_bytes}"),
             ],
         )
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))

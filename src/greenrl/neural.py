@@ -15,14 +15,14 @@ step returns a fresh one.  The one vector written in place is a cloud
 entity's resident network, which ``net_from_bytes(payload, into=net)``
 overwrites with each snapshot.
 
-A DQN step gathers its replay sample into network-dtype arrays, runs the
-target and the online network once each and takes the loss from the
-taken-action column alone.  Its forward passes, backprop and flat gradient
-use a workspace allocated once per (dims, batch size, dtype) and kept with
-the replay buffer; nothing returned aliases it.  The update is one vector
-operation, ``params - lr * grad``, re-masked.  ``batch_loss`` and
-``backprop_minibatch`` run the same forward and backprop helpers in a
-workspace of their own, made for the one call.
+A DQN step gathers its replay sample into network-dtype arrays, runs the online and
+the target network as one stack, one product, bias add and ReLU per layer for both
+(numpy's stacked product equals each 2-D one bit for bit), and takes the loss from the
+taken-action column alone.  Its pass, backprop and flat gradient use a workspace made
+once per (dims, batch size, dtype) and kept with the replay buffer; nothing returned
+aliases it.  The update is one vector operation, ``params - lr * grad``, re-masked.
+``batch_loss`` and ``backprop_minibatch`` run the same helpers on a stack of one
+network, in a workspace made for the one call.
 """
 
 from __future__ import annotations
@@ -58,17 +58,18 @@ class QuantMeta:
             raise ConfigError("quantisation scales must be positive")
 
 
-def _views(dims: tuple[int, ...], flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer (fan_in, fan_out) and (fan_out,) views of a ``[W0, b0, W1, b1, ...]``
-    vector.  One that does not hold exactly those layers raises ConfigError, or
-    the reshape's ValueError where it ends inside a weight block."""
+def _views(dims: tuple[int, ...], flat: np.ndarray, lead=()) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-layer (*lead, fan_in, fan_out) and (*lead, fan_out) views of a ``[W0, b0, W1, b1, ...]``
+    vector, or a (*lead, n) stack of them.  One that does not hold exactly those layers raises
+    ConfigError, or the reshape's ValueError where it ends inside a weight block."""
     weights, biases, off = [], [], 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        end = off + fan_in * fan_out
-        weights.append(flat[off:end].reshape(fan_in, fan_out))
-        biases.append(flat[end : end + fan_out])
-        off = end + fan_out
-    if not weights or flat.shape != (off,):
+    if flat.ndim == len(lead) + 1:
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            end = off + fan_in * fan_out
+            weights.append(flat[..., off:end].reshape(*lead, fan_in, fan_out))
+            biases.append(flat[..., end : end + fan_out])
+            off = end + fan_out
+    if not weights or flat.shape != (*lead, off):
         raise ConfigError(f"a vector of shape {flat.shape} does not hold the layers of {dims}")
     return tuple(weights), tuple(biases)
 
@@ -168,19 +169,16 @@ def glorot_init(layer_dims: Sequence[int], seed, dtype=np.float64) -> DenseNet:
     return pack(dims, weights, biases)
 
 
-def _forward_cached(net: DenseNet, x: np.ndarray, ws: _Workspace):
-    """Batched forward pass keeping per-layer inputs and pre-activations in
-    the workspace's buffers."""
-    inputs, pre_acts = [], []
-    h = x
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        inputs.append(h)
+def _forward_cached(layers, x: np.ndarray, ws: _Workspace) -> None:
+    """Batched forward pass of the (weight, bias) ``layers`` on ``x`` of shape
+    (..., n, d), for every network in the stack at once, keeping the hidden
+    activations and pre-activations in the workspace's ``h`` and ``z``."""
+    last, h = len(layers) - 1, x
+    for i, (w, b) in enumerate(layers):
         z = np.matmul(h, w, out=ws.z[i])
         np.add(z, b, out=z)
-        pre_acts.append(z)
-        if i < net.n_layers - 1:
+        if i < last:
             h = np.maximum(z, 0, out=ws.h[i])
-    return inputs, pre_acts
 
 
 def forward(net: DenseNet, state) -> np.ndarray:
@@ -218,20 +216,22 @@ def _batch_loss_and_grad(net: DenseNet, batch, with_grad: bool) -> tuple[float, 
     n, dims = len(batch), net.layer_dims
     if x.shape != (n, dims[0]) or t.shape != (n, dims[-1]) or m.shape != t.shape:
         raise InvalidInputError("batch entries do not match network dims")
-    ws = _Workspace(net, n)
-    inputs, pre_acts = _forward_cached(net, x, ws)
-    diff = pre_acts[-1] - t
+    ws = _Workspace(net, n, depth=1)
+    ws.pair[0] = net.params
+    _forward_cached(ws.layers, x[None], ws)
+    diff = ws.z0[-1] - t
     loss = float((diff**2 * m).sum(axis=1).mean())
-    return loss, _backprop(net, inputs, pre_acts, 2.0 * m * diff / x.shape[0], ws) if with_grad else None
+    return loss, _backprop(net, x, 2.0 * m * diff / x.shape[0], ws) if with_grad else None
 
 
-def _backprop(net: DenseNet, inputs, pre_acts, delta: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Flat gradient ``ws.grad``, laid out like ``params``, for the (n, out) output
-    delta; the lower deltas overwrite the cached activations once they are spent."""
+def _backprop(net: DenseNet, x: np.ndarray, delta: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Flat gradient ``ws.grad``, laid out like ``params``, for the (n, out) output delta of
+    row 0's pass on ``x``; the lower deltas overwrite the cached activations once they are spent."""
     grad, (weight_grads, bias_grads) = ws.grad, ws.grad_views
+    inputs, pre_acts = (x, *ws.h0), ws.z0
     for i in range(net.n_layers - 1, -1, -1):
         np.matmul(inputs[i].T, delta, out=weight_grads[i])
-        np.sum(delta, axis=0, out=bias_grads[i])
+        np.add.reduce(delta, axis=0, out=bias_grads[i])
         if i > 0:
             back = np.matmul(delta, net.weights[i].T, out=inputs[i])
             delta = np.multiply(back, np.greater(pre_acts[i - 1], 0, out=pre_acts[i - 1]), out=back)
@@ -399,25 +399,29 @@ class ReplayBuffer:
         # copy's filled rows, which start at slot 0 until the ring is full.
         slots = rng.integers(0, self._size, size=batch_size) + self._head
         if out is None:
-            return ReplayBatch(*(np.take(col, slots, axis=0, mode="wrap") for col in self._ring))
+            return ReplayBatch(*(col.take(slots, axis=0, mode="wrap") for col in self._ring))
         for col, dst in zip(self._ring, out):
-            np.take(col, slots, axis=0, out=dst, mode="wrap")
+            col.take(slots, axis=0, out=dst, mode="wrap")
         return out
 
 
 class _Workspace:
-    """Scratch for learner steps at one (dims, batch size, dtype).  A train
-    step's kept workspace is never returned; a one-off one's gradient is."""
+    """Scratch for learner steps at one (dims, batch size, dtype) on a stack of ``depth`` networks:
+    ``pair`` holds their vectors (row 0 the one trained, row 1 a train step's target), seen per layer
+    through ``layers``.  A train step's kept workspace is never returned; a one-off one's gradient is."""
 
-    def __init__(self, net: DenseNet, n: int):
+    def __init__(self, net: DenseNet, n: int, depth: int = 2):
         dims, dtype = net.layer_dims, net.dtype
         self.key = (dims, n, dtype)
         # Zeros: a gather from a ring of another dtype first casts these columns'
         # old contents, and a signalling NaN left in fresh memory warns.
-        state, next_state = np.zeros((2, n, dims[0]), dtype)
+        self.states = state, next_state = np.zeros((2, n, dims[0]), dtype)  # a train step's stacked input
         self.sample = ReplayBatch(state, np.zeros(n, np.int64), np.zeros(n, dtype), next_state, np.zeros(n, dtype))
-        self.z = [np.empty((n, d), dtype) for d in dims[1:]]
-        self.h = [np.empty((n, d), dtype) for d in dims[1:-1]]
+        self.pair = np.empty((depth, net.params.size), dtype)
+        self.layers = tuple((w, b[:, None]) for w, b in zip(*_views(dims, self.pair, (depth,))))
+        self.z = [np.empty((depth, n, d), dtype) for d in dims[1:]]
+        self.h = [np.empty((depth, n, d), dtype) for d in dims[1:-1]]
+        self.z0, self.h0 = [z[0] for z in self.z], [h[0] for h in self.h]
         self.rows, self.td, self.delta = np.arange(n), np.empty(n, dtype), np.empty((n, dims[-1]), dtype)
         self.grad = np.empty_like(net.params)
         self.grad_views = _views(dims, self.grad)
@@ -443,13 +447,16 @@ def dqn_train_step(
     if getattr(ws, "key", None) != (dims, batch_size, dt):
         ws = buffer._workspace = _Workspace(online, max(batch_size, 0))
     sample = buffer.sample(batch_size, rng, out=ws.sample)
+    # Copied every step: pruning and the transfer swap replace the target without a train step.
+    ws.pair[0], ws.pair[1] = online.params, target.params
+    _forward_cached(ws.layers, ws.states, ws)
 
     # np.maximum folded over the few action columns picks np.max(axis=1)'s element, far cheaper.
-    _, tgt_acts = _forward_cached(target, sample.next_state, ws)
+    q_next = ws.z[-1][1]
     td_target = ws.td
-    np.copyto(td_target, tgt_acts[-1][:, 0])
+    np.copyto(td_target, q_next[:, 0])
     for j in range(1, dims[-1]):
-        np.maximum(td_target, tgt_acts[-1][:, j], out=td_target)
+        np.maximum(td_target, q_next[:, j], out=td_target)
     np.multiply(td_target, dt.type(lam), out=td_target)
     np.multiply(td_target, sample.live, out=td_target)
     np.add(sample.reward, td_target, out=td_target)
@@ -457,16 +464,15 @@ def dqn_train_step(
     # Only the taken action's column carries error: its squared error is the
     # per-sample loss, and every other entry of the output delta is zero, as
     # the masked loss over the full (n, out) matrix would give.
-    inputs, pre_acts = _forward_cached(online, sample.state, ws)
     try:
-        diff = pre_acts[-1][ws.rows, sample.action]
+        diff = ws.z0[-1][ws.rows, sample.action]
     except IndexError:
         raise InvalidInputError(f"replay actions must lie in [0, {dims[-1]}), the network's outputs") from None
     np.subtract(diff, td_target, out=diff)
-    loss = float(np.square(diff, out=td_target).mean())
+    loss = float(np.add.reduce(np.square(diff, out=td_target)) / batch_size)
     ws.delta.fill(0)
     ws.delta[ws.rows, sample.action] = 2.0 * diff / batch_size
-    return _descend(online, _backprop(online, inputs, pre_acts, ws.delta, ws), lr), loss
+    return _descend(online, _backprop(online, sample.state, ws.delta, ws), lr), loss
 
 
 # Wire format: a little-endian header with the layer dims, then the layout of

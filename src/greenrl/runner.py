@@ -405,9 +405,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     every seed's rows and their summary files once the last seed is done.
 
     An earlier run's artifacts in the same directory are removed first.  A
-    failure leaves ``config.json`` and the finished rach seeds' files, and
-    records the error in ``error.json`` before propagating; only a run that
-    completes writes ``summary.json``.
+    failure or an interrupt leaves ``config.json`` and the finished rach
+    seeds' files, and records the error in ``error.json`` before
+    propagating; only a run that completes writes ``summary.json``.
     """
     run_dir = cfg.run_dir()
     error_path = os.path.join(run_dir, "error.json")
@@ -430,7 +430,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         summary, files = aggregate(cfg, per_seed)
         for name, obj in files.items():
             write_json(os.path.join(run_dir, name), obj)
-    except Exception as exc:
+    except (Exception, KeyboardInterrupt) as exc:
         write_json(
             error_path, {"error": str(exc), "type": type(exc).__name__, "config_hash": chash}
         )

@@ -10,7 +10,7 @@ from greenrl import runner
 from greenrl.cli import main as cli_main
 from greenrl.cli import run_report
 from greenrl.cloud_loop import CompressionPlan, RoundLog
-from greenrl.config import config_from_dict, config_hash
+from greenrl.config import MAX_ARRAY_BYTES, config_from_dict, config_hash
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.neural import glorot_init, net_from_bytes, net_to_bytes
 from greenrl.paired import _effect_size_d, _paired_p, ttest_p, wilcoxon_p
@@ -498,9 +498,9 @@ def test_cli_reports_a_file_system_error(tmp_path, capsys):
     ids=["numpy-message", "no-message"],
 )
 def test_cli_reports_an_allocation_failure(tmp_path, capsys, monkeypatch, message, shown):
-    """A network too large to allocate (say ``cloud.hidden: [1000000000]``)
-    used to end in a raw MemoryError traceback; it exits 1 with an
-    ``error:`` line, after ``error.json`` records it."""
+    """A network too large to allocate used to end in a raw MemoryError
+    traceback; it exits 1 with an ``error:`` line, after ``error.json``
+    records it."""
 
     def out_of_memory(request):
         raise MemoryError(message)
@@ -516,6 +516,30 @@ def test_cli_reports_an_allocation_failure(tmp_path, capsys, monkeypatch, messag
 
 
 TINY_DQN = {"inner_steps": 20, "hidden": [8], "batch_size": 8, "replay_capacity": 64}
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_cli_maps_an_interrupt_to_exit_130(tmp_path, capsys, monkeypatch, command):
+    """Ctrl-C used to end in a KeyboardInterrupt traceback and leave no
+    ``error.json``.  The interrupt is raised inside the first run, as a
+    signal would raise it: that run records it, no later run starts, and
+    the command exits 130 with one line."""
+
+    def interrupted(request):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "instantiate", interrupted)
+    path = write_config_file(tmp_path, agent="dqn", cloud=TINY_DQN)
+    argv = {
+        "run": ["run", path],
+        "compare": ["compare", path, write_config_file(tmp_path, name="other", agent="dqn", cloud=TINY_DQN)],
+        "sweep": ["sweep", path, "--param", "cloud.lr", "--values", "0.01,0.02"],
+    }[command]
+    assert cli_main(argv) == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    (error_path,) = (tmp_path / "out").rglob("error.json")
+    with open(error_path) as fh:
+        assert json.load(fh)["type"] == "KeyboardInterrupt"
 
 
 def test_cli_reports_a_diverged_snapshot(tmp_path, capsys):
@@ -553,6 +577,40 @@ def test_cli_rejects_more_hidden_layers_than_the_wire_counts(tmp_path, capsys):
     cfg = config_from_dict({"agent": "dqn", "cloud": {**TINY_DQN, "hidden": [2] * 253}})
     dims = (3, *cfg.cloud.hidden, 4)
     assert net_from_bytes(net_to_bytes(glorot_init(dims, 0))).layer_dims == dims
+
+
+@pytest.mark.parametrize(
+    "cloud, path", [({"hidden": [1000000000]}, "cloud.hidden"), ({"replay_capacity": 10**9}, "cloud.replay_capacity")]
+)
+def test_cli_rejects_sizes_past_the_byte_bound(tmp_path, capsys, monkeypatch, cloud, path):
+    """Nothing bounded a network's widths or the replay capacity: a config
+    asking for tens of GB exited 1 from numpy's allocation failure, after
+    writing ``error.json``.  The bound is checked by arithmetic at load, so
+    the config exits 2 before anything is written; a run reaching the
+    session would fail this test rather than allocate."""
+
+    def unreachable(request):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(runner, "instantiate", unreachable)
+    rc = cli_main(["run", write_config_file(tmp_path, agent="dqn", cloud={**TINY_DQN, **cloud})])
+    assert rc == 2
+    assert f"config.{path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dtype, itemsize", [("float32", 4), ("float64", 8)])
+def test_replay_byte_bound_is_exact(dtype, itemsize):
+    """The ring holds two states of 3 * history_window floats, a reward and
+    a live flag in the network dtype, and an int64 action per row; the
+    largest capacity that fits the bound loads and one more row does not.
+    Local agents build no ring, so the bound does not apply to them."""
+    row = 8 + itemsize * (2 * 12 + 2)
+    most = MAX_ARRAY_BYTES // row
+    assert config_from_dict({"agent": "dqn", "cloud": {"dtype": dtype, "replay_capacity": most}})
+    with pytest.raises(ConfigError, match="config.cloud.replay_capacity"):
+        config_from_dict({"agent": "dqn", "cloud": {"dtype": dtype, "replay_capacity": most + 1}})
+    assert config_from_dict({"agent": "le-urc", "cloud": {"dtype": dtype, "replay_capacity": most + 1}})
 
 
 def test_cli_run_compression_report(tmp_path, capsys):

@@ -384,24 +384,33 @@ def test_train_step_rejects_a_learning_rate_that_is_not_positive(lr):
 
 
 @pytest.mark.parametrize(
-    "dtype, pruned, capacity",
+    "dtype, pruned, capacity, dims, batch",
     [
-        (np.float32, False, 61),
-        (np.float64, False, 61),
-        (np.float32, True, 61),
-        (np.float64, True, 61),
-        (np.float32, False, 4000),
+        pytest.param(np.float32, False, 61, (12, 32, 32, 4), 32, id="float32-False-61"),
+        pytest.param(np.float64, False, 61, (12, 32, 32, 4), 32, id="float64-False-61"),
+        pytest.param(np.float32, True, 61, (12, 32, 32, 4), 32, id="float32-True-61"),
+        pytest.param(np.float64, True, 61, (12, 32, 32, 4), 32, id="float64-True-61"),
+        pytest.param(np.float32, False, 4000, (12, 32, 32, 4), 32, id="float32-False-4000"),
+        *(
+            pytest.param(dtype, False, 300, dims, 128, id=f"{dtype.__name__}-{len(dims) - 2}hidden-batch128")
+            for dtype in (np.float32, np.float64)
+            for dims in [(12, 32, 4), (12, 32, 32, 4), (12, 24, 32, 16, 4)]
+        ),
     ],
 )
-def test_train_step_matches_reference(dtype, pruned, capacity):
-    """Ring replay and the one-forward step against the reference learner.
+def test_train_step_matches_reference(dtype, pruned, capacity, dims, batch):
+    """Ring replay and the stacked step against the reference learner.
 
     Both learners see the same transitions and the same sample stream for
     1,500 steps; weights, biases and loss must agree bit for bit at every
-    step.  Capacity 61 wraps the ring over a hundred times, mid-batch too.
+    step.  Capacity 61 wraps the ring over a hundred times, mid-batch too,
+    and the first steps sample batches of one.  The target is synced every
+    50 steps, and 25 steps after each sync a foreign network is swapped in
+    as the target without a train step, as the transfer swap does, so a
+    step that ran on a stale copy of the old target would differ.
     """
     data_rng = np.random.default_rng(2024)
-    online = glorot_init((12, 32, 32, 4), seed=5, dtype=dtype)
+    online = glorot_init(dims, seed=5, dtype=dtype)
     if pruned:
         online, _ = prune_by_magnitude(online, threshold_for_sparsity(online, 0.5))
     ref_online = online
@@ -427,7 +436,7 @@ def test_train_step_matches_reference(dtype, pruned, capacity):
                 buf.write(_rows([t]))
         for t in fresh:
             ref_buf.push(t)
-        bs = min(32, len(buf))
+        bs = min(batch, len(buf))
         online, loss = dqn_train_step(online, target, buf, bs, 0.9, 0.01, rng)
         ref_online, ref_loss = reference_dqn_train_step(
             ref_online, ref_target, ref_buf, bs, 0.9, 0.01, ref_rng
@@ -437,6 +446,8 @@ def test_train_step_matches_reference(dtype, pruned, capacity):
             assert np.array_equal(a, b), f"parameters differ at step {step}"
         if (step + 1) % 50 == 0:
             target, ref_target = sync_target(online), sync_target(ref_online)
+        elif (step + 1) % 50 == 25:
+            target = ref_target = glorot_init(dims, seed=step, dtype=dtype)
     assert np.isfinite(loss) and loss > 0
     assert online.dtype == dtype
     if pruned:
@@ -643,7 +654,10 @@ def test_trusted_forward_matches_cached_forward(dtype, n_hidden, variant):
 
     net = _variant_net(dtype, n_hidden, variant)
     for x in np.random.default_rng(7).normal(size=(25, 6)).astype(dtype):
-        expected = _forward_cached(net, x[None, :], _Workspace(net, 1))[1][-1][0]
+        ws = _Workspace(net, 1, depth=1)
+        ws.pair[0] = net.params
+        _forward_cached(ws.layers, x[None, None, :], ws)
+        expected = ws.z0[-1][0]
         got = forward(net, x)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
