@@ -41,6 +41,8 @@ def _parse_values(raw: str) -> list:
             values.append(json.loads(token))
         except json.JSONDecodeError:
             values.append(token)
+        except RecursionError:
+            raise ConfigError("--values: a value is nested too deeply to parse") from None
     if not values:
         raise ConfigError("--values must list at least one value")
     return values

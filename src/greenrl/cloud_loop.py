@@ -50,8 +50,8 @@ action table, and the new observation's float64 quotient by the menu norm,
 benchmark's hooks wrap (``RachEnv.step`` on its class, ``forward`` and
 ``epsilon_greedy`` by module name) is made through that name on every slot.
 
-Both message directions are real byte payloads, so the message ledger and
-the energy ledger account exactly what would cross the wire.
+Both message directions are real byte payloads, so the round log's byte
+columns and the energy ledger account exactly what would cross the wire.
 
 One deterministic round driver, ``Session.run_round``, serves every entity
 once per round and appends one record per entity to the session's
@@ -103,7 +103,6 @@ __all__ = [
     "CompressionPlan",
     "ServiceRequest",
     "SampleBatch",
-    "MessageLedger",
     "Session",
     "SessionMetrics",
     "RoundLog",
@@ -235,22 +234,6 @@ class SampleBatch:
     byte_size: int
 
 
-@dataclass
-class MessageLedger:
-    rounds: int = 0
-    bytes_down: int = 0
-    bytes_up: int = 0
-    staleness_histogram: dict[int, int] = field(default_factory=dict)
-
-    def snapshot(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "bytes_down": self.bytes_down,
-            "bytes_up": self.bytes_up,
-            "staleness_histogram": {str(k): v for k, v in sorted(self.staleness_histogram.items())},
-        }
-
-
 ROUND_COLUMNS = (
     "round",
     "entity",
@@ -270,6 +253,9 @@ class RoundLog:
     Every round holds ``width`` records, so ``len`` counts records, a column
     is read by name (``log["reward_mean"]``) and iterating yields each record
     as a tuple in column order.
+    A cloud session's log is its one record of messages, one snapshot down and
+    one batch up per record: ``rounds`` counts records, and ``bytes_down`` and
+    ``bytes_up`` are the last record's totals (0 for an empty log).
     """
 
     def __init__(self, width: int):
@@ -288,6 +274,27 @@ class RoundLog:
 
     def __iter__(self):
         return zip(*self.columns)
+
+    rounds = property(__len__)
+
+    @property
+    def bytes_down(self) -> int:
+        return self["bytes_down_total"][-1] if len(self) else 0
+
+    @property
+    def bytes_up(self) -> int:
+        return self["bytes_up_total"][-1] if len(self) else 0
+
+    def message_block(self) -> dict:
+        """The ``message`` block of a summary: rounds, byte totals and the
+        count of each staleness, keyed by its string in increasing order."""
+        lags = self["staleness"]
+        return {
+            "rounds": self.rounds,
+            "bytes_down": self.bytes_down,
+            "bytes_up": self.bytes_up,
+            "staleness_histogram": {str(lag): lags.count(lag) for lag in sorted(set(lags))},
+        }
 
     def curve(self) -> np.ndarray:
         """Mean reward per round over its entities: one ``mean(axis=1)`` over
@@ -499,10 +506,14 @@ class Session:
             states = np.empty((k + 1, dims[0]), cfg.np_dtype)
             rows = ReplayBatch(states[:-1], np.empty(k, np.int64), np.empty(k), states[1:], np.ones(k))
             self.entities[eid] = _Entity(env, np.random.default_rng(es["action"]), env.reset(), states, rows)
-        self.message_ledger = MessageLedger()
         self.energy = EnergyLedger()
         self.log = RoundLog(len(request.entity_ids))
         self.sparsity_reports: list = []
+
+    @property
+    def message_ledger(self) -> RoundLog:
+        """The round log, which holds no reference to the session: keeping it keeps no session alive."""
+        return self.log
 
     # -- coordinator side ---------------------------------------------------
 
@@ -521,22 +532,12 @@ class Session:
             self._macs_of = (params, macs_forward(self.online))
         return self._macs_of[1]
 
-    def _publish(self) -> bytes:
-        """The snapshot payload of the online network, versioned by the current train step."""
-        payload = encode_snapshot(
-            self.train_steps, self.current_epsilon(), self.online, self.request.compression.snapshot_bits
-        )
-        self.message_ledger.bytes_down += len(payload)
-        self.energy.record_message(len(payload), "down")
-        return payload
-
     def train_on_batch(self, batch: SampleBatch) -> float:
         """Append the batch to replay and run one mini-batch update.
 
         A batch holding an action outside the network's outputs is rejected
         before anything is recorded or written.  Stale batches are accepted;
-        the number of train steps taken since their snapshot is recorded in
-        the staleness histogram.
+        ``run_round`` logs how many train steps were taken since their snapshot.
         """
         # Checked on a list: for a batch this size several times cheaper than
         # numpy's min and max.
@@ -544,9 +545,6 @@ class Session:
         if actions and not 0 <= min(actions) <= max(actions) < n_out:
             raise InvalidInputError(f"uploaded actions must lie in [0, {n_out}), the network's outputs")
         cfg = self.request.dqn
-        lag = self.train_steps - batch.snapshot_version
-        hist = self.message_ledger.staleness_histogram
-        hist[lag] = hist.get(lag, 0) + 1
         self.buffer.write(batch.columns)
         bs = min(cfg.batch_size, len(self.buffer))
         self.energy.record_train_step(self.online, bs, self._online_macs())
@@ -573,19 +571,23 @@ class Session:
         entity acts; ``concurrent`` lets every entity act on one train
         step's snapshot, then trains on the uploads in entity order, so the
         i-th upload is i steps stale.  Pruning runs after round ``prune_at_round``.
+        A record's byte totals count the messages sent before its train step.
         """
         round_idx = len(self.log) // self.log.width
-        uploads = (self.outer_round(eid) for eid in self.entities)
-        if self.request.mode == "concurrent":
-            uploads = list(uploads)
-        ledger = self.message_ledger
-        for batch, (reward_mean, epsilon) in uploads:
+        totals = [self.log.bytes_down, self.log.bytes_up]
+
+        def serve():
+            for eid in self.entities:
+                batch, (reward_mean, epsilon, snapshot_bytes) = self.outer_round(eid)
+                totals[0] += snapshot_bytes
+                totals[1] += batch.byte_size
+                yield batch, reward_mean, epsilon
+
+        uploads = serve() if self.request.mode == "lockstep" else list(serve())
+        for batch, reward_mean, epsilon in uploads:
             staleness = self.train_steps - batch.snapshot_version
             loss = self.train_on_batch(batch)
-            self.log.append(
-                round_idx, batch.entity_id, reward_mean, loss, epsilon, staleness,
-                ledger.bytes_down, ledger.bytes_up,
-            )
+            self.log.append(round_idx, batch.entity_id, reward_mean, loss, epsilon, staleness, *totals)
         plan = self.request.compression
         if plan.prune_quantile is not None and round_idx == plan.prune_at_round:
             self.apply_pruning()
@@ -597,7 +599,7 @@ class Session:
         takes up this session's position: copies of the networks and the
         replay ring, every generator's state, the entities' environments,
         observations and loaded networks, and the train-step count.  Its
-        ledger objects and round log are its own, filled with copies of this
+        energy ledger and round log are its own, filled with copies of this
         session's entries, so both sessions' totals and logs count the rounds
         played before the fork.  Both sessions' environments read one traffic
         callable, the request's.
@@ -613,16 +615,14 @@ class Session:
             mine.action_rng.bit_generator.state = entity.action_rng.bit_generator.state
             mine.obs = entity.obs.copy()
             mine.net = None if entity.net is None else sync_target(entity.net)
-        for mine, theirs in (
-            (twin.message_ledger, self.message_ledger), (twin.energy, self.energy), (twin.log, self.log)
-        ):
+        for mine, theirs in ((twin.energy, self.energy), (twin.log, self.log)):
             vars(mine).update(copy.deepcopy(vars(theirs)))
         twin.sparsity_reports = list(self.sparsity_reports)
         return twin
 
     # -- entity side ----------------------------------------------------------
 
-    def outer_round(self, entity_id: int) -> tuple[SampleBatch, tuple[float, float]]:
+    def outer_round(self, entity_id: int) -> tuple[SampleBatch, tuple[float, float, int]]:
         """Publish to one entity, run K inference-only steps, upload the batch.
 
         The snapshot's epsilon is checked once, before the first slot, and
@@ -630,15 +630,19 @@ class Session:
         ``forward`` on its state row and picks with ``epsilon_greedy`` at 0.
         Each observation's scaled state is written straight into its row of
         the entity's state array.  Returns the parsed upload and (the round's
-        mean reward, the epsilon the entity acted at).
+        mean reward, the epsilon the entity acted at, the snapshot's bytes).
         """
         if entity_id not in self.entities:
             raise InvalidInputError(f"unknown entity {entity_id}")
         entity = self.entities[entity_id]
         dtype = self.request.dqn.np_dtype
         menu = self.request.env_config.action_menu
-        # The entity knows only the bytes: it stamps its upload with the version they carry.
-        version, epsilon, net = decode_snapshot(self._publish(), into=entity.net)
+        # The online network's snapshot, versioned by the current train step.  The entity knows
+        # only the bytes: it stamps its upload with the version they carry.
+        plan = self.request.compression
+        snapshot = encode_snapshot(self.train_steps, self.current_epsilon(), self.online, plan.snapshot_bits)
+        self.energy.record_message(len(snapshot), "down")
+        version, epsilon, net = decode_snapshot(snapshot, into=entity.net)
         if not np.isfinite(net.params).all():
             raise InvalidInputError("snapshot parameters must be finite")
         entity.net = net
@@ -663,12 +667,10 @@ class Session:
         # zero more weights of a quantised one, so it is counted on its own.
         macs = self._online_macs() if net.quant is None else macs_forward(net)
         self.energy.record_inference(net, k, macs)
-        payload = encode_sample_batch(entity_id, version, rows, self.request.compression.batch_fp16)
+        payload = encode_sample_batch(entity_id, version, rows, plan.batch_fp16)
         batch = decode_sample_batch(payload)
-        self.message_ledger.bytes_up += len(payload)
         self.energy.record_message(len(payload), "up")
-        self.message_ledger.rounds += 1
-        return batch, (float(rewards.sum()) / k, epsilon)  # the division np.mean makes
+        return batch, (float(rewards.sum()) / k, epsilon, len(snapshot))  # the division np.mean makes
 
 
 def instantiate(request: ServiceRequest) -> Session:
@@ -677,14 +679,13 @@ def instantiate(request: ServiceRequest) -> Session:
 
 @dataclass
 class SessionMetrics:
-    """The session's round log plus its final ledgers, after run_session.
+    """The session's round log, which records its messages, plus its final energy ledger, after run_session.
 
     ``reward_curve`` and ``terminal_reward`` read one reward per record, not
     the per-round ``rows.curve()``.
     """
 
     rows: RoundLog
-    message_ledger: MessageLedger
     energy: EnergyLedger
     final_net: DenseNet
     sparsity_reports: list
@@ -713,7 +714,6 @@ def run_session(session: Session, rounds: int) -> SessionMetrics:
         session.run_round()
     return SessionMetrics(
         rows=session.log,
-        message_ledger=session.message_ledger,
         energy=session.energy,
         final_net=session.online,
         sparsity_reports=list(session.sparsity_reports),

@@ -169,12 +169,6 @@ class StatePartition:
     metric: str = "max-q-gap"
     epsilon: float = 0.0
 
-    def members(self) -> dict[int, list[Hashable]]:
-        out: dict[int, list[Hashable]] = {i: [] for i in range(self.n_clusters)}
-        for key, cid in self.mapping.items():
-            out[cid].append(key)
-        return out
-
 
 def _softmax(q: np.ndarray, temperature: float) -> np.ndarray:
     z = q / temperature

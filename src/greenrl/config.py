@@ -49,7 +49,7 @@ AGENTS = ("dqn",) + LOCAL_AGENTS
 
 DEFAULT_MENU = (RachAction(1, 8, 8), RachAction(2, 8, 8), RachAction(4, 8, 8), RachAction(6, 8, 4))
 
-# The most bytes a dqn config's parameter vector, and its replay ring, may take; checked by arithmetic.
+# The most bytes a dqn config's parameters, replay ring or learner activations may each take; checked by arithmetic.
 MAX_ARRAY_BYTES = 2**28
 
 
@@ -224,6 +224,8 @@ class ExperimentConfig:
         dims, itemsize = (width, *cloud.hidden, len(self.rach.menu)), 4 if cloud.dtype == "float32" else 8
         net_bytes = itemsize * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
         ring_bytes = cloud.replay_capacity * (8 + itemsize * (2 * width + 2))  # two states, action, reward, live
+        # a train step's (2, batch, d) pre-activations at every layer and activations at every hidden one
+        act_bytes = 2 * min(cloud.batch_size, cloud.replay_capacity) * itemsize * (sum(dims[1:]) + sum(dims[1:-1]))
         seeds_ok = (
             isinstance(seeds, (tuple, list))
             and seeds
@@ -259,6 +261,8 @@ class ExperimentConfig:
                  f"widths that give the network {dims} at most {MAX_ARRAY_BYTES} parameter bytes, not {net_bytes}"),
                 ("cloud.replay_capacity", self.agent != "dqn" or ring_bytes <= MAX_ARRAY_BYTES,
                  f"small enough for a replay ring of at most {MAX_ARRAY_BYTES} bytes, not {ring_bytes}"),
+                ("cloud.batch_size", self.agent != "dqn" or act_bytes <= MAX_ARRAY_BYTES,
+                 f"small enough for learner activations of at most {MAX_ARRAY_BYTES} bytes, not {act_bytes}"),
             ],
         )
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
@@ -364,7 +368,7 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return config_from_dict(data)
 

@@ -40,7 +40,6 @@ from .agents import evaluate_greedy_agent, evaluate_greedy_net, run_local_agent
 from .cloud_loop import (
     ROUND_COLUMNS,
     CompressionPlan,
-    MessageLedger,
     RoundLog,
     _seed_int,
     instantiate,
@@ -160,19 +159,13 @@ def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[RoundLog, dict]:
     if cfg.agent == "dqn":
         session = instantiate(cfg.service_request(seed))
         metrics = run_session(session, cfg.rounds())
-        rows, message, energy = metrics.rows, metrics.message_ledger, metrics.energy
-        reports = metrics.sparsity_reports
+        rows, energy, reports = metrics.rows, metrics.energy, metrics.sparsity_reports
+        message = rows.message_block()
         eval_reward = evaluate_greedy_net(metrics.final_net, env_cfg, cfg.eval_slots, seed + EVAL_SEED_OFFSET)
     else:
-        rows, agent = run_local_agent(
-            env_cfg,
-            cfg.agent,
-            cfg.agent_params,
-            cfg.total_slots,
-            cfg.cloud.inner_steps,
-            seed,
-        )
-        message, energy, reports = MessageLedger(), EnergyLedger(), []
+        rows, agent = run_local_agent(env_cfg, cfg.agent, cfg.agent_params, cfg.total_slots, cfg.cloud.inner_steps, seed)
+        # a local agent sends no message: its block is an empty log's
+        message, energy, reports = RoundLog(1).message_block(), EnergyLedger(), []
         eval_reward = evaluate_greedy_agent(agent, env_cfg, cfg.eval_slots, seed + EVAL_SEED_OFFSET)
     figures = _learning_curve(cfg, rows.curve())
     curve = figures.pop("curve")
@@ -183,7 +176,7 @@ def run_rach_seed(cfg: ExperimentConfig, seed: int) -> tuple[RoundLog, dict]:
         "total_slots": cfg.total_slots,
         "eval_reward": eval_reward,
         "reward_threshold": cfg.reward_threshold,
-        "message": message.snapshot(),
+        "message": message,
         "energy": energy.snapshot(),
         "sparsity_reports": [asdict(r) for r in reports],
         **figures,
@@ -227,8 +220,8 @@ def run_compression_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[tuple],
         "seed": seed,
         "dense_terminal_reward": dense.terminal_reward(cfg.tail_fraction),
         "compressed_terminal_reward": comp.terminal_reward(cfg.tail_fraction),
-        "dense": {"message": dense.message_ledger.snapshot(), "energy": dense.energy.snapshot()},
-        "compressed": {"message": comp.message_ledger.snapshot(), "energy": comp.energy.snapshot()},
+        "dense": {"message": dense.rows.message_block(), "energy": dense.energy.snapshot()},
+        "compressed": {"message": comp.rows.message_block(), "energy": comp.energy.snapshot()},
         "ledger_ratios": {k: v["ratio"] for k, v in ledger_cmp.items()},
         "sparsity_reports": [asdict(r) for r in comp.sparsity_reports],
     }
@@ -293,8 +286,8 @@ def _arm_result(cfg: ExperimentConfig, seed: int, enabled: bool, sessions, corre
         "enabled": enabled,
         **_learning_curve(cfg, np.mean([s.log.curve() for s in sessions], axis=0)),
         "correlations": correlations,
-        "bytes_down": sum(s.message_ledger.bytes_down for s in sessions),
-        "bytes_up": sum(s.message_ledger.bytes_up for s in sessions),
+        "bytes_down": sum(s.log.bytes_down for s in sessions),
+        "bytes_up": sum(s.log.bytes_up for s in sessions),
     }
 
 

@@ -243,6 +243,14 @@ def aggregate_mdp(mdp: FiniteMDP, assignment: np.ndarray, n_clusters: int) -> Fi
     return FiniteMDP(P, R, terminal)
 
 
+def partition_members(part) -> dict[int, list[Hashable]]:
+    """The states of each abstract id of a ``StatePartition``, in mapping order."""
+    out: dict[int, list[Hashable]] = {i: [] for i in range(part.n_clusters)}
+    for key, cid in part.mapping.items():
+        out[cid].append(key)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Random-access contention
 # ---------------------------------------------------------------------------

@@ -514,7 +514,7 @@ def test_session_network_dimensions():
 
 def test_outer_round_accounting():
     session = Session(make_request(inner_steps=5))
-    batch, (reward_mean, epsilon) = session.outer_round(0)
+    batch, (reward_mean, epsilon, snapshot_bytes) = session.outer_round(0)
     cols = batch.columns
     assert len(cols.action) == 5
     assert cols.state.shape == cols.next_state.shape == (5, 6)
@@ -524,14 +524,14 @@ def test_outer_round_accounting():
     # a snapshot is versioned by the train steps taken before it was published
     assert batch.snapshot_version == 0
     assert reward_mean == pytest.approx(np.mean(cols.reward))
-    assert session.message_ledger.bytes_down == len(encode_snapshot(0, epsilon, session.online, None))
-    assert session.message_ledger.bytes_up == batch.byte_size
+    assert snapshot_bytes == len(encode_snapshot(0, epsilon, session.online, None))
     macs = macs_forward(session.entities[0].net)
     inference = [e for e in session.energy.events if e[0] == "inference"]
     assert inference == [("inference", macs, 5)]
     assert session.energy.macs_inference == 5 * macs
-    kinds = [e[0] for e in session.energy.events]
-    assert kinds.count("message") == 2
+    messages = [e for e in session.energy.events if e[0] == "message"]
+    assert messages == [("message", snapshot_bytes, "down"), ("message", batch.byte_size, "up")]
+    assert len(session.log) == 0  # a lone outer round is not a logged round
 
 
 def test_upload_carries_the_version_in_the_snapshot_bytes(monkeypatch):
@@ -555,7 +555,7 @@ def test_session_upload_keeps_the_wire_columns():
     cols = batch.columns
     assert [c.dtype for c in cols] == [np.float16, np.uint16, np.float16, np.float16, np.bool_]
     payload = encode_sample_batch(batch.entity_id, batch.snapshot_version, cols, fp16=True)
-    assert len(payload) == session.message_ledger.bytes_up == batch.byte_size
+    assert session.energy.events[-1] == ("message", len(payload), "up") and len(payload) == batch.byte_size
     for sent, again in zip(cols, decode_sample_batch(payload).columns):
         assert sent.dtype == again.dtype and sent.tobytes() == again.tobytes()
 
@@ -577,7 +577,7 @@ def test_session_uploads_are_parsed_by_decode_sample_batch(monkeypatch, mode):
     session = instantiate(make_request(entity_ids=(0, 1, 2), mode=mode))
     run_session(session, 3)
     assert parsed == [0, 1, 2] * 3
-    assert session.message_ledger.rounds == len(parsed)
+    assert session.log.rounds == len(parsed)
     assert len(session.buffer) == len(parsed) * session.request.inner_steps
 
 
@@ -587,23 +587,27 @@ def test_outer_round_unknown_entity():
         session.outer_round(5)
 
 
-def test_train_on_batch_counts_and_staleness():
+def test_train_on_batch_counts_and_staleness(monkeypatch):
     session = Session(make_request())
-    batch, _ = session.outer_round(0)
-    session.train_on_batch(batch)
+    session.run_round()
     assert session.train_steps == 1
-    assert session.message_ledger.staleness_histogram == {0: 1}
-    # replaying the old batch after a newer publish records lag 1
-    session.outer_round(0)
+    assert session.log["staleness"] == [0]
+    batch, info = session.outer_round(0)
     session.train_on_batch(batch)
-    assert session.message_ledger.staleness_histogram == {0: 1, 1: 1}
+    assert session.train_steps == 2 and len(session.log) == 1  # train_on_batch logs nothing
+    # replaying that batch in a round, one train step after its snapshot, records lag 1
+    monkeypatch.setattr(session, "outer_round", lambda eid: (batch, info))
+    session.run_round()
+    assert session.train_steps == 3
+    assert session.log["staleness"] == [0, 1]
+    assert session.log.message_block()["staleness_histogram"] == {"0": 1, "1": 1}
 
 
 @pytest.mark.parametrize("actions", [[7, 7, 7, 7], [0, 1, 2, 4]])
 def test_train_on_batch_rejects_actions_outside_the_outputs(actions):
     """An upload whose action has no network output is refused before the
-    ring or the staleness histogram is written; it used to reach the learner
-    and fail there with a raw IndexError."""
+    ring or the energy ledger is written; it used to reach the learner and
+    fail there with a raw IndexError."""
     session = Session(make_request())
     assert session.online.layer_dims[-1] == 4
     cols = _columns(6, 4)._replace(action=np.array(actions))
@@ -611,7 +615,7 @@ def test_train_on_batch_rejects_actions_outside_the_outputs(actions):
     with pytest.raises(InvalidInputError, match="actions must lie in"):
         session.train_on_batch(batch)
     assert session.buffer._ring is None and len(session.buffer) == 0
-    assert session.train_steps == 0 and session.message_ledger.staleness_histogram == {}
+    assert session.train_steps == 0 and session.energy.events == []
 
 
 def test_target_sync_cadence():
@@ -629,7 +633,7 @@ def test_entity_epsilon_follows_published_schedule():
     session = Session(make_request(dqn=small_dqn(eps_decay_steps=4)))
     seen = []
     for _ in range(5):
-        batch, (_reward_mean, epsilon) = session.outer_round(0)
+        batch, (_reward_mean, epsilon, _snapshot_bytes) = session.outer_round(0)
         seen.append(epsilon)
         session.train_on_batch(batch)
     expected = [epsilon_linear(k, 1.0, 0.05, 4) for k in range(5)]
@@ -641,12 +645,20 @@ def test_entity_epsilon_follows_published_schedule():
 # ---------------------------------------------------------------------------
 
 
+def _message_totals(energy, direction: str) -> list:
+    """The running byte total after each message in one direction, from the energy events."""
+    return np.cumsum([e[1] for e in energy.events if e[0] == "message" and e[2] == direction]).tolist()
+
+
 def test_lockstep_rows_and_determinism():
     metrics_a = run_session(Session(make_request(entity_ids=(0, 1))), rounds=6)
     metrics_b = run_session(Session(make_request(entity_ids=(0, 1))), rounds=6)
     assert len(metrics_a.rows) == 12
     assert metrics_a.rows["round"] == [i // 2 for i in range(12)]
     assert all(s == 0 for s in metrics_a.rows["staleness"])
+    # each record carries the byte totals through its own entity's two messages
+    assert metrics_a.rows["bytes_down_total"] == _message_totals(metrics_a.energy, "down")
+    assert metrics_a.rows["bytes_up_total"] == _message_totals(metrics_a.energy, "up")
     np.testing.assert_array_equal(metrics_a.reward_curve(), metrics_b.reward_curve())
     for a, b in zip(metrics_a.final_net.weights, metrics_b.final_net.weights):
         np.testing.assert_array_equal(a, b)
@@ -699,7 +711,6 @@ def _session_state(session):
         "sample_rng": session.sample_rng.bit_generator.state,
         "train_steps": session.train_steps,
         "entities": entities,
-        "message_ledger": session.message_ledger,
         "energy": session.energy,
         "log": list(session.log),
         "sparsity_reports": session.sparsity_reports,
@@ -712,8 +723,8 @@ def test_fork_continues_as_the_parent(monkeypatch, mode, fork_after, prune_at):
     """A fork made after ``fork_after`` rounds and its parent play the same
     later rounds as a session that was never forked: the same round log,
     record by record, parameters, replay rows, ledgers and generator states.
-    The fork is made through ``instantiate`` and owns its ledger objects and
-    its round log, which starts as a copy of the parent's."""
+    The fork is made through ``instantiate`` and owns its energy ledger and
+    its round log, which start as copies of the parent's."""
     import greenrl.cloud_loop as cloud_loop
 
     plan = CompressionPlan(snapshot_bits=8, prune_quantile=0.5, prune_at_round=prune_at)
@@ -728,7 +739,7 @@ def test_fork_continues_as_the_parent(monkeypatch, mode, fork_after, prune_at):
     monkeypatch.setattr(cloud_loop, "instantiate", lambda req: made.append(req) or Session(req))
     fork = parent.fork()
     assert made == [request]
-    assert fork.message_ledger is not parent.message_ledger and fork.energy is not parent.energy
+    assert fork.energy is not parent.energy
     assert fork.energy.events is not parent.energy.events
     assert fork.buffer is not parent.buffer
     assert fork.log is not parent.log
@@ -819,8 +830,8 @@ def test_compressed_wire_is_smaller():
     base = run_session(Session(make_request(seed=21)), rounds=5)
     plan = CompressionPlan(snapshot_bits=8, batch_fp16=True)
     comp = run_session(Session(make_request(seed=21, compression=plan)), rounds=5)
-    assert comp.message_ledger.bytes_down < base.message_ledger.bytes_down
-    assert comp.message_ledger.bytes_up < base.message_ledger.bytes_up
+    assert comp.rows.bytes_down < base.rows.bytes_down
+    assert comp.rows.bytes_up < base.rows.bytes_up
 
 
 def test_concurrent_mode_preserves_accounting():
@@ -834,20 +845,21 @@ def test_concurrent_mode_preserves_accounting():
     session, metrics = run()
     assert len(metrics.rows) == 12
     assert session.train_steps == 12
-    hist = session.message_ledger.staleness_histogram
+    hist = metrics.rows.message_block()["staleness_histogram"]
     assert sum(hist.values()) == 12
     # every entity acts on one train step's snapshot; the i-th upload of a
     # round is trained on i steps later
-    assert hist == {0: 4, 1: 4, 2: 4}
+    assert hist == {"0": 4, "1": 4, "2": 4}
     assert metrics.rows["staleness"] == [0, 1, 2] * 4
     assert metrics.rows["entity"] == [0, 1, 2] * 4
     assert metrics.rows["round"] == [i // 3 for i in range(12)]
     recomputed = session.energy.recompute_from_events()
     assert recomputed["bytes_wire"] == session.energy.bytes_wire
-    assert (
-        session.message_ledger.bytes_down + session.message_ledger.bytes_up
-        == session.energy.bytes_wire
-    )
+    assert metrics.rows.bytes_down + metrics.rows.bytes_up == session.energy.bytes_wire
+    # every record of a round carries the totals after all of that round's messages
+    for column, direction in (("bytes_down_total", "down"), ("bytes_up_total", "up")):
+        totals = _message_totals(session.energy, direction)
+        assert metrics.rows[column] == [totals[3 * (i // 3) + 2] for i in range(12)]
     _, again = run()
     assert len(again.rows) == 12
     assert list(again.rows) == list(metrics.rows)
@@ -888,12 +900,12 @@ def test_exploring_slots_skip_the_forward_pass(monkeypatch, epsilon, forward_cal
 
     monkeypatch.setattr(cloud_loop, "forward", counted)
     session = Session(make_request(inner_steps=6, dqn=small_dqn(eps_start=epsilon, eps_end=epsilon)))
-    batch, (_reward_mean, acted_at) = session.outer_round(0)
+    batch, (_reward_mean, acted_at, snapshot_bytes) = session.outer_round(0)
     assert acted_at == epsilon
     assert len(calls) == forward_calls
     macs = macs_forward(session.online)
     assert session.energy.events == [
-        ("message", session.message_ledger.bytes_down, "down"),
+        ("message", snapshot_bytes, "down"),
         ("inference", macs, 6),
         ("message", batch.byte_size, "up"),
     ]
@@ -904,7 +916,7 @@ def test_run_session_validation():
     session = Session(make_request())
     with pytest.raises(InvalidInputError):
         run_session(session, rounds=0)
-    assert session.message_ledger.rounds == 0  # nothing ran
+    assert len(session.log) == 0 and session.energy.events == []  # nothing ran
 
 
 @pytest.mark.parametrize("mode", ["lockstep", "concurrent"])
@@ -942,12 +954,12 @@ def test_a_session_driven_in_pieces_prunes_once():
 def test_metrics_terminal_reward_tail():
     """The tail is of the records' rewards, not of the per-round curve: here
     one round of five entities, whose curve is the single value 2.4."""
-    from greenrl.cloud_loop import MessageLedger, RoundLog, SessionMetrics
+    from greenrl.cloud_loop import RoundLog, SessionMetrics
     from greenrl.energy import EnergyLedger
 
     rows = RoundLog(5)
     for entity, reward in enumerate([0, 0, 0, 4, 8]):
         rows.append(0, entity, float(reward), 0.0, 0.0, 0, 0, 0)
-    metrics = SessionMetrics(rows, MessageLedger(), EnergyLedger(), None, [])
+    metrics = SessionMetrics(rows, EnergyLedger(), None, [])
     assert metrics.terminal_reward(0.4) == pytest.approx(6.0)
     assert metrics.terminal_reward(0.01) == pytest.approx(8.0)  # at least one row

@@ -15,7 +15,7 @@ from greenrl.compression import (
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.neural import glorot_init, pack
 from greenrl.rl_core import QTable
-from oracles import reference_discretize
+from oracles import partition_members, reference_discretize
 
 
 def square_net(mask=None):
@@ -246,7 +246,7 @@ def test_aggregate_first_fit_hand_example():
     part = aggregate_states(table, epsilon=1.0)
     assert part.mapping == {0: 0, 1: 0, 2: 1}
     assert part.n_clusters == 2
-    assert part.members() == {0: [0, 1], 1: [2]}
+    assert partition_members(part) == {0: [0, 1], 1: [2]}
 
 
 def test_aggregate_zero_epsilon_merges_exact_duplicates_only():

@@ -12,7 +12,7 @@ from greenrl.cli import run_report
 from greenrl.cloud_loop import CompressionPlan, RoundLog
 from greenrl.config import MAX_ARRAY_BYTES, config_from_dict, config_hash
 from greenrl.errors import ConfigError, InvalidInputError
-from greenrl.neural import glorot_init, net_from_bytes, net_to_bytes
+from greenrl.neural import _Workspace, glorot_init, net_from_bytes, net_to_bytes
 from greenrl.paired import _effect_size_d, _paired_p, ttest_p, wilcoxon_p
 from greenrl.runner import (
     ROUND_COLUMNS,
@@ -345,6 +345,33 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("case", ["not-utf8", "nested-config", "nested-sweep-value"])
+def test_cli_rejects_malformed_input_with_a_config_error(tmp_path, capsys, monkeypatch, case):
+    """A config file that is not UTF-8 used to end in a raw
+    UnicodeDecodeError traceback, and a config nested 200,000 lists deep or
+    a ``--values`` entry nested 100,000 deep in a raw RecursionError.  Each
+    exits 2 with one ``config error:`` line and writes nothing."""
+
+    def unreachable(request):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(runner, "instantiate", unreachable)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.json"
+    argv = ["run", str(path)]
+    if case == "not-utf8":
+        path.write_bytes(b"\xff\xfe\x00{")
+    elif case == "nested-config":
+        path.write_text("[" * 200_000)
+    else:
+        argv = ["sweep", write_config_file(tmp_path), "--param", "cloud.lr", "--values", "[" * 100_000]
+    written = sorted(os.listdir(tmp_path))
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == written
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
@@ -580,7 +607,13 @@ def test_cli_rejects_more_hidden_layers_than_the_wire_counts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "cloud, path", [({"hidden": [1000000000]}, "cloud.hidden"), ({"replay_capacity": 10**9}, "cloud.replay_capacity")]
+    "cloud, path",
+    [
+        ({"hidden": [1000000000]}, "cloud.hidden"),
+        ({"replay_capacity": 10**9}, "cloud.replay_capacity"),
+        # 204 MB of parameters, but about 1.5 GB of learner activations
+        ({"hidden": [3000000], "batch_size": 32}, "cloud.batch_size"),
+    ],
 )
 def test_cli_rejects_sizes_past_the_byte_bound(tmp_path, capsys, monkeypatch, cloud, path):
     """Nothing bounded a network's widths or the replay capacity: a config
@@ -611,6 +644,24 @@ def test_replay_byte_bound_is_exact(dtype, itemsize):
     with pytest.raises(ConfigError, match="config.cloud.replay_capacity"):
         config_from_dict({"agent": "dqn", "cloud": {"dtype": dtype, "replay_capacity": most + 1}})
     assert config_from_dict({"agent": "le-urc", "cloud": {"dtype": dtype, "replay_capacity": most + 1}})
+
+
+@pytest.mark.parametrize("dtype, itemsize", [("float32", 4), ("float64", 8)])
+def test_activation_byte_bound_is_exact(dtype, itemsize):
+    """A train step holds (2, batch, d) pre-activations for every layer and
+    activations for every hidden layer, as ``_Workspace`` allocates them; the
+    largest batch that fits the bound loads and one more row does not.  The
+    learner never samples more rows than the ring holds, so a larger batch
+    over a ring that small loads, and local agents are exempt."""
+    ws = _Workspace(glorot_init((12, 5, 3, 4), 0, dtype=np.dtype(dtype)), 7)
+    assert sum(a.nbytes for a in ws.z + ws.h) == 2 * 7 * itemsize * ((5 + 3 + 4) + (5 + 3))
+    most = MAX_ARRAY_BYTES // (2 * itemsize * ((1000 + 1000 + 4) + (1000 + 1000)))
+    cloud = {"dtype": dtype, "hidden": [1000, 1000], "replay_capacity": most + 1}
+    assert config_from_dict({"agent": "dqn", "cloud": {**cloud, "batch_size": most}})
+    with pytest.raises(ConfigError, match="config.cloud.batch_size"):
+        config_from_dict({"agent": "dqn", "cloud": {**cloud, "batch_size": most + 1}})
+    assert config_from_dict({"agent": "dqn", "cloud": {**cloud, "batch_size": most + 1, "replay_capacity": most}})
+    assert config_from_dict({"agent": "le-urc", "cloud": {**cloud, "batch_size": most + 1}})
 
 
 def test_cli_run_compression_report(tmp_path, capsys):
@@ -783,7 +834,7 @@ def test_transfer_run_creates_a_session_pair_per_arm(tmp_path, monkeypatch):
         assert group[2][0] is group[0][0] and group[3][0] is group[1][0]
         for arm, pair in (("transfer", group[:2]), ("baseline", group[2:])):
             for _request, session, message, energy in pair:
-                assert session.message_ledger is message and session.energy is energy
+                assert message is session.log and session.energy is energy
                 assert message.rounds == cfg.rounds()
                 assert energy.recompute_from_events()["bytes_wire"] == message.bytes_down + message.bytes_up
             result = summary["per_seed"][arm][i]
@@ -793,7 +844,9 @@ def test_transfer_run_creates_a_session_pair_per_arm(tmp_path, monkeypatch):
 
 def capture_sessions(monkeypatch) -> list:
     """Wrap ``instantiate`` the way a ledger capture does; the list gets each
-    (request, session, message ledger, energy ledger) at creation."""
+    (request, session, message ledger, energy ledger) at creation.  The
+    message ledger is the session's round log, which ``message_ledger``
+    returns."""
     import greenrl.cloud_loop as cloud_loop
 
     created = []
@@ -817,9 +870,9 @@ def test_rach_run_creates_one_session_per_seed(tmp_path, monkeypatch):
     summary = run_experiment(cfg)
     assert [request.seed for request, *_ in created] == [3, 1, 2]
     for (_request, session, message, energy), entry in zip(created, summary["per_seed"]):
-        assert session.message_ledger is message and session.energy is energy
+        assert message is session.log and session.energy is energy
         assert message.rounds == cfg.rounds()
-        assert message.snapshot() == entry["message"]
+        assert message.message_block() == entry["message"]
         assert energy.snapshot() == entry["energy"]
 
 
@@ -836,10 +889,41 @@ def test_compression_run_creates_dense_then_compressed_per_seed(tmp_path, monkey
         assert compressed[0].compression.snapshot_bits == cfg.compression.quant_bits
         assert compressed[0].compression.prune_quantile == summary["prune_quantile"]
         for arm, (_request, session, message, energy) in (("dense", dense), ("compressed", compressed)):
-            assert session.message_ledger is message and session.energy is energy
+            assert message is session.log and session.energy is energy
             assert message.rounds == cfg.rounds()
-            assert message.snapshot() == entry[arm]["message"]
+            assert message.message_block() == entry[arm]["message"]
             assert energy.snapshot() == entry[arm]["energy"]
+
+
+@pytest.mark.parametrize(
+    "agent, cloud",
+    [("dqn", TINY_DQN), ("dqn", {**TINY_DQN, "mode": "concurrent", "n_entities": 3}), ("le-urc", TINY_DQN)],
+    ids=["lockstep", "concurrent", "local"],
+)
+def test_message_block_reconciles_with_the_round_csv(tmp_path, agent, cloud):
+    """Each seed's summary ``message`` block is rebuilt offline from its
+    round CSV alone: the row count, the last row's byte totals and the count
+    of each staleness.  A local agent sends no message, so its block is the
+    fixed zero block whatever its CSV holds."""
+    cfg = tiny_config(tmp_path, agent=agent, cloud=cloud)
+    run_experiment(cfg)
+    for seed in cfg.seeds:
+        with open(tmp_path / "t" / f"seed{seed:04d}_rounds.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(tmp_path / "t" / f"seed{seed:04d}_summary.json") as fh:
+            block = json.load(fh)["message"]
+        assert len(rows) == cfg.rounds() * cfg.cloud.n_entities
+        if agent != "dqn":
+            assert block == {"rounds": 0, "bytes_down": 0, "bytes_up": 0, "staleness_histogram": {}}
+            continue
+        staleness = [int(row["staleness"]) for row in rows]
+        assert sorted(set(staleness)) == list(range(cfg.cloud.n_entities if cfg.cloud.mode == "concurrent" else 1))
+        assert block == {
+            "rounds": len(rows),
+            "bytes_down": int(rows[-1]["bytes_down_total"]),
+            "bytes_up": int(rows[-1]["bytes_up_total"]),
+            "staleness_histogram": {str(lag): staleness.count(lag) for lag in set(staleness)},
+        }
 
 
 @pytest.mark.parametrize("scenario, sessions_per_seed", [("rach", 1), ("compression", 2)])
