@@ -11,8 +11,11 @@ demand correlation, rounds to threshold and paired terminal-reward test for
 ``transfer``.  ``compare`` prints each agent's mean eval reward with its 95%
 interval, then every pair's mean difference and one-sided p-value.
 
-Exit codes: 0 success, 1 runtime, file-system or allocation failure, 2
-configuration error, 130 interrupted.  The output root comes from each
+Exit codes: 0 success, 1 any other failure (runtime, file system,
+allocation, or an unexpected error, reported as ``error: <Type>: <message>``),
+2 configuration error, 130 interrupted, 143 terminated by SIGTERM.  An
+interrupted or terminated run records the signal in its ``error.json``, as a
+failed run records its error.  The output root comes from each
 config's ``out_dir``, else the GREENRL_OUTPUT_ROOT environment variable, else ./results.
 """
 
@@ -22,6 +25,7 @@ import argparse
 import csv
 import json
 import os
+import signal
 import sys
 
 import numpy as np
@@ -86,6 +90,15 @@ def run_report(summary: dict) -> list[str]:
     return lines
 
 
+class Terminated(KeyboardInterrupt):
+    """SIGTERM, raised in the main thread as Ctrl-C raises KeyboardInterrupt, so that a
+    run records it as it records an interrupt."""
+
+
+def _terminate(signum, frame):
+    raise Terminated("terminated")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="greenrl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -108,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 @np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         if args.command == "run":
             print("\n".join(run_report(run_experiment(load_config(args.config)))))
@@ -136,9 +150,17 @@ def main(argv=None) -> int:
     except (GreenRLError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    except Terminated:
+        print("error: terminated", file=sys.stderr)
+        return 143
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    except Exception as exc:  # any other error still ends in one line, not a traceback
+        print(f"error: {type(exc).__name__}" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

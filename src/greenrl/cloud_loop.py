@@ -17,7 +17,10 @@ while both messages stay real bytes, encoded and decoded every round:
 
 - The entity keeps one resident network.  Each snapshot is decoded into
   its parameter vector in place (``decode_snapshot(payload, into=net)``),
-  after every header, length and scale check has passed.
+  after every header, length and scale check has passed.  The network
+  header is packed once per (dtype, quant bits, dims) and parsed and
+  checked once per distinct header bytes (see ``greenrl.neural``); the
+  length and scales are checked on every decode.
 - The entity writes its states into one (K+1, dim) array it keeps across
   rounds, where row i+1 is both slot i's next state and slot i+1's state,
   and uploads them as ``ReplayBatch`` columns viewing that array, beside
@@ -31,6 +34,9 @@ while both messages stay real bytes, encoded and decoded every round:
 - MACs are counted once per online parameter vector, for its train step
   and for an entity that loads a dense snapshot of it; an entity that
   loads a quantised snapshot is counted on its own (see ``greenrl.energy``).
+- The coordinator gives the learner its batch size as the batch bound, so
+  a session builds one learner workspace and runs the early batches, drawn
+  while the replay is shorter than the batch size, on its first rows.
 
 Each slot of a round is a lean path with the same RNG calls, in the same
 order, as the per-object path it replaced.  The entity checks the round's
@@ -43,10 +49,12 @@ the argmax with ``epsilon_greedy`` at epsilon 0, which draws nothing.
 ``forward`` uses no randomness, so actions and generator states are those
 of calling ``epsilon_greedy`` on every slot's values.  Since exploring
 slots never look at the network, the entity checks the decoded snapshot's
-parameters finite before it acts, and the round's states before upload.
+parameters finite before it acts, and the round's states before upload,
+each in one call (``_all_finite``, a dot product with zeros).
 ``RachEnv.step`` plays the action through the environment's precomputed
 action table, and the new observation's float64 quotient by the menu norm,
-``build_state``'s rule, is assigned straight into row i+1.  Every call the
+``build_state``'s rule, is assigned straight into row i+1, as the round's
+first observation is into row 0.  Every call the
 benchmark's hooks wrap (``RachEnv.step`` on its class, ``forward`` and
 ``epsilon_greedy`` by module name) is made through that name on every slot.
 
@@ -370,6 +378,21 @@ def _record_dtype(dim: int, fp16: bool) -> np.dtype:
     )
 
 
+@lru_cache(maxsize=16)
+def _zeros(size: int, dtype: np.dtype) -> np.ndarray:
+    zeros = np.zeros(size, dtype)
+    zeros.flags.writeable = False  # shared by every caller
+    return zeros
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, in one call: ``a``'s dot product
+    with zeros is 0 when every entry is finite and NaN when any is infinite or
+    NaN (0 * inf is NaN), and a product with zero cannot overflow.  ``np.vdot``
+    raises no floating-point warning for that NaN, where ``np.dot`` would."""
+    return np.vdot(a, _zeros(a.size, a.dtype)) == 0
+
+
 def encode_snapshot(version: int, epsilon: float, net: DenseNet, quant_bits: int | None) -> bytes:
     header = _SNAP_HEADER.pack(_SNAP_MAGIC, _WIRE_VERSION, version, epsilon)
     return header + net_to_bytes(net, quant_bits)
@@ -406,13 +429,12 @@ def encode_sample_batch(
     (float16 when fp16 is set).  Each column is cast from its own dtype
     straight to the wire float, as the record-by-record encoding did.
     """
-    state, next_state = np.asarray(batch.state), np.asarray(batch.next_state)
+    state, action, reward, next_state, live = ReplayBatch.of(batch)
     if state.ndim != 2 or state.shape != next_state.shape:
         raise InvalidInputError("state and next_state must be (count, dim) arrays of one shape")
     count, dim = state.shape
     if count == 0 or dim == 0:
         raise InvalidInputError("cannot encode an empty batch or zero-width states")
-    action, reward, live = np.asarray(batch.action), np.asarray(batch.reward), np.asarray(batch.live)
     if not action.shape == reward.shape == live.shape == (count,):
         raise InvalidInputError("every batch column must hold one entry per record")
     # On a round's few rows a list's min and max are several times cheaper than numpy's.
@@ -429,7 +451,7 @@ def encode_sample_batch(
     records["action"] = action
     records["reward"] = reward
     records["next_state"] = next_state
-    records["terminal"] = live == 0
+    records["terminal"] = np.logical_not(live)  # live == 0, without the scalar's conversion
     return header + records.tobytes()
 
 
@@ -457,7 +479,8 @@ def decode_sample_batch(buf: bytes) -> SampleBatch:
         )
     records = np.frombuffer(buf, _record_dtype(dim, bool(fp16)), count, _BATCH_HEADER.size)
     columns = ReplayBatch(
-        records["state"], records["action"], records["reward"], records["next_state"], records["terminal"] == 0
+        records["state"], records["action"], records["reward"], records["next_state"],
+        np.logical_not(records["terminal"]),
     )
     return SampleBatch(entity_id, version, columns, len(buf))
 
@@ -539,9 +562,9 @@ class Session:
         before anything is recorded or written.  Stale batches are accepted;
         ``run_round`` logs how many train steps were taken since their snapshot.
         """
-        # Checked on a list: for a batch this size several times cheaper than
-        # numpy's min and max.
-        actions, n_out = np.asarray(batch.columns.action).ravel().tolist(), self.online.layer_dims[-1]
+        # Checked on a list, read off the 1-D wire column: for a batch this size
+        # several times cheaper than numpy's min and max.
+        actions, n_out = batch.columns.action.tolist(), self.online.layer_dims[-1]
         if actions and not 0 <= min(actions) <= max(actions) < n_out:
             raise InvalidInputError(f"uploaded actions must lie in [0, {n_out}), the network's outputs")
         cfg = self.request.dqn
@@ -549,7 +572,7 @@ class Session:
         bs = min(cfg.batch_size, len(self.buffer))
         self.energy.record_train_step(self.online, bs, self._online_macs())
         self.online, loss = dqn_train_step(
-            self.online, self.target, self.buffer, bs, cfg.discount, cfg.lr, self.sample_rng
+            self.online, self.target, self.buffer, bs, cfg.discount, cfg.lr, self.sample_rng, batch_bound=cfg.batch_size
         )
         self.train_steps += 1
         if self.train_steps % cfg.target_sync_every == 0:
@@ -635,7 +658,6 @@ class Session:
         if entity_id not in self.entities:
             raise InvalidInputError(f"unknown entity {entity_id}")
         entity = self.entities[entity_id]
-        dtype = self.request.dqn.np_dtype
         menu = self.request.env_config.action_menu
         # The online network's snapshot, versioned by the current train step.  The entity knows
         # only the bytes: it stamps its upload with the version they carry.
@@ -643,7 +665,7 @@ class Session:
         snapshot = encode_snapshot(self.train_steps, self.current_epsilon(), self.online, plan.snapshot_bits)
         self.energy.record_message(len(snapshot), "down")
         version, epsilon, net = decode_snapshot(snapshot, into=entity.net)
-        if not np.isfinite(net.params).all():
+        if not _all_finite(net.params):
             raise InvalidInputError("snapshot parameters must be finite")
         entity.net = net
         k, n_actions, norm = self.request.inner_steps, net.layer_dims[-1], self.norm
@@ -651,7 +673,7 @@ class Session:
         actions, rewards = rows.action, rows.reward
         eps = check_epsilon(epsilon)
         draw, pick = rng.random, rng.integers
-        build_state(entity.obs, norm, dtype, out=states[0])
+        states[0] = entity.obs / norm  # build_state's quotient, as for every row below
         for i in range(k):
             # explore's draws, at the epsilon checked above
             if eps > 0.0 and draw() < eps:
@@ -661,7 +683,7 @@ class Session:
             entity.obs, rewards[i], _outcome = env.step(menu[action])
             states[i + 1] = entity.obs / norm  # build_state's quotient, rounded once into the row
             actions[i] = action
-        if not np.isfinite(states).all():
+        if not _all_finite(states):
             raise InvalidInputError("states must be finite")
         # A dense snapshot is the online vector byte for byte; rounding can
         # zero more weights of a quantised one, so it is counted on its own.

@@ -44,7 +44,7 @@ class EnergyCoefficients:
 
 def macs_forward(net) -> int:
     """Multiply-accumulates of one forward pass: nonzero weights only."""
-    return int(sum(int(np.count_nonzero(w)) for w in net.weights))
+    return int(sum(map(np.count_nonzero, net.weights)))  # numpy's counts are np.int64
 
 
 @dataclass

@@ -18,11 +18,19 @@ overwrites with each snapshot.
 A DQN step gathers its replay sample into network-dtype arrays, runs the online and
 the target network as one stack, one product, bias add and ReLU per layer for both
 (numpy's stacked product equals each 2-D one bit for bit), and takes the loss from the
-taken-action column alone.  Its pass, backprop and flat gradient use a workspace made
-once per (dims, batch size, dtype) and kept with the replay buffer; nothing returned
-aliases it.  The update is one vector operation, ``params - lr * grad``, re-masked.
+taken-action column alone.  Its pass, backprop and flat gradient use one workspace per
+(dims, dtype), sized to the learner's batch bound and kept with the replay buffer; a
+batch of fewer rows, drawn while the replay is shorter than the batch size, runs on
+row-prefix views of it, so a learner builds one workspace.  Nothing returned aliases
+it.  The update is one vector operation, ``params - lr * grad``, re-masked.
 ``batch_loss`` and ``backprop_minibatch`` run the same helpers on a stack of one
 network, in a workspace made for the one call.
+
+A network's per-layer views are cut by a slicing plan kept per dims.  The wire codec
+packs a payload's header and dims once per (dtype, quant bits, dims), and parses and
+checks a received header and its dims once per distinct header bytes: only a header
+that passes every check is kept, so a malformed one is rejected on every call.  A
+payload's length and quantisation scales are checked on every decode.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -58,18 +67,32 @@ class QuantMeta:
             raise ConfigError("quantisation scales must be positive")
 
 
+@lru_cache(maxsize=64)
+def _layout(dims: tuple[int, ...]) -> tuple[tuple[tuple[slice, tuple[int, int], slice], ...], int]:
+    """The slicing plan of a ``[W0, b0, W1, b1, ...]`` vector of ``dims``: per layer its weight
+    slice, weight shape and bias slice, and the vector's length."""
+    plan, off = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        end = off + fan_in * fan_out
+        plan.append((slice(off, end), (fan_in, fan_out), slice(end, end + fan_out)))
+        off = end + fan_out
+    return tuple(plan), off
+
+
 def _views(dims: tuple[int, ...], flat: np.ndarray, lead=()) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Per-layer (*lead, fan_in, fan_out) and (*lead, fan_out) views of a ``[W0, b0, W1, b1, ...]``
-    vector, or a (*lead, n) stack of them.  One that does not hold exactly those layers raises
-    ConfigError, or the reshape's ValueError where it ends inside a weight block."""
-    weights, biases, off = [], [], 0
+    vector, or a (*lead, n) stack of them, cut by the cached plan of ``dims``.  One that does not
+    hold exactly those layers raises ConfigError, or the reshape's ValueError where it ends inside
+    a weight block."""
+    plan, size = _layout(tuple(dims))
+    weights, biases = [], []
     if flat.ndim == len(lead) + 1:
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            end = off + fan_in * fan_out
-            weights.append(flat[..., off:end].reshape(*lead, fan_in, fan_out))
-            biases.append(flat[..., end : end + fan_out])
-            off = end + fan_out
-    if not weights or flat.shape != (*lead, off):
+        for w, shape, b in plan:
+            if lead:
+                w, shape, b = (..., w), (*lead, *shape), (..., b)
+            weights.append(flat[w].reshape(shape))
+            biases.append(flat[b])
+    if not weights or flat.shape != (*lead, size):
         raise ConfigError(f"a vector of shape {flat.shape} does not hold the layers of {dims}")
     return tuple(weights), tuple(biases)
 
@@ -275,6 +298,9 @@ def sync_target(net: DenseNet) -> DenseNet:
     return DenseNet(net.layer_dims, net.params.copy(), mask, quant)
 
 
+_ARRAY_TYPE = frozenset([np.ndarray])
+
+
 class ReplayBatch(NamedTuple):
     """Replay rows as columns; row i of every column is one transition.
 
@@ -286,6 +312,13 @@ class ReplayBatch(NamedTuple):
     reward: np.ndarray
     next_state: np.ndarray
     live: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> ReplayBatch:
+        """``rows`` as a ReplayBatch of numpy arrays: one that already is one, as given."""
+        if type(rows) is cls and _ARRAY_TYPE.issuperset(map(type, rows)):
+            return rows
+        return cls._make(map(np.asarray, rows))
 
 
 class ReplayBuffer:
@@ -324,13 +357,14 @@ class ReplayBuffer:
         """Append column rows oldest first with one slice write per column.
 
         ``state`` and ``next_state`` are (k, width) and the other columns
-        hold k entries.  The write splits in two where it wraps past the
-        last slot.  When more than ``capacity`` rows arrive, only the
-        newest are kept.  A negative action is rejected; one past the
-        network's outputs is caught by ``dqn_train_step``.
+        hold k entries; a ReplayBatch of numpy arrays is used as given.
+        The write splits in two where it wraps past the last slot.  When
+        more than ``capacity`` rows arrive, only the newest are kept.  A
+        negative action is rejected; one past the network's outputs is
+        caught by ``dqn_train_step``.
         """
         cap = self.capacity
-        rows = ReplayBatch._make(map(np.asarray, rows))
+        rows = ReplayBatch.of(rows)
         if rows.state.ndim != 2 or rows.state.shape != rows.next_state.shape or rows.state.shape[1] == 0:
             raise InvalidInputError("state and next_state must be (rows, width) arrays of one nonzero width")
         k, width = rows.state.shape
@@ -397,7 +431,9 @@ class ReplayBuffer:
             raise NotReadyError(f"replay holds {len(self)} transitions, need {batch_size}")
         # "wrap" takes the slot modulo the ring's length: the capacity, or a
         # copy's filled rows, which start at slot 0 until the ring is full.
-        slots = rng.integers(0, self._size, size=batch_size) + self._head
+        slots = rng.integers(0, self._size, size=batch_size)
+        if self._head:  # 0 until the ring first wraps
+            slots += self._head
         if out is None:
             return ReplayBatch(*(col.take(slots, axis=0, mode="wrap") for col in self._ring))
         for col, dst in zip(self._ring, out):
@@ -406,30 +442,53 @@ class ReplayBuffer:
 
 
 class _Workspace:
-    """Scratch for learner steps at one (dims, batch size, dtype) on a stack of ``depth`` networks:
-    ``pair`` holds their vectors (row 0 the one trained, row 1 a train step's target), seen per layer
-    through ``layers``.  A train step's kept workspace is never returned; a one-off one's gradient is."""
+    """Scratch for learner steps of up to ``n`` rows at one (dims, dtype) on a stack of ``depth``
+    networks: ``pair`` holds their vectors (row 0 the one trained, row 1 a train step's target),
+    seen per layer through ``layers``.  ``first_rows(m)`` cuts every row-indexed array to a prefix
+    view of ``m`` rows, whose (m, d) blocks have the shape and strides of a workspace of ``m`` rows,
+    so products and sums over them are the same bit for bit.  A train step's kept workspace is
+    never returned; a one-off one's gradient is."""
 
     def __init__(self, net: DenseNet, n: int, depth: int = 2):
         dims, dtype = net.layer_dims, net.dtype
-        self.key = (dims, n, dtype)
-        # Zeros: a gather from a ring of another dtype first casts these columns'
-        # old contents, and a signalling NaN left in fresh memory warns.
-        self.states = state, next_state = np.zeros((2, n, dims[0]), dtype)  # a train step's stacked input
-        self.sample = ReplayBatch(state, np.zeros(n, np.int64), np.zeros(n, dtype), next_state, np.zeros(n, dtype))
+        self.key, self.n = (dims, dtype), n
         self.pair = np.empty((depth, net.params.size), dtype)
         self.layers = tuple((w, b[:, None]) for w, b in zip(*_views(dims, self.pair, (depth,))))
-        self.z = [np.empty((depth, n, d), dtype) for d in dims[1:]]
-        self.h = [np.empty((depth, n, d), dtype) for d in dims[1:-1]]
-        self.z0, self.h0 = [z[0] for z in self.z], [h[0] for h in self.h]
-        self.rows, self.td, self.delta = np.arange(n), np.empty(n, dtype), np.empty((n, dims[-1]), dtype)
         self.grad = np.empty_like(net.params)
         self.grad_views = _views(dims, self.grad)
+        # Zeros: a gather from a ring of another dtype first casts these columns'
+        # old contents, and a signalling NaN left in fresh memory warns.
+        self._take_rows(
+            np.zeros((2, n, dims[0]), dtype), np.zeros(n, np.int64), np.zeros(n, dtype), np.zeros(n, dtype),
+            [np.empty((depth, n, d), dtype) for d in dims[1:]], [np.empty((depth, n, d), dtype) for d in dims[1:-1]],
+            np.arange(n), np.empty(n, dtype), np.empty((n, dims[-1]), dtype),
+        )
+
+    def _take_rows(self, states, action, reward, live, z, h, rows, td, delta) -> None:
+        """Hold the row-indexed arrays: ``states`` (2, n, d) is a train step's stacked input and
+        the sample's state and next-state columns, and ``z`` and ``h`` hold each layer's
+        (depth, n, d) pre-activations and activations."""
+        self.states, self.z, self.h, self.rows, self.td, self.delta = states, z, h, rows, td, delta
+        self.sample = ReplayBatch(states[0], action, reward, states[1], live)
+        self.z0, self.h0 = [a[0] for a in z], [a[0] for a in h]
+
+    def first_rows(self, m: int) -> _Workspace:
+        """This workspace cut to its first ``m`` rows, sharing its vectors; itself when ``m`` is ``n``."""
+        if m == self.n:
+            return self
+        view = object.__new__(_Workspace)
+        vars(view).update(vars(self), n=m)
+        sample = self.sample
+        view._take_rows(
+            self.states[:, :m], sample.action[:m], sample.reward[:m], sample.live[:m],
+            [a[:, :m] for a in self.z], [a[:, :m] for a in self.h], self.rows[:m], self.td[:m], self.delta[:m],
+        )
+        return view
 
 
 def dqn_train_step(
     online: DenseNet, target: DenseNet, buffer: ReplayBuffer, batch_size: int, discount: float, lr: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator, batch_bound: int = 0,
 ) -> tuple[DenseNet, float]:
     """One mini-batch TD update of the online network.
 
@@ -438,14 +497,22 @@ def dqn_train_step(
     Returns the updated network and the pre-update batch loss.  A sampled
     action the network has no output for raises ``InvalidInputError``
     before the network changes.
+
+    The buffer keeps one workspace per (dims, dtype), of at least
+    ``batch_size`` rows, and a step of fewer rows runs on its first rows.
+    A new workspace is sized to ``batch_bound`` where that is larger, capped
+    by the ring's capacity: given the most rows its steps draw, a learner
+    whose early batches grow with its replay builds one workspace.
     """
     lam = check_discount(discount)
     dims, dt = online.layer_dims, online.dtype
     if target.layer_dims != dims or target.dtype != dt:
         raise InvalidInputError("target network must match the online network's dims and dtype")
     ws = buffer._workspace
-    if getattr(ws, "key", None) != (dims, batch_size, dt):
-        ws = buffer._workspace = _Workspace(online, max(batch_size, 0))
+    if ws is None or ws.key != (dims, dt) or ws.n < batch_size:
+        rows = max(batch_size, min(batch_bound, buffer.capacity), 0)
+        ws = buffer._workspace = _Workspace(online, rows)
+    ws = ws.first_rows(batch_size)
     sample = buffer.sample(batch_size, rng, out=ws.sample)
     # Copied every step: pruning and the transfer swap replace the target without a train step.
     ws.pair[0], ws.pair[1] = online.params, target.params
@@ -485,6 +552,7 @@ _NET_HEADER = struct.Struct("<4sHBBBB")
 _FLOAT_TAG_OF = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _DTYPE_OF_TAG = {tag: dtype for dtype, tag in _FLOAT_TAG_OF.items()}
 _RELU_TAG = 0  # the activation tag: ReLU, the only activation
+_SCALE = struct.Struct("<f")  # a quantised layer's scale, ahead of its codes
 
 
 def symmetric_quantize_layer(w: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
@@ -506,6 +574,14 @@ def symmetric_quantize_layer(w: np.ndarray, bits: int) -> tuple[np.ndarray, floa
     return codes, scale
 
 
+@lru_cache(maxsize=64)
+def _encoded_header(float_tag: int, bits: int, dims: tuple[int, ...]) -> bytes:
+    """The header and dims of every payload of one (dtype, quant bits, dims)."""
+    return _NET_HEADER.pack(_MAGIC, _FORMAT_VERSION, float_tag, bits, _RELU_TAG, len(dims)) + struct.pack(
+        f"<{len(dims)}I", *dims
+    )
+
+
 def net_to_bytes(net: DenseNet, quant_bits: int | None = None) -> bytes:
     """Serialise to the flat little-endian wire payload.
 
@@ -513,14 +589,13 @@ def net_to_bytes(net: DenseNet, quant_bits: int | None = None) -> bytes:
     quant bits u8 (0 = dense floats), activation tag u8, n_dims u8,
     dims u32 each, then per layer the weight block (row-major floats, or a
     f32 scale followed by i8/i16 codes when quantised) and f32/f64 biases.
-    A dense body is ``params`` byte for byte.
+    A dense body is ``params`` byte for byte.  The header and dims are
+    packed once per (dtype, quant bits, dims) and kept.
     """
     float_tag = _FLOAT_TAG_OF.get(net.dtype)
     if float_tag is None:
         raise InvalidInputError(f"unsupported network dtype {net.dtype}")
-    dims, bits = net.layer_dims, 0 if quant_bits is None else int(quant_bits)
-    head = _NET_HEADER.pack(_MAGIC, _FORMAT_VERSION, float_tag, bits, _RELU_TAG, len(dims))
-    head += struct.pack(f"<{len(dims)}I", *dims)
+    head = _encoded_header(float_tag, 0 if quant_bits is None else int(quant_bits), tuple(net.layer_dims))
     if quant_bits is None:
         return head + net.params.tobytes()
     code_dtype = np.int8 if quant_bits <= 8 else np.int16
@@ -531,23 +606,27 @@ def net_to_bytes(net: DenseNet, quant_bits: int | None = None) -> bytes:
     return b"".join(parts)
 
 
-def net_from_bytes(buf, into: DenseNet | None = None) -> DenseNet:
-    """Rebuild a DenseNet from ``net_to_bytes`` output.
+class _WireLayout(NamedTuple):
+    """Everything a network payload's header and dims fix: the network's dims and
+    dtype, the payload length they imply, and where each layer's parts sit."""
 
-    A dense body is copied into ``params`` whole; a quantised one writes each
-    layer's codes * scale straight into its slice and carries a QuantMeta tag.
-    The header fields, the payload length they imply and every quantisation
-    scale are checked before any byte is written, so every malformed payload
-    raises ``InvalidInputError`` and changes nothing.
+    dims: tuple[int, ...]
+    dtype: np.dtype
+    quant_bits: int
+    size: int  # the payload's length in bytes
+    body: int  # the offset of the first layer
+    n_params: int
+    # per layer: (its offset, code count, bias offset, bias count, weight slice, bias slice)
+    layers: tuple[tuple[int, int, int, int, slice, slice], ...]
 
-    With ``into``, a network of the payload's dims and dtype and with no
-    mask, the body is written into ``into.params``, which keeps its
-    views, and ``into`` is returned with its quant tag replaced.  Any other
-    ``into`` is left alone and a fresh network is returned.
-    """
-    if len(buf) < _NET_HEADER.size:
-        raise InvalidInputError("network payload is shorter than its header")
-    magic, fmt, float_tag, quant_bits, act_tag, n_dims = _NET_HEADER.unpack_from(buf)
+
+@lru_cache(maxsize=64)
+def _wire_layout(head: bytes) -> _WireLayout:
+    """Parse and check a payload's header and dims, ``head``, which is the
+    payload cut where its dims end, or the whole payload if shorter.  Only a
+    valid header is returned, so only a valid one is kept: a malformed one
+    raises ``InvalidInputError`` on every call."""
+    magic, fmt, float_tag, quant_bits, act_tag, n_dims = _NET_HEADER.unpack_from(head)
     if magic != _MAGIC:
         raise InvalidInputError("bad magic in network payload")
     if fmt != _FORMAT_VERSION:
@@ -562,41 +641,60 @@ def net_from_bytes(buf, into: DenseNet | None = None) -> DenseNet:
     if n_dims < 2:
         raise InvalidInputError(f"network payload needs >= 2 layer dims, got {n_dims}")
     off = _NET_HEADER.size + 4 * n_dims
-    if len(buf) < off:
+    if len(head) < off:
         raise InvalidInputError("network payload is shorter than its layer dims")
-    dims = struct.unpack_from(f"<{n_dims}I", buf, _NET_HEADER.size)
+    dims = struct.unpack_from(f"<{n_dims}I", head, _NET_HEADER.size)
     if min(dims) < 1:
         raise InvalidInputError(f"network layer dims must be >= 1, got {dims}")
-    code_dtype = np.dtype(np.int8) if quant_bits <= 8 else np.dtype(np.int16)
-    layer_head, w_size = (0, dtype.itemsize) if quant_bits == 0 else (4, code_dtype.itemsize)
-    layers = list(zip(dims[:-1], dims[1:]))
-    expected = off + sum(layer_head + (fan_in * w_size + dtype.itemsize) * fan_out for fan_in, fan_out in layers)
-    if len(buf) != expected:
-        raise InvalidInputError(f"network payload holds {len(buf)} bytes, its header implies {expected}")
-    scales, pos = [], off
-    if quant_bits:
-        for fan_in, fan_out in layers:
-            (scale,) = struct.unpack_from("<f", buf, pos)
-            if not 0 < scale < np.inf:
-                raise InvalidInputError(f"quantisation scale must be finite and positive, got {scale}")
-            scales.append(scale)
-            pos += 4 + (fan_in * code_dtype.itemsize + dtype.itemsize) * fan_out
+    code_size = 1 if quant_bits <= 8 else 2
+    layer_head, w_size = (0, dtype.itemsize) if quant_bits == 0 else (4, code_size)
+    plan, n_params = _layout(dims)
+    pos, layers = off, []
+    for w, (fan_in, fan_out), b in plan:
+        n = fan_in * fan_out
+        layers.append((pos, n, pos + layer_head + n * w_size, fan_out, w, b))
+        pos += layer_head + n * w_size + fan_out * dtype.itemsize
+    return _WireLayout(dims, dtype, quant_bits, pos, off, n_params, tuple(layers))
+
+
+def net_from_bytes(buf, into: DenseNet | None = None) -> DenseNet:
+    """Rebuild a DenseNet from ``net_to_bytes`` output.
+
+    A dense body is copied into ``params`` whole; a quantised one writes each
+    layer's codes * scale straight into its slice and carries a QuantMeta tag.
+    The header fields, the payload length they imply and every quantisation
+    scale are checked before any byte is written, so every malformed payload
+    raises ``InvalidInputError`` and changes nothing.  The header and dims
+    are parsed and checked once per distinct header bytes, and the result is
+    kept; the length and the scales are checked on every call.
+
+    With ``into``, a network of the payload's dims and dtype and with no
+    mask, the body is written into ``into.params``, which keeps its
+    views, and ``into`` is returned with its quant tag replaced.  Any other
+    ``into`` is left alone and a fresh network is returned.
+    """
+    head = _NET_HEADER.size
+    if len(buf) < head:
+        raise InvalidInputError("network payload is shorter than its header")
+    layout = _wire_layout(bytes(buf[: head + 4 * buf[head - 1]]))  # the last header byte counts the dims
+    if len(buf) != layout.size:
+        raise InvalidInputError(f"network payload holds {len(buf)} bytes, its header implies {layout.size}")
+    dtype, quant_bits = layout.dtype, layout.quant_bits
+    scales = [_SCALE.unpack_from(buf, layer[0])[0] for layer in layout.layers] if quant_bits else []
+    for scale in scales:
+        if not 0 < scale < math.inf:
+            raise InvalidInputError(f"quantisation scale must be finite and positive, got {scale}")
     fits = into is not None and into.param_mask is None
-    if not (fits and (into.layer_dims, into.dtype) == (dims, dtype)):
-        n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
-        into = DenseNet(dims, np.empty(n_params, dtype))
+    if not (fits and (into.layer_dims, into.dtype) == (layout.dims, dtype)):
+        into = DenseNet(layout.dims, np.empty(layout.n_params, dtype))
     params = into.params
     if quant_bits == 0:
-        params[...] = np.frombuffer(buf, dtype, offset=off)
+        params[...] = np.frombuffer(buf, dtype, offset=layout.body)
         into.quant = None
         return into
-    pos = 0
-    for (fan_in, fan_out), scale in zip(layers, scales):
-        n = fan_in * fan_out
-        np.multiply(np.frombuffer(buf, code_dtype, n, off + 4), dtype.type(scale), out=params[pos : pos + n])
-        off += 4 + n * code_dtype.itemsize
-        params[pos + n : pos + n + fan_out] = np.frombuffer(buf, dtype, fan_out, off)
-        off += fan_out * dtype.itemsize
-        pos += n + fan_out
+    code_dtype = np.int8 if quant_bits <= 8 else np.int16
+    for (start, n, bias, fan_out, w, b), scale in zip(layout.layers, scales):
+        np.multiply(np.frombuffer(buf, code_dtype, n, start + 4), dtype.type(scale), out=params[w])
+        params[b] = np.frombuffer(buf, dtype, fan_out, bias)
     into.quant = QuantMeta(quant_bits, scales)
     return into

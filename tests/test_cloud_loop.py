@@ -155,6 +155,32 @@ def test_snapshot_bad_payload():
         decode_snapshot(buf[:4] + b"\xff\xff" + buf[6:])
 
 
+def test_a_learner_session_builds_one_workspace(monkeypatch):
+    """At the ``test_c01`` learner settings (batch 128, inner_steps 2, a ring
+    of 8,000), a session used to build a fresh learner workspace on every
+    step while its replay held fewer than 128 transitions: 64 in 500 rounds.
+    It builds one, of 128 rows, and runs its early batches on its first rows."""
+    import greenrl.neural as neural
+    from greenrl.config import config_from_dict
+
+    built, init = [], neural._Workspace.__init__
+
+    def counted(self, net, n, depth=2):
+        built.append(n)
+        init(self, net, n, depth)
+
+    monkeypatch.setattr(neural._Workspace, "__init__", counted)
+    cloud = {
+        "inner_steps": 2, "lr": 0.001, "batch_size": 128, "target_sync_every": 100, "eps_decay_steps": 2500,
+        "replay_capacity": 8000,
+    }
+    cfg = config_from_dict({"agent": "dqn", "rach": {"traffic_p": 0.08}, "cloud": cloud})
+    session = Session(cfg.service_request(seed=3))
+    for _ in range(500):
+        session.run_round()
+    assert session.train_steps == 500 and built == [128]
+
+
 _SNAP_NET = glorot_init((4, 3, 2), seed=5, dtype=np.float32)
 _SNAP_DENSE = encode_snapshot(3, 0.25, _SNAP_NET, None)
 _SNAP_Q8 = encode_snapshot(3, 0.25, _SNAP_NET, 8)
@@ -184,8 +210,16 @@ def _snap_byte(buf, offset, value):
     ],
 )
 def test_snapshot_decode_rejects_malformed_payload(payload):
-    with pytest.raises(InvalidInputError):
-        decode_snapshot(payload)
+    """After valid decodes of both headers have been kept, each malformed
+    payload is still rejected on every call, and the resident network it
+    would be decoded into is left as it was."""
+    resident = decode_snapshot(_SNAP_DENSE)[2]
+    decode_snapshot(_SNAP_Q8)
+    before = resident.params.tobytes()
+    for _ in range(2):
+        with pytest.raises(InvalidInputError):
+            decode_snapshot(payload, into=resident)
+    assert resident.params.tobytes() == before and resident.quant is None
 
 
 _VALID_SNAPSHOTS = [
@@ -883,6 +917,33 @@ def test_outer_round_rejects_non_finite_snapshot():
     weights[0][0, 0] = np.inf
     session.online = pack(session.online.layer_dims, weights, session.online.biases)
     with pytest.raises(InvalidInputError):
+        session.outer_round(0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["snapshot", "states"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_non_finite_values_raise_without_a_numpy_warning(dtype, where, bad):
+    """Each finiteness check is one dot product with zeros, whose NaN marks a
+    value that is not finite; it raises the typed error and no numpy warning."""
+    session = Session(make_request(dqn=small_dqn(dtype=dtype, eps_start=1.0, eps_end=1.0)))
+    if where == "snapshot":
+        biases = [b.copy() for b in session.online.biases]
+        biases[0][0] = bad
+        session.online = pack(session.online.layer_dims, session.online.weights, biases)
+    else:
+        env = session.entities[0].env
+        real_step = env.step
+
+        def step(action):
+            obs, reward, outcome = real_step(action)
+            obs = obs.copy()
+            obs[0] = bad
+            return obs, reward, outcome
+
+        env.step = step
+    with pytest.raises(InvalidInputError, match=f"^{where}( parameters)? must be finite$"):
         session.outer_round(0)
 
 

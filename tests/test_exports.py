@@ -131,6 +131,23 @@ def _hooked(monkeypatch) -> dict:
     return counts
 
 
+# The coordinator-path calls the benchmark's spans wrap, as perfbench/spans.py
+# binds them, with their calls per entity-round.
+COORDINATOR_HOOKS = {
+    ("neural", "net_to_bytes"): 1,
+    ("neural", "net_from_bytes"): 1,
+    ("cloud_loop", "encode_snapshot"): 1,
+    ("cloud_loop", "decode_snapshot"): 1,
+    ("cloud_loop", "encode_sample_batch"): 1,
+    ("cloud_loop", "decode_sample_batch"): 1,
+    ("neural", "ReplayBuffer.sample"): 1,
+    ("neural", "dqn_train_step"): 1,
+    ("energy", "EnergyLedger.record_inference"): 1,
+    ("energy", "EnergyLedger.record_train_step"): 1,
+    ("energy", "EnergyLedger.record_message"): 2,
+}
+
+
 def test_benchmark_hooks_see_every_slot(monkeypatch):
     """The benchmark times the host between environment steps by wrapping
     ``RachEnv.step`` on the class, and traces ``forward`` and
@@ -138,28 +155,38 @@ def test_benchmark_hooks_see_every_slot(monkeypatch):
     went round them would leave the host probes empty and fail the
     benchmark's run, so every slot must call them through those names:
     K x entities steps per round, one ``forward`` and one ``epsilon_greedy``
-    per greedy slot, and one step per evaluation slot."""
+    per greedy slot, and one step per evaluation slot.  The coordinator's
+    codec, replay, learner and ledger calls are traced the same way, so in
+    either mode each entity-round calls each of them once through its name
+    (``record_message`` twice, one message each way)."""
     from greenrl.agents import LocalAgentParams, evaluate_greedy_agent, evaluate_greedy_net, make_agent
-    from greenrl.cloud_loop import DqnConfig, ServiceRequest, Session
+    from greenrl.cloud_loop import MODES, DqnConfig, ServiceRequest, Session
     from greenrl.config import DEFAULT_MENU
     from greenrl.rach_env import BernoulliTraffic, RachConfig
 
     counts = _hooked(monkeypatch)
+    coordinator: dict = {}
+    for module, path in COORDINATOR_HOOKS:
+        _count_calls(monkeypatch, coordinator, module, path)
+    per_round = {path: calls for (_module, path), calls in COORDINATOR_HOOKS.items()}
     env_cfg = RachConfig(20, DEFAULT_MENU, 2, BernoulliTraffic(0.1))
     k, entities = 5, (0, 1, 2)
-    for eps, greedy in ((0.0, "all"), (1.0, "none"), (0.5, "some")):
-        dqn = DqnConfig(hidden=(8,), batch_size=4, eps_start=eps, eps_end=eps)
-        session = Session(ServiceRequest(entities, env_cfg, inner_steps=k, dqn=dqn, seed=1))
-        for _ in range(3):
-            counts.update(dict.fromkeys(counts, 0))
-            session.run_round()
-            assert counts["RachEnv.step"] == k * len(entities)
-            assert counts["forward"] == counts["epsilon_greedy"]
-            n_greedy = {"all": k * len(entities), "none": 0}.get(greedy)
-            if n_greedy is not None:
-                assert counts["forward"] == n_greedy
-        if greedy == "some":
-            assert 0 < counts["forward"] < k * len(entities)
+    for mode in MODES:
+        for eps, greedy in ((0.0, "all"), (1.0, "none"), (0.5, "some")):
+            dqn = DqnConfig(hidden=(8,), batch_size=4, eps_start=eps, eps_end=eps)
+            session = Session(ServiceRequest(entities, env_cfg, inner_steps=k, mode=mode, dqn=dqn, seed=1))
+            for _ in range(3):
+                counts.update(dict.fromkeys(counts, 0))
+                coordinator.update(dict.fromkeys(coordinator, 0))
+                session.run_round()
+                assert counts["RachEnv.step"] == k * len(entities)
+                assert counts["forward"] == counts["epsilon_greedy"]
+                n_greedy = {"all": k * len(entities), "none": 0}.get(greedy)
+                if n_greedy is not None:
+                    assert counts["forward"] == n_greedy
+                assert coordinator == {path: calls * len(entities) for path, calls in per_round.items()}
+            if greedy == "some":
+                assert 0 < counts["forward"] < k * len(entities)
 
     slots = 7
     counts.update(dict.fromkeys(counts, 0))

@@ -569,6 +569,66 @@ def test_cli_maps_an_interrupt_to_exit_130(tmp_path, capsys, monkeypatch, comman
         assert json.load(fh)["type"] == "KeyboardInterrupt"
 
 
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (ValueError("a value no check foresaw"), "error: ValueError: a value no check foresaw\n"),
+        (ZeroDivisionError(), "error: ZeroDivisionError\n"),
+    ],
+    ids=["ValueError", "ZeroDivisionError"],
+)
+def test_cli_maps_any_other_error_to_exit_1(tmp_path, capsys, monkeypatch, error, line):
+    """An exception type the CLI does not name used to end in a traceback;
+    it exits 1 with one line naming its type, after ``error.json`` records it."""
+
+    def failing(request):
+        raise error
+
+    monkeypatch.setattr(runner, "instantiate", failing)
+    assert cli_main(["run", write_config_file(tmp_path, agent="dqn", cloud=TINY_DQN)]) == 1
+    assert capsys.readouterr().err == line
+    with open(tmp_path / "out" / "cli" / "error.json") as fh:
+        assert json.load(fh)["type"] == type(error).__name__
+
+
+def test_cli_maps_sigterm_to_exit_143(tmp_path):
+    """SIGTERM used to kill the process with no line and no ``error.json``.
+    A real signal, sent to a ``python -m greenrl run`` child once its run has
+    written ``config.json``, ends it like an interrupt: the run records it,
+    writes no summary, and the command exits 143 with one line."""
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import greenrl
+
+    path = write_config_file(tmp_path, agent="dqn", total_slots=10**7, cloud=TINY_DQN)
+    run_dir = tmp_path / "out" / "cli"
+    src = os.path.dirname(os.path.dirname(greenrl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "greenrl", "run", path], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (run_dir / "config.json").exists():
+            assert child.poll() is None and time.monotonic() < deadline, "the run never started"
+            time.sleep(0.02)
+        time.sleep(0.2)  # into the run's seed loop, past the write of config.json
+        child.send_signal(signal.SIGTERM)
+        _out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+    assert child.returncode == 143
+    assert err == "error: terminated\n"
+    with open(run_dir / "error.json") as fh:
+        assert json.load(fh)["type"] == "Terminated"
+    assert not (run_dir / "summary.json").exists()
+
+
 def test_cli_reports_a_diverged_snapshot(tmp_path, capsys):
     """A float64 learner whose weights outgrow the 8-bit snapshot's float32
     scale field used to end in a raw OverflowError traceback from

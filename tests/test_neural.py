@@ -454,6 +454,33 @@ def test_train_step_matches_reference(dtype, pruned, capacity, dims, batch):
         assert all(np.all(w[mk == 0] == 0) for w, mk in zip(online.weights, online.mask))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_early_batches_on_one_workspace_match_fresh_workspaces(dtype):
+    """A learner told its batch bound builds one workspace and runs its early
+    batches, drawn while the replay is shorter than its batch size, on the
+    first rows of it.  Each step equals that of a learner that builds a
+    workspace of exactly its batch's rows, bit for bit, through the growing
+    batches, the full ones and a target swap."""
+    data_rng = np.random.default_rng(3)
+    online = ref_online = glorot_init((12, 32, 32, 4), seed=5, dtype=dtype)
+    target = sync_target(online)
+    buf, ref_buf = ReplayBuffer(100), ReplayBuffer(100)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for step in range(40):
+        rows = _random_rows(data_rng, 2 if step else 1, 12)  # a batch of one first
+        buf.write(rows)
+        ref_buf.write(rows)
+        bs = min(32, len(buf))
+        online, loss = dqn_train_step(online, target, buf, bs, 0.9, 0.01, rng, batch_bound=32)
+        kept = kept if step else buf._workspace
+        assert buf._workspace is kept and kept.n == 32
+        ref_buf._workspace = None  # a workspace of exactly bs rows
+        ref_online, ref_loss = dqn_train_step(ref_online, target, ref_buf, bs, 0.9, 0.01, ref_rng)
+        assert loss == ref_loss and online.params.tobytes() == ref_online.params.tobytes(), step
+        if step == 8:
+            target = glorot_init((12, 32, 32, 4), seed=step, dtype=dtype)
+
+
 def _random_rows(rng, count, width):
     return ReplayBatch(
         rng.random((count, width)), rng.integers(0, 3, count), rng.random(count), rng.random((count, width)),
@@ -730,8 +757,14 @@ _MALFORMED_WIRE = [
 
 @pytest.mark.parametrize("payload", _MALFORMED_WIRE)
 def test_wire_decode_rejects_malformed_payload(payload):
-    with pytest.raises(InvalidInputError):
-        net_from_bytes(payload)
+    """After a valid decode has kept the header, each malformed payload is
+    still rejected on every call and leaves ``into`` as it was."""
+    resident = net_from_bytes(_WIRE_Q8)
+    before, quant = resident.params.tobytes(), resident.quant
+    for _ in range(2):
+        with pytest.raises(InvalidInputError):
+            net_from_bytes(payload, into=resident)
+    assert resident.params.tobytes() == before and resident.quant is quant
 
 
 # ---------------------------------------------------------------------------
@@ -794,11 +827,13 @@ def test_resident_decode_builds_a_fresh_net_for_another_layout(into):
 def test_resident_decode_of_a_malformed_payload_changes_nothing(payload):
     """Every check runs before the first byte is written: a bad payload,
     such as a quantised one whose second layer's scale is NaN, leaves the
-    resident network's vector and tag as they were."""
-    resident = _resident((4, 3, 2), np.float32, 8)
+    resident network's vector and tag as they were, on each of two calls
+    after a valid payload of the same header was decoded and kept."""
+    resident = _resident((4, 3, 2), np.float32, 8)  # a valid decode of _WIRE_Q8's header
     before, quant = resident.params.tobytes(), resident.quant
-    with pytest.raises(InvalidInputError):
-        net_from_bytes(payload, into=resident)
+    for _ in range(2):
+        with pytest.raises(InvalidInputError):
+            net_from_bytes(payload, into=resident)
     assert resident.params.tobytes() == before and resident.quant is quant
 
 
