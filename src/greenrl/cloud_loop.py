@@ -638,8 +638,9 @@ class Session:
             mine.action_rng.bit_generator.state = entity.action_rng.bit_generator.state
             mine.obs = entity.obs.copy()
             mine.net = None if entity.net is None else sync_target(entity.net)
-        for mine, theirs in ((twin.energy, self.energy), (twin.log, self.log)):
-            vars(mine).update(copy.deepcopy(vars(theirs)))
+        # New lists of the same entries: counters, event tuples and column values are immutable.
+        vars(twin.energy).update(vars(self.energy), events=list(self.energy.events))
+        twin.log.columns = tuple(map(list, self.log.columns))
         twin.sparsity_reports = list(self.sparsity_reports)
         return twin
 

@@ -234,8 +234,10 @@ class ExperimentConfig:
         _check_fields(
             self,
             lambda: [
-                ("name", name != "" and not os.path.isabs(name) and ".." not in name.split(os.sep),
-                 "a nonempty relative path with no '..' component"),
+                ("name", name != "" and "\0" not in name and not os.path.isabs(name) and ".." not in name.split(os.sep),
+                 "a nonempty relative path with no '..' component and no NUL character"),
+                # the file system refuses a NUL in a path with a bare ValueError
+                ("out_dir", self.out_dir is None or "\0" not in self.out_dir, "a path with no NUL character, or null"),
                 ("scenario", self.scenario in SCENARIOS, f"one of {list(SCENARIOS)}"),
                 ("agent", self.agent in AGENTS, f"one of {list(AGENTS)}"),
                 ("seeds", seeds_ok, "a nonempty list of integers"),
@@ -327,8 +329,8 @@ def _build(cls, data, path: str):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
     known = {f.name for f in fields(cls)}
     for key in data:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown key")
+        if key not in known:  # shown escaped if it would break the one-line error
+            raise ConfigError(f"{path}.{key if isinstance(key, str) and key.isprintable() else repr(key)}: unknown key")
     kwargs = {}
     for f in fields(cls):
         where = f"{path}.{f.name}"

@@ -7,11 +7,13 @@ site is Poisson with log-linked intensity mu * exp(z), which makes nearby
 sites see correlated load.  Agents whose sites show correlated traffic can
 blend parameters; the blend weight is gated by the estimated correlation.
 
-Sites, kernel and dx never change during a run, so ``FieldTrafficSource``
-builds the quadrature matrix once and steps a bare z array through
-``_advance``, the same update ``side_step`` applies to a ``SpatialField``
-(both give the same bytes), and draws each slot's counts at the rates of
-``_rates``, the one intensity formula.
+Every field step runs through ``_walk``, which steps a bare z array on
+one noise draw per call: ``side_step`` takes one step of a ``SpatialField``,
+and ``FieldTrafficSource`` takes its burn-in and slots a block at a time,
+each block one ``_rates`` (the one intensity formula) and one Poisson draw.
+Numpy fills a (T, n) normal or Poisson draw in C order from one generator,
+exp and the bound check work element by element, and z still rounds once
+per step, so a block holds the bytes of T one-slot steps.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .neural import DenseNet
+from .rach_env import _is_int
 
 __all__ = [
     "SpatialField",
@@ -45,6 +48,7 @@ SQUASH_TAGS = tuple(sorted(_SQUASH_FNS))
 # The largest rate numpy's Poisson sampler accepts; above it the draw raises
 # a bare ValueError ("lam value too large").
 _MAX_RATE = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+_NON_FINITE = "field update produced non-finite values"
 
 
 @dataclass(frozen=True)
@@ -117,10 +121,11 @@ class FieldNoise:
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         self._rng = np.random.default_rng(self.seed)
 
-    def draw(self, n: int) -> np.ndarray:
+    def draw(self, shape: int | tuple[int, int]) -> np.ndarray:
+        """Innovations at n sites, or (steps, sites): the stream of that many draws of n."""
         if self.sigma == 0:
-            return np.zeros(n)
-        return self._rng.normal(0.0, self.sigma, size=n)
+            return np.zeros(shape)
+        return self._rng.normal(0.0, self.sigma, size=shape)
 
 
 def _pairwise_distances(sites: np.ndarray) -> np.ndarray:
@@ -140,25 +145,31 @@ def _squash_fn(tag: str) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
-def _advance(
+@np.errstate(over="ignore", invalid="ignore")
+def _walk(
     k_mat: np.ndarray,
     z: np.ndarray,
     dx: float,
     fn: Callable[[np.ndarray], np.ndarray],
     noise: FieldNoise | None,
-) -> np.ndarray:
-    """z' = (K f(z)) dx + e on bare arrays.
+    steps: int,
+) -> tuple[np.ndarray, int]:
+    """``steps`` updates z' = (K f(z)) dx + e from z, e one (steps, sites) draw of
+    ``noise`` (None: no e term), warning-free: the z rows, and how many lead finite.
 
     dx multiplies after the matvec rather than being folded into K, and the
     noise is added even at sigma 0 (-0.0 + 0.0 is +0.0), so every path that
     steps a field rounds alike.
     """
-    z_new = (k_mat @ fn(z)) * dx
-    if noise is not None:
-        z_new = z_new + noise.draw(z_new.shape[0])
-    if not np.all(np.isfinite(z_new)):
-        raise InvalidInputError("field update produced non-finite values")
-    return z_new
+    zs = np.empty((steps, z.shape[0]))
+    e = None if noise is None else noise.draw(zs.shape)
+    for t, row in enumerate(zs):
+        np.multiply(k_mat @ fn(z), dx, out=row)
+        if e is not None:
+            np.add(row, e[t], out=row)
+        z = row
+    finite = np.isfinite(zs).all(axis=1)
+    return zs, steps if finite.all() else int(finite.argmin())
 
 
 def side_step(
@@ -169,9 +180,10 @@ def side_step(
 ) -> SpatialField:
     """One field update z' = (K f(z)) dx + e, with f named by its squash tag
     (one of ``SQUASH_TAGS``); returns a new field."""
-    fn = _squash_fn(f)
-    z_new = _advance(quadrature_matrix(field, kernel), field.z, field.dx, fn, noise)
-    return SpatialField(field.sites, z_new, field.dx)
+    zs, finite = _walk(quadrature_matrix(field, kernel), field.z, field.dx, _squash_fn(f), noise, 1)
+    if not finite:
+        raise InvalidInputError(_NON_FINITE)
+    return SpatialField(field.sites, zs[0], field.dx)
 
 
 def _check_base_rate(base_rate: float) -> None:
@@ -179,6 +191,7 @@ def _check_base_rate(base_rate: float) -> None:
         raise ConfigError(f"base_rate must be finite and positive, got {base_rate}")
 
 
+@np.errstate(over="ignore")
 def _rates(base_rate: float, z: np.ndarray) -> np.ndarray:
     """Poisson rates mu * exp(z), rejected if any overflowed or is too large to draw."""
     rates = base_rate * np.exp(z)
@@ -194,14 +207,18 @@ class FieldTrafficSource:
     each slot's field step and Poisson draw happen exactly once and are
     cached read-only, so all consumers see one consistent realisation.
 
-    The squash tag and the quadrature matrix are resolved and built
-    once, at construction, since sites, kernel and dx are fixed; each slot
-    is then one ``_advance`` of the bare z array, one ``_rates`` and one
-    Poisson draw, with the same bytes and generator order as stepping a
-    ``SpatialField`` through ``side_step`` and drawing at its rates.  The
-    transfer scenario reads one base station's arrivals through
-    ``stream_region``.
+    The squash tag and quadrature matrix are resolved and built once.
+    ``counts_at`` makes slots ``BLOCK`` at a time, so the noise generator
+    runs up to a block ahead.  A block ends at its first slot whose z is
+    not finite or whose rates cannot be drawn; asking for that slot or a
+    later one raises ``InvalidInputError``, a slot never asked for raises
+    nothing.  ``field``, ``history()`` and ``region_history()`` describe
+    the slots served: up to the highest asked for, or once a failed slot
+    has raised, up to it (``field`` at its z if its rates failed).  Each
+    ``stream_region`` region's sums are filled once per block.
     """
+
+    BLOCK = 128  # slots made at a time
 
     def __init__(
         self,
@@ -220,12 +237,19 @@ class FieldTrafficSource:
         self.sites = field.sites
         self.dx = field.dx
         self.noise = noise
-        z = field.z
-        for _ in range(int(burn_in)):
-            z = _advance(self._k_mat, z, self.dx, self._fn, noise)
-        self._z = z
+        z, burn_in = field.z, int(burn_in)
+        for done in range(0, burn_in, self.BLOCK):
+            zs, finite = _walk(self._k_mat, z, self.dx, self._fn, noise, min(self.BLOCK, burn_in - done))
+            if finite < len(zs):
+                raise InvalidInputError(_NON_FINITE)
+            z = zs[-1]
+        self._z0 = z
         self._rng = np.random.default_rng(seed)
-        self._counts: list[np.ndarray] = []
+        self._zs: list[np.ndarray] = []  # each block's z rows
+        self._counts: list[np.ndarray] = []  # each block's counts, up to its failed slot
+        self._regions: dict[tuple[int, ...], list[int]] = {}  # per-slot sums of each region read
+        self._made = self._reached = 0  # slots made, and slots the field has stepped through for callers
+        self._error: tuple[int, str] | None = None  # (slots reached once raised, message)
 
     @property
     def n_sites(self) -> int:
@@ -233,39 +257,79 @@ class FieldTrafficSource:
 
     @property
     def field(self) -> SpatialField:
-        """The field after the last step taken, as a validated snapshot."""
-        return SpatialField(self.sites, self._z, self.dx)
+        """The field at the last slot served (after burn-in before any), as a validated snapshot."""
+        last = self._reached - 1
+        z = self._z0 if last < 0 else self._zs[last // self.BLOCK][last % self.BLOCK]
+        return SpatialField(self.sites, z.copy(), self.dx)
+
+    def _make_block(self) -> None:
+        """Makes the next ``BLOCK`` slots, up to the first that fails, whose error it keeps."""
+        z = self._zs[-1][-1] if self._zs else self._z0
+        zs, made = _walk(self._k_mat, z, self.dx, self._fn, self.noise, self.BLOCK)
+        if made < self.BLOCK:
+            self._error = (self._made + made, _NON_FINITE)
+        while True:
+            try:
+                rates = _rates(self.base_rate, zs[:made])
+                break
+            except InvalidInputError as exc:  # drop the last slot until the rest can be drawn
+                made, self._error = made - 1, (self._made + made, str(exc))
+        counts = self._rng.poisson(rates)
+        counts.setflags(write=False)
+        self._zs.append(zs)
+        self._counts.append(counts)
+        self._made += made
+        for idx, sums in self._regions.items():
+            sums += counts[:, idx].sum(axis=1).tolist()
 
     def counts_at(self, slot: int) -> np.ndarray:
-        if slot < 0:
-            raise InvalidInputError("slot must be >= 0")
-        while len(self._counts) <= slot:
-            self._z = _advance(self._k_mat, self._z, self.dx, self._fn, self.noise)
-            counts = self._rng.poisson(_rates(self.base_rate, self._z))
-            counts.setflags(write=False)
-            self._counts.append(counts)
-        return self._counts[slot]
+        """Site counts of ``slot``, made with its block if not made yet."""
+        if not _is_int(slot) or slot < 0:
+            raise InvalidInputError(f"slot must be an integer >= 0, got {slot!r}")
+        while slot >= self._made:
+            if self._error is not None:
+                self._reached, message = self._error
+                raise InvalidInputError(message)
+            self._make_block()
+        self._reached = max(self._reached, int(slot) + 1)
+        return self._counts[slot // self.BLOCK][slot % self.BLOCK]
+
+    def _region(self, sites) -> tuple[int, ...]:
+        """A region's sites, checked: a nonempty collection of integer sites in [0, n_sites)."""
+        idx = tuple(sites) if np.iterable(sites) else ()
+        for s in idx or [sites]:  # an empty region is named whole
+            if not idx or not _is_int(s) or not 0 <= s < self.n_sites:
+                raise InvalidInputError(f"a region is a nonempty list of sites in [0, {self.n_sites}), got {s!r}")
+        return tuple(map(int, idx))
 
     def stream_region(self, sites) -> Callable[[int], int]:
         """Per-slot arrivals summed over a cell of sites (one station's view)."""
-        idx = np.array([int(s) for s in sites], dtype=np.intp)
-        if not idx.size:
-            raise InvalidInputError("region needs at least one site")
-        for s in idx:
-            if not 0 <= s < self.n_sites:
-                raise InvalidInputError(f"site {s} out of range")
-        return lambda slot: int(self.counts_at(slot)[idx].sum())
+        idx = self._region(sites)
+        if idx not in self._regions:
+            self._regions[idx] = self._made_counts()[:, idx].sum(axis=1).tolist()
+        sums = self._regions[idx]
+
+        def read(slot: int) -> int:
+            if type(slot) is not int or not 0 <= slot < len(sums):
+                self.counts_at(slot)  # makes its block, or raises
+            elif slot >= self._reached:
+                self._reached = slot + 1
+            return sums[slot]
+
+        return read
 
     def history(self) -> np.ndarray:
-        """All counts sampled so far, shape (slots, n_sites)."""
-        if not self._counts:
-            return np.zeros((0, self.n_sites), dtype=int)
-        return np.asarray(self._counts)
+        """Counts of the slots served so far, shape (slots, n_sites)."""
+        return self._made_counts()[: min(self._reached, self._made)]
+
+    def _made_counts(self) -> np.ndarray:
+        """Counts of every slot made, shape (slots, n_sites)."""
+        return np.concatenate([np.zeros((0, self.n_sites), dtype=int), *self._counts])
 
     def region_history(self, cells) -> np.ndarray:
-        """Summed count series per cell, shape (slots, n_cells)."""
+        """Summed count series per cell over the slots served so far, shape (slots, n_cells)."""
         hist = self.history()
-        return np.stack([hist[:, [int(s) for s in cell]].sum(axis=1) for cell in cells], axis=1)
+        return np.stack([hist[:, self._region(cell)].sum(axis=1) for cell in cells], axis=1)
 
 
 @dataclass(frozen=True)

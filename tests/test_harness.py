@@ -1,19 +1,36 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from greenrl import runner
 from greenrl.cli import main as cli_main
 from greenrl.cli import run_report
+from greenrl.agents import LocalAgentParams
 from greenrl.cloud_loop import CompressionPlan, RoundLog
-from greenrl.config import MAX_ARRAY_BYTES, config_from_dict, config_hash
+from greenrl.config import (
+    MAX_ARRAY_BYTES,
+    CloudSection,
+    CompressionSection,
+    ExperimentConfig,
+    RachSection,
+    SpatialSection,
+    config_from_dict,
+    config_hash,
+)
 from greenrl.errors import ConfigError, InvalidInputError
 from greenrl.neural import _Workspace, glorot_init, net_from_bytes, net_to_bytes
 from greenrl.paired import _effect_size_d, _paired_p, ttest_p, wilcoxon_p
+from greenrl.rach_env import RachAction
 from greenrl.runner import (
     ROUND_COLUMNS,
     compare_agents,
@@ -513,6 +530,119 @@ def test_cli_reports_a_file_system_error(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("key", ["name", "out_dir"])
+def test_cli_rejects_a_nul_in_a_path_before_writing(tmp_path, capsys, key):
+    """A NUL character in ``name`` or ``out_dir`` used to end in a bare
+    ValueError ("embedded null byte") from the file system, exit 1."""
+    path = write_config_file(tmp_path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc[key] = doc[key] + "\0x"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    rc = cli_main(["run", path])
+    assert rc == 2
+    assert f"config error: config.{key}: must be" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cli.json"]
+
+
+def test_cli_shows_an_unknown_key_with_a_line_break_on_one_line(tmp_path, capsys):
+    """An unknown key holding a line break used to split the config error
+    line in two; such a key is shown escaped."""
+    rc = cli_main(["run", write_config_file(tmp_path, cloud={"inner_steps": 20, "a\r\nb": 1})])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "config error: config.cloud.'a\\r\\nb': unknown key\n"
+
+
+_JUNK_KEYS = ("junk", "", "Seeds", "rach.num_devices")
+_WORDS = ("rach", "compression", "transfer", "dqn", "le-urc", "tabular", "la-q", "identity", "squash",
+          "lockstep", "concurrent", "float32", "float64", "run")
+_json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 12), st.floats(-4.0, 4.0),
+        st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300]), st.sampled_from(_WORDS),
+        st.text(max_size=4),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+# Values that often pass the check of a field of each declared type; sizes
+# stay small so that a valid config runs in milliseconds.
+_LIKELY = {
+    "int": st.integers(1, 12),
+    "float": st.floats(0.05, 1.0) | st.just(1),
+    "bool": st.booleans(),
+    "str": st.sampled_from(_WORDS),
+    "tuple": st.lists(st.integers(0, 15) | st.floats(0.0, 1.0), max_size=3)
+    | st.lists(st.lists(st.integers(0, 15), min_size=1, max_size=4), min_size=2, max_size=2),
+    "tuple[int, ...]": st.lists(st.integers(1, 12), min_size=1, max_size=3),
+}
+
+
+def _json_object(cls, special=None):
+    """JSON objects of ``cls``'s keys, now and then with a junk key.  Each
+    value is mostly one that its field's check may accept, else any JSON value."""
+    special = special or {}
+
+    def likely(f):
+        base, _, optional = f.type.partition(" | ")
+        strategy = special.get(f.name, _LIKELY.get(base, _json_values))
+        return st.none() | strategy if optional else strategy
+
+    real = st.fixed_dictionaries({}, optional={f.name: st.one_of(*[likely(f)] * 12, _json_values) for f in fields(cls)})
+    junk = st.dictionaries(st.sampled_from(_JUNK_KEYS), _json_values, max_size=1)
+    return st.builds(lambda doc, extra: {**doc, **extra}, real, st.one_of(*[st.just({})] * 7, junk))
+
+
+_SECTIONS = {"rach": RachSection, "cloud": CloudSection, "agent_params": LocalAgentParams,
+             "compression": CompressionSection, "spatial": SpatialSection}
+_MENU = st.lists(_json_object(RachAction), min_size=1, max_size=3)
+# A valid start for each scenario, which the generated keys then overwrite.
+_STARTS = (
+    {"scenario": "rach", "agent": "le-urc"},
+    {"scenario": "rach", "agent": "dqn"},
+    {"scenario": "compression", "agent": "dqn"},
+    {"scenario": "transfer", "agent": "dqn", "reward_threshold": 0.5},
+)
+_CONFIG_DOCS = st.builds(
+    lambda start, doc: {**start, **doc},
+    st.sampled_from(_STARTS),
+    _json_object(ExperimentConfig, {
+        "scenario": st.sampled_from(["rach", "compression", "transfer"]),
+        "agent": st.sampled_from(["dqn", "le-urc", "tabular", "la-q"]),
+        **{name: _json_object(cls, {"menu": _MENU}) for name, cls in _SECTIONS.items()},
+    }),
+)
+
+
+@given(doc=_CONFIG_DOCS, total_slots=st.integers(1, 40), eval_slots=st.integers(1, 20))
+@settings(max_examples=80, deadline=None)
+def test_cli_run_on_any_config_ends_in_a_documented_exit(doc, total_slots, eval_slots):
+    """Any JSON object of real and junk keys, under small slot budgets: a
+    rejected config exits 2 with one ``config error:`` line and writes
+    nothing; a valid one runs (exit 0), or fails at run time with a typed
+    error that ``error.json`` records (exit 1: a learner or a field that
+    diverges), never with an error of any other type."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump({**doc, "seeds": [1], "total_slots": total_slots, "eval_slots": eval_slots, "out_dir": out}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main(["run", path])
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 1, 2), (rc, lines)
+        assert len(lines) == (rc != 0), lines
+        if rc == 2:
+            assert lines[0].startswith("config error: ") and not os.path.exists(out)
+        elif rc == 1:
+            found = [os.path.join(d, "error.json") for d, _, files in os.walk(out) if "error.json" in files]
+            with open(found[0]) as fh:
+                assert json.load(fh)["type"] in ("InvalidInputError", "NotReadyError"), lines
 
 
 @pytest.mark.parametrize(

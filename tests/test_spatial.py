@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -582,3 +584,147 @@ def test_source_matches_reference_bit_for_bit(
         # a slot whose intensity overflowed raises here too, as it did above
         with np.errstate(over="ignore", invalid="ignore"):
             assert_same_outcomes(_outcomes(region, slots), _outcomes(ref_region, slots))
+
+
+# ---------------------------------------------------------------------------
+# blocks of slots against the per-slot reference
+# ---------------------------------------------------------------------------
+
+BLOCK = FieldTrafficSource.BLOCK
+
+
+def assert_same_state(src, ref, cells):
+    """The field, the count history and the region history, byte for byte."""
+    assert src.field.z.tobytes() == ref.field.z.tobytes()
+    assert src.history().shape == ref.history().shape
+    assert src.history().tobytes() == ref.history().tobytes()
+    assert src.region_history(cells).tobytes() == ref.region_history(cells).tobytes()
+
+
+def line_source(cls, squash, burn_in):
+    return cls(
+        SpatialField.line(6, 9.0, z0=np.linspace(-0.4, 0.5, 6)),
+        Kernel(0.25, 1.4),
+        squash,
+        FieldNoise(0.3, seed=21),
+        base_rate=1.3,
+        seed=22,
+        burn_in=burn_in,
+    )
+
+
+@pytest.mark.parametrize("squash", ["identity", "squash"])
+def test_burn_in_longer_than_a_block_matches_reference(squash):
+    from oracles import ReferenceFieldTrafficSource
+
+    cells = [[0, 2, 4], [5]]
+    for burn_in in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37):
+        src = line_source(FieldTrafficSource, squash, burn_in)
+        ref = line_source(ReferenceFieldTrafficSource, squash, burn_in)
+        assert_same_state(src, ref, cells)
+        assert src.counts_at(0).tobytes() == ref.counts_at(0).tobytes()
+        assert_same_state(src, ref, cells)
+
+
+@pytest.mark.parametrize("squash", ["identity", "squash"])
+def test_slots_across_blocks_out_of_order_match_reference(squash):
+    """Slots in four blocks, asked for out of order through ``counts_at`` and
+    two region readers, and the state after each, against the reference."""
+    from oracles import ReferenceFieldTrafficSource
+
+    cells = [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]]
+    src = line_source(FieldTrafficSource, squash, BLOCK + 5)
+    ref = line_source(ReferenceFieldTrafficSource, squash, BLOCK + 5)
+    readers = [(src.stream_region(c), ref.stream_region(c)) for c in cells]
+    for slot in (200, 3, 3 * BLOCK + 9, BLOCK, BLOCK - 1, 0, 2 * BLOCK, 250, 4 * BLOCK - 1):
+        assert src.counts_at(slot).tobytes() == ref.counts_at(slot).tobytes()
+        assert_same_state(src, ref, cells)
+    # readers first, then counts: a block not made, a slot served, one made but not served
+    for slot in (4 * BLOCK + 3, 7, 4 * BLOCK + 60, 2 * BLOCK + 1, 5 * BLOCK):
+        for mine, theirs in readers:
+            assert mine(slot) == theirs(slot)
+        assert_same_state(src, ref, cells)
+        assert src.counts_at(slot).tobytes() == ref.counts_at(slot).tobytes()
+    late = src.stream_region([5, 0])  # a region first read after blocks were made
+    slots = range(6 * BLOCK + 1)
+    assert [late(s) for s in slots] == [int(ref.counts_at(s)[[5, 0]].sum()) for s in slots]
+    assert_same_state(src, ref, cells)
+
+
+def one_site(cls, z0, gain):
+    """One site stepping z' = gain * z without noise."""
+    return cls(SpatialField(np.array([0.0]), np.array([z0]), 1.0), Kernel(gain, 1.0), "identity",
+               FieldNoise(0.0), 1.0, seed=5)
+
+
+@pytest.mark.parametrize(
+    "z0,gain,kind",
+    [
+        (1e-3, 1.05, "finite rate too large to draw"),  # z passes 43.7 at slot 218
+        (40.0 / 20.0**170, 20.0, "exp overflows"),  # z jumps from 40 to 800 at slot 170
+        (-1.0, 3.0, "the matvec overflows"),  # z = -3**(slot + 1) reaches -inf at slot 646
+    ],
+)
+def test_overflow_mid_block_raises_only_at_the_reference_slot(z0, gain, kind):
+    """A block that fails part-way still serves its earlier slots; the error
+    comes at the reference's slot, and only when that slot or a later one is
+    asked for, and the state after it matches the reference's."""
+    from oracles import ReferenceFieldTrafficSource
+
+    cells = [[0]]
+    src, ref = one_site(FieldTrafficSource, z0, gain), one_site(ReferenceFieldTrafficSource, z0, gain)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _slot_outcomes(ref, range(10_000))
+    bad = len(want) - 1
+    assert isinstance(want[-1], ValueError) and 0 < bad % BLOCK < BLOCK - 1, bad
+    earlier = bad - bad % BLOCK + 1  # in the failing slot's block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning for a slot not yet asked for
+        assert src.counts_at(earlier).tolist() == want[earlier]
+        assert src.stream_region([0])(bad - 1) == sum(want[bad - 1])
+    served = one_site(ReferenceFieldTrafficSource, z0, gain)
+    served.counts_at(bad - 1)
+    assert_same_state(src, served, cells)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _slot_outcomes(src, range(bad + 3))
+    assert_same_outcomes(got, want[: bad + 1])
+    assert_same_state(src, ref, cells)
+    for late in (bad, bad + 1, 10 * BLOCK):  # the failed slot and every later one keep raising
+        with pytest.raises(InvalidInputError):
+            src.counts_at(late)
+        with pytest.raises(InvalidInputError):
+            src.stream_region([0])(late)
+    assert src.counts_at(bad - 1).tolist() == want[bad - 1]  # earlier slots are still served
+    assert_same_state(src, ref, cells)
+
+
+def test_np_integer_slots_are_accepted():
+    src = make_source()
+    region = src.stream_region(np.array([0, 3]))
+    assert region(np.int64(BLOCK + 2)) == int(src.counts_at(np.int32(BLOCK + 2))[[0, 3]].sum())
+
+
+@pytest.mark.parametrize("slot", [-1, 1.5, 2.0, True, "3", None])
+def test_slot_must_be_an_integer_at_least_zero(slot):
+    src = make_source()
+    reader = src.stream_region([0])
+    for read in (src.counts_at, reader):
+        with pytest.raises(InvalidInputError, match=re.escape(repr(slot))):
+            read(slot)
+    assert src.history().shape == (0, 4)
+
+
+@pytest.mark.parametrize(
+    "cell,named",
+    [([0, 9], "9"), ([-1], "-1"), ([], "[]"), ([0.7], "0.7"), ([True], "True"), ([4], "4"), (3, "3")],
+)
+def test_region_sites_are_checked_in_one_place(cell, named):
+    """A region is a nonempty list of integer sites in [0, n_sites): out of
+    range used to raise a raw IndexError in ``region_history``, -1 read the
+    last site, [] summed to zeros and 0.7 and True became sites 0 and 1."""
+    src = make_source()
+    src.counts_at(3)
+    with pytest.raises(InvalidInputError, match=re.escape(named)):
+        src.stream_region(cell)
+    with pytest.raises(InvalidInputError, match=re.escape(named)):
+        src.region_history([[1, 2], cell])
