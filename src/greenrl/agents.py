@@ -32,7 +32,7 @@ from .compression import DiscretizationScheme, bin_indices
 from .errors import ConfigError
 from .neural import DenseNet, forward
 from .rach_env import RachConfig, RachEnv, _check_fields, le_urc_counts, le_urc_pick, le_urc_ranking
-from .rl_core import LinearQ, QTable, bias_features, epsilon_greedy, linear_q_step, q_backup
+from .rl_core import QTable, bias_features, epsilon_greedy, linear_q_step, q_backup
 
 __all__ = [
     "LocalAgentParams",
@@ -122,21 +122,24 @@ class TabularQAgent(_EpsilonGreedyAgent):
 
 class LinearQAgent(_EpsilonGreedyAgent):
     """Semi-gradient linear Q-learning on the normalised window vector;
-    its features are ``[obs / norm; 1]``."""
+    its features are ``[obs / norm; 1]``.  ``weights`` holds one row per
+    action, of shape (n_actions, n_features + 1): the trailing column
+    multiplies the constant bias feature."""
 
     def __init__(self, n_actions: int, n_features: int, norm: float, params: LocalAgentParams, rng):
         super().__init__(params, rng)
         self.norm = norm
-        self.model = LinearQ.zeros(n_actions, n_features)
+        self.n_features = n_features
+        self.weights = np.zeros((n_actions, n_features + 1))
 
     def features(self, obs) -> np.ndarray:
-        return bias_features(obs, self.model.n_features, self.norm)
+        return bias_features(obs, self.n_features, self.norm)
 
     def q_values(self, phi) -> np.ndarray:
-        return self.model.weights.dot(phi)
+        return self.weights.dot(phi)
 
     def learn(self, phi, action, reward, next_phi) -> None:
-        linear_q_step(self.model.weights, phi, action, reward, next_phi, self.discount, self.alpha)
+        linear_q_step(self.weights, phi, action, reward, next_phi, self.discount, self.alpha)
         self.slot += 1
 
 
@@ -233,7 +236,7 @@ def run_local_agent(
         total = 0.0
         for _ in range(n):
             action = agent.act(feat)
-            next_obs, reward, _ = env.step(menu[action])
+            next_obs, reward = env.step(menu[action])
             next_feat = agent.features(next_obs)
             agent.learn(feat, action, reward, next_feat)
             feat = next_feat
@@ -255,7 +258,7 @@ def evaluate_greedy_agent(agent, env_cfg: RachConfig, slots: int, seed: int) -> 
     obs = env.reset()
     total = 0.0
     for _ in range(slots):
-        obs, reward, _ = env.step(menu[agent.greedy(agent.features(obs))])
+        obs, reward = env.step(menu[agent.greedy(agent.features(obs))])
         total += reward
     return total / slots
 
@@ -266,12 +269,13 @@ def evaluate_greedy_net(net: DenseNet, env_cfg: RachConfig, slots: int, seed: in
     env, rng = _entity_env(env_cfg, seed)
     menu, norm = env_cfg.action_menu, float(env_cfg.max_opportunities)
     obs = env.reset()
-    # One state row, refilled in place every slot with build_state's quotient.
+    # One state row, refilled in place every slot by the state rule: obs / norm in float64,
+    # rounded once to the network's dtype (its reference is tests/oracles.py's build_state).
     state = np.empty(obs.size, net.dtype)
     total = 0.0
     for _ in range(slots):
         state[...] = obs / norm
         action = epsilon_greedy(forward(net, state), 0.0, rng)
-        obs, reward, _ = env.step(menu[action])
+        obs, reward = env.step(menu[action])
         total += reward
     return total / slots

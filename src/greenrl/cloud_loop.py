@@ -38,25 +38,26 @@ while both messages stay real bytes, encoded and decoded every round:
   a session builds one learner workspace and runs the early batches, drawn
   while the replay is shorter than the batch size, on its first rows.
 
-Each slot of a round is a lean path with the same RNG calls, in the same
-order, as the per-object path it replaced.  The entity checks the round's
-epsilon once (``check_epsilon``), then draws first on every slot:
-``explore``'s draws, ``rng.random()`` and, on an exploring slot,
-``rng.integers`` for the uniform action, so no forward pass runs.  Only on
-a greedy slot does the entity run ``forward`` on row i of the state array
-(one finiteness check of the row, then one (1, dim) forward pass) and take
-the argmax with ``epsilon_greedy`` at epsilon 0, which draws nothing.
-``forward`` uses no randomness, so actions and generator states are those
-of calling ``epsilon_greedy`` on every slot's values.  Since exploring
-slots never look at the network, the entity checks the decoded snapshot's
-parameters finite before it acts, and the round's states before upload,
-each in one call (``_all_finite``, a dot product with zeros).
-``RachEnv.step`` plays the action through the environment's precomputed
-action table, and the new observation's float64 quotient by the menu norm,
-``build_state``'s rule, is assigned straight into row i+1, as the round's
-first observation is into row 0.  Every call the
-benchmark's hooks wrap (``RachEnv.step`` on its class, ``forward`` and
-``epsilon_greedy`` by module name) is made through that name on every slot.
+The entity checks the round's epsilon once (``check_epsilon``), then
+draws first on every slot: ``explore``'s draws, ``rng.random()`` and, on
+an exploring slot, ``rng.integers`` for the uniform action, so no
+forward pass runs.  Only on a greedy slot does the entity run
+``forward`` on row i of the state array (one finiteness check of the
+row, then one (1, dim) forward pass) and take the argmax with
+``epsilon_greedy`` at epsilon 0, which draws nothing.  ``forward`` uses
+no randomness, so actions and generator states are those of calling
+``epsilon_greedy`` on every slot's values.  Since exploring slots never
+look at the network, the entity checks the decoded snapshot's parameters
+finite before it acts, and the round's states before upload, each in one
+call (``_all_finite``, a dot product with zeros).  ``RachEnv.step``
+plays the action through the environment's precomputed action table.
+The state rule is the observation's float64 quotient by the menu norm,
+rounded once to the network's dtype (its reference is ``build_state`` in
+tests/oracles.py): the new observation's quotient is assigned straight
+into row i+1, as the round's first observation's is into row 0.  Every
+call the benchmark's hooks wrap (``RachEnv.step`` on its class,
+``forward`` and ``epsilon_greedy`` by module name) is made through that
+name on every slot.
 
 Both message directions are real byte payloads, so the round log's byte
 columns and the energy ledger account exactly what would cross the wire.
@@ -118,7 +119,6 @@ __all__ = [
     "instantiate",
     "run_session",
     "derive_seeds",
-    "build_state",
     "epsilon_linear",
     "encode_sample_batch",
     "decode_sample_batch",
@@ -332,22 +332,6 @@ def derive_seeds(seed: int, n_entities: int) -> dict:
             {"action": children[2 + 2 * i], "env": _seed_int(children[3 + 2 * i])} for i in range(n_entities)
         ],
     }
-
-
-def build_state(obs: np.ndarray, norm: float, dtype, out: np.ndarray | None = None) -> np.ndarray:
-    """Network input: observation counts scaled by the largest menu size.
-
-    The counts are divided in float64 and rounded once to ``dtype``.  With
-    ``out``, a row of that dtype, the state is written there in place.  The
-    quotient is made in float64 and then assigned: a division straight into
-    a float32 row goes through numpy's buffered casting, which costs more
-    than the division itself for a window-sized vector.
-    """
-    quotient = np.asarray(obs, dtype=np.float64) / norm
-    if out is None:
-        return quotient.astype(dtype)
-    out[...] = quotient
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -674,15 +658,15 @@ class Session:
         actions, rewards = rows.action, rows.reward
         eps = check_epsilon(epsilon)
         draw, pick = rng.random, rng.integers
-        states[0] = entity.obs / norm  # build_state's quotient, as for every row below
+        states[0] = entity.obs / norm  # the state rule, as for every row below
         for i in range(k):
             # explore's draws, at the epsilon checked above
             if eps > 0.0 and draw() < eps:
                 action = int(pick(n_actions))
             else:
                 action = epsilon_greedy(forward(net, states[i]), 0.0, rng)
-            entity.obs, rewards[i], _outcome = env.step(menu[action])
-            states[i + 1] = entity.obs / norm  # build_state's quotient, rounded once into the row
+            entity.obs, rewards[i] = env.step(menu[action])
+            states[i + 1] = entity.obs / norm  # made in float64, rounded once into the row
             actions[i] = action
         if not _all_finite(states):
             raise InvalidInputError("states must be finite")

@@ -94,12 +94,11 @@ def _on_lattice(net: DenseNet, bits: int) -> bool:
 def quantize_weights(net: DenseNet, bits: int) -> DenseNet:
     """Symmetric per-layer quantisation; weights stored dequantised.
 
-    Each layer's codes and scale are ``symmetric_quantize_layer``'s.
-    Re-quantising an already-quantised network at the same bit width returns
-    it unchanged.  Biases are not quantised.
+    Each layer's codes and scale are ``symmetric_quantize_layer``'s, which
+    checks ``bits`` before anything is built.  Re-quantising an
+    already-quantised network at the same bit width returns it unchanged.
+    Biases are not quantised.
     """
-    if not 2 <= int(bits) <= 16:
-        raise ConfigError(f"quantisation bits must lie in [2, 16], got {bits}")
     bits = int(bits)
     if _on_lattice(net, bits):
         return sync_target(net)  # a copy: no two networks share a vector

@@ -76,18 +76,15 @@ class RachSection:
 
     def __post_init__(self):
         _checked_by(self.to_env_config, p="traffic_p", action_menu="menu")
+        object.__setattr__(self, "menu", tuple(self.menu))
 
-    def actions(self) -> tuple[RachAction, ...]:
-        return tuple(self.menu)
-
-    def to_env_config(self, seed: int = 0) -> RachConfig:
+    def to_env_config(self) -> RachConfig:
         return RachConfig(
             num_devices=self.num_devices,
-            action_menu=self.actions(),
+            action_menu=self.menu,
             history_window=self.history_window,
             traffic=BernoulliTraffic(self.traffic_p),
             backoff_slots=self.backoff_slots,
-            seed=seed,
         )
 
 
@@ -179,7 +176,7 @@ class SpatialSection:
     def __post_init__(self):
         # Imported here, not with this module: loading spatial ahead of the
         # runner's other imports moved field-transfer's peak RSS up by 1 MiB.
-        from .spatial import SQUASH_TAGS
+        from .spatial import _MAX_RATE, SQUASH_TAGS
 
         _check_fields(
             self,
@@ -190,7 +187,7 @@ class SpatialSection:
                 ("kernel_length_scale", 0 < self.kernel_length_scale < math.inf, "finite and > 0"),
                 ("noise_sigma", 0 <= self.noise_sigma < math.inf, "finite and >= 0"),
                 ("squash", self.squash in SQUASH_TAGS, f"one of {list(SQUASH_TAGS)}"),
-                ("mu", 0 < self.mu < math.inf, "finite and > 0"),
+                ("mu", 0 < self.mu <= _MAX_RATE, f"> 0 and at most numpy's largest Poisson rate, {_MAX_RATE:.4g}"),
                 ("burn_in", self.burn_in >= 0, "an integer >= 0"),
                 ("bs_cells", _cells(self.bs_cells, self.n_sites), "two nonempty lists of integer sites < n_sites"),
                 ("beta", 0 <= self.beta <= 1, "a number in [0, 1]"),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "RachConfig",
     "BernoulliTraffic",
     "ExternalTraffic",
-    "SlotOutcome",
     "RachEnv",
     "simulate_contention",
     "expected_successes",
@@ -153,12 +152,6 @@ class RachConfig:
         return max(a.opportunities for a in self.action_menu)
 
 
-class SlotOutcome(NamedTuple):
-    served: int
-    backlog: int
-    occupancy: np.ndarray
-
-
 def simulate_contention(
     n_attempting: int, m: int, rng: np.random.Generator, pvals: np.ndarray | None = None
 ) -> np.ndarray:
@@ -254,8 +247,9 @@ class RachEnv:
         # Clamp to the device population: backlog never exceeds num_devices.
         return min(int(count), self.cfg.num_devices - self.backlog)
 
-    def step(self, action: RachAction) -> tuple[np.ndarray, float, SlotOutcome]:
-        """Play one slot of ``action``, which must be on the menu.
+    def step(self, action: RachAction) -> tuple[np.ndarray, float]:
+        """Play one slot of ``action``, which must be on the menu; returns
+        (observation, reward), the reward being the devices served.
 
         The arrival, attempt and contention draws are made in that order;
         contention goes through ``simulate_contention`` with the action's
@@ -274,16 +268,15 @@ class RachEnv:
         else:
             backlog = self.backlog + int(rng.binomial(max(0, self.cfg.num_devices - self.backlog), p))
         attempts = int(rng.binomial(backlog, p_attempt))
-        occupancy = simulate_contention(attempts, m, rng, pvals)
-        # Counted on a list: for menu-sized m this is several times cheaper
-        # than numpy's compare-and-count.
-        counts = occupancy.tolist()
+        # The occupancy is counted on a list: for menu-sized m this is
+        # several times cheaper than numpy's compare-and-count.
+        counts = simulate_contention(attempts, m, rng, pvals).tolist()
         idle = counts.count(0)
         successful = counts.count(1)
-        self.backlog = backlog = backlog - successful
+        self.backlog = backlog - successful
         window = self._window = (idle, m - idle - successful, successful) + self._window[:-3]
         self.slot += 1
-        return np.array(window, float), float(successful), SlotOutcome(successful, backlog, occupancy)
+        return np.array(window, float), float(successful)
 
 
 def le_urc_counts(obs) -> list[float]:

@@ -21,7 +21,6 @@ from .errors import ConfigError, InvalidInputError
 
 __all__ = [
     "QTable",
-    "LinearQ",
     "explore",
     "epsilon_greedy",
     "q_backup",
@@ -139,35 +138,6 @@ def q_backup(table: QTable, key, action, reward, next_key, lam: float) -> None:
         nxt = values.get(next_key)
         target = float(reward) + lam * (0.0 if nxt is None else float(nxt.max()))
     row[a] = (1.0 - table.alpha) * row[a] + table.alpha * target
-
-
-@dataclass
-class LinearQ:
-    """One linear value head per action over [features; 1].
-
-    ``weights`` has shape (n_actions, n_features + 1); the trailing column
-    multiplies a constant 1 appended to every state (the bias feature).
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 2:
-            raise ConfigError("LinearQ weights must be (n_actions, n_features + 1)")
-        self.weights = w
-
-    @classmethod
-    def zeros(cls, n_actions: int, n_features: int) -> "LinearQ":
-        return cls(np.zeros((n_actions, n_features + 1)))
-
-    @property
-    def n_actions(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[1] - 1
 
 
 def bias_features(state, n_features: int, scale: float = 1.0) -> np.ndarray:

@@ -19,7 +19,6 @@ import numpy as np
 from greenrl.cloud_loop import (
     CompressionPlan,
     ServiceRequest,
-    build_state,
     derive_seeds,
     epsilon_linear,
     instantiate,
@@ -46,11 +45,9 @@ from greenrl.rach_env import (
     BernoulliTraffic,
     ExternalTraffic,
     RachEnv,
-    SlotOutcome,
     simulate_contention,
 )
 from greenrl.rl_core import (
-    LinearQ,
     QTable,
     check_discount,
     epsilon_greedy,
@@ -482,6 +479,15 @@ class ReferenceFieldTrafficSource:
 # Centralized training twin
 # ---------------------------------------------------------------------------
 
+# The state rule that greenrl's slot loop and ``evaluate_greedy_net`` inline
+# as ``obs / norm`` assigned into a row of the network's dtype.
+
+
+def build_state(obs: np.ndarray, norm: float, dtype) -> np.ndarray:
+    """Network input: observation counts scaled by the largest menu size,
+    divided in float64 and rounded once to ``dtype``."""
+    return (np.asarray(obs, dtype=np.float64) / norm).astype(dtype)
+
 
 def run_centralized_dqn(env_cfg, dqn_cfg, seed: int, steps: int):
     """Plain single-machine DQN loop, one train step per environment step.
@@ -509,7 +515,7 @@ def run_centralized_dqn(env_cfg, dqn_cfg, seed: int, steps: int):
         state = build_state(obs, norm, dqn_cfg.np_dtype)
         q = forward(net, state)
         action = epsilon_greedy(q, eps, action_rng)
-        obs2, reward, _ = env.step(menu[action])
+        obs2, reward = env.step(menu[action])
         next_state = build_state(obs2, norm, dqn_cfg.np_dtype)
         buffer.write(
             ReplayBatch(
@@ -1038,11 +1044,11 @@ def reference_decode_sample_batch(buf: bytes) -> ReferenceSampleBatch:
 #
 # The environment step that the rolling-window, precomputed-action step in
 # greenrl.rach_env replaced, kept verbatim apart from its name and the
-# dropped per-slot trace.  The window is a deque of triples rebuilt into an
-# observation every slot, an action is checked with ``in`` against the menu
-# tuple, and contention goes through ``simulate_contention``.  Both
-# environments draw from one generator in the same order, so for one config
-# they must agree slot for slot.
+# dropped per-slot trace and outcome record.  The window is a deque of
+# triples rebuilt into an observation every slot, an action is checked with
+# ``in`` against the menu tuple, and contention goes through
+# ``simulate_contention``.  Both environments draw from one generator in the
+# same order, so for one config they must agree slot for slot.
 
 
 class ReferenceRachEnv:
@@ -1089,8 +1095,7 @@ class ReferenceRachEnv:
         self.backlog -= successful
         self._window.appendleft((idle, collided, successful))
         self.slot += 1
-        outcome = SlotOutcome(served=successful, backlog=self.backlog, occupancy=occupancy)
-        return self.observation(), float(successful), outcome
+        return self.observation(), float(successful)
 
 
 # ---------------------------------------------------------------------------
@@ -1164,6 +1169,30 @@ def reference_tabular_q_update(table: QTable, t: Transition, discount: float) ->
     new_values = dict(table.values)
     new_values[state_key(t.state)] = row
     return QTable(table.n_actions, table.alpha, new_values)
+
+
+@dataclass
+class LinearQ:
+    """One linear value head per action over [features; 1], the model type
+    greenrl's linear agent replaced with its own weight matrix.
+
+    ``weights`` has shape (n_actions, n_features + 1); the trailing column
+    multiplies a constant 1 appended to every state (the bias feature).
+    """
+
+    weights: np.ndarray
+
+    @classmethod
+    def zeros(cls, n_actions: int, n_features: int) -> "LinearQ":
+        return cls(np.zeros((n_actions, n_features + 1)))
+
+    @property
+    def n_actions(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def n_features(self) -> int:
+        return self.weights.shape[1] - 1
 
 
 def _reference_bias_augment(lq: LinearQ, state) -> np.ndarray:
@@ -1305,7 +1334,7 @@ def reference_run_local_agent(env_cfg, kind: str, params, total_slots: int, buck
     bucket_rewards: list[float] = []
     for slot in range(total_slots):
         action = agent.act(obs)
-        next_obs, reward, _ = env.step(env_cfg.action_menu[action])
+        next_obs, reward = env.step(env_cfg.action_menu[action])
         agent.learn(obs, action, reward, next_obs)
         obs = next_obs
         bucket_rewards.append(reward)
@@ -1348,6 +1377,6 @@ def reference_evaluate_greedy_agent(agent, env_cfg, slots: int, seed: int) -> fl
     obs = env.reset()
     total = 0.0
     for _ in range(slots):
-        obs, reward, _ = env.step(env_cfg.action_menu[reference_greedy_action(agent, obs)])
+        obs, reward = env.step(env_cfg.action_menu[reference_greedy_action(agent, obs)])
         total += reward
     return total / slots

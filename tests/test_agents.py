@@ -91,10 +91,10 @@ def test_learning_agents_update_their_own_rows_in_place():
     assert tab.table.values is values and tab.table.values[key] is row
     assert row[1] == pytest.approx(0.5 * 1.0 + 0.5 * (2.0 + 0.9 * 1.0))
     laq = LinearQAgent(4, 6, 48.0, params, np.random.default_rng(0))
-    weights = laq.model.weights
+    weights = laq.weights
     phi = laq.features(np.full(6, 24.0))
     laq.learn(phi, 2, 1.0, phi)
-    assert laq.model.weights is weights
+    assert laq.weights is weights
     assert np.any(weights[2] != 0.0) and not np.any(weights[[0, 1, 3]])
 
 
@@ -117,7 +117,7 @@ def test_agents_reject_bad_slot_data():
             agent.learn(feat, 4, 1.0, feat)
         assert agent.slot == 0
     assert tab.table.values == {}
-    assert not np.any(laq.model.weights)
+    assert not np.any(laq.weights)
 
 
 def test_make_agent_dispatch():
@@ -168,9 +168,9 @@ def test_linear_agent_features_and_update_direction():
     phi = agent.features(obs)
     np.testing.assert_allclose(phi[:-1], 0.5)
     assert phi[-1] == 1.0  # the bias feature
-    before = agent.model.weights[1].copy()
+    before = agent.weights[1].copy()
     agent.learn(phi, 1, 3.0, phi)
-    after = agent.model.weights[1]
+    after = agent.weights[1]
     assert not np.array_equal(after, before)
     # positive TD error on all-positive features pushes weights up
     assert np.all(after >= before)
@@ -275,8 +275,8 @@ def test_evaluate_greedy_net_matches_reference_rollout(dtype):
     reference environment."""
     from dataclasses import replace
 
-    from greenrl.cloud_loop import build_state, derive_seeds
-    from oracles import ReferenceRachEnv, _reference_forward_cached
+    from greenrl.cloud_loop import derive_seeds
+    from oracles import ReferenceRachEnv, _reference_forward_cached, build_state
 
     cfg = env_config()
     assert cfg.max_opportunities == 48
@@ -286,7 +286,7 @@ def test_evaluate_greedy_net_matches_reference_rollout(dtype):
     obs, total = env.reset(), 0.0
     for _ in range(300):
         q = _reference_forward_cached(net, build_state(obs, 48.0, dtype)[None, :])[1][-1][0]
-        obs, reward, _ = env.step(MENU[int(np.argmax(q))])
+        obs, reward = env.step(MENU[int(np.argmax(q))])
         total += reward
     assert evaluate_greedy_net(net, cfg, 300, seed=9) == total / 300
 
@@ -350,7 +350,7 @@ def test_local_agents_match_reference_bit_for_bit(
             k: v.tobytes() for k, v in ref.table.values.items()
         }
     if kind == "la-q":
-        assert agent.model.weights.tobytes() == ref.model.weights.tobytes()
+        assert agent.weights.tobytes() == ref.model.weights.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["tabular", "la-q"])
@@ -362,7 +362,7 @@ def test_numpy_scalar_params_match_reference(kind):
     ref_rows, ref = reference_run_local_agent(env_config(), kind, params, 200, 7, seed=5)
     assert repr(list(rows)) == repr(reference_records(ref_rows))
     if kind == "la-q":
-        assert agent.model.weights.tobytes() == ref.model.weights.tobytes()
+        assert agent.weights.tobytes() == ref.model.weights.tobytes()
     else:
         assert {k: v.tobytes() for k, v in agent.table.values.items()} == {
             k: v.tobytes() for k, v in ref.table.values.items()

@@ -8,7 +8,6 @@ from greenrl.cloud_loop import (
     DqnConfig,
     ServiceRequest,
     Session,
-    build_state,
     decode_sample_batch,
     decode_snapshot,
     derive_seeds,
@@ -24,6 +23,7 @@ from greenrl.neural import ReplayBatch, glorot_init, pack
 from greenrl.rach_env import BernoulliTraffic, ExternalTraffic, RachAction, RachConfig
 from oracles import (
     Transition,
+    build_state,
     reference_decode_sample_batch,
     reference_encode_sample_batch,
     run_centralized_dqn,
@@ -103,18 +103,30 @@ def test_build_state_scales_and_casts():
     assert out.dtype == np.float32
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_build_state_into_row_rounds_once(dtype):
-    """Writing into a preallocated row gives the float64 divide rounded once
-    to ``dtype``, bit for bit, and fills only that row."""
-    obs = np.random.default_rng(3).integers(0, 50, size=(4, 12)).astype(float)
-    rows = np.zeros((5, 12), dtype)
-    for i, o in enumerate(obs):
-        got = build_state(o, 48.0, dtype, out=rows[i])
-        assert np.shares_memory(got, rows[i])
-        assert rows[i].tobytes() == (o / 48.0).astype(dtype).tobytes()
-        assert build_state(o, 48.0, dtype).tobytes() == rows[i].tobytes()
-    assert not rows[4].any()
+    """Each state row the entity writes in place over a round is the
+    reference state rule's float64 divide rounded once to the network's
+    dtype, bit for bit: the round's first observation in row 0, each step's
+    next observation in the row after."""
+    session = Session(make_request(dqn=small_dqn(dtype=dtype), inner_steps=6))
+    entity = session.entities[0]
+    env, real_step = entity.env, entity.env.step
+    seen = [entity.obs]
+
+    def step(action):
+        obs, reward = real_step(action)
+        seen.append(obs)
+        return obs, reward
+
+    env.step = step
+    assert env.cfg.max_opportunities == 48
+    for _ in range(3):
+        session.outer_round(0)
+        assert len(seen) == 7
+        want = [build_state(obs, 48.0, np.dtype(dtype)).tobytes() for obs in seen]
+        assert [row.tobytes() for row in entity.states] == want
+        seen[:] = seen[-1:]
 
 
 # ---------------------------------------------------------------------------
@@ -937,10 +949,10 @@ def test_non_finite_values_raise_without_a_numpy_warning(dtype, where, bad):
         real_step = env.step
 
         def step(action):
-            obs, reward, outcome = real_step(action)
+            obs, reward = real_step(action)
             obs = obs.copy()
             obs[0] = bad
-            return obs, reward, outcome
+            return obs, reward
 
         env.step = step
     with pytest.raises(InvalidInputError, match=f"^{where}( parameters)? must be finite$"):

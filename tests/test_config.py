@@ -7,6 +7,7 @@ import pytest
 
 from greenrl.cloud_loop import CompressionPlan, DqnConfig
 from greenrl.config import (
+    DEFAULT_MENU,
     OUTPUT_ROOT_ENV,
     CloudSection,
     CompressionSection,
@@ -71,14 +72,23 @@ def test_json_lists_become_tuples():
 
 def test_rach_section_builds_env_config():
     sec = RachSection(num_devices=12, traffic_p=0.2)
-    actions = sec.actions()
-    assert actions[0] == RachAction(1, 8, 8)
-    assert [a.opportunities for a in actions] == [8, 16, 32, 48]
-    env = sec.to_env_config(seed=77)
+    assert sec.menu[0] == RachAction(1, 8, 8)
+    env = sec.to_env_config()
+    assert env.action_menu == sec.menu
+    assert [a.opportunities for a in env.action_menu] == [8, 16, 32, 48]
     assert env.num_devices == 12
     assert env.traffic == BernoulliTraffic(0.2)
-    assert env.seed == 77
+    assert env.seed == 0  # each run derives its own with dataclasses.replace
     assert env.max_opportunities == 48
+
+
+def test_rach_section_stores_its_menu_as_a_tuple():
+    """A menu given as a list is stored as the tuple, so the section equals
+    and hashes as one built with the tuple; it used to compare unequal and
+    could not be hashed."""
+    sec = RachSection(menu=list(DEFAULT_MENU))
+    assert type(sec.menu) is tuple
+    assert sec == RachSection() and hash(sec) == hash(RachSection())
 
 
 def test_cloud_section_validation_and_conversion():
@@ -126,6 +136,7 @@ def test_spatial_section_validation(kwargs):
         ("burn_in", 2.5),
         ("bs_cells", [[0, 1.5], [2, 3]]),
         ("mu", "abc"),
+        ("mu", 1e300),
     ],
 )
 def test_spatial_field_checks_name_the_dotted_path(key, value):
@@ -365,7 +376,7 @@ def test_menu_entries_are_checked_under_their_dotted_path(menu, error):
 def test_menu_entries_load_as_actions():
     menu = [{"rach_channels": 3, "preambles_per_channel": 4, "repetition": 2}]
     sec = config_from_dict({"rach": {"menu": menu}}).rach
-    assert sec.actions() == (RachAction(3, 4, 2),)
+    assert sec.menu == (RachAction(3, 4, 2),)
     assert sec.to_env_config().action_menu == (RachAction(3, 4, 2),)
 
 

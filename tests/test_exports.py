@@ -25,6 +25,26 @@ def test_every_exported_name_resolves():
     assert checked
 
 
+def test_no_module_has_an_unread_import():
+    """Every name a greenrl module binds by a module-level import is read in
+    that module (as a name, or as the root of an attribute) or listed in its
+    ``__all__``, so a deletion cannot leave a dead import behind."""
+    unread = []
+    for path in sorted(pathlib.Path(greenrl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound, read = {}, set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update({(a.asname or a.name): node.lineno for a in node.names})
+            elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                read.update(ast.literal_eval(node.value))
+        read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+    assert not unread, unread
+
+
 # Benchmark span targets whose names greenrl no longer has, so their spans
 # read 0 until the benchmark drops or repoints them (ROADMAP item 7).
 KNOWN_DEAD_TARGETS = {

@@ -4,7 +4,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from greenrl.cli import run_report
 from greenrl.agents import LocalAgentParams
 from greenrl.cloud_loop import CompressionPlan, RoundLog
 from greenrl.config import (
+    DEFAULT_MENU,
     MAX_ARRAY_BYTES,
     CloudSection,
     CompressionSection,
@@ -287,6 +288,15 @@ def test_compare_agents_validation(tmp_path):
     mismatched = tiny_config(tmp_path, name="two", total_slots=80)
     with pytest.raises(ConfigError, match="share"):
         compare_agents([a, mismatched])
+
+
+def test_compare_agents_pairs_a_menu_given_as_a_list(tmp_path):
+    """A config built directly with its menu as a list shares the rach section
+    of one loaded with the same menu; compare used to reject the pair."""
+    listed = tiny_config(tmp_path, name="listed")
+    listed = replace(listed, rach=replace(listed.rach, menu=list(DEFAULT_MENU)))
+    report = compare_agents([listed, tiny_config(tmp_path, name="loaded", agent="random")])
+    assert set(report["agents"]) == {"listed", "loaded"}
 
 
 def test_sweep_rows_and_files(tmp_path):

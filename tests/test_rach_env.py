@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenrl.errors import ConfigError, InvalidInputError
@@ -161,38 +161,44 @@ def test_observation_most_recent_first():
     env.step(MENU[0])
     first = tuple(env.observation()[:3])
     env.backlog = 20
-    obs, _, _ = env.step(MENU[0])
+    obs, _ = env.step(MENU[0])
     assert tuple(obs[3:6]) == first
     assert obs[0] + obs[1] + obs[2] == MENU[0].opportunities  # idle+collided+successful
 
 
 def test_slot_accounting_and_backlog_conservation():
+    """Each slot's triple covers the action's opportunities, the reward is its
+    successful count, the attempts it shows (one per success, at least two per
+    collision) come from the backlog, and the served devices leave it."""
     env = make_env(traffic=ExternalTraffic(lambda slot: 3))
-    backlog = 0
     for _ in range(200):
-        before = backlog + min(3, env.cfg.num_devices - backlog)
-        obs, reward, out = env.step(MENU[1])
-        assert out.occupancy.sum() <= before  # attempts drawn from the backlog
-        assert reward == float((out.occupancy == 1).sum())
-        assert out.backlog == before - out.served
-        backlog = out.backlog
-        assert 0 <= backlog <= env.cfg.num_devices
+        before = env.backlog + min(3, env.cfg.num_devices - env.backlog)
+        obs, reward = env.step(MENU[1])
+        idle, collided, successful = obs[:3]
+        assert idle + collided + successful == MENU[1].opportunities
+        assert reward == successful
+        assert successful + 2 * collided <= before  # attempts drawn from the backlog
+        assert env.backlog == before - reward
+        assert 0 <= env.backlog <= env.cfg.num_devices
 
 
 def test_full_repetition_forces_every_device_to_attempt():
-    env = make_env(
-        num_devices=10,
-        traffic=ExternalTraffic(lambda slot: 4),
-        backoff_slots=8,
-    )
-    _, _, out = env.step(MENU[0])  # repetition 8 == backoff_slots, so p_attempt = 1
-    assert out.occupancy.sum() == 4
+    """A lone backlogged device always attempts at repetition 8 == backoff_slots
+    (p_attempt = 1) and, alone, is always served; at repetition 4 it sits out
+    some slots."""
+    rewards = {}
+    for action in (MENU[0], MENU[3]):
+        env = make_env(num_devices=1, traffic=ExternalTraffic(lambda slot: 1), backoff_slots=8)
+        rewards[action.repetition] = [env.step(action)[1] for _ in range(100)]
+        assert env.backlog == 1 - rewards[action.repetition][-1]
+    assert rewards[8] == [1.0] * 100
+    assert 0.0 in rewards[4]
 
 
 def test_external_traffic_clamps_to_population():
     env = make_env(num_devices=10, traffic=ExternalTraffic(lambda slot: 1000))
-    _, _, out = env.step(MENU[0])
-    assert out.backlog + out.served == 10
+    _, reward = env.step(MENU[0])
+    assert env.backlog + reward == 10
 
 
 def test_external_traffic_negative_count_rejected():
@@ -223,10 +229,10 @@ def test_external_traffic_numpy_integer_counts_match_int(count):
     backlog stays a Python int."""
     env, twin = (make_env(traffic=ExternalTraffic(lambda slot, c=c: c)) for c in (count, 3))
     for _ in range(20):
-        obs, reward, out = env.step(MENU[1])
-        twin_obs, twin_reward, twin_out = twin.step(MENU[1])
+        obs, reward = env.step(MENU[1])
+        twin_obs, twin_reward = twin.step(MENU[1])
         assert obs.tobytes() == twin_obs.tobytes() and reward == twin_reward
-        assert type(out.backlog) is int and out.backlog == twin_out.backlog
+        assert type(env.backlog) is int and env.backlog == twin.backlog
 
 
 def test_off_menu_action_rejected():
@@ -264,12 +270,16 @@ _traffic = st.one_of(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     action_seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# repetition == backoff_slots, so every backlogged device attempts (p_attempt = 1)
+@example(
+    menu=[RachAction(2, 4, 8)], window=2, devices=30, backoff=8, traffic=BernoulliTraffic(0.3), seed=3, action_seed=0
+)
 @settings(max_examples=40, deadline=None)
 def test_step_matches_reference_env(menu, window, devices, backoff, traffic, seed, action_seed):
     """Over 500 slots the tuple-window step agrees with the deque step on
-    every observation, reward, backlog, slot, occupancy vector and generator
-    state.  Every other slot plays an equal but distinct copy of the menu
-    entry rather than the entry itself."""
+    every observation, reward, backlog, slot and generator state.  Every
+    other slot plays an equal but distinct copy of the menu entry rather
+    than the entry itself."""
     cfg = RachConfig(devices, tuple(menu), window, traffic, backoff, seed)
     env, ref = RachEnv(cfg), ReferenceRachEnv(cfg)
     np.testing.assert_array_equal(env.reset(), ref.reset())
@@ -277,14 +287,13 @@ def test_step_matches_reference_env(menu, window, devices, backoff, traffic, see
     for slot, i in enumerate(picks):
         action = menu[i] if slot % 2 else replace(menu[i])
         assert action == menu[i] and (action is menu[i]) == bool(slot % 2)
-        obs, reward, out = env.step(action)
-        ref_obs, ref_reward, ref_out = ref.step(menu[i])
+        obs, reward = env.step(action)
+        ref_obs, ref_reward = ref.step(menu[i])
         assert obs.dtype == ref_obs.dtype
         np.testing.assert_array_equal(obs, ref_obs)
         assert reward == ref_reward
-        assert (out.served, out.backlog, env.backlog) == (ref_out.served, ref_out.backlog, ref.backlog)
+        assert env.backlog == ref.backlog
         assert env.slot == ref.slot
-        np.testing.assert_array_equal(out.occupancy, ref_out.occupancy)
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
     np.testing.assert_array_equal(env.observation(), ref.observation())
 
